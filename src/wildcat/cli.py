@@ -192,6 +192,26 @@ def cmd_cuplength(args) -> int:
     return EXIT_OK
 
 
+def _sample_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _positive_fraction(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wildcat",
@@ -215,9 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="verify the stratified plan of a graph")
     p.add_argument("file")
     p.add_argument("--graph", default=None)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--delta", type=Fraction, default=DEFAULT_DELTA)
-    p.add_argument("--eps", type=Fraction, default=DEFAULT_EPS)
+    p.add_argument("--samples", type=_sample_count, default=2000)
+    p.add_argument("--delta", type=_positive_fraction, default=DEFAULT_DELTA)
+    p.add_argument("--eps", type=_positive_fraction, default=DEFAULT_EPS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", action="store_true",
                    help="negative control: corrupt the plan before verifying")

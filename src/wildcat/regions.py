@@ -4,7 +4,8 @@ A region is a finite union of primitives: boxes of cell unions, the shifted
 diagonal of a cycle, or the preimage of another region under the product of a
 collapse retraction with itself.  Membership of a pair of exact graph points
 is decidable with rational arithmetic only, and closedness is read off the
-descriptors.
+descriptors.  Every region also maps a single point to a hashable ``key``
+such that ``contains(x, y)`` depends only on ``(key(x), key(y))``.
 """
 
 from dataclasses import dataclass
@@ -144,6 +145,9 @@ class Box:
     def contains(self, x: GraphPoint, y: GraphPoint) -> bool:
         return self.first.contains(x) and self.second.contains(y)
 
+    def key(self, p: GraphPoint):
+        return (self.first.contains(p), self.second.contains(p))
+
     def is_closed(self) -> bool:
         return self.first.is_closed() and self.second.is_closed()
 
@@ -164,6 +168,9 @@ class Shift:
             return False
         return (sy - sx - self.offset) % self.cycle.length == 0
 
+    def key(self, p: GraphPoint):
+        return self.cycle.coord(p)
+
     def is_closed(self) -> bool:
         return True
 
@@ -180,6 +187,9 @@ class RetractPreimage:
     def contains(self, x: GraphPoint, y: GraphPoint) -> bool:
         return self.inner.contains(self.homotopy.retract(x),
                                    self.homotopy.retract(y))
+
+    def key(self, p: GraphPoint):
+        return self.inner.key(self.homotopy.retract(p))
 
     def is_closed(self) -> bool:
         return self.inner.is_closed()
@@ -198,6 +208,10 @@ class Region:
             if p.contains(x, y):
                 return True
         return False
+
+    def key(self, p: GraphPoint):
+        """Point class: ``contains(x, y)`` is a function of the two keys."""
+        return tuple(q.key(p) for q in self.primitives)
 
     def is_closed(self) -> bool:
         return all(p.is_closed() for p in self.primitives)

@@ -78,6 +78,23 @@ def random_connected_graph(rng, max_vertices=8, max_edges=20):
     return build_graph(vs, es)
 
 
+def random_tree(rng, n_vertices):
+    vs = [f"v{i}" for i in range(n_vertices)]
+    es = [(f"e{i - 1}", vs[rng.randrange(i)], vs[i]) for i in range(1, n_vertices)]
+    return build_graph(vs, es)
+
+
+def random_cycle_with_hairs(rng, cycle_len, n_hairs):
+    """One cycle of ``cycle_len`` edges with ``n_hairs`` trees grown off it."""
+    vs = [f"c{i}" for i in range(cycle_len)]
+    es = [(f"s{i}", vs[i], vs[(i + 1) % cycle_len]) for i in range(cycle_len)]
+    for i in range(n_hairs):
+        tip = f"t{i}"
+        es.append((f"h{i}", rng.choice(vs), tip))
+        vs.append(tip)
+    return build_graph(vs, es)
+
+
 def random_point(rng, g: MultiGraph, denom=64):
     k = rng.randrange(len(g.vertices) + len(g.edges))
     if k < len(g.vertices):

@@ -222,6 +222,19 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("arg", ["--delta=-1/1000", "--delta=1/0", "--eps=1/0",
+                                 "--samples=-3"],
+                         ids=["negative-delta", "zero-denominator-delta",
+                              "zero-denominator-eps", "negative-samples"])
+def test_verify_rejects_bad_numeric_argument(capsys, arg):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", fixture("k4.space"), arg])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument " + arg.split("=")[0] in captured.err
+
+
 # --- certify ----------------------------------------------------------------------------
 
 def test_certify_earring(capsys):

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -9,11 +10,14 @@ from wildcat.graphs import (Vertex, EdgeInterior, betti1, build_graph,
 from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
                              plan_graph, lift_plan, execute, cat_filtration,
                              product_cat_filtration, ProductRule,
-                             corrupt_plan_swap_endpoints, verify_plan)
+                             corrupt_plan_swap_endpoints, verify_plan,
+                             MotionPlan, _fmt_pair)
+from wildcat.spacefile import ParseError, parse_spacefile
 
 from gen import (point_graph, path_graph, cycle_graph, loop_graph,
                  figure_eight, circle_with_hair, theta_graph, k4,
-                 random_connected_graph, random_point)
+                 random_connected_graph, random_point, random_tree,
+                 random_cycle_with_hairs, GRAPH_FIXTURES)
 
 
 # --- plan_tree ----------------------------------------------------------------
@@ -342,3 +346,106 @@ def test_continuity_invariant_lifted_plan():
     g = circle_with_hair()
     report = verify_plan(plan_graph(g), g, samples=10_000)
     assert report.passed, [c for c in report.checks if not c.passed]
+
+
+# --- coverage-cells / nesting-cells --------------------------------------------------
+
+def _cell_checks(plan, g):
+    report = verify_plan(plan, g, samples=0)
+    checks = {c.name: c for c in report.checks}
+    return checks["coverage-cells"], checks["nesting-cells"]
+
+
+def _drop_top(plan):
+    return MotionPlan(plan.graph, plan.strata[:-1], plan.rules[:-1])
+
+
+def _swap_first_two(plan):
+    return MotionPlan(plan.graph, plan.strata[1::-1] + plan.strata[2:],
+                      plan.rules[1::-1] + plan.rules[2:])
+
+
+def test_coverage_cells_fails_without_top_stratum():
+    g = k4()
+    cover, nest = _cell_checks(_drop_top(plan_graph(g)), g)
+    assert not cover.passed
+    assert cover.witness == "(edge e3 1/4; edge e3 1/4)"
+    assert nest.passed and nest.witness is None
+
+
+def test_nesting_cells_fails_with_swapped_strata():
+    g = k4()
+    cover, nest = _cell_checks(_swap_first_two(plan_graph(g)), g)
+    assert cover.passed and cover.witness is None
+    assert not nest.passed
+    assert nest.witness == "(vertex a; edge e3 1/4)"
+
+
+def _cell_probes(g):
+    probes = [Vertex(v) for v in g.vertices]
+    for e in g.edges:
+        probes.extend(EdgeInterior(e.id, Fraction(k, 4)) for k in (1, 2, 3))
+    return probes
+
+
+def _all_pairs_cell_witnesses(plan, g):
+    """Reference: first coverage and nesting witnesses over all probe pairs."""
+    probes = _cell_probes(g)
+    cover = nest = None
+    for x in probes:
+        for y in probes:
+            member = [f.contains(x, y) for f in plan.strata]
+            if not member[-1]:
+                cover = cover or _fmt_pair(x, y)
+                continue
+            first = member.index(True)
+            if not all(member[first:]):
+                nest = nest or _fmt_pair(x, y)
+    return cover, nest
+
+
+def test_region_key_determines_membership():
+    # contains(x, y) may depend on x and y only through key(x) and key(y)
+    rng = random.Random(7)
+    for name, g in _differential_graphs():
+        points = _cell_probes(g) + [random_point(rng, g) for _ in range(8)]
+        for f in plan_graph(g).strata:
+            first = {}
+            reps = [first.setdefault(f.key(q), q) for q in points]
+            for x, rx in zip(points, reps):
+                for y, ry in zip(points, reps):
+                    assert f.contains(x, y) == f.contains(rx, ry), (name, x, y)
+
+
+def _differential_graphs():
+    fixdir = os.path.join(os.path.dirname(__file__), "fixtures")
+    for name in sorted(os.listdir(fixdir)):
+        with open(os.path.join(fixdir, name), encoding="ascii") as fh:
+            sf = parse_spacefile(fh.read())
+        try:
+            yield name, sf.main_graph()
+        except ParseError:
+            pass  # a wild space, not a graph
+    for name, make in GRAPH_FIXTURES.items():
+        yield name, make()
+    rng = random.Random(2026)
+    for i in range(12):
+        yield f"general{i}", random_connected_graph(rng)
+        yield f"hairy{i}", random_cycle_with_hairs(rng, rng.randint(1, 6),
+                                                   rng.randint(1, 6))
+        yield f"tree{i}", random_tree(rng, rng.randint(1, 12))
+
+
+def test_cell_checks_match_all_pairs_reference():
+    # intact plans pass; both broken variants fail on every multi-stratum plan
+    for name, g in _differential_graphs():
+        plan = plan_graph(g)
+        variants = [("intact", plan)]
+        if len(plan.strata) > 1:
+            variants += [("drop-top", _drop_top(plan)),
+                         ("swap-01", _swap_first_two(plan))]
+        for label, variant in variants:
+            cover, nest = _cell_checks(variant, g)
+            expected = _all_pairs_cell_witnesses(variant, g)
+            assert (cover.witness, nest.witness) == expected, (name, label)
+            assert (expected == (None, None)) == (label == "intact"), (name, label)

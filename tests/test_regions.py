@@ -73,3 +73,20 @@ def test_shift_on_loop():
                          EdgeInterior("l", Fraction(3, 4)))
     assert not anti.contains(EdgeInterior("l", Fraction(1, 4)),
                              EdgeInterior("l", Fraction(1, 2)))
+
+
+def test_region_key_separates_both_box_factors_and_cycle_coordinates():
+    g = cycle_graph(4)
+    first = CellUnion(g, [VertexCell("v0"), SubArcCell("e0", Fraction(0), Fraction(1, 2))])
+    box = Box(first, CellUnion(g, [ClosedEdgeCell("e2")]))
+    region = Region(box, Shift(CycleCoords(g), 1))
+    assert region.key(EdgeInterior("e0", Fraction(1, 4))) == ((True, False), Fraction(1, 4))
+    points = [Vertex(v) for v in g.vertices]
+    points += [EdgeInterior(e.id, Fraction(k, 4)) for e in g.edges for k in (1, 2, 3)]
+    # on a bare cycle every point has its own Shift coordinate, hence its own class
+    assert len({region.key(p) for p in points}) == len(points)
+    first_of = {}
+    reps = [first_of.setdefault(box.key(p), p) for p in points]
+    for x, rx in zip(points, reps):
+        for y, ry in zip(points, reps):
+            assert box.contains(x, y) == box.contains(rx, ry)
