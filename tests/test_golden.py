@@ -1,9 +1,10 @@
-"""Byte-for-byte golden outputs of ``wildcat verify`` on every fixture.
+"""Byte-for-byte golden outputs of the CLI on every fixture.
 
 Each file under ``tests/golden/`` holds one invocation: a first line
 ``exit: N`` with the exit status, then stdout verbatim.  ``STEM.verify`` is
 ``wildcat verify fixtures/STEM.space`` and ``STEM.corrupt.verify`` adds
-``--corrupt``.  Any change to the verifier's report shows up here.
+``--corrupt``; ``STEM.info`` and ``STEM.certify`` are ``wildcat info`` and
+``wildcat certify`` on the same file.  Any change to a report shows up here.
 """
 
 import os
@@ -20,6 +21,13 @@ FIXTURES = sorted(f[:-len(".space")] for f in os.listdir(FIXDIR)
                   if f.endswith(".space"))
 
 
+def _check(capsys, argv, name):
+    code = main(argv)
+    got = f"exit: {code}\n" + capsys.readouterr().out
+    with open(os.path.join(GOLDDIR, name), "r", encoding="ascii", newline="") as fh:
+        assert got == fh.read()
+
+
 @pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "corrupt"])
 @pytest.mark.parametrize("stem", FIXTURES)
 def test_verify_matches_golden(capsys, stem, corrupt):
@@ -28,7 +36,11 @@ def test_verify_matches_golden(capsys, stem, corrupt):
     if corrupt:
         argv.append("--corrupt")
         name = stem + ".corrupt.verify"
-    code = main(argv)
-    got = f"exit: {code}\n" + capsys.readouterr().out
-    with open(os.path.join(GOLDDIR, name), "r", encoding="ascii", newline="") as fh:
-        assert got == fh.read()
+    _check(capsys, argv, name)
+
+
+@pytest.mark.parametrize("command", ["info", "certify"])
+@pytest.mark.parametrize("stem", FIXTURES)
+def test_report_matches_golden(capsys, stem, command):
+    _check(capsys, [command, os.path.join(FIXDIR, stem + ".space")],
+           f"{stem}.{command}")
