@@ -23,8 +23,9 @@ from .planner import (PlanError, CycleCoords, MotionPlan, plan_tree,
                       corrupt_plan_swap_endpoints, verify_plan, VerifyReport)
 from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
                    Subcomplex, SeqFamily, Attachment, Node, SelfWild,
-                   ZeroDimWild, SpaceExpr, graph_expr, is_connected_expr,
-                   contains_scc, contains_atom, is_w_stable, wild_set,
+                   ZeroDimWild, SpaceExpr, graph_expr, Analysis, analyze,
+                   is_connected_expr, contains_scc, contains_atom,
+                   is_w_stable, wild_set,
                    wild_tower, wrk, WildProfile, profile, cat, tc,
                    Certificate, cat_certificate, tc_certificate, truncate)
 from .spacefile import (ParseError, SpaceFile, parse_spacefile,

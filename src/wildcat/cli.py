@@ -19,7 +19,8 @@ from .planner import (PlanError, plan_graph, execute, verify_plan,
 from .spacefile import (ParseError, SpaceFile, parse_spacefile, print_spacefile,
                         parse_point)
 from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
-                   profile, cat, tc, cat_certificate, tc_certificate, truncate)
+                   analyze, graph_expr, profile, cat, tc, cat_certificate,
+                   tc_certificate, truncate)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,12 +47,12 @@ def _tower_doc(prof):
     return [{"pieces": lv.count, "betti1": _num(lv.b1)} for lv in prof.tower]
 
 
-def _report(expr):
-    prof = profile(expr)
+def _report(analysis):
+    prof = profile(analysis)
     return {
         "wrk": _num(prof.wrk),
-        "cat": _num(cat(expr)),
-        "tc": _num(tc(expr)),
+        "cat": _num(cat(analysis)),
+        "tc": _num(tc(analysis)),
         "stable": prof.stable,
         "scc_class": prof.scc_class,
         "tower": _tower_doc(prof),
@@ -97,7 +98,7 @@ def _write_dot(path: str, g, highlight=()):
 
 def cmd_info(args) -> int:
     sf = _load(args.file)
-    doc = _report(sf.main_expr())
+    doc = _report(analyze(sf.main_expr()))
     _emit(doc, f"wrk={doc['wrk']} cat={doc['cat']} tc={doc['tc']} "
                f"scc_class={doc['scc_class']}")
     return EXIT_OK
@@ -133,7 +134,7 @@ def cmd_verify(args) -> int:
         plan = corrupt_plan_swap_endpoints(plan)
     report = verify_plan(plan, g, samples=args.samples, delta=args.delta,
                          eps=args.eps, seed=args.seed)
-    doc = _report_graph(g)
+    doc = _report(analyze(graph_expr(g)))
     doc["verification"] = {
         "passed": report.passed,
         "strata": report.strata_count,
@@ -147,18 +148,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _report_graph(g):
-    from .wild import graph_expr
-    return _report(graph_expr(g))
-
-
 def cmd_certify(args) -> int:
     sf = _load(args.file)
-    expr = sf.main_expr()
-    doc = _report(expr)
+    analysis = analyze(sf.main_expr())
+    doc = _report(analysis)
     doc["certificates"] = {
-        "cat": _cert_doc(cat_certificate(expr)),
-        "tc": _cert_doc(tc_certificate(expr)),
+        "cat": _cert_doc(cat_certificate(analysis)),
+        "tc": _cert_doc(tc_certificate(analysis)),
     }
     _emit(doc, f"cat certificate length {doc['certificates']['cat']['length']}, "
                f"tc certificate length {doc['certificates']['tc']['length']}")

@@ -629,10 +629,14 @@ def _random_point(rng, g: MultiGraph, denom=4096) -> GraphPoint:
 def _nudge(rng, p: GraphPoint, max_shift: Fraction) -> GraphPoint:
     if isinstance(p, Vertex):
         return p
-    span = max_shift.numerator * ((1 << 22) // max_shift.denominator)
+    grid = 1 << 22
+    if max_shift.denominator > grid:
+        # on the 2^-22 grid every shift below max_shift would round to 0
+        grid *= max_shift.denominator
+    span = max_shift.numerator * (grid // max_shift.denominator)
     j = rng.randrange(-span, span + 1)
-    t = p.t + Fraction(j, 1 << 22)
-    lo = Fraction(1, 1 << 22)
+    t = p.t + Fraction(j, grid)
+    lo = Fraction(1, grid)
     t = max(lo, min(1 - lo, t))
     return EdgeInterior(p.edge, t)
 
@@ -660,7 +664,6 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
     if continuity_samples is None:
         continuity_samples = samples
     rng = random.Random(seed)
-    dist = vertex_distances(g)
     checks = []
 
     closed_bad = [j for j, f in enumerate(p.strata) if not f.is_closed()]
@@ -745,6 +748,7 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
     cont_witness = None
     compared = 0
     skipped = 0
+    dist = None  # the distance table, built at the first compared pair
     for x, y, j1, path1 in answered:
         x2 = _nudge(rng, x, half)
         y2 = _nudge(rng, y, half)
@@ -762,6 +766,8 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         path2 = rule.path_for(x2, y2)
         pts1 = _float_samples(path1, times)
         pts2 = _float_samples(path2, times)
+        if dist is None:
+            dist = vertex_distances(g)
         sup = 0.0
         for a, b in zip(pts1, pts2):
             d = _float_dist(g, dist, a, b)

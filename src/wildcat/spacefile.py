@@ -116,22 +116,31 @@ def _tokenize(text, start_line):
 
 
 def _read_sexpr(tokens, i):
+    """One s-expression from ``tokens[i]`` on, and the index after it.
+
+    Lists are read with an explicit stack of open lists, so nesting depth is
+    bounded by memory, not by the recursion limit."""
     if i >= len(tokens):
         raise ParseError("unexpected end of expression")
-    tok, pos = tokens[i]
-    if tok == "(":
-        items = []
+    open_lists = []  # (items, position of the '(')
+    while True:
+        if i >= len(tokens):
+            pos = open_lists[-1][1]
+            raise ParseError("unbalanced '('", pos[0], pos[1])
+        tok, pos = tokens[i]
         i += 1
-        while True:
-            if i >= len(tokens):
-                raise ParseError("unbalanced '('", pos[0], pos[1])
-            if tokens[i][0] == ")":
-                return (items, pos), i + 1
-            item, i = _read_sexpr(tokens, i)
-            items.append(item)
-    if tok == ")":
-        raise ParseError("unbalanced ')'", pos[0], pos[1])
-    return (tok, pos), i + 1
+        if tok == "(":
+            open_lists.append(([], pos))
+            continue
+        if tok == ")":
+            if not open_lists:
+                raise ParseError("unbalanced ')'", pos[0], pos[1])
+            sx = open_lists.pop()
+        else:
+            sx = (tok, pos)
+        if not open_lists:
+            return sx, i
+        open_lists[-1][0].append(sx)
 
 
 def _is_list(sx):
@@ -201,7 +210,9 @@ def _build_subcomplex(sx, base: MultiGraph) -> Subcomplex:
     return Subcomplex.of(base, vs, es)
 
 
-def _build_expr(sx, graphs) -> SpaceExpr:
+def _open_expr(sx, graphs):
+    """The expression of a leaf form, or a :class:`_NodeBuild` for a
+    ``(node ...)`` form, whose clauses are read later."""
     items, pos = sx
     if not isinstance(items, list) or not items:
         raise ParseError("expected a space expression", pos[0], pos[1])
@@ -228,36 +239,90 @@ def _build_expr(sx, graphs) -> SpaceExpr:
     if base_name not in graphs:
         raise ParseError(f"unknown graph {base_name!r}",
                          base_items[1][1][0], base_items[1][1][1])
-    base = graphs[base_name]
-    fin = []
-    seq = []
-    try:
-        for item in items[2:]:
-            if not _is_list(item):
-                raise ParseError("expected (attach ...) or (seqfam ...)",
-                                 item[1][0], item[1][1])
-            kind = _head(item)
-            parts = item[0]
-            if kind == "attach":
-                if len(parts) != 4:
-                    raise ParseError("syntax: (attach POINT EXPR POINT)",
+    return _NodeBuild(items, pos, graphs[base_name])
+
+
+class _NodeBuild:
+    """A ``(node ...)`` form being built.  Its clauses are read in order; a
+    clause whose expression is itself a node form waits until that node is
+    built."""
+
+    __slots__ = ("items", "pos", "base", "next", "fin", "seq", "clause")
+
+    def __init__(self, items, pos, base):
+        self.items = items
+        self.pos = pos
+        self.base = base
+        self.next = 2
+        self.fin = []
+        self.seq = []
+        self.clause = None  # (kind, first argument, parts) awaiting its child
+
+    def advance(self, graphs, child=None):
+        """Continue with ``child`` as the expression of the waiting clause.
+        Returns the :class:`_NodeBuild` of a nested node form to build
+        first, or the finished :class:`Node`."""
+        try:
+            if child is not None:
+                self._close_clause(child)
+            while self.next < len(self.items):
+                item = self.items[self.next]
+                self.next += 1
+                if not _is_list(item):
+                    raise ParseError("expected (attach ...) or (seqfam ...)",
                                      item[1][0], item[1][1])
-                fin.append(Attachment(_build_point(parts[1]),
-                                      _build_expr(parts[2], graphs),
-                                      _build_point(parts[3])))
-            elif kind == "seqfam":
-                if len(parts) != 4:
-                    raise ParseError("syntax: (seqfam SUBCOMPLEX EXPR POINT)",
+                kind = _head(item)
+                parts = item[0]
+                if kind == "attach":
+                    if len(parts) != 4:
+                        raise ParseError("syntax: (attach POINT EXPR POINT)",
+                                         item[1][0], item[1][1])
+                    first = _build_point(parts[1])
+                elif kind == "seqfam":
+                    if len(parts) != 4:
+                        raise ParseError("syntax: (seqfam SUBCOMPLEX EXPR POINT)",
+                                         item[1][0], item[1][1])
+                    first = _build_subcomplex(parts[1], self.base)
+                else:
+                    raise ParseError(f"unknown node clause {kind!r}",
                                      item[1][0], item[1][1])
-                seq.append(SeqFamily(_build_subcomplex(parts[1], base),
-                                     _build_expr(parts[2], graphs),
-                                     _build_point(parts[3])))
-            else:
-                raise ParseError(f"unknown node clause {kind!r}",
-                                 item[1][0], item[1][1])
-        return Node(base, tuple(fin), tuple(seq))
-    except (ExprError, GraphError) as exc:
-        raise ParseError(str(exc), pos[0], pos[1])
+                self.clause = (kind, first, parts)
+                sub = _open_expr(parts[2], graphs)
+                if isinstance(sub, _NodeBuild):
+                    return sub
+                self._close_clause(sub)
+            return Node(self.base, tuple(self.fin), tuple(self.seq))
+        except (ExprError, GraphError) as exc:
+            raise ParseError(str(exc), self.pos[0], self.pos[1])
+
+    def _close_clause(self, child):
+        kind, first, parts = self.clause
+        anchor = _build_point(parts[3])
+        if kind == "attach":
+            self.fin.append(Attachment(first, child, anchor))
+        else:
+            self.seq.append(SeqFamily(first, child, anchor))
+
+
+def _build_expr(sx, graphs) -> SpaceExpr:
+    """Expression of an s-expression.  Nested node forms are built with an
+    explicit stack, innermost first, so nesting depth is bounded by memory,
+    not by the recursion limit."""
+    top = _open_expr(sx, graphs)
+    if not isinstance(top, _NodeBuild):
+        return top
+    stack = [top]
+    built = None
+    while True:
+        out = stack[-1].advance(graphs, built)
+        if isinstance(out, _NodeBuild):
+            stack.append(out)
+            built = None
+            continue
+        stack.pop()
+        if not stack:
+            return out
+        built = out
 
 
 # --- file-level parsing -------------------------------------------------

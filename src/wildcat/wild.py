@@ -8,9 +8,10 @@ remaining behaviour: a self-wild subspace (Sierpinski-carpet-like, every
 point wild) and a space whose wild set is non-empty, zero-dimensional and
 contained in a dendrite.
 
-Structural recursion computes iterated wild sets, the wildness rank, the
-category and topological complexity formulas, filtration certificates, and
-finite graph truncations for cross-checks.  Copy sizes and attachment
+One memoised post-order pass (``Analysis``) computes iterated wild sets,
+the wildness rank, the category and topological complexity formulas and
+filtration certificates; ``truncate`` builds finite graph approximations
+for cross-checks.  Copy sizes and attachment
 density are abstract: only the closure subcomplex of an attachment sequence
 matters for the wild set, so no metric data is stored.
 """
@@ -39,6 +40,8 @@ __all__ = [
     "is_connected_expr",
     "contains_scc",
     "contains_atom",
+    "Analysis",
+    "analyze",
     "StabilityReport",
     "is_w_stable",
     "wild_set",
@@ -225,42 +228,6 @@ def graph_expr(g: MultiGraph) -> Node:
     return Node(g, (), ())
 
 
-def is_connected_expr(e: SpaceExpr) -> bool:
-    if isinstance(e, (SelfWild, ZeroDimWild)):
-        return True
-    if e.base.n_components != 1:
-        return False
-    return (all(is_connected_expr(a.child) for a in e.fin)
-            and all(is_connected_expr(f.pattern) for f in e.seq))
-
-
-def contains_scc(e: SpaceExpr) -> bool:
-    """Whether the space contains a simple closed curve (equivalently, for
-    one-dimensional spaces, is not simply connected)."""
-    if isinstance(e, (SelfWild, ZeroDimWild)):
-        return True
-    if betti1(e.base) > 0:
-        return True
-    return (any(contains_scc(a.child) for a in e.fin)
-            or any(contains_scc(f.pattern) for f in e.seq))
-
-
-def contains_atom(e: SpaceExpr) -> bool:
-    if isinstance(e, (SelfWild, ZeroDimWild)):
-        return True
-    return (any(contains_atom(a.child) for a in e.fin)
-            or any(contains_atom(f.pattern) for f in e.seq))
-
-
-def _contains_selfwild(e: SpaceExpr) -> bool:
-    if isinstance(e, SelfWild):
-        return True
-    if isinstance(e, ZeroDimWild):
-        return False
-    return (any(_contains_selfwild(a.child) for a in e.fin)
-            or any(_contains_selfwild(f.pattern) for f in e.seq))
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     stable: bool
@@ -268,179 +235,6 @@ class StabilityReport:
 
     def __bool__(self):
         return self.stable
-
-
-def is_w_stable(e: SpaceExpr) -> StabilityReport:
-    """Decide w-stability of an expression.
-
-    A family whose pattern has a non-empty wild set is admissible only when
-    that wild set is path-connected and contains the family's anchor;
-    otherwise copies of the pattern's wild set accumulate on the subcomplex
-    without touching it and local path-connectedness of the wild set fails.
-    The zero-dimensional atom reports unstable with a pointer to its special
-    case; the self-wild atom is vacuously stable (its rank is infinite).
-    """
-    if isinstance(e, SelfWild):
-        return StabilityReport(True)
-    if isinstance(e, ZeroDimWild):
-        return StabilityReport(False, "handled by the zero-dimensional special case")
-    if not isinstance(e, Node):
-        raise ExprError(f"not a space expression: {e!r}")
-    for i, att in enumerate(e.fin):
-        sub = is_w_stable(att.child)
-        if not sub:
-            return StabilityReport(False, f"attachment {i}: {sub.diagnostic}")
-    for i, fam in enumerate(e.seq):
-        sub = is_w_stable(fam.pattern)
-        if not sub:
-            return StabilityReport(False, f"seq family {i}: {sub.diagnostic}")
-        if not contains_scc(fam.pattern):
-            continue
-        # every non-empty iterated wild set of the pattern must be one
-        # connected piece containing the anchor: copies of deeper wild sets
-        # also have to reach the subcomplex through the gluing point
-        own, foreign = _wild_pieces_split(fam.pattern)
-        level = 1
-        prev = None
-        while own or foreign:
-            if len(own) + len(foreign) > 1:
-                return StabilityReport(
-                    False, f"seq family {i}: wild set level {level} of the "
-                           f"pattern is not path-connected "
-                           f"({len(own) + len(foreign)} pieces)")
-            if foreign:
-                # the anchor is a point of the pattern's base; it cannot
-                # certify a wild set sitting inside a finite attachment
-                return StabilityReport(
-                    False, f"seq family {i}: anchor {fam.anchor} does not lie "
-                           f"in wild set level {level} of the pattern (it "
-                           "sits inside a finite attachment)")
-            piece = own[0]
-            if not _point_in_piece(fam.anchor, piece):
-                return StabilityReport(
-                    False, f"seq family {i}: anchor {fam.anchor} does not lie "
-                           f"in wild set level {level} of the pattern")
-            if isinstance(piece, SelfWild) or piece == prev:
-                break
-            prev = piece
-            own, foreign = _wild_pieces_split(piece)
-            level += 1
-    return StabilityReport(True)
-
-
-def _point_in_piece(p: GraphPoint, piece: SpaceExpr) -> bool:
-    if isinstance(piece, SelfWild):
-        return True
-    if isinstance(piece, ZeroDimWild):
-        return False
-    return piece.base.contains_point(p)
-
-
-def _wild_pieces_split(e: SpaceExpr):
-    """Wild-set pieces of a stable expression, separated into pieces living
-    on subcomplexes of e's own base and pieces living inside finite
-    attachments (a different identifier space)."""
-    if isinstance(e, SelfWild):
-        return (e,), ()
-    contributions = []
-    for fam in e.seq:
-        if not contains_scc(fam.pattern):
-            continue
-        inner = _wild_pieces(fam.pattern)
-        contributions.append((fam, inner[0] if inner else None))
-    own = []
-    if contributions:
-        union = contributions[0][0].subcomplex
-        for fam, _ in contributions[1:]:
-            union = union.union(fam.subcomplex)
-        for comp in union.components(e.base):
-            fams = []
-            for fam, wild_pattern in contributions:
-                if wild_pattern is None:
-                    continue
-                meet = fam.subcomplex.intersect(comp)
-                if meet.is_empty():
-                    continue
-                fams.append(SeqFamily(meet, wild_pattern, fam.anchor))
-            own.append(Node(comp.as_graph(e.base), (), tuple(fams)))
-    foreign = []
-    for att in e.fin:
-        foreign.extend(_wild_pieces(att.child))
-    return tuple(own), tuple(foreign)
-
-
-def _wild_pieces(e: SpaceExpr):
-    """Pieces of the wild set of a stable expression (stability assumed)."""
-    own, foreign = _wild_pieces_split(e)
-    return own + foreign
-
-
-def wild_set(e: SpaceExpr):
-    """Wild set of a stable expression, as a finite disjoint union of pieces.
-
-    Per family: a simply connected pattern contributes nothing; a pattern
-    with a cycle but empty wild set makes the whole subcomplex wild; a
-    pattern with a non-empty wild set additionally carries its own wild set
-    down as a new family.  Contributions over the same base merge along the
-    union of their subcomplexes; finite attachments contribute their own
-    wild sets as separate pieces.  Finite graphs have empty wild set.
-    """
-    if isinstance(e, ZeroDimWild):
-        raise ExprError("the zero-dimensional atom has no symbolic wild set")
-    st = is_w_stable(e)
-    if not st:
-        raise UnstableExpressionError(st.diagnostic)
-    return _wild_pieces(e)
-
-
-def wild_tower(e: SpaceExpr):
-    """Non-empty iterated wild sets of a stable, self-wild-free expression."""
-    if isinstance(e, ZeroDimWild):
-        raise ExprError("the zero-dimensional atom has no symbolic wild tower")
-    st = is_w_stable(e)
-    if not st:
-        raise UnstableExpressionError(st.diagnostic)
-    if _contains_selfwild(e):
-        raise InfiniteRankError("self-wild subspaces give an infinite tower")
-    levels = []
-    level = (e,)
-    while level:
-        levels.append(level)
-        level = tuple(p for piece in level for p in _wild_pieces(piece))
-    return tuple(levels)
-
-
-def wrk(e: SpaceExpr):
-    """Wildness rank: the smallest n >= 1 with empty n-th iterated wild set.
-
-    Infinite for any expression containing a self-wild subspace (its wild
-    set persists inside every iterate); 2 for the zero-dimensional atom.
-    """
-    if isinstance(e, ZeroDimWild):
-        return 2
-    st = is_w_stable(e)
-    if not st:
-        raise UnstableExpressionError(st.diagnostic)
-    if _contains_selfwild(e):
-        return INF
-    return len(wild_tower(e))
-
-
-def _expr_b1(e: SpaceExpr):
-    """Total first Betti number of an expression: INF once a family pattern
-    contains a cycle (infinitely many copies), additive over attachments."""
-    if isinstance(e, (SelfWild, ZeroDimWild)):
-        return INF
-    total = betti1(e.base)
-    for att in e.fin:
-        b = _expr_b1(att.child)
-        if b is INF:
-            return INF
-        total += b
-    for fam in e.seq:
-        if contains_scc(fam.pattern):
-            return INF
-    return total
 
 
 @dataclass(frozen=True)
@@ -467,59 +261,442 @@ class WildProfile:
     stable: bool
 
 
-def profile(e: SpaceExpr) -> WildProfile:
-    if isinstance(e, ZeroDimWild):
-        tower = (TowerLevel((e,), 1, INF), TowerLevel((), 1, 0))
-        return WildProfile(tower, 2, 0, "none", False)
-    st = is_w_stable(e)
-    if not st:
-        raise UnstableExpressionError(st.diagnostic)
-    if isinstance(e, SelfWild) or _contains_selfwild(e):
-        return WildProfile((TowerLevel((e,), 1, INF),), INF, INF, "many", True)
-    levels = wild_tower(e)
-    summaries = tuple(TowerLevel(lv, len(lv), _level_b1(lv)) for lv in levels)
-    top = summaries[-1].b1
-    if top == 0:
-        scc = "none"
-    elif top == 1:
-        scc = "one"
-    else:
-        scc = "many"
-    return WildProfile(summaries, len(levels), top, scc, True)
+class _Facts:
+    """What an analysis knows about one expression object.  The structural
+    facts are set when the object is first reached; ``pieces`` and
+    ``stability`` stay None until asked for, because wild pieces are only
+    defined on stable parts."""
+
+    __slots__ = ("expr", "atom", "selfwild", "scc", "connected", "b1",
+                 "shape", "pieces", "stability")
 
 
-def _level_b1(level):
-    total = 0
-    for piece in level:
-        b = _expr_b1(piece)
-        if b is INF:
-            return INF
-        total += b
-    return total
+class Analysis:
+    """Everything the calculus derives from one space expression, computed
+    once per subexpression.
+
+    One post-order walk gives the structural facts of every subexpression:
+    atoms, self-wild subspaces, simple closed curves, connectedness and the
+    total first Betti number.  W-stability and wild-set pieces are derived
+    from them on demand.  The pieces of a piece are analysed and memoised
+    like any other subexpression, so each level of the wild tower of a
+    nested expression is built once, not once per reader: a rank-growing
+    chain of depth d costs O(d^2) pieces in all.
+
+    Facts are keyed by object identity, because the dataclass ``__eq__`` and
+    ``__hash__`` of an expression recurse over its whole tree; each entry
+    holds its expression, so no identity is reused while the analysis
+    lives.  Structural equality of two pieces, which the stability check
+    needs, is an integer ``shape`` interned bottom-up.  Every walk uses an
+    explicit stack, so nesting depth is bounded by memory, not by the
+    interpreter's recursion limit.  Nothing outlives the analysis: a caller
+    with several questions about one expression builds one with
+    ``analyze`` and passes it to each reader.
+    """
+
+    def __init__(self, e: SpaceExpr):
+        if not isinstance(e, (Node, SelfWild, ZeroDimWild)):
+            raise ExprError(f"not a space expression: {e!r}")
+        self.expr = e
+        self._memo = {}    # id(expr) -> _Facts, which keeps expr alive
+        self._shapes = {}  # structural key -> shape number
+        self._profile = None
+        self._top = self._facts(e)
+
+    @property
+    def connected(self) -> bool:
+        return self._top.connected
+
+    @property
+    def scc(self) -> bool:
+        return self._top.scc
+
+    @property
+    def atom(self) -> bool:
+        return self._top.atom
+
+    @property
+    def selfwild(self) -> bool:
+        return self._top.selfwild
+
+    @property
+    def stability(self) -> StabilityReport:
+        return self._stability(self.expr)
+
+    def require_stable(self):
+        st = self.stability
+        if not st:
+            raise UnstableExpressionError(st.diagnostic)
+
+    def pieces(self, x=None) -> tuple:
+        """Wild-set pieces of x (default: the expression): pieces on its own
+        base first, then pieces inside finite attachments.  Stability of x
+        is assumed, not checked."""
+        own, foreign = self._split(self.expr if x is None else x)
+        return own + foreign
+
+    def tower(self) -> tuple:
+        """Non-empty iterated wild sets of a stable, self-wild-free
+        expression, each a tuple of pieces."""
+        levels = []
+        level = (self.expr,)
+        while level:
+            levels.append(level)
+            level = tuple(p for piece in level for p in self.pieces(piece))
+        return tuple(levels)
+
+    def profile(self) -> WildProfile:
+        if self._profile is None:
+            self._profile = self._build_profile()
+        return self._profile
+
+    def _build_profile(self) -> WildProfile:
+        e = self.expr
+        if isinstance(e, ZeroDimWild):
+            tower = (TowerLevel((e,), 1, INF), TowerLevel((), 1, 0))
+            return WildProfile(tower, 2, 0, "none", False)
+        self.require_stable()
+        if self.selfwild:
+            return WildProfile((TowerLevel((e,), 1, INF),), INF, INF, "many", True)
+        levels = self.tower()
+        summaries = tuple(TowerLevel(lv, len(lv), self._level_b1(lv))
+                          for lv in levels)
+        top = summaries[-1].b1
+        if top == 0:
+            scc = "none"
+        elif top == 1:
+            scc = "one"
+        else:
+            scc = "many"
+        return WildProfile(summaries, len(levels), top, scc, True)
+
+    def _level_b1(self, level):
+        total = 0
+        for piece in level:
+            b = self._facts(piece).b1
+            if b is INF:
+                return INF
+            total += b
+        return total
+
+    # --- structural facts ---------------------------------------------------
+
+    def _facts(self, e) -> _Facts:
+        """Facts of e, reaching every subexpression below it first."""
+        memo = self._memo
+        stack = [e]
+        while stack:
+            x = stack[-1]
+            if id(x) in memo:
+                stack.pop()
+                continue
+            if isinstance(x, Node):
+                todo = [a.child for a in x.fin if id(a.child) not in memo]
+                todo.extend(s.pattern for s in x.seq if id(s.pattern) not in memo)
+                if todo:
+                    stack.extend(todo)
+                    continue
+            stack.pop()
+            memo[id(x)] = self._local(x)
+        return memo[id(e)]
+
+    def _local(self, x) -> _Facts:
+        """Structural facts of x from those of its children."""
+        f = _Facts()
+        f.expr = x
+        f.pieces = f.stability = None
+        if isinstance(x, Node):
+            memo = self._memo
+            fin = [memo[id(a.child)] for a in x.fin]
+            seq = [memo[id(s.pattern)] for s in x.seq]
+            kids = fin + seq
+            b = betti1(x.base)
+            f.atom = any(k.atom for k in kids)
+            f.selfwild = any(k.selfwild for k in kids)
+            f.scc = b > 0 or any(k.scc for k in kids)
+            f.connected = (x.base.n_components == 1
+                           and all(k.connected for k in kids))
+            # infinitely many copies of a cycle once a family pattern has one
+            if any(k.b1 is INF for k in fin) or any(k.scc for k in seq):
+                f.b1 = INF
+            else:
+                f.b1 = b + sum(k.b1 for k in fin)
+            key = (x.base.vertices, x.base.edges,
+                   tuple((a.at, k.shape, a.anchor) for a, k in zip(x.fin, fin)),
+                   tuple((s.subcomplex, k.shape, s.anchor)
+                         for s, k in zip(x.seq, seq)))
+        else:
+            f.atom = f.scc = f.connected = True
+            f.selfwild = isinstance(x, SelfWild)
+            f.b1 = INF
+            key = type(x).__name__
+        f.shape = self._shapes.setdefault(key, len(self._shapes))
+        return f
+
+    # --- wild-set pieces ----------------------------------------------------
+
+    def _split(self, e):
+        """(own, foreign) pieces of the wild set of e: pieces living on
+        subcomplexes of e's own base, and pieces living inside finite
+        attachments (a different identifier space)."""
+        memo = self._memo
+        stack = [e]
+        while stack:
+            x = stack[-1]
+            f = self._facts(x)
+            if f.pieces is None:
+                if isinstance(x, ZeroDimWild):
+                    raise ExprError("the zero-dimensional atom has no "
+                                    "symbolic wild set")
+                if isinstance(x, SelfWild):
+                    f.pieces = ((x,), ())
+                else:
+                    sources = [a.child for a in x.fin]
+                    sources.extend(s.pattern for s in x.seq
+                                   if memo[id(s.pattern)].scc)
+                    todo = [c for c in sources if memo[id(c)].pieces is None]
+                    if todo:
+                        stack.extend(todo)
+                        continue
+                    f.pieces = self._node_pieces(x)
+            stack.pop()
+        return memo[id(e)].pieces
+
+    def _node_pieces(self, e: "Node"):
+        """Per family: a simply connected pattern contributes nothing; a
+        pattern with a cycle makes its subcomplex wild and carries its own
+        first wild piece down as a new family.  Contributions merge along
+        the components of the union of their subcomplexes."""
+        memo = self._memo
+        contributions = []
+        for fam in e.seq:
+            pf = memo[id(fam.pattern)]
+            if not pf.scc:
+                continue
+            own, foreign = pf.pieces
+            inner = own + foreign
+            contributions.append((fam, inner[0] if inner else None))
+        own = []
+        if contributions:
+            union = contributions[0][0].subcomplex
+            for fam, _ in contributions[1:]:
+                union = union.union(fam.subcomplex)
+            for comp in union.components(e.base):
+                fams = []
+                for fam, wild_pattern in contributions:
+                    if wild_pattern is None:
+                        continue
+                    meet = fam.subcomplex.intersect(comp)
+                    if meet.is_empty():
+                        continue
+                    fams.append(SeqFamily(meet, wild_pattern, fam.anchor))
+                own.append(Node(comp.as_graph(e.base), (), tuple(fams)))
+        foreign = []
+        for att in e.fin:
+            child_own, child_foreign = memo[id(att.child)].pieces
+            foreign.extend(child_own)
+            foreign.extend(child_foreign)
+        return tuple(own), tuple(foreign)
+
+    # --- w-stability --------------------------------------------------------
+
+    def _stability(self, e) -> StabilityReport:
+        """W-stability of e.  Children are decided in order and the first
+        failure decides, so a child after it is never examined."""
+        memo = self._memo
+        stack = [[e, 0]]
+        while stack:
+            frame = stack[-1]
+            x, i = frame
+            f = memo[id(x)]
+            if f.stability is not None:
+                stack.pop()
+                continue
+            if isinstance(x, SelfWild):
+                f.stability = StabilityReport(True)
+                stack.pop()
+                continue
+            if isinstance(x, ZeroDimWild):
+                f.stability = StabilityReport(
+                    False, "handled by the zero-dimensional special case")
+                stack.pop()
+                continue
+            n_fin = len(x.fin)
+            report = pending = None
+            while i < n_fin + len(x.seq):
+                if i < n_fin:
+                    child = x.fin[i].child
+                    label = f"attachment {i}"
+                else:
+                    fam = x.seq[i - n_fin]
+                    child = fam.pattern
+                    label = f"seq family {i - n_fin}"
+                sub = memo[id(child)].stability
+                if sub is None:
+                    pending = child
+                    break
+                if not sub:
+                    report = StabilityReport(False, f"{label}: {sub.diagnostic}")
+                    break
+                if i >= n_fin:
+                    report = self._family_report(i - n_fin, fam)
+                    if report is not None:
+                        break
+                i += 1
+            frame[1] = i
+            if pending is not None:
+                stack.append([pending, 0])
+                continue
+            f.stability = StabilityReport(True) if report is None else report
+            stack.pop()
+        return memo[id(e)].stability
+
+    def _family_report(self, i, fam: SeqFamily):
+        """Failure of family i, or None.  A family whose pattern has a
+        non-empty wild set is admissible only when every non-empty iterated
+        wild set of the pattern is one connected piece containing the
+        anchor: otherwise copies of it accumulate on the subcomplex without
+        touching it, and copies of deeper wild sets have to reach the
+        subcomplex through the gluing point too."""
+        if not self._facts(fam.pattern).scc:
+            return None
+        own, foreign = self._split(fam.pattern)
+        level = 1
+        prev = None
+        while own or foreign:
+            if len(own) + len(foreign) > 1:
+                return StabilityReport(
+                    False, f"seq family {i}: wild set level {level} of the "
+                           f"pattern is not path-connected "
+                           f"({len(own) + len(foreign)} pieces)")
+            if foreign:
+                # the anchor is a point of the pattern's base; it cannot
+                # certify a wild set sitting inside a finite attachment
+                return StabilityReport(
+                    False, f"seq family {i}: anchor {fam.anchor} does not lie "
+                           f"in wild set level {level} of the pattern (it "
+                           "sits inside a finite attachment)")
+            piece = own[0]
+            if not _point_in_piece(fam.anchor, piece):
+                return StabilityReport(
+                    False, f"seq family {i}: anchor {fam.anchor} does not lie "
+                           f"in wild set level {level} of the pattern")
+            if isinstance(piece, SelfWild) or (
+                    prev is not None
+                    and self._facts(piece).shape == self._facts(prev).shape):
+                break
+            prev = piece
+            own, foreign = self._split(piece)
+            level += 1
+        return None
 
 
-def _require_connected_expr(e: SpaceExpr, op: str):
-    if not is_connected_expr(e):
+def _point_in_piece(p: GraphPoint, piece: SpaceExpr) -> bool:
+    if isinstance(piece, SelfWild):
+        return True
+    if isinstance(piece, ZeroDimWild):
+        return False
+    return piece.base.contains_point(p)
+
+
+def analyze(e) -> Analysis:
+    """The analysis of a space expression.  Every reader below accepts an
+    expression or its analysis; pass the analysis to share one pass."""
+    return e if isinstance(e, Analysis) else Analysis(e)
+
+
+def is_connected_expr(e) -> bool:
+    return analyze(e).connected
+
+
+def contains_scc(e) -> bool:
+    """Whether the space contains a simple closed curve (equivalently, for
+    one-dimensional spaces, is not simply connected)."""
+    return analyze(e).scc
+
+
+def contains_atom(e) -> bool:
+    return analyze(e).atom
+
+
+def is_w_stable(e) -> StabilityReport:
+    """Decide w-stability of an expression.
+
+    A family whose pattern has a non-empty wild set is admissible only when
+    that wild set is path-connected and contains the family's anchor;
+    otherwise copies of the pattern's wild set accumulate on the subcomplex
+    without touching it and local path-connectedness of the wild set fails.
+    The zero-dimensional atom reports unstable with a pointer to its special
+    case; the self-wild atom is vacuously stable (its rank is infinite).
+    """
+    return analyze(e).stability
+
+
+def wild_set(e):
+    """Wild set of a stable expression, as a finite disjoint union of pieces.
+
+    Per family: a simply connected pattern contributes nothing; a pattern
+    with a cycle but empty wild set makes the whole subcomplex wild; a
+    pattern with a non-empty wild set additionally carries its own wild set
+    down as a new family.  Contributions over the same base merge along the
+    union of their subcomplexes; finite attachments contribute their own
+    wild sets as separate pieces.  Finite graphs have empty wild set.
+    """
+    a = analyze(e)
+    if isinstance(a.expr, ZeroDimWild):
+        raise ExprError("the zero-dimensional atom has no symbolic wild set")
+    a.require_stable()
+    return a.pieces()
+
+
+def wild_tower(e):
+    """Non-empty iterated wild sets of a stable, self-wild-free expression."""
+    a = analyze(e)
+    if isinstance(a.expr, ZeroDimWild):
+        raise ExprError("the zero-dimensional atom has no symbolic wild tower")
+    a.require_stable()
+    if a.selfwild:
+        raise InfiniteRankError("self-wild subspaces give an infinite tower")
+    return a.tower()
+
+
+def wrk(e):
+    """Wildness rank: the smallest n >= 1 with empty n-th iterated wild set.
+
+    Infinite for any expression containing a self-wild subspace (its wild
+    set persists inside every iterate); 2 for the zero-dimensional atom.
+    """
+    return profile(e).wrk
+
+
+def profile(e) -> WildProfile:
+    return analyze(e).profile()
+
+
+def _require_connected_expr(a: Analysis, op: str):
+    if not a.connected:
         raise ExprError(f"{op} requires a path-connected expression")
 
 
-def cat(e: SpaceExpr):
+def cat(e):
     """LS-category from the wild tower: with finite rank n, n - 1 when the
     deepest level carries no cycle and n otherwise; infinite rank gives
     infinity."""
-    _require_connected_expr(e, "cat")
-    prof = profile(e)
+    a = analyze(e)
+    _require_connected_expr(a, "cat")
+    prof = profile(a)
     if prof.wrk is INF:
         return INF
     return prof.wrk - 1 if prof.top_b1 == 0 else prof.wrk
 
 
-def tc(e: SpaceExpr):
+def tc(e):
     """Topological complexity from the wild tower: with finite rank n the
     value is 2n-2 / 2n-1 / 2n as the deepest level carries no / one / many
     simple closed curves; infinite rank gives infinity."""
-    _require_connected_expr(e, "tc")
-    prof = profile(e)
+    a = analyze(e)
+    _require_connected_expr(a, "tc")
+    prof = profile(a)
     if prof.wrk is INF:
         return INF
     n = prof.wrk
@@ -567,14 +744,14 @@ class Certificate:
             raise ExprError("declared length must equal strata count - 1")
 
 
-def _finite_profile(e: SpaceExpr, op: str) -> WildProfile:
-    prof = profile(e)
+def _finite_profile(a: Analysis, op: str) -> WildProfile:
+    prof = profile(a)
     if prof.wrk is INF:
         raise InfiniteRankError(f"{op} requires finite wildness rank")
     return prof
 
 
-def cat_certificate(e: SpaceExpr) -> Certificate:
+def cat_certificate(e) -> Certificate:
     """Category filtration certificate from the wild tower.
 
     Levels run from the deepest stratum outward.  When the deepest wild
@@ -583,7 +760,8 @@ def cat_certificate(e: SpaceExpr) -> Certificate:
     is a separated union of contractible pieces peeled from the next tower
     level.  The declared length equals cat(e).
     """
-    prof = _finite_profile(e, "cat_certificate")
+    a = analyze(e)
+    prof = _finite_profile(a, "cat_certificate")
     n = prof.wrk
     levels = []
     if prof.top_b1 == 0:
@@ -604,15 +782,16 @@ def cat_certificate(e: SpaceExpr) -> Certificate:
             "contractible-pieces",
             f"attach the separated contractible pieces of wild level {j} "
             f"missing level {j + 1}"))
-    return Certificate("cat", tuple(levels), cat(e))
+    return Certificate("cat", tuple(levels), cat(a))
 
 
-def tc_certificate(e: SpaceExpr) -> Certificate:
+def tc_certificate(e) -> Certificate:
     """Complexity filtration certificate: product strata of the category
     tower with the terminal stratum refined by the simple-closed-curve
     class of the deepest wild level.  The declared length equals tc(e).
     """
-    prof = _finite_profile(e, "tc_certificate")
+    a = analyze(e)
+    prof = _finite_profile(a, "tc_certificate")
     n = prof.wrk
     levels = []
     if prof.scc_class == "none":
@@ -640,7 +819,7 @@ def tc_certificate(e: SpaceExpr) -> Certificate:
         levels.append(CertificateLevel(
             "product-box",
             f"H_{k}: union of F_i x F_j over i + j = {k}"))
-    return Certificate("tc", tuple(levels), tc(e))
+    return Certificate("tc", tuple(levels), tc(a))
 
 
 def _rename_graph(g: MultiGraph, prefix: str) -> MultiGraph:

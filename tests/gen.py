@@ -246,3 +246,37 @@ def seq_nesting_depth(e) -> int:
     for fam in e.seq:
         depth = max(depth, 1 + seq_nesting_depth(fam.pattern))
     return depth
+
+
+# --- deep nested chains (space-file text) -------------------------------------
+
+_CHAIN_GRAPHS = ["graph pt", "vertex v", "endgraph",
+                 "graph tri", "vertex a", "vertex b", "vertex c",
+                 "edge f0 a b", "edge f1 b c", "edge f2 c a", "endgraph",
+                 "graph loop", "vertex o", "edge l o o", "endgraph"]
+
+
+def rank_chain_text(depth):
+    """Space file of a rank-growing chain: a point with shrinking copies of
+    a triangle, each triangle with shrinking copies of the next one along
+    all of it, the innermost with shrinking loops.  Its wild tower has
+    depth + 2 levels and a dendrite at the bottom, so (wrk, cat, tc) is
+    (depth + 2, depth + 1, 2 depth + 2)."""
+    inner, anchor = "(graph loop)", "(vertex o)"
+    for _ in range(depth):
+        inner = f"(node (base tri) (seqfam (a b c f0 f1 f2) {inner} {anchor}))"
+        anchor = "(vertex a)"
+    return "\n".join(_CHAIN_GRAPHS + [
+        f"expr chain (node (base pt) (seqfam (v) {inner} {anchor}))",
+        "main chain"]) + "\n"
+
+
+def attach_chain_text(depth):
+    """Space file of ``depth`` triangles, each attached to the previous one
+    at a vertex, the innermost carrying an earring.  The wild set is the
+    earring's point, deep inside finite attachments, so (wrk, cat, tc) is
+    (2, 1, 2) at any depth."""
+    earring = "(node (base pt) (seqfam (v) (graph loop) (vertex o)))"
+    body = ("(node (base tri) (attach (vertex a) " * depth + earring
+            + " (vertex v)))" + " (vertex b)))" * (depth - 1))
+    return "\n".join(_CHAIN_GRAPHS + [f"expr chain {body}", "main chain"]) + "\n"

@@ -1,0 +1,243 @@
+"""The memoised wild-set analysis against the recursive reference.
+
+``wild_reference`` is the plain structural recursion the analysis replaced.
+Every reader must agree with it exactly, results and errors alike, on the
+random stable corpora of acceptance criteria 5 and 7, on random expressions
+that are often unstable or carry atoms, and on the fixtures.  A counting
+test pins the cost: a rank-growing chain builds a quadratic, not cubic,
+number of graphs.
+"""
+
+import glob
+import io
+import os
+import random
+from contextlib import redirect_stderr
+from fractions import Fraction
+
+import pytest
+
+import wild_reference as ref
+from wildcat import graphs, wild
+from wildcat.cli import main
+from wildcat.graphs import Vertex, EdgeInterior, build_graph
+from wildcat.spacefile import parse_spacefile
+from wildcat.wild import (Node, SelfWild, ZeroDimWild, Attachment, SeqFamily,
+                          Subcomplex, graph_expr, analyze)
+
+from gen import (small_connected_graph, random_stable_expr, rank_chain_text,
+                 path_graph, point_graph, cycle_graph)
+
+READERS = ("is_w_stable", "contains_scc", "contains_atom", "is_connected_expr",
+           "wild_set", "wild_tower", "wrk", "profile", "cat", "tc",
+           "cat_certificate", "tc_certificate")
+
+
+def _outcome(fn, e):
+    try:
+        return ("ok", fn(e))
+    except ValueError as exc:
+        return ("raises", type(exc), str(exc))
+
+
+def _assert_same(e):
+    for name in READERS:
+        got = _outcome(getattr(wild, name), e)
+        want = _outcome(getattr(ref, name), e)
+        assert got == want, (name, got, want)
+    # one shared analysis answers every reader the same way
+    a = analyze(e)
+    for name in READERS:
+        assert _outcome(getattr(wild, name), a) == _outcome(getattr(ref, name), e), name
+
+
+def _corpus_5150():
+    rng = random.Random(5150)
+    return [random_stable_expr(rng, rng.randint(0, 4)) for _ in range(200)]
+
+
+def _corpus_707():
+    rng = random.Random(707)
+    return [random_stable_expr(rng, rng.randint(0, 2)) for _ in range(50)]
+
+
+def random_expr(rng, depth, tags):
+    """Any valid expression: anchors chosen blindly, so many are unstable,
+    and atoms appear as children and patterns."""
+    roll = rng.random()
+    if roll < 0.06:
+        return SelfWild()
+    if roll < 0.1:
+        return ZeroDimWild()
+    tag = f"g{next(tags)}_"
+    base = small_connected_graph(rng, tag)
+    if depth == 0 or roll < 0.3:
+        return graph_expr(base)
+    fin = []
+    if rng.random() < 0.35:
+        child = random_expr(rng, depth - 1, tags)
+        fin.append(Attachment(Vertex(rng.choice(base.vertices)), child,
+                              _anchor(rng, child)))
+    seq = []
+    for _ in range(rng.randint(0 if fin else 1, 2)):
+        pattern = random_expr(rng, depth - 1, tags)
+        mode = rng.randrange(3)
+        if mode == 0 or not base.edges:
+            sc = Subcomplex.of(base, [rng.choice(base.vertices)], [])
+        elif mode == 1:
+            sc = Subcomplex.of(base, [], [rng.choice(base.edges).id])
+        else:
+            sc = Subcomplex.whole(base)
+        seq.append(SeqFamily(sc, pattern, _anchor(rng, pattern)))
+    return Node(base, tuple(fin), tuple(seq))
+
+
+def _anchor(rng, child):
+    if not isinstance(child, Node):
+        return Vertex("x")
+    g = child.base
+    if g.edges and rng.random() < 0.25:
+        return EdgeInterior(rng.choice(g.edges).id, Fraction(1, 2))
+    return Vertex(rng.choice(g.vertices))
+
+
+def _random_corpus(seed, count, depth):
+    rng = random.Random(seed)
+    tags = iter(range(10 ** 6))
+    return [random_expr(rng, rng.randint(0, depth), tags) for _ in range(count)]
+
+
+def test_matches_reference_on_criterion_5_corpus():
+    for e in _corpus_5150():
+        _assert_same(e)
+
+
+def test_matches_reference_on_criterion_7_corpus():
+    for e in _corpus_707():
+        _assert_same(e)
+
+
+def test_matches_reference_on_unstable_and_atom_corpus():
+    corpus = _random_corpus(9001, 400, 4)
+    for e in corpus:
+        _assert_same(e)
+    unstable = sum(1 for e in corpus if not ref.is_w_stable(e))
+    atoms = sum(1 for e in corpus if ref.contains_atom(e))
+    # the corpus reaches every kind of failure, not just the easy ones
+    reasons = " ".join(ref.is_w_stable(e).diagnostic for e in corpus
+                       if not ref.is_w_stable(e))
+    assert unstable >= 50 and atoms >= 50
+    for phrase in ("not path-connected", "inside a finite attachment",
+                   "does not lie in wild set level", "zero-dimensional"):
+        assert phrase in reasons, phrase
+
+
+def test_matches_reference_on_fixtures():
+    fixtures = glob.glob(os.path.join(os.path.dirname(__file__), "fixtures",
+                                      "*.space"))
+    assert fixtures
+    for path in fixtures:
+        with open(path, encoding="ascii") as fh:
+            _assert_same(parse_spacefile(fh.read()).main_expr())
+
+
+def _earring_of(pattern, anchor):
+    base = point_graph()
+    return Node(base, (), (SeqFamily(Subcomplex.of(base, ["a"]), pattern, anchor),))
+
+
+def test_self_wild_fixpoint_ends_the_stability_walk():
+    # the wild set of a point carrying self-wild copies is itself again, so
+    # the walk over the pattern's tower stops where a level repeats
+    inner = _earring_of(SelfWild(), Vertex("x"))
+    e = _earring_of(inner, Vertex("a"))
+    assert wild.is_w_stable(e).stable
+    _assert_same(e)
+    # an anchor off the repeating level is caught at level 1
+    base = path_graph(2)
+    two = Node(base, (), (SeqFamily(Subcomplex.of(base, ["v0"]), SelfWild(),
+                                    Vertex("x")),))
+    bad = _earring_of(two, Vertex("v1"))
+    assert "level 1" in wild.is_w_stable(bad).diagnostic
+    _assert_same(bad)
+
+
+def test_anchor_leaving_the_third_wild_level_is_unstable():
+    # P is a path carrying wild circles along all of it and, at v0, circles
+    # of wild circles: its wild levels are the path, the path again, then
+    # only v0.  The walk has to go three levels down to see v1 drop out.
+    wild_circle = Node(cycle_graph(3), (), (SeqFamily(
+        Subcomplex.whole(cycle_graph(3)), graph_expr(build_graph(["o"], [("l", "o", "o")])),
+        Vertex("o")),))
+    deep = Node(cycle_graph(3), (), (SeqFamily(Subcomplex.whole(cycle_graph(3)),
+                                               wild_circle, Vertex("v0")),))
+    path = path_graph(2)
+    p = Node(path, (), (SeqFamily(Subcomplex.whole(path), wild_circle, Vertex("v0")),
+                        SeqFamily(Subcomplex.of(path, ["v0"]), deep, Vertex("v0"))))
+    assert wild.is_w_stable(_earring_of(p, Vertex("v0"))).stable
+    bad = _earring_of(p, Vertex("v1"))
+    assert wild.is_w_stable(bad).diagnostic == (
+        "seq family 0: anchor Vertex(v='v1') does not lie in wild set level 3 "
+        "of the pattern")
+    _assert_same(bad)
+
+
+def test_stability_reports_the_first_failure_only():
+    # both attachments are unstable: the first one in order is reported
+    base = point_graph()
+    hair = Node(path_graph(2), (), (SeqFamily(Subcomplex.of(path_graph(2), ["v0"]),
+                                             graph_expr(cycle_graph(3)),
+                                             Vertex("v0")),))
+    off = Node(point_graph(), (), (SeqFamily(Subcomplex.of(point_graph(), ["a"]),
+                                             hair, Vertex("v1")),))
+    e = Node(base, (Attachment(Vertex("a"), ZeroDimWild(), Vertex("x")),
+                    Attachment(Vertex("a"), off, Vertex("a"))), ())
+    assert wild.is_w_stable(e).diagnostic == (
+        "attachment 0: handled by the zero-dimensional special case")
+    _assert_same(e)
+
+
+def test_shared_subexpressions_are_analysed_once():
+    shared = _earring_of(graph_expr(cycle_graph(3)), Vertex("v0"))
+    base = build_graph(["p", "q"], [("s", "p", "q")])
+    e = Node(base, (), (SeqFamily(Subcomplex.of(base, ["p"]), shared, Vertex("a")),
+                        SeqFamily(Subcomplex.of(base, ["q"]), shared, Vertex("a"))))
+    a = analyze(e)
+    assert analyze(a) is a
+    assert a.pieces(shared) is a.pieces(shared)
+    _assert_same(e)
+
+
+def _count_builds(monkeypatch, argv):
+    count = [0]
+    original = graphs.MultiGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.MultiGraph, "__init__", counting)
+    with redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    monkeypatch.setattr(graphs.MultiGraph, "__init__", original)
+    return count[0]
+
+
+def test_rank_chain_builds_quadratically_many_graphs(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "chain.space"
+    path.write_text(rank_chain_text(20), encoding="ascii")
+    info = _count_builds(monkeypatch, ["info", str(path)])
+    certify = _count_builds(monkeypatch, ["certify", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith('{"wrk":22,"cat":21,"tc":42,')
+    # the recursive analysis built 9936 graphs for info and 23180 for certify
+    assert info <= 300
+    assert certify <= info
+
+
+@pytest.mark.parametrize("depth", [1, 2, 6])
+def test_rank_chain_invariants(depth):
+    e = parse_spacefile(rank_chain_text(depth)).main_expr()
+    assert (wild.wrk(e), wild.cat(e), wild.tc(e)) == (depth + 2, depth + 1,
+                                                      2 * depth + 2)
+    _assert_same(e)

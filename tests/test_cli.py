@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from wildcat.cli import main
 from wildcat.spacefile import parse_spacefile
 from wildcat.graphs import betti1
+
+from gen import attach_chain_text
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -82,6 +85,20 @@ def test_info_deterministic_bytes(capsys):
     _, out1, _ = run_cli(capsys, "info", fixture("nested3.space"))
     _, out2, _ = run_cli(capsys, "info", fixture("nested3.space"))
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["info", "certify"])
+def test_deep_attach_chain_exits_zero(tmp_path, capsys, command):
+    # 1500 nested (attach ...) forms: parsing and the analysis use no
+    # recursion, so depth ends in exit 0, not a RecursionError
+    path = tmp_path / "deep.space"
+    path.write_text(attach_chain_text(1500), encoding="ascii")
+    t0 = time.perf_counter()
+    code, doc, _ = run_json(capsys, command, str(path))
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert (doc["wrk"], doc["cat"], doc["tc"]) == (2, 1, 2)
+    assert elapsed < 1.0, elapsed
 
 
 # --- exit-status contract --------------------------------------------------------

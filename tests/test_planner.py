@@ -7,11 +7,12 @@ import pytest
 from wildcat.graphs import (Vertex, EdgeInterior, betti1, build_graph,
                             deforest, point_dist, subgraph, spanning_forest,
                             tc_graph, tree_path)
+from wildcat import planner
 from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
                              plan_graph, lift_plan, execute, cat_filtration,
                              product_cat_filtration, ProductRule,
                              corrupt_plan_swap_endpoints, verify_plan,
-                             MotionPlan, _fmt_pair)
+                             MotionPlan, _fmt_pair, _nudge)
 from wildcat.spacefile import ParseError, parse_spacefile
 
 from gen import (point_graph, path_graph, cycle_graph, loop_graph,
@@ -301,6 +302,33 @@ def test_verify_k4_passes():
     report = verify_plan(plan_graph(g), g, samples=2000, continuity_samples=400)
     assert report.passed, [c for c in report.checks if not c.passed]
     assert report.strata_count == 3 == report.expected_strata
+
+
+def test_nudge_moves_below_the_default_grid():
+    # delta/2 = 1/(2*10^7) is finer than the 2^-22 grid continuity steps on
+    rng = random.Random(11)
+    p = EdgeInterior("e0", Fraction(1, 3))
+    shift = Fraction(1, 2 * 10 ** 7)
+    moved = 0
+    for _ in range(1000):
+        q = _nudge(rng, p, shift)
+        assert isinstance(q, EdgeInterior) and q.edge == "e0"
+        assert abs(q.t - p.t) <= shift
+        moved += q != p
+    assert moved >= 990
+
+
+def test_verify_builds_distances_only_for_compared_pairs(monkeypatch):
+    def refuse(g):
+        raise AssertionError("distance table built")
+
+    monkeypatch.setattr(planner, "vertex_distances", refuse)
+    g = k4()
+    plan = plan_graph(g)
+    assert verify_plan(plan, g, samples=0).passed
+    assert verify_plan(plan, g, samples=200, continuity_samples=0).passed
+    with pytest.raises(AssertionError, match="distance table"):
+        verify_plan(plan, g, samples=20)
 
 
 def test_verify_reports_strata_count_line():

@@ -1,0 +1,308 @@
+"""Reference copy of the recursive wild-set analysis, kept for differential
+tests only.
+
+This is the straightforward structural recursion that ``wildcat.wild`` once
+used: every reader re-derives stability, wild pieces and the tower from the
+expression, with no memo.  It is cubic in nesting depth and limited by the
+interpreter's recursion depth, but each function is a direct transcription
+of its definition, which makes it the oracle for ``wildcat.wild.Analysis``.
+"""
+
+from wildcat.graphs import betti1
+from wildcat.wild import (INF, ExprError, UnstableExpressionError,
+                          InfiniteRankError, Node, SelfWild, ZeroDimWild,
+                          SeqFamily, StabilityReport, TowerLevel, WildProfile,
+                          CertificateLevel, Certificate)
+
+
+def is_connected_expr(e):
+    if isinstance(e, (SelfWild, ZeroDimWild)):
+        return True
+    if e.base.n_components != 1:
+        return False
+    return (all(is_connected_expr(a.child) for a in e.fin)
+            and all(is_connected_expr(f.pattern) for f in e.seq))
+
+
+def contains_scc(e):
+    if isinstance(e, (SelfWild, ZeroDimWild)):
+        return True
+    if betti1(e.base) > 0:
+        return True
+    return (any(contains_scc(a.child) for a in e.fin)
+            or any(contains_scc(f.pattern) for f in e.seq))
+
+
+def contains_atom(e):
+    if isinstance(e, (SelfWild, ZeroDimWild)):
+        return True
+    return (any(contains_atom(a.child) for a in e.fin)
+            or any(contains_atom(f.pattern) for f in e.seq))
+
+
+def contains_selfwild(e):
+    if isinstance(e, SelfWild):
+        return True
+    if isinstance(e, ZeroDimWild):
+        return False
+    return (any(contains_selfwild(a.child) for a in e.fin)
+            or any(contains_selfwild(f.pattern) for f in e.seq))
+
+
+def is_w_stable(e):
+    if isinstance(e, SelfWild):
+        return StabilityReport(True)
+    if isinstance(e, ZeroDimWild):
+        return StabilityReport(False, "handled by the zero-dimensional special case")
+    if not isinstance(e, Node):
+        raise ExprError(f"not a space expression: {e!r}")
+    for i, att in enumerate(e.fin):
+        sub = is_w_stable(att.child)
+        if not sub:
+            return StabilityReport(False, f"attachment {i}: {sub.diagnostic}")
+    for i, fam in enumerate(e.seq):
+        sub = is_w_stable(fam.pattern)
+        if not sub:
+            return StabilityReport(False, f"seq family {i}: {sub.diagnostic}")
+        if not contains_scc(fam.pattern):
+            continue
+        own, foreign = wild_pieces_split(fam.pattern)
+        level = 1
+        prev = None
+        while own or foreign:
+            if len(own) + len(foreign) > 1:
+                return StabilityReport(
+                    False, f"seq family {i}: wild set level {level} of the "
+                           f"pattern is not path-connected "
+                           f"({len(own) + len(foreign)} pieces)")
+            if foreign:
+                return StabilityReport(
+                    False, f"seq family {i}: anchor {fam.anchor} does not lie "
+                           f"in wild set level {level} of the pattern (it "
+                           "sits inside a finite attachment)")
+            piece = own[0]
+            if not point_in_piece(fam.anchor, piece):
+                return StabilityReport(
+                    False, f"seq family {i}: anchor {fam.anchor} does not lie "
+                           f"in wild set level {level} of the pattern")
+            if isinstance(piece, SelfWild) or piece == prev:
+                break
+            prev = piece
+            own, foreign = wild_pieces_split(piece)
+            level += 1
+    return StabilityReport(True)
+
+
+def point_in_piece(p, piece):
+    if isinstance(piece, SelfWild):
+        return True
+    if isinstance(piece, ZeroDimWild):
+        return False
+    return piece.base.contains_point(p)
+
+
+def wild_pieces_split(e):
+    if isinstance(e, SelfWild):
+        return (e,), ()
+    contributions = []
+    for fam in e.seq:
+        if not contains_scc(fam.pattern):
+            continue
+        inner = wild_pieces(fam.pattern)
+        contributions.append((fam, inner[0] if inner else None))
+    own = []
+    if contributions:
+        union = contributions[0][0].subcomplex
+        for fam, _ in contributions[1:]:
+            union = union.union(fam.subcomplex)
+        for comp in union.components(e.base):
+            fams = []
+            for fam, wild_pattern in contributions:
+                if wild_pattern is None:
+                    continue
+                meet = fam.subcomplex.intersect(comp)
+                if meet.is_empty():
+                    continue
+                fams.append(SeqFamily(meet, wild_pattern, fam.anchor))
+            own.append(Node(comp.as_graph(e.base), (), tuple(fams)))
+    foreign = []
+    for att in e.fin:
+        foreign.extend(wild_pieces(att.child))
+    return tuple(own), tuple(foreign)
+
+
+def wild_pieces(e):
+    own, foreign = wild_pieces_split(e)
+    return own + foreign
+
+
+def wild_set(e):
+    if isinstance(e, ZeroDimWild):
+        raise ExprError("the zero-dimensional atom has no symbolic wild set")
+    st = is_w_stable(e)
+    if not st:
+        raise UnstableExpressionError(st.diagnostic)
+    return wild_pieces(e)
+
+
+def wild_tower(e):
+    if isinstance(e, ZeroDimWild):
+        raise ExprError("the zero-dimensional atom has no symbolic wild tower")
+    st = is_w_stable(e)
+    if not st:
+        raise UnstableExpressionError(st.diagnostic)
+    if contains_selfwild(e):
+        raise InfiniteRankError("self-wild subspaces give an infinite tower")
+    levels = []
+    level = (e,)
+    while level:
+        levels.append(level)
+        level = tuple(p for piece in level for p in wild_pieces(piece))
+    return tuple(levels)
+
+
+def wrk(e):
+    if isinstance(e, ZeroDimWild):
+        return 2
+    st = is_w_stable(e)
+    if not st:
+        raise UnstableExpressionError(st.diagnostic)
+    if contains_selfwild(e):
+        return INF
+    return len(wild_tower(e))
+
+
+def expr_b1(e):
+    if isinstance(e, (SelfWild, ZeroDimWild)):
+        return INF
+    total = betti1(e.base)
+    for att in e.fin:
+        b = expr_b1(att.child)
+        if b is INF:
+            return INF
+        total += b
+    for fam in e.seq:
+        if contains_scc(fam.pattern):
+            return INF
+    return total
+
+
+def level_b1(level):
+    total = 0
+    for piece in level:
+        b = expr_b1(piece)
+        if b is INF:
+            return INF
+        total += b
+    return total
+
+
+def profile(e):
+    if isinstance(e, ZeroDimWild):
+        tower = (TowerLevel((e,), 1, INF), TowerLevel((), 1, 0))
+        return WildProfile(tower, 2, 0, "none", False)
+    st = is_w_stable(e)
+    if not st:
+        raise UnstableExpressionError(st.diagnostic)
+    if isinstance(e, SelfWild) or contains_selfwild(e):
+        return WildProfile((TowerLevel((e,), 1, INF),), INF, INF, "many", True)
+    levels = wild_tower(e)
+    summaries = tuple(TowerLevel(lv, len(lv), level_b1(lv)) for lv in levels)
+    top = summaries[-1].b1
+    if top == 0:
+        scc = "none"
+    elif top == 1:
+        scc = "one"
+    else:
+        scc = "many"
+    return WildProfile(summaries, len(levels), top, scc, True)
+
+
+def require_connected_expr(e, op):
+    if not is_connected_expr(e):
+        raise ExprError(f"{op} requires a path-connected expression")
+
+
+def cat(e):
+    require_connected_expr(e, "cat")
+    prof = profile(e)
+    if prof.wrk is INF:
+        return INF
+    return prof.wrk - 1 if prof.top_b1 == 0 else prof.wrk
+
+
+def tc(e):
+    require_connected_expr(e, "tc")
+    prof = profile(e)
+    if prof.wrk is INF:
+        return INF
+    n = prof.wrk
+    if prof.scc_class == "none":
+        return 2 * n - 2
+    if prof.scc_class == "one":
+        return 2 * n - 1
+    return 2 * n
+
+
+def finite_profile(e, op):
+    prof = profile(e)
+    if prof.wrk is INF:
+        raise InfiniteRankError(f"{op} requires finite wildness rank")
+    return prof
+
+
+def cat_certificate(e):
+    prof = finite_profile(e, "cat_certificate")
+    n = prof.wrk
+    levels = []
+    if prof.top_b1 == 0:
+        levels.append(CertificateLevel(
+            "dendrite-pieces",
+            f"wild level {n - 1}: finite disjoint union of dendrite pieces, "
+            "categorical in one stratum"))
+    else:
+        levels.append(CertificateLevel(
+            "spanning-tree-pieces",
+            f"spanning trees of the graph cores of wild level {n - 1}"))
+        levels.append(CertificateLevel(
+            "graph-minus-tree-pieces",
+            f"wild level {n - 1} minus the spanning trees: separated open "
+            "arcs"))
+    for j in range(n - 2, -1, -1):
+        levels.append(CertificateLevel(
+            "contractible-pieces",
+            f"attach the separated contractible pieces of wild level {j} "
+            f"missing level {j + 1}"))
+    return Certificate("cat", tuple(levels), cat(e))
+
+
+def tc_certificate(e):
+    prof = finite_profile(e, "tc_certificate")
+    n = prof.wrk
+    levels = []
+    if prof.scc_class == "none":
+        levels.append(CertificateLevel(
+            "dendrite-pieces",
+            f"F_1 x F_1: products of the dendrite pieces of wild level {n - 1}"))
+    elif prof.scc_class == "one":
+        levels.append(CertificateLevel(
+            "circle-antidiagonal",
+            f"anti-diagonal of the unique circle core of wild level {n - 1}, "
+            "one point pair per remaining component pair"))
+        levels.append(CertificateLevel(
+            "product-box", "F_1 x F_1 completing the circle plan"))
+    else:
+        levels.append(CertificateLevel(
+            "spanning-tree-pieces",
+            f"K0: products T x T of spanning trees of the graph cores of "
+            f"wild level {n - 1}"))
+        levels.append(CertificateLevel(
+            "graph-minus-tree-pieces",
+            "K1: G x T united with T x G, evacuating one off-tree coordinate"))
+        levels.append(CertificateLevel(
+            "product-box", "K2: G x G = F_1 x F_1"))
+    for k in range(3, 2 * n + 1):
+        levels.append(CertificateLevel(
+            "product-box",
+            f"H_{k}: union of F_i x F_j over i + j = {k}"))
+    return Certificate("tc", tuple(levels), tc(e))
