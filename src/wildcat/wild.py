@@ -263,9 +263,9 @@ class WildProfile:
 
 class _Facts:
     """What an analysis knows about one expression object.  The structural
-    facts are set when the object is first reached; ``pieces`` and
-    ``stability`` stay None until asked for, because wild pieces are only
-    defined on stable parts."""
+    facts are set when the object is first reached; on a node, ``pieces``
+    and ``stability`` stay None until asked for, because wild pieces are
+    only defined on stable parts."""
 
     __slots__ = ("expr", "atom", "selfwild", "scc", "connected", "b1",
                  "shape", "pieces", "stability")
@@ -425,11 +425,19 @@ class Analysis:
                    tuple((a.at, k.shape, a.anchor) for a, k in zip(x.fin, fin)),
                    tuple((s.subcomplex, k.shape, s.anchor)
                          for s, k in zip(x.seq, seq)))
+        elif isinstance(x, SelfWild):
+            f.atom = f.scc = f.connected = f.selfwild = True
+            f.b1 = INF
+            f.pieces = ((x,), ())
+            f.stability = StabilityReport(True)
+            key = "SelfWild"
         else:
             f.atom = f.scc = f.connected = True
-            f.selfwild = isinstance(x, SelfWild)
+            f.selfwild = False
             f.b1 = INF
-            key = type(x).__name__
+            f.stability = StabilityReport(
+                False, "handled by the zero-dimensional special case")
+            key = "ZeroDimWild"
         f.shape = self._shapes.setdefault(key, len(self._shapes))
         return f
 
@@ -448,17 +456,14 @@ class Analysis:
                 if isinstance(x, ZeroDimWild):
                     raise ExprError("the zero-dimensional atom has no "
                                     "symbolic wild set")
-                if isinstance(x, SelfWild):
-                    f.pieces = ((x,), ())
-                else:
-                    sources = [a.child for a in x.fin]
-                    sources.extend(s.pattern for s in x.seq
-                                   if memo[id(s.pattern)].scc)
-                    todo = [c for c in sources if memo[id(c)].pieces is None]
-                    if todo:
-                        stack.extend(todo)
-                        continue
-                    f.pieces = self._node_pieces(x)
+                sources = [a.child for a in x.fin]
+                sources.extend(s.pattern for s in x.seq
+                               if memo[id(s.pattern)].scc)
+                todo = [c for c in sources if memo[id(c)].pieces is None]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                f.pieces = self._node_pieces(x)
             stack.pop()
         return memo[id(e)].pieces
 
@@ -510,15 +515,6 @@ class Analysis:
             x, i = frame
             f = memo[id(x)]
             if f.stability is not None:
-                stack.pop()
-                continue
-            if isinstance(x, SelfWild):
-                f.stability = StabilityReport(True)
-                stack.pop()
-                continue
-            if isinstance(x, ZeroDimWild):
-                f.stability = StabilityReport(
-                    False, "handled by the zero-dimensional special case")
                 stack.pop()
                 continue
             n_fin = len(x.fin)
