@@ -4,7 +4,9 @@ Each file under ``tests/golden/`` holds one invocation: a first line
 ``exit: N`` with the exit status, then stdout verbatim.  ``STEM.verify`` is
 ``wildcat verify fixtures/STEM.space`` and ``STEM.corrupt.verify`` adds
 ``--corrupt``; ``STEM.info`` and ``STEM.certify`` are ``wildcat info`` and
-``wildcat certify`` on the same file.  Any change to a report shows up here.
+``wildcat certify`` on the same file, and ``STEM.truncate`` is
+``wildcat truncate fixtures/STEM.space --depth 3``.  Any change to a report
+shows up here.
 """
 
 import os
@@ -44,3 +46,9 @@ def test_verify_matches_golden(capsys, stem, corrupt):
 def test_report_matches_golden(capsys, stem, command):
     _check(capsys, [command, os.path.join(FIXDIR, stem + ".space")],
            f"{stem}.{command}")
+
+
+@pytest.mark.parametrize("stem", FIXTURES)
+def test_truncate_matches_golden(capsys, stem):
+    _check(capsys, ["truncate", os.path.join(FIXDIR, stem + ".space"), "--depth", "3"],
+           f"{stem}.truncate")
