@@ -378,14 +378,15 @@ def parse_spacefile(text: str) -> SpaceFile:
                 raise ParseError("syntax: expr NAME (EXPR)", lineno)
             name = parts[1]
             rest = lines[i - 1].split(None, 2)
-            body = rest[2] if len(rest) == 3 else ""
-            depth = body.count("(") - body.count(")")
+            parts = [rest[2] if len(rest) == 3 else ""]
+            depth = parts[0].count("(") - parts[0].count(")")
             while depth > 0:
                 if i >= n:
                     raise ParseError(f"unbalanced expression for {name!r}", lineno)
-                body += "\n" + lines[i]
-                depth = body.count("(") - body.count(")")
+                parts.append(lines[i])
+                depth += lines[i].count("(") - lines[i].count(")")
                 i += 1
+            body = "\n".join(parts)
             if not body.strip():
                 raise ParseError("syntax: expr NAME (EXPR)", lineno)
             raw_exprs.append((name, body, lineno))
@@ -437,24 +438,33 @@ def parse_point(text: str) -> GraphPoint:
 
 
 def _expr_to_sexpr(e: SpaceExpr, names) -> str:
-    if isinstance(e, SelfWild):
-        return "(selfwild)"
-    if isinstance(e, ZeroDimWild):
-        return "(zerodimwild)"
-    base_name = names(e.base)
-    if not e.fin and not e.seq:
-        return f"(graph {base_name})"
-    parts = [f"(node (base {base_name})"]
-    for att in e.fin:
-        parts.append(f"(attach {format_point(att.at)} "
-                     f"{_expr_to_sexpr(att.child, names)} "
-                     f"{format_point(att.anchor)})")
-    for fam in e.seq:
-        ids = list(fam.subcomplex.vertices) + list(fam.subcomplex.edges)
-        parts.append(f"(seqfam ({' '.join(ids)}) "
-                     f"{_expr_to_sexpr(fam.pattern, names)} "
-                     f"{format_point(fam.anchor)})")
-    return " ".join(parts) + ")"
+    # explicit stack of text pieces and subexpressions still to write, so
+    # nesting depth is not bounded by the interpreter's recursion limit;
+    # ``names`` sees the bases in the same pre-order as a recursive printer
+    out = []
+    stack = [e]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, SelfWild):
+            out.append("(selfwild)")
+        elif isinstance(item, ZeroDimWild):
+            out.append("(zerodimwild)")
+        elif not item.fin and not item.seq:
+            out.append(f"(graph {names(item.base)})")
+        else:
+            parts = [f"(node (base {names(item.base)})"]
+            for att in item.fin:
+                parts += [f" (attach {format_point(att.at)} ", att.child,
+                          f" {format_point(att.anchor)})"]
+            for fam in item.seq:
+                ids = list(fam.subcomplex.vertices) + list(fam.subcomplex.edges)
+                parts += [f" (seqfam ({' '.join(ids)}) ", fam.pattern,
+                          f" {format_point(fam.anchor)})"]
+            parts.append(")")
+            stack.extend(reversed(parts))
+    return "".join(out)
 
 
 def graph_records(g: MultiGraph):

@@ -17,11 +17,11 @@ matters for the wild set, so no metric data is stored.
 """
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import (MultiGraph, Edge, Vertex, EdgeInterior, GraphPoint,
+from .graphs import (MultiGraph, Vertex, GraphPoint, GraphError,
                      build_graph, subgraph, betti1)
 
 __all__ = [
@@ -818,87 +818,86 @@ def tc_certificate(e) -> Certificate:
     return Certificate("tc", tuple(levels), tc(a))
 
 
-def _rename_graph(g: MultiGraph, prefix: str) -> MultiGraph:
-    if not prefix:
-        return g
-    return build_graph([prefix + v for v in g.vertices],
-                       [(prefix + e.id, prefix + e.v0, prefix + e.v1)
-                        for e in g.edges])
+def _key(p: GraphPoint):
+    """A point in its own node's names: a vertex id, or (edge id, parameter)."""
+    return p.v if isinstance(p, Vertex) else (p.edge, p.t)
 
 
-def _rename_point(p: GraphPoint, prefix: str) -> GraphPoint:
-    if not prefix:
-        return p
-    if isinstance(p, Vertex):
-        return Vertex(prefix + p.v)
-    return EdgeInterior(prefix + p.edge, p.t)
+def _expand(root: Node, depth: int):
+    """Vertex names and ``(id, v0, v1)`` edge triples of the truncation, in
+    declaration order, from one pre-order walk of the expansion tree.
 
+    A node writes its base vertices, then the vertices cutting its edges
+    (edge by edge, parameters ascending), then its edges with each cut edge
+    replaced in place by its segments; its ``fin`` attachments follow, then
+    its ``seq`` copies, each a whole subtree.  A child's stack entry carries
+    its prefix, its anchor and its host vertex, resolved in the parent's
+    names; the child writes the host wherever its anchor would appear, in
+    its own edges and as the host of its own attachments.  The anchor's
+    parameter joins the cuts of its edge, so ``_p``/``_s`` numbering runs
+    over the union.
 
-def _subdivide(g: MultiGraph, cuts):
-    """Split edges at the given parameters; returns the new graph and a map
-    from (edge, parameter) to the created vertex id."""
-    vs = list(g.vertices)
-    es = []
-    locate = {}
-    for e in g.edges:
-        ts = cuts.get(e.id)
-        if not ts:
-            es.append(e)
+    Also returns, for each anchor renamed away, its own vertex name, the
+    edge it cuts (or None) and the vertex and edge ranges of its subtree.
+    """
+    vs, es, anchors = [], [], []
+    stack = [(root, "", None, None)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):           # an anchored subtree ends here
+            entry.extend((len(vs), len(es)))
             continue
-        prev = e.v0
-        for k, t in enumerate(sorted(set(ts)), 1):
-            nv = f"{e.id}_p{k}"
-            vs.append(nv)
-            locate[(e.id, t)] = nv
-            es.append(Edge(f"{e.id}_s{k - 1}", prev, nv))
-            prev = nv
-        es.append(Edge(f"{e.id}_s{len(set(ts))}", prev, e.v1))
-    return build_graph(vs, es), locate
+        node, prefix, anchor, host = entry
+        children = [(att.child, f"{prefix}a{i}_", _key(att.at), _key(att.anchor))
+                    for i, att in enumerate(node.fin)]
+        for i, fam in enumerate(node.seq):
+            # copies go round the cells, vertices first; the j-th of the m
+            # copies on an edge sits at parameter j / (m + 1)
+            cvs, ces = fam.subcomplex.vertices, fam.subcomplex.edges
+            n = len(cvs) + len(ces)
+            pattern_anchor = _key(fam.anchor)
+            for c in range(depth):
+                k = c % n
+                at = (cvs[k] if k < len(cvs) else
+                      (ces[k - len(cvs)], Fraction(c // n + 1, (depth - 1 - k) // n + 2)))
+                children.append((fam.pattern, f"{prefix}s{i}c{c}_", at, pattern_anchor))
+        cuts = defaultdict(set)
+        for at in (anchor, *(child[2] for child in children)):
+            if isinstance(at, tuple):
+                cuts[at[0]].add(at[1])
+        cut_names = {}                        # in edge order
+        for ed in node.base.edges:
+            if ed.id in cuts:
+                cuts[ed.id] = ts = sorted(cuts[ed.id])
+                for k, t in enumerate(ts, 1):
+                    cut_names[(ed.id, t)] = f"{prefix}{ed.id}_p{k}"
 
+        def name(key):
+            if key == anchor:
+                return host
+            return prefix + key if isinstance(key, str) else cut_names[key]
 
-def _expand(e: Node, depth: int, prefix: str) -> MultiGraph:
-    base = _rename_graph(e.base, prefix)
-    attach = []
-    for i, att in enumerate(e.fin):
-        sub_prefix = f"{prefix}a{i}_"
-        sub = _expand(att.child, depth, sub_prefix)
-        attach.append((_rename_point(att.at, prefix), sub,
-                       _rename_point(att.anchor, sub_prefix)))
-    for i, fam in enumerate(e.seq):
-        cells = ([("v", v) for v in fam.subcomplex.vertices]
-                 + [("e", eid) for eid in fam.subcomplex.edges])
-        assigned = [cells[c % len(cells)] for c in range(depth)]
-        edge_total = Counter(ref for ref in assigned if ref[0] == "e")
-        edge_seen = Counter()
-        for c, ref in enumerate(assigned):
-            sub_prefix = f"{prefix}s{i}c{c}_"
-            sub = _expand(fam.pattern, depth, sub_prefix)
-            anchor = _rename_point(fam.anchor, sub_prefix)
-            if ref[0] == "v":
-                host = Vertex(prefix + ref[1])
-            else:
-                edge_seen[ref] += 1
-                j, m = edge_seen[ref], edge_total[ref]
-                host = EdgeInterior(prefix + ref[1], Fraction(j, m + 1))
-            attach.append((host, sub, anchor))
-    cuts = defaultdict(list)
-    for host, _, _ in attach:
-        if isinstance(host, EdgeInterior):
-            cuts[host.edge].append(host.t)
-    base, locate = _subdivide(base, cuts)
-    vs = list(base.vertices)
-    es = list(base.edges)
-    for host, sub, anchor in attach:
-        host_v = host.v if isinstance(host, Vertex) else locate[(host.edge, host.t)]
-        if isinstance(anchor, EdgeInterior):
-            sub, sub_locate = _subdivide(sub, {anchor.edge: [anchor.t]})
-            anchor_v = sub_locate[(anchor.edge, anchor.t)]
-        else:
-            anchor_v = anchor.v
-        vs.extend(v for v in sub.vertices if v != anchor_v)
-        rename = lambda v: host_v if v == anchor_v else v
-        es.extend(Edge(ed.id, rename(ed.v0), rename(ed.v1)) for ed in sub.edges)
-    return build_graph(vs, es)
+        if anchor is not None:
+            on_edge = isinstance(anchor, tuple)
+            anchors.append([cut_names[anchor] if on_edge else prefix + anchor,
+                            prefix + anchor[0] if on_edge else None, len(vs), len(es)])
+            stack.append(anchors[-1])
+        vs.extend(prefix + v for v in node.base.vertices if v != anchor)
+        vs.extend(v for key, v in cut_names.items() if key != anchor)
+        for ed in node.base.edges:
+            v0, v1 = name(ed.v0), name(ed.v1)
+            ts = cuts.get(ed.id)
+            if not ts:
+                es.append((prefix + ed.id, v0, v1))
+                continue
+            for k, t in enumerate(ts):
+                cut = name((ed.id, t))
+                es.append((f"{prefix}{ed.id}_s{k}", v0, cut))
+                v0 = cut
+            es.append((f"{prefix}{ed.id}_s{len(ts)}", v0, v1))
+        for child, child_prefix, at, child_anchor in reversed(children):
+            stack.append((child, child_prefix, child_anchor, name(at)))
+    return vs, es, anchors
 
 
 def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
@@ -907,9 +906,20 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
     deterministic points of the subcomplex (vertices first in id order, then
     evenly spaced rational parameters along edges); finite attachments are
     expanded exactly.  Depth 0 keeps the base skeleton and attachments only.
+    The expansion is iterative and the graph is built once, at the end.
     """
     if contains_atom(e):
         raise ExprError("cannot truncate an expression with opaque atoms")
     if depth < 0:
         raise ExprError("depth must be a natural number")
-    return _expand(e, depth, "")
+    vs, es, anchors = _expand(e, depth)
+    g = build_graph(vs, es)
+    # An anchor is renamed to its host, so the build never sees its own
+    # name, nor the id of the edge it cuts; either must still be unique
+    # within the anchor's subtree.
+    for vname, eid, v0, e0, v1, e1 in anchors:
+        if vname in g.degree and vname in vs[v0:v1]:
+            raise GraphError(f"duplicate identifier {vname!r}")
+        if eid in g.edge_by_id and any(ed[0] == eid for ed in es[e0:e1]):
+            raise GraphError(f"duplicate identifier {eid!r}")
+    return g

@@ -256,6 +256,13 @@ _CHAIN_GRAPHS = ["graph pt", "vertex v", "endgraph",
                  "graph loop", "vertex o", "edge l o o", "endgraph"]
 
 
+def chain_space_text(expr):
+    """Space file whose main expression ``chain`` is the given s-expression
+    over the graphs ``pt`` (vertex v), ``tri`` (vertices a b c, edges f0 a-b,
+    f1 b-c, f2 c-a) and ``loop`` (vertex o, edge l)."""
+    return "\n".join(_CHAIN_GRAPHS + [f"expr chain {expr}", "main chain"]) + "\n"
+
+
 def rank_chain_text(depth):
     """Space file of a rank-growing chain: a point with shrinking copies of
     a triangle, each triangle with shrinking copies of the next one along
@@ -266,9 +273,7 @@ def rank_chain_text(depth):
     for _ in range(depth):
         inner = f"(node (base tri) (seqfam (a b c f0 f1 f2) {inner} {anchor}))"
         anchor = "(vertex a)"
-    return "\n".join(_CHAIN_GRAPHS + [
-        f"expr chain (node (base pt) (seqfam (v) {inner} {anchor}))",
-        "main chain"]) + "\n"
+    return chain_space_text(f"(node (base pt) (seqfam (v) {inner} {anchor}))")
 
 
 def attach_chain_text(depth):
@@ -279,4 +284,4 @@ def attach_chain_text(depth):
     earring = "(node (base pt) (seqfam (v) (graph loop) (vertex o)))"
     body = ("(node (base tri) (attach (vertex a) " * depth + earring
             + " (vertex v)))" + " (vertex b)))" * (depth - 1))
-    return "\n".join(_CHAIN_GRAPHS + [f"expr chain {body}", "main chain"]) + "\n"
+    return chain_space_text(body)

@@ -10,7 +10,7 @@ from wildcat.cli import main
 from wildcat.spacefile import parse_spacefile
 from wildcat.graphs import betti1
 
-from gen import attach_chain_text
+from gen import attach_chain_text, chain_space_text
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -311,6 +311,30 @@ def test_truncate_nested_depth2(capsys):
     assert code == 0
     g = parse_spacefile(out).main_graph()
     assert betti1(g) == 6
+
+
+def test_truncate_deep_attach_chain_exits_zero(tmp_path, capsys):
+    # 1500 nested (attach ...) forms: the expansion uses no recursion
+    path = tmp_path / "deep.space"
+    path.write_text(attach_chain_text(1500), encoding="ascii")
+    out = tmp_path / "t.space"
+    code, _, err = run_cli(capsys, "truncate", str(path), "--depth", "1", "-o", str(out))
+    assert code == 0
+    assert "3001 vertices, 4501 edges" in err
+    g = parse_spacefile(out.read_text()).main_graph()
+    assert (len(g.vertices), len(g.edges), betti1(g)) == (3001, 4501, 1501)
+
+
+def test_truncate_anchor_on_an_edge_the_pattern_cuts(tmp_path, capsys):
+    # the pattern's own copies cut f0 at 1/2, where its anchor also lies
+    path = tmp_path / "anchor.space"
+    path.write_text(chain_space_text(
+        "(node (base pt) (seqfam (v) (node (base tri) (seqfam (a b c f0 f1 f2) "
+        "(graph loop) (vertex o))) (edge f0 1/2)))"), encoding="ascii")
+    code, _, err = run_cli(capsys, "truncate", str(path), "--depth", "4")
+    assert code == 0
+    assert "13 vertices, 32 edges" in err
+    assert run_cli(capsys, "info", str(path))[0] == 0
 
 
 def test_truncate_atoms_rejected(capsys):

@@ -150,6 +150,68 @@ def test_roundtrip_random_generated_expressions():
         assert print_spacefile(back) == text
 
 
+def _same_expr(a, b):
+    # expression equality without recursion: the dataclass == recurses once
+    # per nesting level
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if not isinstance(x, Node):
+            continue
+        if (x.base != y.base or len(x.fin) != len(y.fin)
+                or len(x.seq) != len(y.seq)):
+            return False
+        for p, q in zip(x.fin, y.fin):
+            if (p.at, p.anchor) != (q.at, q.anchor):
+                return False
+            stack.append((p.child, q.child))
+        for p, q in zip(x.seq, y.seq):
+            if (p.subcomplex, p.anchor) != (q.subcomplex, q.anchor):
+                return False
+            stack.append((p.pattern, q.pattern))
+    return True
+
+
+def _same_file(a, b):
+    return (a.graphs == b.graphs and a.main == b.main and a.exprs.keys() == b.exprs.keys()
+            and all(_same_expr(a.exprs[k], b.exprs[k]) for k in a.exprs))
+
+
+def test_same_expr_helper_sees_a_deep_difference():
+    from gen import attach_chain_text
+    a = parse_spacefile(attach_chain_text(30))
+    b = parse_spacefile(attach_chain_text(30).replace("(vertex o)", "(edge l 1/2)"))
+    assert _same_file(a, a) and not _same_file(a, b)
+    assert (a == b) is False
+
+
+def test_print_parse_roundtrip_deep_attach_chain():
+    # printing walks the expression with an explicit stack, like parsing
+    from gen import attach_chain_text
+    sf = parse_spacefile(attach_chain_text(1500))
+    text = print_spacefile(sf)
+    back = parse_spacefile(text)
+    assert _same_file(back, sf)
+    assert print_spacefile(back) == text
+
+
+def test_multiline_expr_parses_in_linear_time():
+    import time
+    from gen import attach_chain_text
+    one_line = attach_chain_text(8000)
+    # one s-expression over about 40000 lines; recounting the parentheses
+    # of the whole body after each line took 7 s at this size
+    many_lines = one_line.replace(" (", "\n(").replace("chain\n(", "chain (")
+    assert many_lines.count("\n") > 40000
+    t0 = time.perf_counter()
+    parsed = parse_spacefile(many_lines)
+    elapsed = time.perf_counter() - t0
+    assert _same_file(parsed, parse_spacefile(one_line))
+    assert elapsed < 3.0, elapsed
+
+
 def test_parser_never_crashes_on_mutations():
     # mutated inputs must either parse or raise ParseError, nothing else
     import random

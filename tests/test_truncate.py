@@ -1,0 +1,194 @@
+"""The iterative ``truncate`` against the recursive reference.
+
+``wild_reference.truncate`` expands every subexpression into its own graph
+and glues it in.  The one-pass walk must give the same vertex and edge
+tuples, or the same error, on the random stable corpora of acceptance
+criteria 5 and 7, on the fixtures, on a rank-growing chain and on random
+expressions whose identifiers are chosen to collide once prefixed.  Two
+departures are allowed:
+
+* the reference fails with ``KeyError`` when an anchor lies on an edge that
+  the pattern's own attachments also cut; the walk truncates these;
+* a duplicate-identifier ``GraphError`` may name another identifier, since
+  the walk validates the whole graph once instead of level by level.
+
+Every successful truncation is also checked against a size count that
+knows nothing of names.
+"""
+
+import glob
+import os
+import random
+from fractions import Fraction
+
+import wild_reference as ref
+from wildcat import graphs, wild
+from wildcat.graphs import GraphError, Vertex, EdgeInterior, build_graph
+from wildcat.spacefile import parse_spacefile
+from wildcat.wild import Node, Attachment, SeqFamily, Subcomplex, graph_expr
+
+from gen import rank_chain_text
+from test_analysis import _corpus_5150, _corpus_707, _random_corpus
+
+
+def _outcome(fn, e, depth):
+    try:
+        g = fn(e, depth)
+    except (ValueError, KeyError) as exc:
+        return ("raises", type(exc), str(exc))
+    return ("ok", g.vertices, g.edges)
+
+
+def _size(e, depth, anchor=None):
+    """(vertices, edges) of the truncation: each distinct cut point adds a
+    vertex and an edge, and gluing at the anchor removes one vertex."""
+    points = [att.at for att in e.fin] + [anchor]
+    cuts = {(p.edge, p.t) for p in points if isinstance(p, EdgeInterior)}
+    v = len(e.base.vertices) - (anchor is not None)
+    es = len(e.base.edges)
+    for att in e.fin:
+        cv, ce = _size(att.child, depth, att.anchor)
+        v, es = v + cv, es + ce
+    for fam in e.seq:
+        cells = list(fam.subcomplex.vertices) + [None] * len(fam.subcomplex.edges)
+        for eid, ref_index in zip(fam.subcomplex.edges, range(len(fam.subcomplex.vertices), len(cells))):
+            m = sum(1 for c in range(depth) if c % len(cells) == ref_index)
+            cuts.update((eid, Fraction(j, m + 1)) for j in range(1, m + 1))
+        cv, ce = _size(fam.pattern, depth, fam.anchor)
+        v, es = v + depth * cv, es + depth * ce
+    return v + len(cuts), es + len(cuts)
+
+
+def _duplicate(outcome):
+    return (outcome[0] == "raises" and outcome[1] is GraphError
+            and outcome[2].startswith("duplicate identifier"))
+
+
+def _check(e, depths):
+    """Compare with the reference; returns the kinds of agreement seen."""
+    kinds = []
+    for depth in depths:
+        got = _outcome(wild.truncate, e, depth)
+        want = _outcome(ref.truncate, e, depth)
+        if got[0] == "ok":
+            assert (len(got[1]), len(got[2])) == _size(e, depth)
+        if want[:2] == ("raises", KeyError):
+            # where names also collide, the walk goes on to find that
+            assert got[0] == "ok" or _duplicate(got), got
+            kinds.append("anchor-on-cut-edge")
+        elif _duplicate(got) and _duplicate(want):
+            kinds.append("same-duplicate" if got == want else "other-duplicate")
+        else:
+            assert got == want
+            kinds.append(got[0])
+    return kinds
+
+
+def test_matches_reference_on_criterion_5_corpus():
+    for e in _corpus_5150():
+        assert set(_check(e, (0, 1, 2, 3))) == {"ok"}
+
+
+def test_matches_reference_on_criterion_7_corpus():
+    for e in _corpus_707():
+        assert set(_check(e, (0, 1, 2, 4))) == {"ok"}
+
+
+def test_matches_reference_on_fixtures():
+    fixtures = glob.glob(os.path.join(os.path.dirname(__file__), "fixtures",
+                                      "*.space"))
+    assert fixtures
+    for path in fixtures:
+        with open(path, encoding="ascii") as fh:
+            _check(parse_spacefile(fh.read()).main_expr(), (0, 1, 2, 3, 4))
+
+
+def test_matches_reference_on_rank_chain():
+    e = parse_spacefile(rank_chain_text(3)).main_expr()
+    assert _check(e, (5,)) == ["ok"]
+
+
+def test_matches_reference_on_unstable_and_atom_corpus():
+    kinds = set()
+    for e in _random_corpus(9001, 200, 3):
+        kinds.update(_check(e, (0, 2)))
+    assert {"ok", "raises", "anchor-on-cut-edge"} <= kinds
+
+
+# --- identifiers that collide once prefixed ---------------------------------
+
+# prefixes are a<i>_ and s<i>c<c>_, cut vertices <edge>_p<k>, segments
+# <edge>_s<k>: names built from those pieces can meet names made by the
+# expansion, at the same level or deeper
+_VERTEX_POOL = ["v", "w", "a0_v", "a0_w", "a1_v", "s0c0_v", "s0c1_w",
+                "e_p1", "e_p2", "f_p1", "a0_e_p1", "s0c0_e_p1"]
+_EDGE_POOL = ["e", "f", "a0_e", "a0_f", "s0c0_e", "s0c0_f", "e_s0", "e_s1",
+              "f_s1", "a0_e_s0"]
+_PARAMS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4)]
+
+
+def _colliding_graph(rng):
+    vs = rng.sample(_VERTEX_POOL, rng.randint(1, 3))
+    es = [(eid, rng.choice(vs), rng.choice(vs))
+          for eid in rng.sample(_EDGE_POOL, rng.randint(0, 3))]
+    return build_graph(vs, es)
+
+
+def _colliding_point(rng, g):
+    if g.edges and rng.random() < 0.4:
+        return EdgeInterior(rng.choice(g.edges).id, rng.choice(_PARAMS))
+    return Vertex(rng.choice(g.vertices))
+
+
+def _colliding_expr(rng, depth):
+    base = _colliding_graph(rng)
+    if depth == 0 or rng.random() < 0.25:
+        return graph_expr(base)
+    fin = []
+    for _ in range(rng.randint(0, 2)):
+        child = _colliding_expr(rng, depth - 1)
+        fin.append(Attachment(_colliding_point(rng, base), child,
+                              _colliding_point(rng, child.base)))
+    seq = []
+    for _ in range(rng.randint(0, 2)):
+        pattern = _colliding_expr(rng, depth - 1)
+        mode = rng.randrange(3)
+        if mode == 0 or not base.edges:
+            sc = Subcomplex.of(base, [rng.choice(base.vertices)], [])
+        elif mode == 1:
+            sc = Subcomplex.of(base, [], [rng.choice(base.edges).id])
+        else:
+            sc = Subcomplex.whole(base)
+        seq.append(SeqFamily(sc, pattern, _colliding_point(rng, pattern.base)))
+    return Node(base, tuple(fin), tuple(seq))
+
+
+def test_matches_reference_on_colliding_identifiers():
+    rng = random.Random(4242)
+    kinds = []
+    for _ in range(2000):
+        kinds += _check(_colliding_expr(rng, rng.randint(0, 3)), (rng.randint(0, 4),))
+    counts = {k: kinds.count(k) for k in set(kinds)}
+    # the corpus reaches every outcome, not just the easy ones
+    assert counts["ok"] >= 1000, counts
+    assert counts["same-duplicate"] >= 100, counts
+    assert counts["anchor-on-cut-edge"] >= 20, counts
+
+
+# --- cost --------------------------------------------------------------------
+
+def test_truncate_builds_one_graph(monkeypatch):
+    e = parse_spacefile(rank_chain_text(3)).main_expr()
+    count = [0]
+    original = graphs.MultiGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.MultiGraph, "__init__", counting)
+    for depth in (0, 1, 4):
+        count[0] = 0
+        g = wild.truncate(e, depth)
+        assert count[0] == 1, (depth, count[0])
+    assert len(g.edges) > 500

@@ -11,8 +11,11 @@ from wildcat.wild import (INF, ExprError, UnstableExpressionError,
                           is_w_stable, wild_set, wild_tower, wrk, profile,
                           cat, tc, cat_certificate, tc_certificate, truncate)
 
+from wildcat.spacefile import parse_spacefile
+
 from gen import (point_graph, path_graph, cycle_graph, loop_graph,
-                 figure_eight, random_stable_expr, seq_nesting_depth)
+                 figure_eight, random_stable_expr, seq_nesting_depth,
+                 chain_space_text)
 
 
 def earring():
@@ -448,6 +451,42 @@ def test_truncate_midedge_anchor():
     # anchor mid-edge: stability holds (w(pattern) empty), gluing subdivides
     g = truncate(e, 2)
     assert betti1(g) == 2
+    # the anchor's edge is cut nowhere else: one cut vertex, glued to the host
+    ids = {ed.id for ed in g.edges}
+    assert {"s0c0_e1_s0", "s0c0_e1_s1", "s0c1_e1_s0", "s0c1_e1_s1"} <= ids
+    assert "s0c0_e1_p1" not in g.vertices and "e1" not in ids
+
+
+# An anchor on an edge that the pattern's own attachments also cut: its
+# parameter joins that edge's cuts, and _p/_s numbering runs over the union.
+ANCHOR_ON_CUT_EDGE = {
+    "shared-parameter": ("(node (base pt) (seqfam (v) (node (base tri) (seqfam "
+                         "(a b c f0 f1 f2) (graph loop) (vertex o))) (edge f0 1/2)))",
+                         13, 32),
+    "own-parameter": ("(node (base tri) (attach (vertex a) (node (base tri) (attach "
+                      "(edge f0 1/2) (graph loop) (vertex o))) (edge f0 1/3)))",
+                      7, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANCHOR_ON_CUT_EDGE))
+def test_truncate_anchor_on_an_edge_the_pattern_cuts(case):
+    text, n_vertices, n_edges = ANCHOR_ON_CUT_EDGE[case]
+    e = parse_spacefile(chain_space_text(text)).main_expr()
+    g = truncate(e, 4)
+    assert (len(g.vertices), len(g.edges)) == (n_vertices, n_edges)
+    assert g.n_components == 1
+
+
+def test_truncate_anchor_cut_and_attachment_cut_share_an_edge():
+    e = parse_spacefile(chain_space_text(ANCHOR_ON_CUT_EDGE["own-parameter"][0])).main_expr()
+    g = truncate(e, 4)
+    # f0 of the child is cut at 1/3 (its anchor, glued to a) and 1/2 (the loop)
+    assert g.vertices == ("a", "b", "c", "a0_a", "a0_b", "a0_c", "a0_f0_p2")
+    assert [(ed.id, ed.v0, ed.v1) for ed in g.edges[3:]] == [
+        ("a0_f0_s0", "a0_a", "a"), ("a0_f0_s1", "a", "a0_f0_p2"),
+        ("a0_f0_s2", "a0_f0_p2", "a0_b"), ("a0_f1", "a0_b", "a0_c"),
+        ("a0_f2", "a0_c", "a0_a"), ("a0_a0_l", "a0_f0_p2", "a0_f0_p2")]
 
 
 def test_truncate_rejects_atoms():

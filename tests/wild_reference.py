@@ -1,14 +1,19 @@
-"""Reference copy of the recursive wild-set analysis, kept for differential
-tests only.
+"""Reference copy of the recursive wild-set analysis and truncation, kept
+for differential tests only.
 
 This is the straightforward structural recursion that ``wildcat.wild`` once
 used: every reader re-derives stability, wild pieces and the tower from the
-expression, with no memo.  It is cubic in nesting depth and limited by the
-interpreter's recursion depth, but each function is a direct transcription
-of its definition, which makes it the oracle for ``wildcat.wild.Analysis``.
+expression, with no memo, and ``truncate`` expands each subexpression into
+its own validated graph before gluing it in.  It is cubic in nesting depth
+and limited by the interpreter's recursion depth, but each function is a
+direct transcription of its definition, which makes it the oracle for
+``wildcat.wild.Analysis`` and ``wildcat.wild.truncate``.
 """
 
-from wildcat.graphs import betti1
+from collections import Counter, defaultdict
+from fractions import Fraction
+
+from wildcat.graphs import Edge, EdgeInterior, Vertex, betti1, build_graph
 from wildcat.wild import (INF, ExprError, UnstableExpressionError,
                           InfiniteRankError, Node, SelfWild, ZeroDimWild,
                           SeqFamily, StabilityReport, TowerLevel, WildProfile,
@@ -306,3 +311,94 @@ def tc_certificate(e):
             "product-box",
             f"H_{k}: union of F_i x F_j over i + j = {k}"))
     return Certificate("tc", tuple(levels), tc(e))
+
+
+def _rename_graph(g, prefix):
+    if not prefix:
+        return g
+    return build_graph([prefix + v for v in g.vertices],
+                       [(prefix + e.id, prefix + e.v0, prefix + e.v1)
+                        for e in g.edges])
+
+
+def _rename_point(p, prefix):
+    if not prefix:
+        return p
+    if isinstance(p, Vertex):
+        return Vertex(prefix + p.v)
+    return EdgeInterior(prefix + p.edge, p.t)
+
+
+def _subdivide(g, cuts):
+    vs = list(g.vertices)
+    es = []
+    locate = {}
+    for e in g.edges:
+        ts = cuts.get(e.id)
+        if not ts:
+            es.append(e)
+            continue
+        prev = e.v0
+        for k, t in enumerate(sorted(set(ts)), 1):
+            nv = f"{e.id}_p{k}"
+            vs.append(nv)
+            locate[(e.id, t)] = nv
+            es.append(Edge(f"{e.id}_s{k - 1}", prev, nv))
+            prev = nv
+        es.append(Edge(f"{e.id}_s{len(set(ts))}", prev, e.v1))
+    return build_graph(vs, es), locate
+
+
+def _expand(e, depth, prefix):
+    base = _rename_graph(e.base, prefix)
+    attach = []
+    for i, att in enumerate(e.fin):
+        sub_prefix = f"{prefix}a{i}_"
+        sub = _expand(att.child, depth, sub_prefix)
+        attach.append((_rename_point(att.at, prefix), sub,
+                       _rename_point(att.anchor, sub_prefix)))
+    for i, fam in enumerate(e.seq):
+        cells = ([("v", v) for v in fam.subcomplex.vertices]
+                 + [("e", eid) for eid in fam.subcomplex.edges])
+        assigned = [cells[c % len(cells)] for c in range(depth)]
+        edge_total = Counter(ref for ref in assigned if ref[0] == "e")
+        edge_seen = Counter()
+        for c, ref in enumerate(assigned):
+            sub_prefix = f"{prefix}s{i}c{c}_"
+            sub = _expand(fam.pattern, depth, sub_prefix)
+            anchor = _rename_point(fam.anchor, sub_prefix)
+            if ref[0] == "v":
+                host = Vertex(prefix + ref[1])
+            else:
+                edge_seen[ref] += 1
+                j, m = edge_seen[ref], edge_total[ref]
+                host = EdgeInterior(prefix + ref[1], Fraction(j, m + 1))
+            attach.append((host, sub, anchor))
+    cuts = defaultdict(list)
+    for host, _, _ in attach:
+        if isinstance(host, EdgeInterior):
+            cuts[host.edge].append(host.t)
+    base, locate = _subdivide(base, cuts)
+    vs = list(base.vertices)
+    es = list(base.edges)
+    for host, sub, anchor in attach:
+        host_v = host.v if isinstance(host, Vertex) else locate[(host.edge, host.t)]
+        if isinstance(anchor, EdgeInterior):
+            sub, sub_locate = _subdivide(sub, {anchor.edge: [anchor.t]})
+            anchor_v = sub_locate[(anchor.edge, anchor.t)]
+        else:
+            anchor_v = anchor.v
+        vs.extend(v for v in sub.vertices if v != anchor_v)
+        rename = lambda v: host_v if v == anchor_v else v
+        es.extend(Edge(ed.id, rename(ed.v0), rename(ed.v1)) for ed in sub.edges)
+    return build_graph(vs, es)
+
+
+def truncate(e, depth):
+    """The recursive truncation.  An anchor on an edge that the pattern's
+    own attachments also cut ends in a ``KeyError`` here."""
+    if contains_atom(e):
+        raise ExprError("cannot truncate an expression with opaque atoms")
+    if depth < 0:
+        raise ExprError("depth must be a natural number")
+    return _expand(e, depth, "")
