@@ -378,15 +378,15 @@ def parse_spacefile(text: str) -> SpaceFile:
                 raise ParseError("syntax: expr NAME (EXPR)", lineno)
             name = parts[1]
             rest = lines[i - 1].split(None, 2)
-            parts = [rest[2] if len(rest) == 3 else ""]
-            depth = parts[0].count("(") - parts[0].count(")")
+            body_lines = [rest[2] if len(rest) == 3 else ""]
+            depth = body_lines[0].count("(") - body_lines[0].count(")")
             while depth > 0:
                 if i >= n:
                     raise ParseError(f"unbalanced expression for {name!r}", lineno)
-                parts.append(lines[i])
+                body_lines.append(lines[i])
                 depth += lines[i].count("(") - lines[i].count(")")
                 i += 1
-            body = "\n".join(parts)
+            body = "\n".join(body_lines)
             if not body.strip():
                 raise ParseError("syntax: expr NAME (EXPR)", lineno)
             raw_exprs.append((name, body, lineno))
