@@ -5,8 +5,14 @@ Each file under ``tests/golden/`` holds one invocation: a first line
 ``wildcat verify fixtures/STEM.space`` and ``STEM.corrupt.verify`` adds
 ``--corrupt``; ``STEM.info`` and ``STEM.certify`` are ``wildcat info`` and
 ``wildcat certify`` on the same file, and ``STEM.truncate`` is
-``wildcat truncate fixtures/STEM.space --depth 3``.  Any change to a report
-shows up here.
+``wildcat truncate fixtures/STEM.space --depth 3``.  ``STEM.plan`` holds two
+``wildcat plan fixtures/STEM.space`` queries, each as an ``args:`` line, the
+exit line and stdout: from the first to the last declared vertex, and from
+``edge E0 1/3`` to ``edge En 2/3`` on the first and last declared edges.  The
+names come from the main graph, or from the first graph of the file when the
+main definition is an expression (so the call fails and its exit status is
+recorded); ``none`` stands in for a vertex or edge the file does not have.
+Any change to a report shows up here.
 """
 
 import os
@@ -14,6 +20,7 @@ import os
 import pytest
 
 from wildcat.cli import main
+from wildcat.spacefile import parse_spacefile
 
 HERE = os.path.dirname(__file__)
 FIXDIR = os.path.join(HERE, "fixtures")
@@ -23,11 +30,29 @@ FIXTURES = sorted(f[:-len(".space")] for f in os.listdir(FIXDIR)
                   if f.endswith(".space"))
 
 
-def _check(capsys, argv, name):
+def _run(capsys, argv):
     code = main(argv)
-    got = f"exit: {code}\n" + capsys.readouterr().out
+    return f"exit: {code}\n" + capsys.readouterr().out
+
+
+def _check_text(got, name):
     with open(os.path.join(GOLDDIR, name), "r", encoding="ascii", newline="") as fh:
         assert got == fh.read()
+
+
+def _check(capsys, argv, name):
+    _check_text(_run(capsys, argv), name)
+
+
+def _plan_queries(path):
+    """The two ``--from``/``--to`` pairs of ``STEM.plan``."""
+    with open(path, "r", encoding="ascii") as fh:
+        sf = parse_spacefile(fh.read())
+    g = sf.graphs.get(sf.main) or next(iter(sf.graphs.values()), None)
+    vs = g.vertices if g is not None else ("none",)
+    es = [e.id for e in g.edges] if g is not None and g.edges else ["none"]
+    return [(f"vertex {vs[0]}", f"vertex {vs[-1]}"),
+            (f"edge {es[0]} 1/3", f"edge {es[-1]} 2/3")]
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "corrupt"])
@@ -52,3 +77,13 @@ def test_report_matches_golden(capsys, stem, command):
 def test_truncate_matches_golden(capsys, stem):
     _check(capsys, ["truncate", os.path.join(FIXDIR, stem + ".space"), "--depth", "3"],
            f"{stem}.truncate")
+
+
+@pytest.mark.parametrize("stem", FIXTURES)
+def test_plan_matches_golden(capsys, stem):
+    path = os.path.join(FIXDIR, stem + ".space")
+    got = ""
+    for src, dst in _plan_queries(path):
+        got += f"args: --from {src} --to {dst}\n"
+        got += _run(capsys, ["plan", path, "--from", src, "--to", dst])
+    _check_text(got, f"{stem}.plan")
