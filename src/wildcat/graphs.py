@@ -7,6 +7,7 @@ allowed everywhere; a loop counts as a cycle.  All values are immutable
 after construction and all operations are pure functions.
 """
 
+import heapq
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -263,14 +264,19 @@ class CollapseHomotopy:
     Recorded as an ordered sequence of elementary free-edge collapses, each
     removing an edge with a degree-1 endpoint and retaining the other
     endpoint.  ``retract`` gives the induced retraction r and ``slide`` the
-    path D(x, .) from a point to r(x).
+    path D(x, .) from a point to r(x).  Every vertex outside the core is
+    freed by exactly one collapse, so the collapses form a forest hanging off
+    the core, and each freed vertex points along its collapsed edge to the
+    vertex it was collapsed onto.
     """
 
-    __slots__ = ("graph", "core", "collapses", "_final", "_kept_of")
+    __slots__ = ("graph", "core", "collapses", "_final", "_kept_of", "_down")
 
     def __init__(self, graph: MultiGraph, core: MultiGraph, collapses):
         collapses = tuple(collapses)
         final = {v: v for v in core.vertices}
+        down = {}
+        zero, one = Fraction(0), Fraction(1)
         for c in reversed(collapses):
             e = graph.edge_by_id.get(c.edge)
             if e is None:
@@ -281,12 +287,19 @@ class CollapseHomotopy:
                 raise GraphError(f"{c.kept!r} is not an endpoint of {c.edge!r}")
             if c.kept not in final:
                 raise GraphError(f"collapse order broken at edge {c.edge!r}")
-            final[e.other(c.kept)] = final[c.kept]
+            free = e.other(c.kept)
+            if free in final:
+                raise GraphError(f"collapse of edge {c.edge!r} frees {free!r}, "
+                                 "which is in the core or freed by a later collapse")
+            final[free] = final[c.kept]
+            down[free] = ((c.edge, one, zero, c.kept) if c.kept == e.v0
+                          else (c.edge, zero, one, c.kept))
         self.graph = graph
         self.core = core
         self.collapses = collapses
         self._final = final
         self._kept_of = {c.edge: c.kept for c in collapses}
+        self._down = down
 
     def retract(self, p: GraphPoint) -> GraphPoint:
         if isinstance(p, Vertex):
@@ -299,19 +312,26 @@ class CollapseHomotopy:
         return Vertex(self._final[kept])
 
     def slide(self, p: GraphPoint) -> "PLPath":
-        """Path from p to retract(p), following the collapses in order."""
+        """Path from p to retract(p), the same steps as following the
+        collapses in order.
+
+        A point inside a collapsed edge first moves to that edge's kept
+        endpoint; from there the walk follows each freed vertex to the vertex
+        it was collapsed onto until it reaches the core.  O(depth) for a
+        point at depth ``depth`` in the collapsed forest.
+        """
         steps = []
-        cur = p
-        for c in self.collapses:
-            e = self.graph.edge_by_id[c.edge]
-            free = e.other(c.kept)
-            kp = Fraction(0) if c.kept == e.v0 else Fraction(1)
-            if isinstance(cur, EdgeInterior) and cur.edge == c.edge:
-                steps.append(PathStep(c.edge, cur.t, kp))
-                cur = Vertex(c.kept)
-            elif isinstance(cur, Vertex) and cur.v == free:
-                steps.append(PathStep(c.edge, 1 - kp, kp))
-                cur = Vertex(c.kept)
+        down = self._down
+        if isinstance(p, Vertex):
+            v = p.v
+        else:
+            v = self._kept_of.get(p.edge)
+            if v is not None:
+                free = self.graph.edge_by_id[p.edge].other(v)
+                steps.append(PathStep(p.edge, p.t, down[free][2]))
+        while v in down:
+            edge, a, b, v = down[v]
+            steps.append(PathStep(edge, a, b))
         return PLPath(self.graph, steps, source=p)
 
 
@@ -321,7 +341,9 @@ def deforest(g: MultiGraph):
     Returns ``(core, homotopy)`` where the core is the unique subgraph with
     no free edges (a single vertex when g is a tree) and the homotopy
     witnesses the strong deformation retraction; betti1 is preserved.
-    Deterministic: the smallest-id degree-1 vertex is collapsed first.
+    Deterministic: the smallest-id degree-1 vertex is collapsed first.  The
+    degree-1 vertices wait in a min-heap, so the whole collapse sequence
+    costs O(V log V + E).
     """
     _require_connected(g, "deforest")
     degree = dict(g.degree)
@@ -329,11 +351,14 @@ def deforest(g: MultiGraph):
     live_edges = set(g.edge_by_id)
     removed = set()
     collapses = []
-    while True:
-        leaves = sorted(v for v, d in degree.items() if d == 1 and v not in removed)
-        if not leaves:
-            break
-        v = leaves[0]
+    leaves = [v for v, d in degree.items() if d == 1]
+    heapq.heapify(leaves)
+    while leaves:
+        v = heapq.heappop(leaves)
+        # a vertex is pushed once, when its degree reaches 1; it may have
+        # lost that last edge since (it was the kept end of its neighbour)
+        if degree[v] != 1:
+            continue
         eid = min(alive[v])
         e = g.edge_by_id[eid]
         kept = e.other(v)
@@ -344,6 +369,8 @@ def deforest(g: MultiGraph):
         degree[v] -= 1
         degree[kept] -= 1
         removed.add(v)
+        if degree[kept] == 1:
+            heapq.heappush(leaves, kept)
     core_vertices = [v for v in g.vertices if v not in removed]
     if not core_vertices:
         core_vertices = [g.vertices[0]]

@@ -259,9 +259,10 @@ class LiftedRule:
     def path_for(self, x: GraphPoint, y: GraphPoint) -> PLPath:
         sx = self.homotopy.slide(x)
         sy = self.homotopy.slide(y)
+        # the core path lives on the core graph; concat_paths validates its
+        # steps again as part of the answer in the whole graph
         core = self.inner.path_for(sx.endpoint1, sy.endpoint1)
-        mid = PLPath(self.graph, core.steps, source=core.source)
-        return concat_paths(self.graph, x, (sx, mid, sy.reverse()))
+        return concat_paths(self.graph, x, (sx, core, sy.reverse()))
 
     def piece_id(self, x, y):
         return self.inner.piece_id(self.homotopy.retract(x),

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from wildcat.graphs import (GraphError, Vertex, EdgeInterior, build_graph,
                             subgraph, betti1, spanning_forest, deforest,
                             tree_path, TreeRouter, constant_path, point_dist,
-                            cat_graph, tc_graph, PLPath, PathStep)
+                            cat_graph, tc_graph, PLPath, PathStep, Collapse,
+                            CollapseHomotopy)
 
 from gen import (point_graph, path_graph, cycle_graph, loop_graph, theta_graph,
                  figure_eight, circle_with_hair, k4, random_connected_graph,
-                 random_point, cycle_space_rank, bfs_vertex_distance)
+                 random_cycle_with_hairs, random_point, cycle_space_rank,
+                 bfs_vertex_distance)
 
 
 # --- build_graph ------------------------------------------------------------
@@ -157,6 +160,40 @@ def test_deforest_retraction_properties_random():
                     isinstance(x, Vertex) or x.edge in core.edge_by_id):
                 assert r == x
             checked += 1
+
+
+def test_homotopy_rejects_a_vertex_freed_twice():
+    # b is freed by both collapses, so the pointer walk and the ordered scan
+    # would slide it to different core vertices
+    g = build_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c"),
+                                      ("l", "a", "a")])
+    core = subgraph(g, ["l"], ["a", "c"])
+    with pytest.raises(GraphError, match="frees 'b'"):
+        CollapseHomotopy(g, core, [Collapse("e0", "a"), Collapse("e1", "c")])
+
+
+def test_homotopy_rejects_a_core_vertex_as_free_endpoint():
+    # without the check retract(v1) would be v0, although v1 is in the core
+    g = path_graph(3)
+    core = subgraph(g, ["e1"], ["v0", "v1", "v2"])
+    with pytest.raises(GraphError, match="frees 'v1'"):
+        CollapseHomotopy(g, core, [Collapse("e0", "v0")])
+
+
+def test_deforest_and_slides_scale_linearly():
+    # a 10-cycle with 20000 hairs grown off it, as the benchmark's lifted
+    # graphs: sorting every leaf per collapse, or scanning every collapse per
+    # slide, takes over a minute on this input
+    rng = random.Random(77)
+    g = random_cycle_with_hairs(rng, 10, 20000)
+    starts = [rng.choice(g.vertices) for _ in range(2000)]
+    t0 = time.perf_counter()
+    core, h = deforest(g)
+    for v in starts:
+        h.slide(Vertex(v))
+    elapsed = time.perf_counter() - t0
+    assert len(core.edges) == 10 and len(h.collapses) == 20000
+    assert elapsed < 3.0, f"deforest + 2000 slides took {elapsed:.2f} s"
 
 
 # --- tree_path ---------------------------------------------------------------
