@@ -40,7 +40,6 @@ def _assert_deforest_matches(rng, g, n_edge_points=20):
         want = ref.slide(g, ref_collapses, p)
         assert got.steps == want.steps
         assert got.source == want.source == p
-    return core, h
 
 
 def _reference_answer(g, circle, collapses, x, y):
