@@ -12,7 +12,9 @@ exit line and stdout: from the first to the last declared vertex, and from
 names come from the main graph, or from the first graph of the file when the
 main definition is an expression (so the call fails and its exit status is
 recorded); ``none`` stands in for a vertex or edge the file does not have.
-Any change to a report shows up here.
+``STEM.cuplength`` is ``wildcat cuplength fixtures/STEM.space``; a file whose
+main definition is an expression records exit 2.  Any change to a report
+shows up here.
 """
 
 import os
@@ -87,3 +89,9 @@ def test_plan_matches_golden(capsys, stem):
         got += f"args: --from {src} --to {dst}\n"
         got += _run(capsys, ["plan", path, "--from", src, "--to", dst])
     _check_text(got, f"{stem}.plan")
+
+
+@pytest.mark.parametrize("stem", FIXTURES)
+def test_cuplength_matches_golden(capsys, stem):
+    _check(capsys, ["cuplength", os.path.join(FIXDIR, stem + ".space")],
+           f"{stem}.cuplength")
