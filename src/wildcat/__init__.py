@@ -12,7 +12,7 @@ from .graphs import (GraphError, Edge, Vertex, EdgeInterior, GraphPoint,
                      PathStep, PLPath, constant_path, concat_paths,
                      TreeRouter, tree_path, point_dist, cat_graph, tc_graph)
 from .cohomology import (CocycleBasis, KunnethElement, h1_basis,
-                         zero_divisor_cuplength, tc_lower_bound)
+                         zero_divisor_cuplength)
 from .regions import (VertexCell, ClosedEdgeCell, OpenEdgeCell, SubArcCell,
                       CellUnion, whole_graph_cells, Box, Shift,
                       RetractPreimage, Region)

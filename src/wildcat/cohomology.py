@@ -6,7 +6,9 @@ of H*(G x G) are carried by the Kunneth pieces H1 (x) H0, H0 (x) H1 and
 H1 (x) H1; everything above truncates.  The cup-length of the kernel of the
 diagonal map is computed by explicit bilinear algebra over the rationals and
 bounds the topological complexity of the graph from below (tightly, at graph
-scale).
+scale).  Elements hold only their non-zero coefficients, so a cup of two
+basis zero-divisors costs O(1) and the cup-length O(b) once the basis is
+built.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,6 @@ __all__ = [
     "KunnethElement",
     "h1_basis",
     "zero_divisor_cuplength",
-    "tc_lower_bound",
 ]
 
 _ZERO = Fraction(0)
@@ -51,91 +52,74 @@ def h1_basis(g: MultiGraph) -> CocycleBasis:
 
 @dataclass(frozen=True)
 class KunnethElement:
-    """Element of H*(g x g) in degrees 1 and 2.
+    """Element of H*(g x g) in degrees 1 and 2, stored sparsely.
 
-    ``left``/``right`` are the H1 (x) H0 and H0 (x) H1 components of a
-    degree-1 element; ``cross`` is the H1 (x) H1 matrix of a degree-2
-    element.  The cup product of two degree-1 elements lands in ``cross``
-    with the graded sign -1 on the (1 (x) a)(b (x) 1) term.
+    ``left`` and ``right`` map a basis index to the non-zero coefficients of
+    the H1 (x) H0 and H0 (x) H1 components of a degree-1 element; ``pairs``
+    maps an index pair (i, j) to the non-zero coefficient of a_i (x) a_j in
+    the H1 (x) H1 component of a degree-2 element.  A zero coefficient is
+    never stored, so the size of an element is its number of non-zero
+    terms, not a power of ``dim``.  The cup product of two degree-1 elements
+    lands in ``pairs`` with the graded sign -1 on the (1 (x) a)(b (x) 1)
+    term.
     """
 
     dim: int
-    left: tuple
-    right: tuple
-    cross: tuple
-
-    def __post_init__(self):
-        if len(self.left) != self.dim or len(self.right) != self.dim:
-            raise ValueError("component length does not match basis dimension")
-        if len(self.cross) != self.dim or any(len(r) != self.dim for r in self.cross):
-            raise ValueError("cross matrix shape does not match basis dimension")
-
-    @classmethod
-    def degree_one(cls, left, right) -> "KunnethElement":
-        left = tuple(Fraction(c) for c in left)
-        right = tuple(Fraction(c) for c in right)
-        dim = len(left)
-        zero_row = (_ZERO,) * dim
-        return cls(dim, left, right, (zero_row,) * dim)
+    left: dict
+    right: dict
+    pairs: dict
 
     @classmethod
     def zero_divisor(cls, dim: int, index: int) -> "KunnethElement":
         """a (x) 1 - 1 (x) a for the index-th basis class a."""
-        vec = tuple(_ONE if i == index else _ZERO for i in range(dim))
-        neg = tuple(-c for c in vec)
-        return cls.degree_one(vec, neg)
+        return cls(dim, {index: _ONE}, {index: -_ONE}, {})
+
+    @property
+    def cross(self) -> tuple:
+        """The H1 (x) H1 component as a dense ``dim`` x ``dim`` matrix."""
+        rows = [[_ZERO] * self.dim for _ in range(self.dim)]
+        for (i, j), c in self.pairs.items():
+            rows[i][j] = c
+        return tuple(tuple(row) for row in rows)
 
     def is_zero(self) -> bool:
-        return (all(c == 0 for c in self.left)
-                and all(c == 0 for c in self.right)
-                and all(c == 0 for row in self.cross for c in row))
+        return not (self.left or self.right or self.pairs)
 
     def is_degree_one(self) -> bool:
-        return all(c == 0 for row in self.cross for c in row)
+        return not self.pairs
 
     def cup(self, other: "KunnethElement") -> "KunnethElement":
-        """Cup product of two degree-1 elements (degree-2 result)."""
+        """Cup product of two degree-1 elements (degree-2 result).
+
+        The (i, j) coefficient is left_i * other.right_j -
+        other.left_i * right_j, built from the non-zero terms only.
+        """
         if self.dim != other.dim:
             raise ValueError("mismatched basis dimensions")
         if not (self.is_degree_one() and other.is_degree_one()):
             raise ValueError("cup is only defined between degree-1 elements")
-        dim = self.dim
-        cross = tuple(
-            tuple(self.left[i] * other.right[j] - other.left[i] * self.right[j]
-                  for j in range(dim))
-            for i in range(dim)
-        )
-        zeros = (_ZERO,) * dim
-        return KunnethElement(dim, zeros, zeros, cross)
+        pairs = {(i, j): a * b for i, a in self.left.items()
+                 for j, b in other.right.items()}
+        for i, a in other.left.items():
+            for j, b in self.right.items():
+                c = pairs.get((i, j), _ZERO) - a * b
+                if c:
+                    pairs[i, j] = c
+                else:
+                    pairs.pop((i, j), None)
+        return KunnethElement(self.dim, {}, {}, pairs)
 
 
 def zero_divisor_cuplength(g: MultiGraph) -> int:
     """Length of the longest non-vanishing product of zero-divisors.
 
     Computed over the rationals from the basis zero-divisors; graph
-    cohomology caps the answer at 2 for degree reasons.
+    cohomology caps the answer at 2 for degree reasons.  It equals the
+    topological complexity of every connected graph.
     """
-    basis = h1_basis(g)
-    dim = basis.dimension
+    dim = h1_basis(g).dimension
     divisors = [KunnethElement.zero_divisor(dim, i) for i in range(dim)]
-    length = 0
-    for z in divisors:
-        if not z.is_zero():
-            length = 1
-            break
-    for i in range(dim):
-        if length == 2:
-            break
-        for j in range(i + 1, dim):
-            if not divisors[i].cup(divisors[j]).is_zero():
-                length = 2
-                break
-    return length
-
-
-def tc_lower_bound(g: MultiGraph) -> int:
-    """Cup-length lower bound for the topological complexity of g.
-
-    Always <= tc_graph(g), with equality for every connected graph.
-    """
-    return zero_divisor_cuplength(g)
+    if any(not divisors[i].cup(divisors[j]).is_zero()
+           for i in range(dim) for j in range(i + 1, dim)):
+        return 2
+    return int(any(not z.is_zero() for z in divisors))

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from wildcat.graphs import betti1, cat_graph, tc_graph, Vertex, EdgeInterior
-from wildcat.cohomology import tc_lower_bound, zero_divisor_cuplength
+from wildcat.cohomology import zero_divisor_cuplength
 from wildcat.planner import (plan_graph, verify_plan, cat_filtration,
                              product_cat_filtration)
 from wildcat.wild import INF, SelfWild, ZeroDimWild, profile, cat, tc, wrk, truncate
@@ -53,7 +53,7 @@ def test_criterion_2_tight_planner():
     for g in graphs:
         plan = plan_graph(g)
         assert len(plan.strata) == tc_graph(g) + 1
-        assert tc_lower_bound(g) == tc_graph(g)
+        assert zero_divisor_cuplength(g) == tc_graph(g)
     _line(2, True,
           f"plan strata = tc+1 and cup-length lower bound meets tc on "
           f"{len(graphs)} graphs (exact)")
