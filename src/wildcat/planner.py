@@ -20,8 +20,7 @@ from .graphs import (MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      spanning_forest, subgraph, deforest, constant_path,
                      concat_paths, tc_graph, vertex_distances)
 from .regions import (Region, Box, Shift, RetractPreimage, CellUnion,
-                      whole_graph_cells, VertexCell, ClosedEdgeCell,
-                      OpenEdgeCell, SubArcCell)
+                      whole_graph_cells, VertexCell, ClosedEdgeCell)
 
 __all__ = [
     "PlanError",
@@ -421,7 +420,7 @@ class GraphFiltration:
             if not lv.is_closed():
                 raise PlanError("filtration levels must be closed")
         for a, b in zip(self.levels, self.levels[1:]):
-            if not _cells_subset(a, b):
+            if not all(b.contains_cell(c) for c in a.cells):
                 raise PlanError("filtration levels must be nested")
 
     def level_index(self, p: GraphPoint) -> int:
@@ -433,29 +432,6 @@ class GraphFiltration:
     @property
     def length(self) -> int:
         return len(self.levels) - 1
-
-
-def _cell_probe_points(g: MultiGraph, cell):
-    if isinstance(cell, VertexCell):
-        return (Vertex(cell.v),)
-    if isinstance(cell, SubArcCell):
-        mid = (cell.lo + cell.hi) / 2
-        return tuple(g.point(cell.edge, t)
-                     for t in dict.fromkeys((cell.lo, mid, cell.hi)))
-    mid = EdgeInterior(cell.edge, Fraction(1, 2))
-    if isinstance(cell, OpenEdgeCell):
-        return (mid,)
-    e = g.edge_by_id[cell.edge]
-    return (Vertex(e.v0), mid, Vertex(e.v1))
-
-
-def _cells_subset(a: CellUnion, b: CellUnion) -> bool:
-    g = a.graph
-    for cell in a.cells:
-        for p in _cell_probe_points(g, cell):
-            if not b.contains(p):
-                return False
-    return True
 
 
 def cat_filtration(g: MultiGraph) -> GraphFiltration:

@@ -116,6 +116,31 @@ class CellUnion:
                 return True
         return False
 
+    def contains_cell(self, cell) -> bool:
+        """Whether every point of a cell of the same graph lies in the union.
+
+        Decided exactly: the cell's endpoint vertices by set inclusion, its
+        points inside the edge by the union's whole edges or by a sweep over
+        the union's closed arcs on that edge.  A finite union of closed arcs
+        is closed, so it covers an open parameter interval only if it covers
+        the interval's closure.
+        """
+        if isinstance(cell, VertexCell):
+            return cell.v in self._vertices
+        e = self.graph.edge_by_id[cell.edge]
+        if isinstance(cell, SubArcCell):
+            lo, hi = cell.lo, cell.hi
+            ends = [v for v, t in ((e.v0, 0), (e.v1, 1)) if t in (lo, hi)]
+        else:
+            lo, hi = Fraction(0), Fraction(1)
+            ends = [e.v0, e.v1] if isinstance(cell, ClosedEdgeCell) else []
+        if not all(v in self._vertices for v in ends):
+            return False
+        if (lo == hi and lo in (0, 1)) or e.id in self._closed_edges \
+                or e.id in self._open_edges:
+            return True
+        return _arcs_cover(self._arcs_by_edge.get(e.id, ()), lo, hi)
+
     def is_closed(self) -> bool:
         """Closed iff every open-edge cell has both endpoints in the union."""
         for eid in self._open_edges:
@@ -125,6 +150,20 @@ class CellUnion:
             if not (self.contains(Vertex(e.v0)) and self.contains(Vertex(e.v1))):
                 return False
         return True
+
+
+def _arcs_cover(arcs, lo, hi) -> bool:
+    """Whether closed arcs, sorted by their lower end, cover [lo, hi]."""
+    reach = lo  # every point of [lo, reach) is covered; reach itself not yet
+    for a, b in arcs:
+        if b < reach:
+            continue
+        if a > reach:
+            return False
+        if b >= hi:
+            return True
+        reach = b
+    return False
 
 
 def whole_graph_cells(g: MultiGraph) -> CellUnion:

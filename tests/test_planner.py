@@ -246,6 +246,31 @@ def test_malformed_filtration_rejected():
         GraphFiltration(g, (small, tiny))
 
 
+def _one_edge_levels(*levels):
+    from wildcat.planner import GraphFiltration
+    from wildcat.regions import CellUnion
+    g = build_graph(["a", "b"], [("e", "a", "b")])
+    return GraphFiltration(g, tuple(CellUnion(g, cells) for cells in levels))
+
+
+def test_filtration_rejects_a_gap_between_probe_points():
+    from wildcat.regions import SubArcCell
+    # lo, mid and hi of the level-0 arc all lie in level 1; (2/5, 9/20) does not
+    with pytest.raises(PlanError, match="nested"):
+        _one_edge_levels([SubArcCell("e", 0, 1)],
+                         [SubArcCell("e", 0, Fraction(2, 5)),
+                          SubArcCell("e", Fraction(9, 20), 1)])
+
+
+def test_filtration_accepts_arcs_that_cover_the_cell():
+    from wildcat.regions import ClosedEdgeCell, SubArcCell
+    f = _one_edge_levels([ClosedEdgeCell("e")],
+                         [SubArcCell("e", Fraction(9, 20), 1),
+                          SubArcCell("e", 0, Fraction(2, 5)),
+                          SubArcCell("e", Fraction(1, 4), Fraction(9, 20))])
+    assert f.level_index(EdgeInterior("e", Fraction(21, 50))) == 0
+
+
 def test_product_circle_filtrations_three_levels():
     f = cat_filtration(cycle_graph(4))
     prod = product_cat_filtration(f, f)

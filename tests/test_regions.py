@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from wildcat.regions import (VertexCell, ClosedEdgeCell, OpenEdgeCell,
                              Shift, Region)
 from wildcat.planner import CycleCoords
 
-from gen import path_graph, cycle_graph, loop_graph
+from gen import path_graph, cycle_graph, loop_graph, theta_graph
 
 
 def test_cell_membership():
@@ -41,6 +42,53 @@ def test_subarc_cell():
     assert u.is_closed()
     with pytest.raises(GraphError):
         SubArcCell("e0", Fraction(3, 4), Fraction(1, 4))
+
+
+def _random_cell(rng, g):
+    k = rng.randrange(4)
+    if k == 0:
+        return VertexCell(rng.choice(g.vertices))
+    e = rng.choice(g.edges).id
+    if k == 1:
+        return ClosedEdgeCell(e)
+    if k == 2:
+        return OpenEdgeCell(e)
+    lo, hi = sorted(Fraction(rng.randint(0, 8), 8) for _ in range(2))
+    return SubArcCell(e, lo, hi)
+
+
+def _cell_grid(g, cell):
+    """Points of a cell at parameters k/16: with every arc end a multiple of
+    1/8, membership in a union is constant between consecutive grid points,
+    so the grid decides whether the cell lies in the union."""
+    if isinstance(cell, VertexCell):
+        return [Vertex(cell.v)]
+    lo, hi, ends = Fraction(0), Fraction(1), True
+    if isinstance(cell, SubArcCell):
+        lo, hi = cell.lo, cell.hi
+    elif isinstance(cell, OpenEdgeCell):
+        ends = False
+    return [g.point(cell.edge, Fraction(k, 16)) for k in range(17)
+            if lo <= Fraction(k, 16) <= hi and (ends or 0 < k < 16)]
+
+
+def test_contains_cell_matches_a_fine_grid():
+    rng = random.Random(41)
+    g = theta_graph()
+    for _ in range(2000):
+        union = CellUnion(g, [_random_cell(rng, g) for _ in range(rng.randint(1, 5))])
+        cell = _random_cell(rng, g)
+        assert union.contains_cell(cell) == all(
+            union.contains(p) for p in _cell_grid(g, cell))
+
+
+def test_contains_cell_needs_the_closure_of_an_open_edge():
+    g = path_graph(2)
+    u = CellUnion(g, [SubArcCell("e0", Fraction(1, 100), 1), VertexCell("v0")])
+    assert not u.contains_cell(OpenEdgeCell("e0"))
+    assert u.contains_cell(SubArcCell("e0", Fraction(1, 100), Fraction(1, 2)))
+    assert u.contains_cell(SubArcCell("e0", 0, 0))
+    assert not u.contains_cell(SubArcCell("e0", 0, Fraction(1, 100)))
 
 
 def test_box_region():
