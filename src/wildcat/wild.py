@@ -183,11 +183,62 @@ class ZeroDimWild:
     a dendrite."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Node:
+    """A base graph with finite attachments and null-sequence families.
+
+    ``==`` and ``hash`` compare the same fields a dataclass would (base,
+    then each attachment's point, child and anchor, then each family's
+    subcomplex, pattern and anchor), but walk the tree with an explicit
+    stack, so nesting depth is bounded by memory, not by the interpreter's
+    recursion limit.  Each call still walks the whole tree.
+    """
+
     base: MultiGraph
     fin: tuple = ()
     seq: tuple = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if type(x) is not type(y):
+                return False
+            if not isinstance(x, Node):
+                continue  # the atoms have no fields
+            if (x.base != y.base or len(x.fin) != len(y.fin)
+                    or len(x.seq) != len(y.seq)):
+                return False
+            for a, b in zip(x.fin, y.fin):
+                if a.at != b.at or a.anchor != b.anchor:
+                    return False
+                stack.append((a.child, b.child))
+            for a, b in zip(x.seq, y.seq):
+                if a.subcomplex != b.subcomplex or a.anchor != b.anchor:
+                    return False
+                stack.append((a.pattern, b.pattern))
+        return True
+
+    def __hash__(self):
+        parts = []
+        stack = [self]
+        while stack:
+            x = stack.pop()
+            if not isinstance(x, Node):
+                parts.append(hash(x))
+                continue
+            parts.append((hash(x.base), len(x.fin), len(x.seq)))
+            for a in x.fin:
+                parts.append(hash((a.at, a.anchor)))
+                stack.append(a.child)
+            for a in x.seq:
+                parts.append(hash((a.subcomplex, a.anchor)))
+                stack.append(a.pattern)
+        return hash(tuple(parts))
 
     def __post_init__(self):
         object.__setattr__(self, "fin", tuple(self.fin))
@@ -283,8 +334,8 @@ class Analysis:
     nested expression is built once, not once per reader: a rank-growing
     chain of depth d costs O(d^2) pieces in all.
 
-    Facts are keyed by object identity, because the dataclass ``__eq__`` and
-    ``__hash__`` of an expression recurse over its whole tree; each entry
+    Facts are keyed by object identity, because ``==`` and ``hash`` of an
+    expression walk its whole tree on every call; each entry
     holds its expression, so no identity is reused while the analysis
     lives.  Structural equality of two pieces, which the stability check
     needs, is an integer ``shape`` interned bottom-up.  Every walk uses an

@@ -197,6 +197,18 @@ def test_print_parse_roundtrip_deep_attach_chain():
     assert print_spacefile(back) == text
 
 
+def test_deep_expression_equality_and_hash_do_not_recurse():
+    from gen import attach_chain_text
+    text = attach_chain_text(10_000)
+    a = parse_spacefile(text)
+    b = parse_spacefile(text)
+    c = parse_spacefile(text.replace("(vertex o)", "(edge l 1/2)"))
+    assert a.main_expr() is not b.main_expr()
+    assert a == b and a.main_expr() == b.main_expr()
+    assert hash(a.main_expr()) == hash(b.main_expr())
+    assert a != c and a.main_expr() != c.main_expr()
+
+
 def test_multiline_expr_parses_in_linear_time():
     import time
     from gen import attach_chain_text
