@@ -154,7 +154,7 @@ class CellUnion:
 
 def _arcs_cover(arcs, lo, hi) -> bool:
     """Whether closed arcs, sorted by their lower end, cover [lo, hi]."""
-    reach = lo  # every point of [lo, reach) is covered; reach itself not yet
+    reach = lo  # [lo, reach) is covered so far
     for a, b in arcs:
         if b < reach:
             continue
