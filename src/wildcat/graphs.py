@@ -41,6 +41,11 @@ __all__ = [
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 
+# Whole-edge steps are built from these two values, so ``PLPath.check`` and
+# ``MultiGraph.point`` can tell them by identity before comparing Fractions.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 class GraphError(ValueError):
     """Malformed graph data, or an operation applied to an unsuitable graph."""
@@ -166,6 +171,10 @@ class MultiGraph:
         e = self.edge_by_id.get(edge_id)
         if e is None:
             raise GraphError(f"unknown edge {edge_id!r}")
+        if t is _ZERO:
+            return Vertex(e.v0)
+        if t is _ONE:
+            return Vertex(e.v1)
         if not isinstance(t, Fraction):
             t = Fraction(t)
         if t == 0:
@@ -267,16 +276,18 @@ class CollapseHomotopy:
     path D(x, .) from a point to r(x).  Every vertex outside the core is
     freed by exactly one collapse, so the collapses form a forest hanging off
     the core, and each freed vertex points along its collapsed edge to the
-    vertex it was collapsed onto.
+    vertex it was collapsed onto.  Slides share their whole-edge steps: one
+    ``PathStep`` per collapsed edge and direction, made the first time a
+    slide crosses that edge that way.
     """
 
-    __slots__ = ("graph", "core", "collapses", "_final", "_kept_of", "_down")
+    __slots__ = ("graph", "core", "collapses", "_final", "_kept_of", "_down",
+                 "_whole")
 
     def __init__(self, graph: MultiGraph, core: MultiGraph, collapses):
         collapses = tuple(collapses)
         final = {v: v for v in core.vertices}
         down = {}
-        zero, one = Fraction(0), Fraction(1)
         for c in reversed(collapses):
             e = graph.edge_by_id.get(c.edge)
             if e is None:
@@ -292,14 +303,15 @@ class CollapseHomotopy:
                 raise GraphError(f"collapse of edge {c.edge!r} frees {free!r}, "
                                  "which is in the core or freed by a later collapse")
             final[free] = final[c.kept]
-            down[free] = ((c.edge, one, zero, c.kept) if c.kept == e.v0
-                          else (c.edge, zero, one, c.kept))
+            # (edge, whether the slide crosses it from v0 to v1, kept vertex)
+            down[free] = (c.edge, c.kept == e.v1, c.kept)
         self.graph = graph
         self.core = core
         self.collapses = collapses
         self._final = final
         self._kept_of = {c.edge: c.kept for c in collapses}
         self._down = down
+        self._whole = {}
 
     def retract(self, p: GraphPoint) -> GraphPoint:
         if isinstance(p, Vertex):
@@ -311,6 +323,31 @@ class CollapseHomotopy:
             raise GraphError(f"point on edge {p.edge!r} outside graph and core")
         return Vertex(self._final[kept])
 
+    def _walk(self, p: GraphPoint, back: bool):
+        """Steps of the slide from p (of its reverse when ``back``) and the
+        point it ends at."""
+        steps = []
+        down = self._down
+        whole = self._whole
+        if isinstance(p, Vertex):
+            v = p.v
+        else:
+            v = self._kept_of.get(p.edge)
+            if v is not None:
+                kp = _ZERO if v == self.graph.edge_by_id[p.edge].v0 else _ONE
+                steps.append(PathStep(p.edge, kp, p.t) if back
+                             else PathStep(p.edge, p.t, kp))
+        while v in down:
+            edge, forward, v = down[v]
+            steps.append(_whole_step(whole, edge, forward != back))
+        if not steps:
+            if not self.graph.contains_point(p):
+                raise GraphError("source point not on the graph")
+            return steps, p
+        if back:
+            steps.reverse()
+        return steps, Vertex(v)
+
     def slide(self, p: GraphPoint) -> "PLPath":
         """Path from p to retract(p), the same steps as following the
         collapses in order.
@@ -320,19 +357,13 @@ class CollapseHomotopy:
         it was collapsed onto until it reaches the core.  O(depth) for a
         point at depth ``depth`` in the collapsed forest.
         """
-        steps = []
-        down = self._down
-        if isinstance(p, Vertex):
-            v = p.v
-        else:
-            v = self._kept_of.get(p.edge)
-            if v is not None:
-                free = self.graph.edge_by_id[p.edge].other(v)
-                steps.append(PathStep(p.edge, p.t, down[free][2]))
-        while v in down:
-            edge, a, b, v = down[v]
-            steps.append(PathStep(edge, a, b))
-        return PLPath(self.graph, steps, source=p)
+        return PLPath._trusted(self.graph, self._walk(p, False)[0], p)
+
+    def slide_back(self, p: GraphPoint) -> "PLPath":
+        """The reverse of ``slide(p)``, from retract(p) to p, built from the
+        same shared steps."""
+        steps, end = self._walk(p, True)
+        return PLPath._trusted(self.graph, steps, end)
 
 
 def deforest(g: MultiGraph):
@@ -393,6 +424,17 @@ class PathStep:
             raise GraphError(f"step parameters must lie in [0,1], got {a}..{b}")
 
 
+def _whole_step(memo: dict, edge: str, forward: bool) -> PathStep:
+    """The step across the whole edge, v0 to v1 when ``forward``, made on
+    first use and then shared through ``memo``."""
+    key = (edge, forward)
+    step = memo.get(key)
+    if step is None:
+        step = memo[key] = (PathStep(edge, _ZERO, _ONE) if forward
+                            else PathStep(edge, _ONE, _ZERO))
+    return step
+
+
 class PLPath:
     """Piecewise-affine path, reparametrized uniformly by arclength over [0,1].
 
@@ -400,47 +442,94 @@ class PLPath:
     edge; consecutive steps share an endpoint.  A constant path has no steps
     (at a vertex) or a single degenerate step (at an edge-interior point).
     Evaluation at 0 and 1 returns the declared endpoints exactly.
+
+    A path is validated once, by ``check``.  The public constructor coerces
+    its steps and calls it; routers and rules build their answers with
+    ``_trusted``, which takes ``PathStep`` values as they are, and
+    ``execute`` and ``verify_plan`` check those answers.  The arclength table
+    is built on the first read of ``length`` or of a position.
     """
 
-    __slots__ = ("graph", "steps", "source", "length", "_cum", "_ends")
+    __slots__ = ("graph", "steps", "source", "_cum", "_ends")
 
     def __init__(self, graph: MultiGraph, steps, source: GraphPoint = None):
-        steps = tuple(s if isinstance(s, PathStep) else PathStep(*s) for s in steps)
-        if steps:
-            if len(steps) > 1 and any(s.a == s.b for s in steps):
-                raise GraphError("degenerate step inside a multi-step path")
-            edge_by_id = graph.edge_by_id
-            prev_key = None
-            for s in steps:
-                e = edge_by_id.get(s.edge)
-                if e is None:
-                    raise GraphError(f"unknown edge {s.edge!r} in path")
-                a, b = s.a, s.b
-                key = ("v", e.v0) if a == 0 else (("v", e.v1) if a == 1
-                                                  else (s.edge, a))
-                if prev_key is not None and key != prev_key:
-                    raise GraphError("discontinuous consecutive steps")
-                prev_key = ("v", e.v0) if b == 0 else (("v", e.v1) if b == 1
-                                                       else (s.edge, b))
-            first = graph.point(steps[0].edge, steps[0].a)
-            if source is None:
-                source = first
-            elif source != first:
-                raise GraphError("declared source does not match the first step")
-        else:
+        self.graph = graph
+        self.steps = tuple(s if isinstance(s, PathStep) else PathStep(*s)
+                           for s in steps)
+        self.source = source
+        self._cum = None
+        self._ends = None
+        self.check()
+        if source is None:
+            self.source = self.endpoint0
+
+    @classmethod
+    def _trusted(cls, graph: MultiGraph, steps, source: GraphPoint) -> "PLPath":
+        """A path from steps that are already well-formed, unchecked."""
+        path = cls.__new__(cls)
+        path.graph = graph
+        path.steps = tuple(steps)
+        path.source = source
+        path._cum = None
+        path._ends = None
+        return path
+
+    def check(self) -> "PLPath":
+        """Raise :class:`GraphError` unless the path is well-formed.
+
+        Every step lies on a known edge, no step of a multi-step path is
+        degenerate, consecutive steps meet, and a declared source is the
+        start of the first step; a path with no steps needs a source on the
+        graph.  Step parameters are in [0,1] by construction of ``PathStep``.
+        """
+        steps = self.steps
+        graph = self.graph
+        source = self.source
+        if not steps:
             if source is None:
                 raise GraphError("a path with no steps needs a source point")
             if not graph.contains_point(source):
                 raise GraphError("source point not on the graph")
-        self.graph = graph
-        self.steps = steps
-        self.source = source
-        cum = [Fraction(0)]
+            return self
+        multi = len(steps) > 1
+        edge_by_id = graph.edge_by_id
+        prev = None
         for s in steps:
-            cum.append(cum[-1] + abs(s.b - s.a))
-        self._cum = tuple(cum)
-        self.length = cum[-1]
-        self._ends = None
+            e = edge_by_id.get(s.edge)
+            if e is None:
+                raise GraphError(f"unknown edge {s.edge!r} in path")
+            a, b = s.a, s.b
+            if a is _ZERO and b is _ONE:
+                start, end = e.v0, e.v1
+            elif a is _ONE and b is _ZERO:
+                start, end = e.v1, e.v0
+            else:
+                if multi and a == b:
+                    raise GraphError("degenerate step inside a multi-step path")
+                # a vertex is keyed by its name, an interior point by a pair
+                start = e.v0 if a == 0 else (e.v1 if a == 1 else (s.edge, a))
+                end = e.v0 if b == 0 else (e.v1 if b == 1 else (s.edge, b))
+            if prev is not None and start != prev:
+                raise GraphError("discontinuous consecutive steps")
+            prev = end
+        if source is not None and source != self.endpoint0:
+            raise GraphError("declared source does not match the first step")
+        return self
+
+    def _arclengths(self) -> tuple:
+        """Cumulative arclength at the start of each step, then the total."""
+        if self._cum is None:
+            total = Fraction(0)
+            cum = [total]
+            for s in self.steps:
+                total += abs(s.b - s.a)
+                cum.append(total)
+            self._cum = tuple(cum)
+        return self._cum
+
+    @property
+    def length(self) -> Fraction:
+        return self._arclengths()[-1]
 
     def _endpoints(self):
         if self._ends is None:
@@ -468,19 +557,20 @@ class PLPath:
         time = Fraction(time)
         if not 0 <= time <= 1:
             raise GraphError(f"time {time} outside [0,1]")
-        if self.length == 0:
+        cum = self._arclengths()
+        if cum[-1] == 0:
             return self._endpoints()[0]
-        s = time * self.length
+        s = time * cum[-1]
         for i, st in enumerate(self.steps):
-            if s <= self._cum[i + 1]:
-                local = s - self._cum[i]
+            if s <= cum[i + 1]:
+                local = s - cum[i]
                 t = st.a + (local if st.b > st.a else -local)
                 return self.graph.point(st.edge, t)
         return self._endpoints()[1]
 
     def reverse(self) -> "PLPath":
-        rsteps = tuple(PathStep(s.edge, s.b, s.a) for s in reversed(self.steps))
-        return PLPath(self.graph, rsteps, source=self.endpoint1)
+        rsteps = [PathStep(s.edge, s.b, s.a) for s in reversed(self.steps)]
+        return PLPath._trusted(self.graph, rsteps, self.endpoint1)
 
     def __repr__(self):
         return f"PLPath(length={self.length}, steps={len(self.steps)})"
@@ -493,17 +583,23 @@ def constant_path(g: MultiGraph, p: GraphPoint) -> PLPath:
 
 
 def concat_paths(g: MultiGraph, source: GraphPoint, paths) -> PLPath:
-    """Concatenate paths end to start, dropping degenerate steps."""
+    """Concatenate paths end to start, dropping degenerate steps.
+
+    The parts are taken as well-formed paths in g (``check`` them first if
+    they are not), so only their chaining is checked here.
+    """
     steps = []
     cur = source
     for p in paths:
         if p.endpoint0 != cur:
             raise GraphError("paths do not chain")
-        steps.extend(s for s in p.steps if s.a != s.b)
+        # only a one-step part can be degenerate: a constant path
+        if len(p.steps) != 1 or p.steps[0].a != p.steps[0].b:
+            steps.extend(p.steps)
         cur = p.endpoint1
     if not steps:
         return constant_path(g, source)
-    return PLPath(g, steps, source=source)
+    return PLPath._trusted(g, steps, source)
 
 
 class TreeRouter:
@@ -512,10 +608,12 @@ class TreeRouter:
     Paths between vertices of a forest are unique once backtracks are
     cancelled; this precomputes BFS parent tables (root = smallest vertex id
     per component, adjacency scanned in edge-id order) and serves exact
-    reduced paths between arbitrary points.
+    reduced paths between arbitrary points.  The cached walks share their
+    steps: one ``PathStep`` per forest edge and direction, made the first
+    time a walk crosses that edge that way.
     """
 
-    __slots__ = ("forest", "_parent", "_depth", "_walks")
+    __slots__ = ("forest", "_parent", "_depth", "_walks", "_whole")
 
     def __init__(self, forest: MultiGraph):
         if betti1(forest) != 0:
@@ -543,14 +641,16 @@ class TreeRouter:
         self._parent = parent
         self._depth = depth
         self._walks = {}
+        self._whole = {}
 
-    def _vertex_walk(self, a: str, b: str):
-        """Oriented steps (edge, from, to) of the reduced walk a -> b."""
+    def _vertex_walk(self, a: str, b: str) -> tuple:
+        """Whole-edge steps of the reduced walk from vertex a to vertex b."""
         key = (a, b)
         cached = self._walks.get(key)
         if cached is not None:
             return cached
-        if self.forest.component_of.get(a) != self.forest.component_of.get(b):
+        forest = self.forest
+        if forest.component_of.get(a) != forest.component_of.get(b):
             raise GraphError("points lie in different components")
         up_a = []
         up_b = []
@@ -560,61 +660,65 @@ class TreeRouter:
         while x != y:
             if depth[x] >= depth[y]:
                 eid, px = parent[x]
-                up_a.append((eid, x, px))
+                up_a.append((eid, x))
                 x = px
             else:
                 eid, py = parent[y]
-                up_b.append((eid, y, py))
+                up_b.append((eid, py))
                 y = py
-        walk = tuple(up_a + [(eid, py, v) for eid, v, py in reversed(up_b)])
+        edge_by_id = forest.edge_by_id
+        whole = self._whole
+        # each pair holds the vertex the walk leaves the edge from
+        walk = tuple(_whole_step(whole, eid, u == edge_by_id[eid].v0)
+                     for eid, u in up_a + up_b[::-1])
         self._walks[key] = walk
         return walk
 
-    def route_steps(self, p: GraphPoint, q: GraphPoint):
-        """Parametric steps of the unique reduced path from p to q."""
+    def _anchor(self, p: GraphPoint) -> str:
+        """The vertex a route through p leaves from: p itself, or v0 of
+        p's edge."""
         forest = self.forest
-        raw = []
         if isinstance(p, EdgeInterior):
             e = forest.edge_by_id.get(p.edge)
             if e is None:
                 raise GraphError(f"point not on the forest: edge {p.edge!r}")
-            raw.append(PathStep(p.edge, p.t, Fraction(0)))
-            a = e.v0
-        else:
-            if p.v not in forest.degree:
-                raise GraphError(f"point not on the forest: vertex {p.v!r}")
-            a = p.v
-        post = []
-        if isinstance(q, EdgeInterior):
-            e = forest.edge_by_id.get(q.edge)
-            if e is None:
-                raise GraphError(f"point not on the forest: edge {q.edge!r}")
-            post.append(PathStep(q.edge, Fraction(0), q.t))
-            b = e.v0
-        else:
-            if q.v not in forest.degree:
-                raise GraphError(f"point not on the forest: vertex {q.v!r}")
-            b = q.v
-        for eid, u, w in self._vertex_walk(a, b):
-            e = forest.edge_by_id[eid]
-            if u == e.v0:
-                raw.append(PathStep(eid, Fraction(0), Fraction(1)))
+            return e.v0
+        if p.v not in forest.degree:
+            raise GraphError(f"point not on the forest: vertex {p.v!r}")
+        return p.v
+
+    def route_steps(self, p: GraphPoint, q: GraphPoint) -> list:
+        """Parametric steps of the unique reduced path from p to q.
+
+        The walk runs between the anchors of p and q (see ``_anchor``); a
+        partial step joins each edge-interior endpoint to its anchor, merged
+        with the walk's step on the same edge where the walk starts or ends
+        along it.  The middle steps are the router's shared whole-edge steps.
+        """
+        a, b = self._anchor(p), self._anchor(q)
+        if isinstance(p, EdgeInterior) and isinstance(q, EdgeInterior) \
+                and p.edge == q.edge:
+            # both anchors are v0 of the same edge, so the walk is empty
+            return [] if p.t == q.t else [PathStep(p.edge, p.t, q.t)]
+        walk = self._vertex_walk(a, b)
+        lo, hi = 0, len(walk)
+        head = tail = None
+        if isinstance(p, EdgeInterior):
+            if walk and walk[0].edge == p.edge:
+                head = PathStep(p.edge, p.t, _ONE)
+                lo = 1
             else:
-                raw.append(PathStep(eid, Fraction(1), Fraction(0)))
-        raw.extend(post)
-        out = []
-        for st in raw:
-            cur = st
-            if cur.a == cur.b:
-                continue
-            while out and out[-1].edge == cur.edge and out[-1].b == cur.a:
-                prev = out.pop()
-                if prev.a == cur.b:
-                    cur = None
-                    break
-                cur = PathStep(cur.edge, prev.a, cur.b)
-            if cur is not None:
-                out.append(cur)
+                head = PathStep(p.edge, p.t, _ZERO)
+        if isinstance(q, EdgeInterior):
+            if hi > lo and walk[hi - 1].edge == q.edge:
+                tail = PathStep(q.edge, _ONE, q.t)
+                hi -= 1
+            else:
+                tail = PathStep(q.edge, _ZERO, q.t)
+        out = [head] if head is not None else []
+        out.extend(walk[lo:hi])
+        if tail is not None:
+            out.append(tail)
         return out
 
     def route(self, p: GraphPoint, q: GraphPoint, into: MultiGraph = None) -> PLPath:
@@ -622,7 +726,7 @@ class TreeRouter:
         steps = self.route_steps(p, q)
         if not steps:
             return constant_path(g, p)
-        return PLPath(g, steps, source=p)
+        return PLPath._trusted(g, steps, p)
 
 
 def tree_path(forest: MultiGraph, p: GraphPoint, q: GraphPoint) -> PLPath:

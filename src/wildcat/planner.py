@@ -6,19 +6,20 @@ have exactly tc_graph(G) + 1 strata: one global tree rule for trees, the
 rotate/geodesic pair for a single cycle (lifted through deforestation when
 the graph has hairs), and the tree / one-coordinate-evacuated /
 two-coordinates-evacuated triple otherwise.  ``verify_plan`` checks
-closedness, nesting, coverage, the exact section property and sampled
-continuity; the product filtration combinator witnesses the additivity of
-category under products.
+closedness, nesting, coverage, the exact section property, sampled
+continuity and the well-formedness of every answer path; the product
+filtration combinator witnesses the additivity of category under products.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import (MultiGraph, Vertex, EdgeInterior, GraphPoint,
+from .graphs import (GraphError, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      PLPath, PathStep, CollapseHomotopy, TreeRouter, betti1,
                      spanning_forest, subgraph, deforest, constant_path,
-                     concat_paths, tc_graph, vertex_distances)
+                     concat_paths, tc_graph, vertex_distances, _ONE, _ZERO,
+                     _whole_step)
 from .regions import (Region, Box, Shift, RetractPreimage, CellUnion,
                       whole_graph_cells, VertexCell, ClosedEdgeCell)
 
@@ -69,7 +70,7 @@ class CycleCoords:
     """
 
     __slots__ = ("graph", "length", "steps", "_edge_slot", "_vertex_at",
-                 "_vertex_coord")
+                 "_vertex_coord", "_whole")
 
     def __init__(self, g: MultiGraph):
         if g.n_components != 1 or betti1(g) != 1:
@@ -97,6 +98,7 @@ class CycleCoords:
         self._edge_slot = {e.id: (i, fwd) for i, (e, fwd) in enumerate(steps)}
         self._vertex_at = vertex_at
         self._vertex_coord = {v: Fraction(i) for i, v in vertex_at.items()}
+        self._whole = {}
 
     def coord(self, p: GraphPoint):
         """Arclength of a point, or None if the point misses the cycle."""
@@ -118,35 +120,54 @@ class CycleCoords:
         return EdgeInterior(e.id, f if fwd else 1 - f)
 
     def march(self, s0, dist):
-        """Parametric steps from arclength s0 moving dist (signed) along the cycle."""
-        s0 = Fraction(s0)
-        dist = Fraction(dist)
+        """Parametric steps from arclength s0 moving dist (signed) along the cycle.
+
+        Only the first and the last step can cover part of an edge, and only
+        they cost Fraction arithmetic.  The whole-edge steps between them are
+        shared, one per cycle edge and direction, made on first use.
+        """
+        if not isinstance(s0, Fraction):
+            s0 = Fraction(s0)
+        if not isinstance(dist, Fraction):
+            dist = Fraction(dist)
         steps = []
         if dist == 0:
             return steps
-        direction = 1 if dist > 0 else -1
-        remaining = abs(dist)
+        ring = self.steps
+        n = len(ring)
+        forward = dist > 0
+        remaining = dist if forward else -dist
         s = s0 % self.length
-        while remaining > 0:
-            k = int(s)
-            f = s - k
-            if direction > 0:
-                room = 1 - f
-                take = min(room, remaining)
-                e, fwd = self.steps[k]
+        k = s.numerator // s.denominator
+        f = s - k
+        if f:
+            e, fwd = ring[k]
+            if forward:
+                take = min(1 - f, remaining)
                 a, b = (f, f + take) if fwd else (1 - f, 1 - f - take)
-                steps.append(PathStep(e.id, a, b))
-                s = (s + take) % self.length
+                k = (k + 1) % n
             else:
-                if f == 0:
-                    k = (k - 1) % int(self.length)
-                    f = Fraction(1)
                 take = min(f, remaining)
-                e, fwd = self.steps[k]
                 a, b = (f, f - take) if fwd else (1 - f, 1 - f + take)
-                steps.append(PathStep(e.id, a, b))
-                s = (s - take) % self.length
+            steps.append(PathStep(e.id, a, b))
             remaining -= take
+            if not remaining:
+                return steps
+        # at the vertex of position k; the next edge is slot k forward, k - 1
+        # backward
+        whole = remaining.numerator // remaining.denominator
+        rest = remaining - whole
+        memo = self._whole
+        step = 1 if forward else -1
+        slot = k if forward else k - 1
+        for _ in range(whole):
+            e, fwd = ring[slot % n]
+            steps.append(_whole_step(memo, e.id, fwd == forward))
+            slot += step
+        if rest:
+            e, fwd = ring[slot % n]
+            steps.append(PathStep(e.id, _ZERO, rest) if fwd == forward
+                         else PathStep(e.id, _ONE, 1 - rest))
         return steps
 
 
@@ -176,7 +197,7 @@ class CycleRotateRule:
         if s is None:
             raise PlanError("query point misses the cycle")
         steps = self.cycle.march(s, self.cycle.length / 2)
-        return PLPath(self.graph, steps, source=x)
+        return PLPath._trusted(self.graph, steps, x)
 
     def piece_id(self, x, y):
         return 0
@@ -203,7 +224,7 @@ class CycleGeodesicRule:
         half = self.cycle.length / 2
         dist = d if d < half else d - self.cycle.length
         steps = self.cycle.march(sx, dist)
-        return PLPath(self.graph, steps, source=x)
+        return PLPath._trusted(self.graph, steps, x)
 
     def piece_id(self, x, y):
         _, d = self._gap(x, y)
@@ -225,21 +246,25 @@ class EdgeEvacuateRule:
         self.router = router
 
     def _evacuate(self, p: GraphPoint):
+        """(parameter of the evacuation endpoint on p's edge, that endpoint),
+        or (None, p) for a point that stays."""
         if isinstance(p, EdgeInterior) and p.edge not in self.tree_edges:
             e = self.graph.edge_by_id[p.edge]
             u = min(e.v0, e.v1)
-            pu = Fraction(0) if u == e.v0 else Fraction(1)
-            return [PathStep(p.edge, p.t, pu)], Vertex(u)
-        return [], p
+            return (_ZERO if u == e.v0 else _ONE), Vertex(u)
+        return None, p
 
     def path_for(self, x: GraphPoint, y: GraphPoint) -> PLPath:
-        pre, x2 = self._evacuate(x)
-        post, y2 = self._evacuate(y)
-        steps = pre + self.router.route_steps(x2, y2)
-        steps.extend(PathStep(s.edge, s.b, s.a) for s in reversed(post))
+        ux, x2 = self._evacuate(x)
+        uy, y2 = self._evacuate(y)
+        steps = self.router.route_steps(x2, y2)
+        if ux is not None:
+            steps.insert(0, PathStep(x.edge, x.t, ux))
+        if uy is not None:
+            steps.append(PathStep(y.edge, uy, y.t))
         if not steps:
             return constant_path(self.graph, x)
-        return PLPath(self.graph, steps, source=x)
+        return PLPath._trusted(self.graph, steps, x)
 
     def piece_id(self, x, y):
         cx = x.edge if isinstance(x, EdgeInterior) and x.edge not in self.tree_edges else "T"
@@ -257,11 +282,11 @@ class LiftedRule:
 
     def path_for(self, x: GraphPoint, y: GraphPoint) -> PLPath:
         sx = self.homotopy.slide(x)
-        sy = self.homotopy.slide(y)
-        # the core path lives on the core graph; concat_paths validates its
-        # steps again as part of the answer in the whole graph
-        core = self.inner.path_for(sx.endpoint1, sy.endpoint1)
-        return concat_paths(self.graph, x, (sx, core, sy.reverse()))
+        sy = self.homotopy.slide_back(y)
+        # the core path lives on the core graph, whose edges are edges of
+        # the whole graph
+        core = self.inner.path_for(sx.endpoint1, sy.source)
+        return concat_paths(self.graph, x, (sx, core, sy))
 
     def piece_id(self, x, y):
         return self.inner.piece_id(self.homotopy.retract(x),
@@ -397,11 +422,13 @@ def execute(p: MotionPlan, x: GraphPoint, x2: GraphPoint):
 
     Returns ``(j, path)`` where j indexes the smallest stratum difference
     containing the pair and the path connects x to x2 with exact endpoints.
+    The rule builds its answer unchecked; the answer is checked here, once
+    (``PLPath.check``), and a malformed one raises ``GraphError``.
     """
     if not (p.graph.contains_point(x) and p.graph.contains_point(x2)):
         raise PlanError("query points must lie on the plan's graph")
     j = p.stratum_index(x, x2)
-    return j, p.rules[j].path_for(x, x2)
+    return j, p.rules[j].path_for(x, x2).check()
 
 
 @dataclass(frozen=True)
@@ -550,7 +577,7 @@ def _float_samples(path: PLPath, times):
         pt = _float_point(path.endpoint0)
         return [pt] * len(times)
     total = float(path.length)
-    bounds = [float(c) for c in path._cum]
+    bounds = [float(c) for c in path._arclengths()]
     out = []
     i = 0
     last = len(steps) - 1
@@ -594,6 +621,15 @@ def _float_dist(g: MultiGraph, dist, fp, fq) -> float:
     return best if best is not None else float("inf")
 
 
+def _malformed(path: PLPath):
+    """Why ``path`` fails ``PLPath.check``, or None when it passes."""
+    try:
+        path.check()
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
 def _random_point(rng, g: MultiGraph, denom=4096) -> GraphPoint:
     n_v = len(g.vertices)
     k = rng.randrange(n_v + len(g.edges))
@@ -634,7 +670,12 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
     (d) continuity: for perturbed query pairs in the same stratum difference
         and the same separated piece at path-metric distance < delta, the
         uniform distance between the two answer paths over 32 time samples
-        is <= eps (floating point is used only here).
+        is <= eps (floating point is used only here);
+    (e) path-wellformed: every answer the rules give, to the sampled
+        queries and to the perturbed ones, passes ``PLPath.check``.  Rules
+        build their answers unchecked, so this is where a plan's paths are
+        validated; a malformed answer is left out of the section and
+        continuity checks, and its query pair is the witness.
 
     The report is deterministic for fixed inputs and seed.
     """
@@ -688,6 +729,8 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
 
     section_witness = None
     nest_sample_witness = None
+    malformed = None  # (query pair, reason) of the first malformed answer
+    answers = 0
     queries = []
     for _ in range(samples):
         x = _random_point(rng, g)
@@ -703,6 +746,11 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         if not all(member[j:]):
             nest_sample_witness = nest_sample_witness or _fmt_pair(x, y)
         path = p.rules[j].path_for(x, y)
+        answers += 1
+        reason = _malformed(path)
+        if reason is not None:
+            malformed = malformed or (_fmt_pair(x, y), reason)
+            continue
         if len(answered) < continuity_samples:
             answered.append((x, y, j, path))
         if path.endpoint0 != x or path.endpoint1 != y or path.at(0) != x or path.at(1) != y:
@@ -741,6 +789,11 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
             skipped += 1
             continue
         path2 = rule.path_for(x2, y2)
+        answers += 1
+        reason = _malformed(path2)
+        if reason is not None:
+            malformed = malformed or (_fmt_pair(x2, y2), reason)
+            continue
         pts1 = _float_samples(path1, times)
         pts2 = _float_samples(path2, times)
         if dist is None:
@@ -760,6 +813,11 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         "vertex-vertex)" if cont_witness is None
         else "paths of nearby queries diverge",
         cont_witness))
+    checks.append(CheckResult(
+        "path-wellformed", malformed is None,
+        f"all {answers} answer paths well-formed" if malformed is None
+        else f"malformed answer path: {malformed[1]}",
+        malformed and malformed[0]))
 
     expected = tc_graph(g) + 1
     checks.append(CheckResult(

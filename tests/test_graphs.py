@@ -269,6 +269,45 @@ def test_plpath_validation():
         PLPath(g, [PathStep("e0", 0, 1), PathStep("e1", Fraction(1, 2), Fraction(1, 2))])
 
 
+# one case per branch of PLPath.check: (steps, source, message)
+_MALFORMED = [
+    ([PathStep("e0", 0, 1), PathStep("e1", 1, 0)], None, "discontinuous"),
+    ([PathStep("e0", 0, 1), PathStep("e1", Fraction(1, 2), Fraction(1, 2))], None,
+     "degenerate"),
+    ([PathStep("e0", 0, 1), PathStep("zz", 0, 1)], None, "unknown edge 'zz'"),
+    ([PathStep("e0", 0, 1)], Vertex("v1"), "declared source does not match"),
+    ([], None, "no steps needs a source"),
+    ([], Vertex("nowhere"), "source point not on the graph"),
+    ([], EdgeInterior("zz", Fraction(1, 2)), "source point not on the graph"),
+]
+
+
+@pytest.mark.parametrize("steps,source,message", _MALFORMED)
+def test_plpath_constructor_rejects(steps, source, message):
+    with pytest.raises(GraphError, match=message):
+        PLPath(path_graph(3), steps, source=source)
+
+
+@pytest.mark.parametrize("steps,source,message", _MALFORMED)
+def test_plpath_trusted_check_rejects(steps, source, message):
+    # the unchecked constructor takes anything; check() is the same validator
+    path = PLPath._trusted(path_graph(3), steps, source)
+    with pytest.raises(GraphError, match=message):
+        path.check()
+
+
+def test_plpath_check_accepts_shared_and_coerced_steps():
+    g = path_graph(3)
+    whole = PLPath(g, [("e0", 0, 1), ("e1", 0, Fraction(1, 2))])
+    assert whole.check() is whole
+    assert whole.source == Vertex("v0") and whole.length == Fraction(3, 2)
+    router = TreeRouter(g)
+    path = router.route(EdgeInterior("e1", Fraction(1, 2)), Vertex("v0"))
+    assert path.check() is path
+    assert [(s.edge, s.a, s.b) for s in path.steps] == [("e1", Fraction(1, 2), 0),
+                                                        ("e0", 1, 0)]
+
+
 def test_plpath_constant_midedge_single_degenerate_step():
     g = path_graph(2)
     p = EdgeInterior("e0", Fraction(1, 3))

@@ -1,12 +1,14 @@
+import importlib
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from wildcat.graphs import (Vertex, EdgeInterior, betti1, build_graph,
-                            deforest, point_dist, subgraph, spanning_forest,
-                            tc_graph, tree_path)
+from wildcat.graphs import (GraphError, Vertex, EdgeInterior, PathStep, PLPath,
+                            betti1, build_graph, deforest, spanning_forest,
+                            tc_graph)
 from wildcat import planner
 from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
                              plan_graph, lift_plan, execute, cat_filtration,
@@ -368,9 +370,117 @@ def test_verify_catches_corrupted_plan():
     g = k4()
     bad = corrupt_plan_swap_endpoints(plan_graph(g))
     report = verify_plan(bad, g, samples=500, continuity_samples=0)
-    section = next(c for c in report.checks if c.name == "section")
-    assert not section.passed
-    assert section.witness is not None
+    checks = {c.name: c for c in report.checks}
+    assert not checks["section"].passed
+    assert checks["section"].witness is not None
+    # a reversed answer is a well-formed path from the wrong source
+    assert checks["path-wellformed"].passed
+    assert checks["path-wellformed"].witness is None
+
+
+class _DropMiddleStep:
+    """Broken rule: the answer loses one middle step but keeps its exact
+    endpoints, built unchecked like every rule's answer."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def path_for(self, x, y):
+        path = self.inner.path_for(x, y)
+        steps = path.steps
+        if len(steps) < 3:
+            return path
+        mid = len(steps) // 2
+        return PLPath._trusted(path.graph, steps[:mid] + steps[mid + 1:], path.source)
+
+    def piece_id(self, x, y):
+        return self.inner.piece_id(x, y)
+
+
+def _drop_middle_steps(plan):
+    return MotionPlan(plan.graph, plan.strata, tuple(_DropMiddleStep(r) for r in plan.rules))
+
+
+def test_path_wellformed_fails_when_a_step_is_dropped():
+    for g in (cycle_graph(8), k4(), random_cycle_with_hairs(random.Random(3), 8, 20)):
+        report = verify_plan(_drop_middle_steps(plan_graph(g)), g, samples=300)
+        checks = {c.name: c for c in report.checks}
+        wellformed = checks["path-wellformed"]
+        assert not wellformed.passed and not report.passed
+        assert wellformed.witness.startswith("(") and "discontinuous" in wellformed.detail
+        # the broken answers keep exact endpoints: only this check sees them
+        assert checks["section"].passed
+        intact = verify_plan(plan_graph(g), g, samples=300)
+        assert next(c for c in intact.checks if c.name == "path-wellformed").passed
+
+
+def test_execute_rejects_a_malformed_answer():
+    g = cycle_graph(8)
+    x, y = Vertex("v0"), Vertex("v4")
+    plan = _drop_middle_steps(plan_graph(g))
+    j = plan.stratum_index(x, y)
+    broken = plan.rules[j].path_for(x, y)
+    assert len(broken.steps) == 3
+    assert broken.endpoint0 == x and broken.endpoint1 == y
+    with pytest.raises(GraphError, match="discontinuous"):
+        execute(plan, x, y)
+    assert len(execute(plan_graph(g), x, y)[1].steps) == 4
+
+
+def test_repeated_lifted_queries_share_whole_edge_steps(monkeypatch):
+    rng = random.Random(4160)
+    g = random_cycle_with_hairs(rng, 160, 1440)
+    hairs = [e.id for e in g.edges if e.id.startswith("h")]
+    plan = plan_graph(g)
+    # a long answer: two hair points, their answer crossing many cycle edges
+    x, y, path = None, None, None
+    while path is None or len(path.steps) < 60:
+        x = EdgeInterior(rng.choice(hairs), Fraction(1, 3))
+        y = EdgeInterior(rng.choice(hairs), Fraction(2, 3))
+        path = execute(plan, x, y)[1]
+    x2 = EdgeInterior(x.edge, Fraction(3, 7))
+    y2 = EdgeInterior(y.edge, Fraction(5, 7))
+    built = [0]
+    original = PathStep.__post_init__
+
+    def counting(step):
+        built[0] += 1
+        original(step)
+
+    monkeypatch.setattr(PathStep, "__post_init__", counting)
+    fresh = execute(plan_graph(g), x2, y2)[1]
+    assert built[0] >= len(fresh.steps)   # a new plan makes every step
+    built[0] = 0
+    again = execute(plan, x2, y2)[1]
+    assert built[0] <= 4                  # only its partial end steps
+    assert again.steps == fresh.steps and len(again.steps) >= 60
+
+
+def test_benchmark_patch_targets_exist():
+    # the benchmark's traced runs patch these names; a renamed method fails here
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    names = ("gen", "oracles", "spans", "workloads")
+    saved = {n: sys.modules.pop(n) for n in names if n in sys.modules}
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+
+        class Tracer:
+            patched = []
+
+            def patch(self, owner, attr, name, count=None):
+                assert hasattr(owner, attr), (owner, attr)
+                self.patched.append(attr)
+
+        workloads.layer_patches(Tracer())
+    finally:
+        sys.path.remove(bench)
+        for n in names:
+            sys.modules.pop(n, None)
+        sys.modules.update(saved)
+    for attr in ("route_steps", "slide", "path_for", "stratum_index", "deforest",
+                 "vertex_distances"):
+        assert attr in Tracer.patched
 
 
 def test_verify_hair_and_theta():
