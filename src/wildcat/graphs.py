@@ -82,7 +82,8 @@ class EdgeInterior:
     def __post_init__(self):
         t = self.t if isinstance(self.t, Fraction) else Fraction(self.t)
         object.__setattr__(self, "t", t)
-        if not 0 < t < 1:
+        # a Fraction's denominator is positive, so this is 0 < t < 1 in ints
+        if not 0 < t.numerator < t.denominator:
             raise GraphError(f"interior parameter must lie strictly in (0,1), got {t}")
 
 
@@ -95,7 +96,9 @@ class MultiGraph:
     ``vertices`` and ``edges`` keep declaration order; all deterministic
     tie-breaking elsewhere is by smallest identifier.  The all-pairs vertex
     distance table is computed on first use and cached (write-once,
-    deterministic).
+    deterministic); it serves ``point_dist`` and the sup printed for a
+    continuity witness of ``verify_plan``, whose verdicts read bounded
+    distances only.
     """
 
     __slots__ = ("vertices", "edges", "edge_by_id", "incident", "degree",
@@ -420,7 +423,9 @@ class PathStep:
         b = self.b if isinstance(self.b, Fraction) else Fraction(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if not (0 <= a <= 1 and 0 <= b <= 1):
+        # 0 <= a <= 1 and 0 <= b <= 1, in ints: denominators are positive
+        if not (0 <= a.numerator <= a.denominator
+                and 0 <= b.numerator <= b.denominator):
             raise GraphError(f"step parameters must lie in [0,1], got {a}..{b}")
 
 

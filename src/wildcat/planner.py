@@ -14,6 +14,7 @@ filtration combinator witnesses the additivity of category under products.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .graphs import (GraphError, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      PLPath, PathStep, CollapseHomotopy, TreeRouter, betti1,
@@ -565,19 +566,41 @@ def _fmt_pair(x, y) -> str:
 
 
 def _float_point(p: GraphPoint):
+    """A vertex as (None, name), an edge point as (edge id, float t): no
+    edge id is None, so a vertex never reads as a point of an edge."""
     if isinstance(p, Vertex):
-        return ("v", p.v)
+        return (None, p.v)
     return (p.edge, float(p.t))
 
 
 def _float_samples(path: PLPath, times):
-    """Float positions of a path at the given ascending times in [0,1]."""
+    """Float positions of a path at the given ascending times in [0,1].
+
+    One walk over the steps keeps the exact arclength at the start of each
+    step as an integer numerator over a running denominator.  A whole-edge
+    step, told by identity as in ``PLPath.check``, adds the denominator;
+    only a partial step reads its parameters' numerators and denominators.
+    Int true division rounds correctly, as ``float(Fraction)`` does, so
+    every bound is the float of the exact arclength.
+    """
     steps = path.steps
-    if not steps or path.length == 0:
-        pt = _float_point(path.endpoint0)
-        return [pt] * len(times)
-    total = float(path.length)
-    bounds = [float(c) for c in path._arclengths()]
+    num, den = 0, 1
+    bounds = []
+    for st in steps:
+        bounds.append(num / den)
+        a, b = st.a, st.b
+        if (a is _ZERO and b is _ONE) or (a is _ONE and b is _ZERO):
+            num += den
+            continue
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        n = abs(bn * ad - an * bd)
+        d = ad * bd
+        c = gcd(den, d)
+        num = num * (d // c) + n * (den // c)
+        den = den // c * d
+    if num == 0:
+        return [_float_point(path.endpoint0)] * len(times)
+    total = num / den
     out = []
     i = 0
     last = len(steps) - 1
@@ -586,9 +609,15 @@ def _float_samples(path: PLPath, times):
         while i < last and s > bounds[i + 1]:
             i += 1
         st = steps[i]
-        a, b = float(st.a), float(st.b)
+        a, b = st.a, st.b
         local = s - bounds[i]
-        pos = a + (local if b > a else -local)
+        if a is _ZERO and b is _ONE:
+            pos = 0.0 + local
+        elif a is _ONE and b is _ZERO:
+            pos = 1.0 - local
+        else:
+            fa, fb = a.numerator / a.denominator, b.numerator / b.denominator
+            pos = fa + (local if fb > fa else -local)
         out.append((st.edge, pos))
     return out
 
@@ -596,18 +625,18 @@ def _float_samples(path: PLPath, times):
 def _float_dist(g: MultiGraph, dist, fp, fq) -> float:
     if fp == fq:
         return 0.0
-    if fp[0] == "v":
+    if fp[0] is None:
         ends_p = ((fp[1], 0.0),)
     else:
         e = g.edge_by_id[fp[0]]
         ends_p = ((e.v0, fp[1]), (e.v1, 1.0 - fp[1]))
-    if fq[0] == "v":
+    if fq[0] is None:
         ends_q = ((fq[1], 0.0),)
     else:
         e = g.edge_by_id[fq[0]]
         ends_q = ((e.v0, fq[1]), (e.v1, 1.0 - fq[1]))
     best = None
-    if fp[0] != "v" and fq[0] != "v" and fp[0] == fq[0]:
+    if fp[0] is not None and fp[0] == fq[0]:
         best = abs(fp[1] - fq[1])
     for a, da in ends_p:
         row = dist[a]
@@ -619,6 +648,35 @@ def _float_dist(g: MultiGraph, dist, fp, fq) -> float:
             if best is None or cand < best:
                 best = cand
     return best if best is not None else float("inf")
+
+
+class _NearRows(dict):
+    """Vertex distances up to ``radius``, read as ``rows[a][b]`` like the
+    all-pairs table: the row of a source is made by a BFS bounded at the
+    radius on first read, and kept."""
+
+    def __init__(self, g: MultiGraph, radius: int):
+        super().__init__()
+        self.graph = g
+        self.radius = radius
+
+    def __missing__(self, src):
+        g = self.graph
+        row = {src: 0}
+        frontier = [src]
+        for d in range(1, self.radius + 1):
+            nxt = []
+            for u in frontier:
+                for eid in g.incident[u]:
+                    w = g.edge_by_id[eid].other(u)
+                    if w not in row:
+                        row[w] = d
+                        nxt.append(w)
+            if not nxt:
+                break
+            frontier = nxt
+        self[src] = row
+        return row
 
 
 def _malformed(path: PLPath):
@@ -670,7 +728,11 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
     (d) continuity: for perturbed query pairs in the same stratum difference
         and the same separated piece at path-metric distance < delta, the
         uniform distance between the two answer paths over 32 time samples
-        is <= eps (floating point is used only here);
+        is <= eps.  Floating point is used only in this sampling.  The
+        verdict reads vertex distances only up to floor(eps), from BFS rows
+        bounded at that radius; the all-pairs table is built only to print
+        the sup of the first failing pair, the witness.  Later pairs are
+        still built, checked and counted, but not sampled;
     (e) path-wellformed: every answer the rules give, to the sampled
         queries and to the perturbed ones, passes ``PLPath.check``.  Rules
         build their answers unchecked, so this is where a plan's paths are
@@ -770,10 +832,14 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
     times = [k / (TIME_SAMPLES - 1) for k in range(TIME_SAMPLES)]
     eps_f = float(eps) + 1e-9
     half = delta / 2
+    # A distance term through two vertices at distance D >= floor(eps_f) + 1
+    # exceeds eps_f, and float sums of non-negative terms are monotone, so
+    # rows bounded at that radius give every sample the same verdict as the
+    # full table.  The full table is built only to print a witness's sup.
+    near = _NearRows(g, int(eps_f))
     cont_witness = None
     compared = 0
     skipped = 0
-    dist = None  # the distance table, built at the first compared pair
     for x, y, j1, path1 in answered:
         x2 = _nudge(rng, x, half)
         y2 = _nudge(rng, y, half)
@@ -794,17 +860,13 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         if reason is not None:
             malformed = malformed or (_fmt_pair(x2, y2), reason)
             continue
-        pts1 = _float_samples(path1, times)
-        pts2 = _float_samples(path2, times)
-        if dist is None:
-            dist = vertex_distances(g)
-        sup = 0.0
-        for a, b in zip(pts1, pts2):
-            d = _float_dist(g, dist, a, b)
-            if d > sup:
-                sup = d
         compared += 1
-        if sup > eps_f and cont_witness is None:
+        if cont_witness is not None:
+            continue
+        pairs = list(zip(_float_samples(path1, times), _float_samples(path2, times)))
+        if any(_float_dist(g, near, a, b) > eps_f for a, b in pairs):
+            dist = vertex_distances(g)
+            sup = max(_float_dist(g, dist, a, b) for a, b in pairs)
             cont_witness = f"{_fmt_pair(x, y)} vs {_fmt_pair(x2, y2)}: sup {sup:.4f}"
     checks.append(CheckResult(
         "continuity", cont_witness is None,

@@ -56,6 +56,30 @@ def test_point_canonical_form():
         EdgeInterior("e0", Fraction(3, 2))
 
 
+@pytest.mark.parametrize("t", [0, 1, Fraction(-1, 3), Fraction(4, 3),
+                               1 + Fraction(1, 10 ** 30)])
+def test_edge_interior_rejects_parameters_outside_the_open_interval(t):
+    with pytest.raises(GraphError, match="strictly in"):
+        EdgeInterior("e0", t)
+
+
+def test_edge_interior_accepts_a_parameter_just_above_zero():
+    assert EdgeInterior("e0", Fraction(1, 10 ** 30)).t == Fraction(1, 10 ** 30)
+
+
+@pytest.mark.parametrize("a,b", [(Fraction(-1, 7), 0), (0, Fraction(-1, 7)),
+                                 (Fraction(8, 7), 1), (1, Fraction(8, 7))])
+def test_path_step_rejects_parameters_outside_the_closed_interval(a, b):
+    with pytest.raises(GraphError, match="must lie in"):
+        PathStep("e0", a, b)
+
+
+def test_path_step_accepts_the_closed_ends():
+    for a, b in ((0, 1), (1, 0), (0, 0), (1, 1)):
+        step = PathStep("e0", a, b)
+        assert (step.a, step.b) == (a, b)
+
+
 # --- betti1 -----------------------------------------------------------------
 
 def test_betti1_triangle():

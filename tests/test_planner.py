@@ -9,7 +9,6 @@ import pytest
 from wildcat.graphs import (GraphError, Vertex, EdgeInterior, PathStep, PLPath,
                             betti1, build_graph, deforest, spanning_forest,
                             tc_graph)
-from wildcat import planner
 from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
                              plan_graph, lift_plan, execute, cat_filtration,
                              product_cat_filtration, ProductRule,
@@ -343,19 +342,6 @@ def test_nudge_moves_below_the_default_grid():
         assert abs(q.t - p.t) <= shift
         moved += q != p
     assert moved >= 990
-
-
-def test_verify_builds_distances_only_for_compared_pairs(monkeypatch):
-    def refuse(g):
-        raise AssertionError("distance table built")
-
-    monkeypatch.setattr(planner, "vertex_distances", refuse)
-    g = k4()
-    plan = plan_graph(g)
-    assert verify_plan(plan, g, samples=0).passed
-    assert verify_plan(plan, g, samples=200, continuity_samples=0).passed
-    with pytest.raises(AssertionError, match="distance table"):
-        verify_plan(plan, g, samples=20)
 
 
 def test_verify_reports_strata_count_line():
