@@ -6,8 +6,9 @@ have exactly tc_graph(G) + 1 strata: one global tree rule for trees, the
 rotate/geodesic pair for a single cycle (lifted through deforestation when
 the graph has hairs), and the tree / one-coordinate-evacuated /
 two-coordinates-evacuated triple otherwise.  ``verify_plan`` checks
-closedness, nesting, coverage, the exact section property, sampled
-continuity and the well-formedness of every answer path; the product
+closedness, nesting, coverage, the exact section property, continuity
+(exact where two answers share one walk, sampled otherwise) and the
+well-formedness of every answer path; the product
 filtration combinator witnesses the additivity of category under products.
 """
 
@@ -622,6 +623,51 @@ def _float_samples(path: PLPath, times):
     return out
 
 
+def _rises(step: PathStep) -> bool:
+    """Whether a step runs towards v0 -> v1: a < b, compared in ints."""
+    a, b = step.a, step.b
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
+def _walk_bound(path1: PLPath, path2: PLPath):
+    """An exact bound on the distance between ``path1.at(t)`` and
+    ``path2.at(t)`` over every t in [0,1], or None when the steps show none.
+
+    Both paths must be well-formed.  One step each on one edge: the two
+    points are affine in t along that edge, so their distance is at most the
+    larger gap at t = 0 and t = 1.  n >= 2 steps each, with equal middle
+    steps, first steps sharing edge, end and direction, and last steps
+    sharing edge, start and direction: both paths are uniform-time
+    reparametrisations of sub-walks of one walk W, path i at W-position
+    o_i + t L_i.  Their walk distance |(o1 - o2) + t (L1 - L2)| is affine in
+    t, so it peaks at t = 0, where it is the gap between the first steps'
+    starts, or at t = 1, the gap between the last steps' ends; and graph
+    distance is at most walk distance.
+    """
+    steps1, steps2 = path1.steps, path2.steps
+    n = len(steps1)
+    if n != len(steps2) or n == 0:
+        return None
+    f1, f2 = steps1[0], steps2[0]
+    if f1.edge != f2.edge:
+        return None
+    l1, l2 = steps1[-1], steps2[-1]
+    # a step of a multi-step path is not degenerate, so _rises is its
+    # direction
+    if n > 1 and (f1.b != f2.b or _rises(f1) != _rises(f2)
+                  or l1.edge != l2.edge or l1.a != l2.a
+                  or _rises(l1) != _rises(l2)
+                  or steps1[1:-1] != steps2[1:-1]):
+        return None
+    # |a1 - a2| and |b1 - b2| as integer pairs; the larger becomes the bound
+    a1, a2, b1, b2 = f1.a, f2.a, l1.b, l2.b
+    an = abs(a1.numerator * a2.denominator - a2.numerator * a1.denominator)
+    ad = a1.denominator * a2.denominator
+    bn = abs(b1.numerator * b2.denominator - b2.numerator * b1.denominator)
+    bd = b1.denominator * b2.denominator
+    return Fraction(an, ad) if an * bd >= bn * ad else Fraction(bn, bd)
+
+
 def _float_dist(g: MultiGraph, dist, fp, fq) -> float:
     if fp == fq:
         return 0.0
@@ -706,10 +752,13 @@ def _nudge(rng, p: GraphPoint, max_shift: Fraction) -> GraphPoint:
         grid *= max_shift.denominator
     span = max_shift.numerator * (grid // max_shift.denominator)
     j = rng.randrange(-span, span + 1)
-    t = p.t + Fraction(j, grid)
-    lo = Fraction(1, grid)
-    t = max(lo, min(1 - lo, t))
-    return EdgeInterior(p.edge, t)
+    t = p.t
+    if grid % t.denominator:
+        lo = Fraction(1, grid)
+        return EdgeInterior(p.edge, max(lo, min(1 - lo, t + Fraction(j, grid))))
+    # t is on the grid (every sampled point is): shift and clamp in ints
+    k = t.numerator * (grid // t.denominator) + j
+    return EdgeInterior(p.edge, Fraction(max(1, min(grid - 1, k)), grid))
 
 
 def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
@@ -727,12 +776,17 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         on ``samples`` seeded random queries;
     (d) continuity: for perturbed query pairs in the same stratum difference
         and the same separated piece at path-metric distance < delta, the
-        uniform distance between the two answer paths over 32 time samples
-        is <= eps.  Floating point is used only in this sampling.  The
-        verdict reads vertex distances only up to floor(eps), from BFS rows
-        bounded at that radius; the all-pairs table is built only to print
-        the sup of the first failing pair, the witness.  Later pairs are
-        still built, checked and counted, but not sampled;
+        uniform distance between the two answer paths is <= eps.  A pair is
+        decided exactly when the two answers walk one shared walk (equal
+        middle steps, first and last steps on shared edges in shared
+        directions): then the distance over every t is at most the larger
+        of the gaps at t = 0 and t = 1, an exact bound compared with eps.
+        Only a pair this bound does not decide is sampled in floating point,
+        over 32 time samples; that verdict reads vertex distances only up to
+        floor(eps), from BFS rows bounded at that radius, and the all-pairs
+        table is built only to print the sup of the first failing pair, the
+        witness.  Later pairs are still built, checked and counted, but not
+        compared;
     (e) path-wellformed: every answer the rules give, to the sampled
         queries and to the perturbed ones, passes ``PLPath.check``.  Rules
         build their answers unchecked, so this is where a plan's paths are
@@ -830,7 +884,10 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         section_witness))
 
     times = [k / (TIME_SAMPLES - 1) for k in range(TIME_SAMPLES)]
-    eps_f = float(eps) + 1e-9
+    # Every point of g lies within 1/2 of a vertex and vertex distances are
+    # below V, so every point distance is below V + E: a larger eps gives
+    # the same verdicts, and the cap keeps the float and the radius finite.
+    eps_f = float(min(eps, len(g.vertices) + len(g.edges))) + 1e-9
     half = delta / 2
     # A distance term through two vertices at distance D >= floor(eps_f) + 1
     # exceeds eps_f, and float sums of non-negative terms are monotone, so
@@ -862,6 +919,15 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
             continue
         compared += 1
         if cont_witness is not None:
+            continue
+        # An exact walk bound <= eps holds at every t in [0,1].  The float
+        # positions sampled below are off the exact ones by about 1e-13, far
+        # inside the 1e-9 margin of eps_f, and the rows bounded at radius
+        # floor(eps_f) hold every vertex distance <= eps; so sampling would
+        # pass this pair too, and skipping it changes no verdict, count or
+        # witness.
+        bound = _walk_bound(path1, path2)
+        if bound is not None and bound <= eps:
             continue
         pairs = list(zip(_float_samples(path1, times), _float_samples(path2, times)))
         if any(_float_dist(g, near, a, b) > eps_f for a, b in pairs):

@@ -5,17 +5,34 @@ for differential tests only.
 and converts it to floats entry by entry; ``float_dist`` reads the
 all-pairs vertex distance table; ``continuity_check`` replays the seeded
 queries of ``verify_plan`` and compares every perturbed pair over all 32
-time samples on that table.  Its ``CheckResult`` and witness are what the
+time samples on that table; ``nudge`` perturbs a query point with Fraction
+arithmetic and comparisons.  Its ``CheckResult`` and witness are what the
 verifier reports, so ``wildcat.planner`` must give the same ones.  One
 change from the old code: a vertex sample is tagged None, as in
 ``wildcat.planner``, where the old tag "v" was also a valid edge id.
 """
 
 import random
+from fractions import Fraction
 
-from wildcat.graphs import PLPath, Vertex, vertex_distances
+from wildcat.graphs import EdgeInterior, PLPath, Vertex, vertex_distances
 from wildcat.planner import (CheckResult, TIME_SAMPLES, _fmt_pair, _malformed,
-                             _nudge, _random_point)
+                             _random_point)
+
+
+def nudge(rng, p, max_shift):
+    if isinstance(p, Vertex):
+        return p
+    grid = 1 << 22
+    if max_shift.denominator > grid:
+        # on the 2^-22 grid every shift below max_shift would round to 0
+        grid *= max_shift.denominator
+    span = max_shift.numerator * (grid // max_shift.denominator)
+    j = rng.randrange(-span, span + 1)
+    t = p.t + Fraction(j, grid)
+    lo = Fraction(1, grid)
+    t = max(lo, min(1 - lo, t))
+    return EdgeInterior(p.edge, t)
 
 
 def float_point(p):
@@ -101,8 +118,8 @@ def continuity_check(p, g, samples, delta, eps, seed=0, continuity_samples=None)
     skipped = 0
     dist = None
     for x, y, j1, path1 in answered:
-        x2 = _nudge(rng, x, half)
-        y2 = _nudge(rng, y, half)
+        x2 = nudge(rng, x, half)
+        y2 = nudge(rng, y, half)
         if isinstance(x, Vertex) and isinstance(y, Vertex):
             skipped += 1
             continue

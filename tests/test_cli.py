@@ -239,6 +239,14 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_eps_beyond_any_float(capsys):
+    # float(10^400) overflows; every point distance is below V + E, so the
+    # verdict is that of any eps that large
+    code, doc, _ = run_json(capsys, "verify", fixture("k4.space"), "--eps", "1e400")
+    assert code == 0
+    assert doc["verification"]["passed"] is True
+
+
 @pytest.mark.parametrize("arg", ["--delta=-1/1000", "--delta=1/0", "--eps=1/0",
                                  "--samples=-3"],
                          ids=["negative-delta", "zero-denominator-delta",
