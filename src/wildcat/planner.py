@@ -15,7 +15,7 @@ filtration combinator witnesses the additivity of category under products.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .graphs import (GraphError, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      PLPath, PathStep, CollapseHomotopy, TreeRouter, betti1,
@@ -752,13 +752,13 @@ def _nudge(rng, p: GraphPoint, max_shift: Fraction) -> GraphPoint:
         grid *= max_shift.denominator
     span = max_shift.numerator * (grid // max_shift.denominator)
     j = rng.randrange(-span, span + 1)
+    # shift by j/grid and clamp to [1/grid, 1 - 1/grid] in ints over the
+    # common denominator (just grid for every sampled point)
     t = p.t
-    if grid % t.denominator:
-        lo = Fraction(1, grid)
-        return EdgeInterior(p.edge, max(lo, min(1 - lo, t + Fraction(j, grid))))
-    # t is on the grid (every sampled point is): shift and clamp in ints
-    k = t.numerator * (grid // t.denominator) + j
-    return EdgeInterior(p.edge, Fraction(max(1, min(grid - 1, k)), grid))
+    den = lcm(grid, t.denominator)
+    step = den // grid
+    k = t.numerator * (den // t.denominator) + j * step
+    return EdgeInterior(p.edge, Fraction(max(step, min(den - step, k)), den))
 
 
 def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
@@ -786,7 +786,7 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         floor(eps), from BFS rows bounded at that radius, and the all-pairs
         table is built only to print the sup of the first failing pair, the
         witness.  Later pairs are still built, checked and counted, but not
-        compared;
+        bounded or sampled;
     (e) path-wellformed: every answer the rules give, to the sampled
         queries and to the perturbed ones, passes ``PLPath.check``.  Rules
         build their answers unchecked, so this is where a plan's paths are

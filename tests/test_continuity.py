@@ -352,8 +352,6 @@ def test_walk_bound_needs_one_shared_walk():
     down = path(("a1", Fraction(3, 4), half), ("a1", half, 1), ("a2", 0, half))
     assert _walk_bound(up, down) is None
     # last steps share edge and start but not direction
-    assert _walk_bound(path(("a0", half, 1), ("a1", 0, Fraction(1, 4))),
-                       path(("a0", half, 1), ("a1", 0, Fraction(1, 4)))) == 0
     fwd = path(("a0", half, 1), ("a1", 0, half), ("a1", half, Fraction(3, 4)))
     back = path(("a0", half, 1), ("a1", 0, half), ("a1", half, Fraction(1, 4)))
     assert _walk_bound(fwd, back) is None
