@@ -57,7 +57,8 @@ class SubArcCell:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if not 0 <= lo <= hi <= 1:
-            raise GraphError(f"sub-arc parameters must satisfy 0 <= lo <= hi <= 1")
+            raise GraphError(f"sub-arc of edge {self.edge!r} must satisfy "
+                             f"0 <= lo <= hi <= 1, got {lo}..{hi}")
 
 
 Cell = VertexCell | ClosedEdgeCell | OpenEdgeCell | SubArcCell

@@ -8,12 +8,18 @@ Both are quadratic or worse in graph size, but each is a direct
 transcription of its definition (collapse the smallest free vertex; follow
 the collapses in order), which makes them the oracle for
 ``wildcat.graphs.deforest`` and ``wildcat.graphs.CollapseHomotopy.slide``.
+
+``point_dist`` is the table-based distance that ``wildcat.graphs.point_dist``
+replaced: it builds the all-pairs vertex distance table and takes the best
+sum over the ends of both points.  ``path_at`` evaluates a path by scanning
+its steps in order, as ``PLPath.at`` did before it bisected the arclength
+table.
 """
 
 from fractions import Fraction
 
-from wildcat.graphs import (Collapse, EdgeInterior, PathStep, PLPath, Vertex,
-                            subgraph)
+from wildcat.graphs import (Collapse, EdgeInterior, GraphError, PathStep, PLPath,
+                            Vertex, subgraph, vertex_distances)
 
 
 def deforest_collapses(g):
@@ -60,3 +66,51 @@ def slide(g, collapses, p):
             steps.append(PathStep(c.edge, 1 - kp, kp))
             cur = Vertex(c.kept)
     return PLPath(g, steps, source=p)
+
+
+def _endpoint_offsets(g, p):
+    if isinstance(p, Vertex):
+        return ((p.v, Fraction(0)),)
+    e = g.edge_by_id[p.edge]
+    return ((e.v0, p.t), (e.v1, 1 - p.t))
+
+
+def point_dist(g, x, y):
+    """Exact path-metric distance, read from the all-pairs table."""
+    if x == y:
+        return Fraction(0)
+    dist = vertex_distances(g)
+    best = None
+    if isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior) and x.edge == y.edge:
+        best = abs(x.t - y.t)
+    for a, da in _endpoint_offsets(g, x):
+        row = dist[a]
+        for b, db in _endpoint_offsets(g, y):
+            if b in row:
+                cand = da + row[b] + db
+                if best is None or cand < best:
+                    best = cand
+    if best is None:
+        raise GraphError("points lie in different components")
+    return best
+
+
+def path_at(path, time):
+    """Exact position of ``path`` at ``time``, found by a linear scan."""
+    if time == 0:
+        return path.endpoint0
+    if time == 1:
+        return path.endpoint1
+    time = Fraction(time)
+    cum = [Fraction(0)]
+    for st in path.steps:
+        cum.append(cum[-1] + abs(st.b - st.a))
+    if cum[-1] == 0:
+        return path.endpoint0
+    s = time * cum[-1]
+    for i, st in enumerate(path.steps):
+        if s <= cum[i + 1]:
+            local = s - cum[i]
+            t = st.a + (local if st.b > st.a else -local)
+            return path.graph.point(st.edge, t)
+    return path.endpoint1

@@ -1,7 +1,7 @@
 """The continuity check of ``verify_plan`` against a test-only copy of the
-sampled check it replaces (``continuity_reference``), the exact walk bound
-that decides most pairs before any sampling, and plans whose only fault is a
-discontinuous rule."""
+float-sampled check it replaces (``continuity_reference``), the exact walk
+bound that decides most pairs before any sampling, and plans whose only
+fault is a discontinuous rule."""
 
 import random
 import re
@@ -12,15 +12,14 @@ import pytest
 from wildcat import graphs, planner
 from wildcat.graphs import (EdgeInterior, PathStep, PLPath, TreeRouter, Vertex,
                             build_graph, constant_path, point_dist)
-from wildcat.planner import (MotionPlan, TIME_SAMPLES, _float_samples, _nudge,
-                             _walk_bound, plan_circle, plan_graph, verify_plan)
+from wildcat.planner import (MotionPlan, _nudge, _sampled_sup, _walk_bound,
+                             plan_circle, plan_graph, verify_plan)
 
 import continuity_reference as ref
 from gen import (circle_with_hair, cycle_graph, k4, random_cycle_with_hairs,
                  random_tree, theta_graph)
 
 EPSILONS = (Fraction(1, 20), Fraction(1), Fraction(3, 2), Fraction(7, 2))
-TIMES = [k / (TIME_SAMPLES - 1) for k in range(TIME_SAMPLES)]
 
 
 def general_graph(rng, n_vertices, n_edges):
@@ -117,52 +116,6 @@ def _continuity(report):
     return next(c for c in report.checks if c.name == "continuity")
 
 
-# --- the sampler --------------------------------------------------------------
-
-def _random_point(rng, g):
-    """A vertex, or an edge point on the sampling grid or nudged off it."""
-    p = planner._random_point(rng, g)
-    if isinstance(p, EdgeInterior) and rng.random() < 0.5:
-        p = _nudge(rng, p, Fraction(1, 2000))
-    return p
-
-
-def _sample_paths(rng):
-    tree = random_tree(rng, 30)
-    router = TreeRouter(tree)
-    for _ in range(40):
-        yield router.route(_random_point(rng, tree), _random_point(rng, tree))
-    for g in (general_graph(rng, 30, 45), random_cycle_with_hairs(rng, 7, 20)):
-        p = plan_graph(g)
-        for _ in range(60):
-            x, y = _random_point(rng, g), _random_point(rng, g)
-            yield p.rules[p.stratum_index(x, y)].path_for(x, y)
-    cycle = cycle_graph(rng.randint(3, 9))
-    rotate, geodesic = plan_circle(cycle).rules
-    for _ in range(30):
-        x, y = _random_point(rng, cycle), _random_point(rng, cycle)
-        yield rotate.path_for(x, y)
-        yield geodesic.path_for(x, y)
-    e = tree.edges[0]
-    yield constant_path(tree, EdgeInterior(e.id, Fraction(1, 3)))
-    yield constant_path(tree, Vertex(e.v0))
-    # whole-edge steps whose parameters are not the shared 0 and 1
-    yield PLPath(tree, [(e.id, 0, 1), (e.id, 1, Fraction(1, 7))])
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_samples_match_reference(seed):
-    rng = random.Random(seed)
-    kinds = set()
-    for path in _sample_paths(rng):
-        partial = sum(not (s.a in (0, 1) and s.b in (0, 1)) for s in path.steps)
-        kinds.add(min(partial, 2) if path.steps else "none")
-        times = sorted([0.0, 1.0] + [rng.random() for _ in range(rng.randint(0, 6))])
-        for ts in (TIMES, times):
-            assert _float_samples(path, ts) == ref.float_samples(path, ts), path.steps
-    assert kinds == {"none", 0, 1, 2}
-
-
 # --- the check ----------------------------------------------------------------
 
 @pytest.mark.parametrize("eps", EPSILONS, ids=str)
@@ -192,27 +145,21 @@ def test_continuity_alone_catches_a_whisker(eps):
         assert check == ref.continuity_check(plan, g, 300, planner.DEFAULT_DELTA, eps)
 
 
-def test_verify_builds_the_distance_table_only_for_a_witness(monkeypatch):
+def test_verify_never_builds_the_distance_table(monkeypatch):
     def refuse(g):
         raise AssertionError("distance table built")
 
+    monkeypatch.setattr(graphs, "vertex_distances", refuse)
     monkeypatch.setattr(planner, "vertex_distances", refuse)
     for g in (k4(), circle_with_hair(), theta_graph()):
         assert verify_plan(plan_graph(g), g, samples=2000).passed
     g = general_graph(random.Random(1600), 1600, 2399)
     assert verify_plan(plan_graph(g), g, samples=200).passed
-
-    built = []
-
-    def count(g):
-        built.append(g)
-        return graphs.vertex_distances(g)
-
-    monkeypatch.setattr(planner, "vertex_distances", count)
+    report = verify_plan(whisker_plan(plan_graph(g)), g, samples=200)
+    assert not _continuity(report).passed
     g = general_graph(random.Random(5), 40, 55)
     report = verify_plan(whisker_plan(plan_graph(g)), g, samples=300)
     assert not _continuity(report).passed
-    assert built == [g]
 
 
 def test_an_edge_named_v_is_not_read_as_a_vertex():
@@ -222,8 +169,6 @@ def test_an_edge_named_v_is_not_read_as_a_vertex():
     g = build_graph(["a", "b"], [("v", "a", "b"), ("e1", "a", "b"), ("e2", "a", "b")])
     report = verify_plan(plan_graph(g), g, samples=300)
     assert report.passed, report.checks
-    assert _float_samples(PLPath(g, [("v", 0, Fraction(1, 2))]), [0.0, 1.0]) \
-        == [("v", 0.0), ("v", 0.5)]
 
 
 def test_continuity_alone_catches_a_parallel_step():
@@ -242,10 +187,10 @@ def test_continuity_alone_catches_a_parallel_step():
 def test_real_plans_are_decided_without_sampling(monkeypatch):
     # a count guard: on real plans the exact walk bound decides every
     # compared pair, and only the broken plans reach the sampler
-    def refuse(path, times):
+    def refuse(g, path1, path2, eps):
         raise AssertionError("continuity sampled")
 
-    monkeypatch.setattr(planner, "_float_samples", refuse)
+    monkeypatch.setattr(planner, "_sampled_sup", refuse)
     rng = random.Random(11)
     for g in (k4(), circle_with_hair(), theta_graph(), general_graph(rng, 40, 55),
               random_cycle_with_hairs(rng, 9, 30), random_tree(rng, 40)):
@@ -255,11 +200,11 @@ def test_real_plans_are_decided_without_sampling(monkeypatch):
 
     sampled = []
 
-    def count(path, times):
-        sampled.append(path)
-        return _float_samples(path, times)
+    def count(g, path1, path2, eps):
+        sampled.append(path1)
+        return _sampled_sup(g, path1, path2, eps)
 
-    monkeypatch.setattr(planner, "_float_samples", count)
+    monkeypatch.setattr(planner, "_sampled_sup", count)
     for g, plan in ((general_graph(rng, 40, 55), whisker_plan),
                     (doubled_path(8), parallel_plan)):
         assert not _continuity(verify_plan(plan(plan_graph(g)), g, samples=300)).passed
@@ -268,6 +213,14 @@ def test_real_plans_are_decided_without_sampling(monkeypatch):
 
 
 # --- the walk bound -----------------------------------------------------------
+
+def _random_point(rng, g):
+    """A vertex, or an edge point on the sampling grid or nudged off it."""
+    p = planner._random_point(rng, g)
+    if isinstance(p, EdgeInterior) and rng.random() < 0.5:
+        p = _nudge(rng, p, Fraction(1, 2000))
+    return p
+
 
 def _antipode(rule, x):
     """The partner of x in the stratum of a (lifted) rotate rule."""

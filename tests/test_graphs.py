@@ -10,10 +10,11 @@ from wildcat.graphs import (GraphError, Vertex, EdgeInterior, build_graph,
                             cat_graph, tc_graph, PLPath, PathStep, Collapse,
                             CollapseHomotopy)
 
+import graph_reference
 from gen import (point_graph, path_graph, cycle_graph, loop_graph, theta_graph,
                  figure_eight, circle_with_hair, k4, random_connected_graph,
-                 random_cycle_with_hairs, random_point, cycle_space_rank,
-                 bfs_vertex_distance)
+                 random_cycle_with_hairs, random_point, random_tree,
+                 cycle_space_rank, bfs_vertex_distance)
 
 
 # --- build_graph ------------------------------------------------------------
@@ -349,6 +350,26 @@ def test_plpath_exact_arclength_eval():
     assert path.at(Fraction(2, 3)) == EdgeInterior("e1", Fraction(1, 2))
 
 
+def test_plpath_at_matches_linear_scan_reference():
+    rng = random.Random(11)
+    breakpoints = 0
+    for _ in range(30):
+        tree = random_tree(rng, rng.randint(1, 25))
+        router = TreeRouter(tree)
+        for _ in range(10):
+            path = router.route(random_point(rng, tree), random_point(rng, tree))
+            times = {Fraction(k, 31) for k in range(32)}
+            times.update(Fraction(rng.randrange(1, 1000), 1000) for _ in range(8))
+            if path.length:
+                # each step boundary, where the scan picks the earlier step
+                cum = path._arclengths()
+                times.update(c / path.length for c in cum)
+                breakpoints += len(cum)
+            for t in sorted(times):
+                assert path.at(t) == graph_reference.path_at(path, t), (path.steps, t)
+    assert breakpoints > 500
+
+
 # --- distances ----------------------------------------------------------------
 
 def test_point_dist_same_edge_and_loop():
@@ -365,6 +386,93 @@ def test_point_dist_across_vertices():
     g = path_graph(3)
     assert point_dist(g, Vertex("v0"), Vertex("v2")) == 2
     assert point_dist(g, EdgeInterior("e0", Fraction(1, 2)), Vertex("v2")) == Fraction(3, 2)
+
+
+def test_point_dist_rejects_points_off_the_graph():
+    g = path_graph(3)
+    on = EdgeInterior("e0", Fraction(1, 2))
+    for x, y in ((Vertex("nope"), on),                           # vertex as x
+                 (EdgeInterior("nope", Fraction(1, 2)), on),      # edge as x
+                 (on, Vertex("nope")),                            # vertex as y
+                 (on, EdgeInterior("nope", Fraction(1, 2))),      # edge as y
+                 (Vertex("nope"), Vertex("nope"))):               # equal points
+        with pytest.raises(GraphError, match="point not on the graph"):
+            point_dist(g, x, y)
+    two = build_graph(["a", "b"], [])
+    with pytest.raises(GraphError, match="different components"):
+        point_dist(two, Vertex("a"), Vertex("b"))
+
+
+def _two_component_graph(rng):
+    """Two random components, with loops and parallel edges, in one graph;
+    the second may be a single vertex."""
+    vs, es = [], []
+    for tag in "pq":
+        g = random_connected_graph(rng, max_vertices=7)
+        vs += [tag + v for v in g.vertices]
+        es += [(tag + e.id, tag + e.v0, tag + e.v1) for e in g.edges]
+    return build_graph(vs, es)
+
+
+def _distance_graphs(rng):
+    for _ in range(40):
+        yield random_connected_graph(rng)
+    for _ in range(20):
+        yield random_cycle_with_hairs(rng, rng.randint(1, 6), rng.randint(0, 8))
+    for _ in range(40):
+        yield _two_component_graph(rng)
+
+
+def _nx_point_dist(g, x, y):
+    """Distance by networkx Dijkstra on g with x and y inserted as nodes
+    that split their edges."""
+    nx = pytest.importorskip("networkx")
+    h = nx.MultiGraph()
+    h.add_nodes_from(g.vertices)
+    split = {}
+    for name, p in (("x", x), ("y", y)):
+        if isinstance(p, EdgeInterior):
+            split.setdefault(p.edge, []).append((p.t, ("pt", name)))
+    for e in g.edges:
+        cuts = sorted(split.get(e.id, []))
+        prev, at = e.v0, Fraction(0)
+        for t, node in cuts:
+            h.add_edge(prev, node, weight=t - at)
+            prev, at = node, t
+        h.add_edge(prev, e.v1, weight=1 - at)
+    ends = [p.v if isinstance(p, Vertex) else ("pt", name)
+            for name, p in (("x", x), ("y", y))]
+    try:
+        return nx.shortest_path_length(h, ends[0], ends[1], weight="weight")
+    except nx.NetworkXNoPath:
+        return None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_point_dist_matches_table_reference_and_networkx(seed):
+    rng = random.Random(seed)
+    apart = shared_edge = on_loop = 0
+    for g in _distance_graphs(rng):
+        for _ in range(12):
+            x = random_point(rng, g)
+            y = random_point(rng, g) if rng.random() < 0.8 else \
+                EdgeInterior(x.edge, Fraction(rng.randrange(1, 64), 64)) \
+                if isinstance(x, EdgeInterior) else x
+            want = _nx_point_dist(g, x, y)
+            if want is None:
+                apart += 1
+                for dist in (point_dist, graph_reference.point_dist):
+                    with pytest.raises(GraphError, match="different components"):
+                        dist(g, x, y)
+                continue
+            got = point_dist(g, x, y)
+            assert got == graph_reference.point_dist(g, x, y) == want, (g.edges, x, y)
+            assert isinstance(got, Fraction)
+            shared_edge += isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior) \
+                and x.edge == y.edge
+            on_loop += any(isinstance(p, EdgeInterior) and g.edge_by_id[p.edge].is_loop
+                           for p in (x, y))
+    assert apart > 50 and shared_edge > 20 and on_loop > 20
 
 
 # --- cat / tc -----------------------------------------------------------------

@@ -16,8 +16,9 @@ import path_reference as ref
 from gen import (random_connected_graph, random_cycle_with_hairs, random_point,
                  random_tree)
 from wildcat.graphs import (EdgeInterior, GraphError, PLPath, TreeRouter, Vertex,
-                            build_graph, subgraph, spanning_forest)
-from wildcat.planner import CycleCoords, EdgeEvacuateRule, LiftedRule, execute, plan_graph
+                            build_graph, point_dist, subgraph, spanning_forest)
+from wildcat.planner import (CycleCoords, EdgeEvacuateRule, LiftedRule, TreeRule, execute,
+                             plan_circle, plan_graph)
 
 TIMES = [Fraction(k, 5) for k in range(6)] + [Fraction(1, 3)]
 
@@ -167,3 +168,72 @@ def test_evacuation_answers_match_validated_reference():
                 want = ref.evacuate_path(g, evac.tree_edges, oracle, x, y)
             _assert_same_path(path, want)
         checked += 1
+
+
+# --- lengths against point_dist ------------------------------------------------
+
+def test_tree_answers_are_exactly_point_dist_long():
+    rng = random.Random(7201)
+    for _ in range(12):
+        g = random_tree(rng, rng.randint(1, 30))
+        rule = plan_graph(g).rules[0]
+        assert isinstance(rule, TreeRule)
+        for _ in range(30):
+            x, y = random_point(rng, g), random_point(rng, g)
+            path = rule.path_for(x, y)
+            assert path.length == point_dist(g, path.endpoint0, path.endpoint1) \
+                == point_dist(g, x, y)
+
+
+def test_bare_cycle_geodesics_are_cycle_distance_long():
+    rng = random.Random(7202)
+    checked = 0
+    for n in [1, 2, 3] + [rng.randint(4, 16) for _ in range(8)]:
+        g = _random_cycle(rng, n)
+        plan = plan_circle(g)
+        cyc = plan.rules[0].cycle
+        for _ in range(30):
+            x, y = random_point(rng, g), random_point(rng, g)
+            if plan.stratum_index(x, y) != 1:
+                continue
+            d = abs(cyc.coord(x) - cyc.coord(y))
+            path = plan.rules[1].path_for(x, y)
+            assert path.length == min(d, cyc.length - d) == point_dist(g, x, y)
+            checked += 1
+    assert checked > 200
+
+
+def _antipode(plan, x):
+    """A point y with (x, y) in the rotate stratum of a (lifted) cycle plan."""
+    rule = plan.rules[0]
+    if isinstance(rule, LiftedRule):
+        x, cyc = rule.homotopy.retract(x), rule.inner.cycle
+    else:
+        cyc = rule.cycle
+    return cyc.point_at(cyc.coord(x) + cyc.length / 2)
+
+
+def test_no_answer_is_shorter_than_point_dist():
+    rng = random.Random(7203)
+    kinds = set()
+    for _ in range(6):
+        plans = [plan_graph(random_tree(rng, 20)),
+                 plan_graph(random_connected_graph(rng)),
+                 plan_graph(random_cycle_with_hairs(rng, rng.randint(1, 8), 10)),
+                 plan_circle(_random_cycle(rng, rng.randint(1, 9)))]
+        for plan in plans:
+            g = plan.graph
+            cyclic = not isinstance(plan.rules[0], TreeRule)
+            for _ in range(40):
+                x = random_point(rng, g)
+                y = _antipode(plan, x) if cyclic and rng.random() < 0.3 \
+                    else random_point(rng, g)
+                j, path = execute(plan, x, y)
+                rule = plan.rules[j]
+                inner = getattr(rule, "inner", None)
+                kinds.add((type(rule).__name__, inner and type(inner).__name__, j))
+                assert path.length >= point_dist(g, x, y), (g.edges, x, y, j)
+    assert kinds >= {("TreeRule", None, 0), ("EdgeEvacuateRule", None, 1),
+                     ("EdgeEvacuateRule", None, 2), ("LiftedRule", "CycleRotateRule", 0),
+                     ("LiftedRule", "CycleGeodesicRule", 1), ("CycleRotateRule", None, 0),
+                     ("CycleGeodesicRule", None, 1)}

@@ -40,8 +40,10 @@ def test_subarc_cell():
     assert not u.contains(EdgeInterior("e0", Fraction(3, 4)))
     assert not u.contains(Vertex("v1"))
     assert u.is_closed()
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"sub-arc of edge 'e0' .* got 3/4\.\.1/4"):
         SubArcCell("e0", Fraction(3, 4), Fraction(1, 4))
+    with pytest.raises(GraphError, match=r"sub-arc of edge 'e1' .* got -1/2\.\.1"):
+        SubArcCell("e1", Fraction(-1, 2), 1)
 
 
 def _random_cell(rng, g):
