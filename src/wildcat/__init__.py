@@ -19,8 +19,8 @@ from .regions import (VertexCell, ClosedEdgeCell, OpenEdgeCell, SubArcCell,
 from .planner import (PlanError, CycleCoords, MotionPlan, plan_tree,
                       plan_circle, plan_graph, lift_plan, execute,
                       GraphFiltration, cat_filtration, ProductFiltration,
-                      product_cat_filtration, PairPath, ProductRule,
-                      corrupt_plan_swap_endpoints, verify_plan, VerifyReport)
+                      product_cat_filtration, corrupt_plan_swap_endpoints,
+                      verify_plan, VerifyReport)
 from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
                    Subcomplex, SeqFamily, Attachment, Node, SelfWild,
                    ZeroDimWild, SpaceExpr, graph_expr, Analysis, analyze,

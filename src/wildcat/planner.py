@@ -24,7 +24,8 @@ from .graphs import (GraphError, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      concat_paths, tc_graph, point_dist, vertex_distances,
                      _ONE, _ZERO, _whole_step)
 from .regions import (Region, Box, Shift, RetractPreimage, CellUnion,
-                      whole_graph_cells, VertexCell, ClosedEdgeCell)
+                      whole_graph_cells, VertexCell, ClosedEdgeCell,
+                      filtration_witnesses)
 
 __all__ = [
     "PlanError",
@@ -34,8 +35,6 @@ __all__ = [
     "CycleGeodesicRule",
     "EdgeEvacuateRule",
     "LiftedRule",
-    "PairPath",
-    "ProductRule",
     "MotionPlan",
     "plan_tree",
     "plan_circle",
@@ -73,7 +72,7 @@ class CycleCoords:
     """
 
     __slots__ = ("graph", "length", "steps", "_edge_slot", "_vertex_at",
-                 "_vertex_coord", "_whole")
+                 "_vertex_coord", "_vertex_slot", "_whole")
 
     def __init__(self, g: MultiGraph):
         if g.n_components != 1 or betti1(g) != 1:
@@ -101,6 +100,7 @@ class CycleCoords:
         self._edge_slot = {e.id: (i, fwd) for i, (e, fwd) in enumerate(steps)}
         self._vertex_at = vertex_at
         self._vertex_coord = {v: Fraction(i) for i, v in vertex_at.items()}
+        self._vertex_slot = {v: (i, 1) for i, v in vertex_at.items()}
         self._whole = {}
 
     def coord(self, p: GraphPoint):
@@ -112,6 +112,19 @@ class CycleCoords:
             return None
         i, fwd = slot
         return i + (p.t if fwd else 1 - p.t)
+
+    def int_coord(self, p: GraphPoint):
+        """Arclength of a point as integers ``(numerator, denominator)``, the
+        denominator that of the point's edge parameter, or None if the point
+        misses the cycle."""
+        if isinstance(p, Vertex):
+            return self._vertex_slot.get(p.v)
+        slot = self._edge_slot.get(p.edge)
+        if slot is None:
+            return None
+        i, fwd = slot
+        a, b = p.t.numerator, p.t.denominator
+        return i * b + (a if fwd else b - a), b
 
     def point_at(self, s) -> GraphPoint:
         s = Fraction(s) % self.length
@@ -230,8 +243,14 @@ class CycleGeodesicRule:
         return PLPath._trusted(self.graph, steps, x)
 
     def piece_id(self, x, y):
-        _, d = self._gap(x, y)
-        return "fwd" if d < self.cycle.length / 2 else "bwd"
+        cx = self.cycle.int_coord(x)
+        cy = self.cycle.int_coord(y)
+        if cx is None or cy is None:
+            raise PlanError("query point misses the cycle")
+        # d = (sy - sx) mod n over the denominator dx dy; fwd iff d < n / 2
+        (nx, dx), (ny, dy) = cx, cy
+        span = len(self.cycle.steps) * dx * dy
+        return "fwd" if 2 * ((ny * dx - nx * dy) % span) < span else "bwd"
 
 
 class EdgeEvacuateRule:
@@ -294,41 +313,6 @@ class LiftedRule:
     def piece_id(self, x, y):
         return self.inner.piece_id(self.homotopy.retract(x),
                                    self.homotopy.retract(y))
-
-
-class PairPath:
-    """Coordinatewise pair of paths: a path in a product of two graphs."""
-
-    def __init__(self, first: PLPath, second: PLPath):
-        self.first = first
-        self.second = second
-
-    @property
-    def endpoint0(self):
-        return (self.first.endpoint0, self.second.endpoint0)
-
-    @property
-    def endpoint1(self):
-        return (self.first.endpoint1, self.second.endpoint1)
-
-    def at(self, time):
-        return (self.first.at(time), self.second.at(time))
-
-
-class ProductRule:
-    """Pairwise composition of two rules for queries in a product space."""
-
-    def __init__(self, rule1, rule2):
-        self.rule1 = rule1
-        self.rule2 = rule2
-
-    def path_for(self, x, y) -> PairPath:
-        (a1, b1), (a2, b2) = x, y
-        return PairPath(self.rule1.path_for(a1, a2), self.rule2.path_for(b1, b2))
-
-    def piece_id(self, x, y):
-        (a1, b1), (a2, b2) = x, y
-        return (self.rule1.piece_id(a1, a2), self.rule2.piece_id(b1, b2))
 
 
 @dataclass(frozen=True)
@@ -664,10 +648,12 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
 
     (a) every stratum is closed (read from the region descriptors);
     (b) strata are nested and cover G x G, checked on the sampled queries
-        and exhaustively on representative points of every (cell, cell)
-        pair; the cell check is decided over the key classes of those
-        points (see ``Region.key``), with the same first witness as pairing
-        every point with every point;
+        and decided exactly on all of G x G (``filtration_witnesses``): box
+        strata on pairs of pieces of G cut at every sub-arc end, shifted
+        diagonals by one walk round their cycle.  A failure is reported at
+        the first pair of probe points (every vertex, and t = 1/4, 1/2, 3/4
+        on every edge, x-major) that fails, and at a point outside the
+        probes only when none does;
     (c) the section property holds exactly (rational equality of endpoints)
         on ``samples`` seeded random queries;
     (d) continuity: for perturbed query pairs in the same stratum difference
@@ -701,35 +687,12 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         "every stratum closed by descriptor" if not closed_bad
         else f"non-closed strata: {closed_bad}"))
 
-    cover_witness = None
-    nest_witness = None
-    probes = [Vertex(v) for v in g.vertices]
-    for e in g.edges:
-        probes.extend(EdgeInterior(e.id, Fraction(k, 4)) for k in (1, 2, 3))
-    # Membership of (x, y) in every stratum is a function of the strata keys
-    # of x and of y, so only the first probe of each key class is paired.  If
-    # (x, y) fails, so does (first of x's class, first of y's class), and the
-    # loop reaches that pair no later: the first witnesses stay the same.  A
-    # Shift key is the cycle coordinate itself, so on a long bare cycle each
-    # probe is its own class and the loop stays quadratic in cycle length.
-    classes = {}
-    for q in probes:
-        classes.setdefault(tuple(f.key(q) for f in p.strata), q)
-    reps = list(classes.values())
-    for x in reps:
-        if cover_witness and nest_witness:
-            break
-        for y in reps:
-            member = [f.contains(x, y) for f in p.strata]
-            if not member[-1]:
-                cover_witness = cover_witness or _fmt_pair(x, y)
-                continue
-            first = member.index(True)
-            if not all(member[first:]):
-                nest_witness = nest_witness or _fmt_pair(x, y)
+    cover_witness, nest_witness = (
+        w and _fmt_pair(*w) for w in filtration_witnesses(p.strata, g))
+    n_probes = len(g.vertices) + 3 * len(g.edges)  # vertices, 3 points per edge
     checks.append(CheckResult(
         "coverage-cells", cover_witness is None,
-        f"all ({len(probes)} x {len(probes)}) cell representatives covered"
+        f"all ({n_probes} x {n_probes}) cell representatives covered"
         if cover_witness is None else "cell pair escapes the top stratum",
         cover_witness))
     checks.append(CheckResult(

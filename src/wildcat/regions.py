@@ -3,15 +3,23 @@
 A region is a finite union of primitives: boxes of cell unions, the shifted
 diagonal of a cycle, or the preimage of another region under the product of a
 collapse retraction with itself.  Membership of a pair of exact graph points
-is decidable with rational arithmetic only, and closedness is read off the
-descriptors.  Every region also maps a single point to a hashable ``key``
-such that ``contains(x, y)`` depends only on ``(key(x), key(y))``.
+is decidable with integer and rational arithmetic only, and closedness is
+read off the descriptors.
+
+``filtration_witnesses`` decides whether a sequence of regions is nested and
+covers G x G, exactly and over every pair of points.  Cutting each edge at
+the ends of every box's sub-arcs splits G into pieces (vertices, cut points
+and the open intervals between them) on whose pairs box membership is
+constant.  A shifted diagonal is a curve; one walk round its cycle, cut
+where either coordinate crosses a piece boundary, decides it.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .graphs import (MultiGraph, Vertex, GraphPoint, GraphError,
+from .graphs import (MultiGraph, Vertex, EdgeInterior, GraphPoint, GraphError,
                      CollapseHomotopy)
 
 __all__ = [
@@ -25,6 +33,7 @@ __all__ = [
     "Shift",
     "RetractPreimage",
     "Region",
+    "filtration_witnesses",
 ]
 
 
@@ -142,6 +151,12 @@ class CellUnion:
             return True
         return _arcs_cover(self._arcs_by_edge.get(e.id, ()), lo, hi)
 
+    def cuts(self):
+        """``(edge, t)`` for each sub-arc end strictly inside its edge: the
+        union's membership is constant between consecutive cuts."""
+        return [(e, t) for e, arcs in self._arcs_by_edge.items()
+                for arc in arcs for t in arc if 0 < t < 1]
+
     def is_closed(self) -> bool:
         """Closed iff every open-edge cell has both endpoints in the union."""
         for eid in self._open_edges:
@@ -185,9 +200,6 @@ class Box:
     def contains(self, x: GraphPoint, y: GraphPoint) -> bool:
         return self.first.contains(x) and self.second.contains(y)
 
-    def key(self, p: GraphPoint):
-        return (self.first.contains(p), self.second.contains(p))
-
     def is_closed(self) -> bool:
         return self.first.is_closed() and self.second.is_closed()
 
@@ -195,21 +207,27 @@ class Box:
 class Shift:
     """Pairs (x, x + offset) along an oriented cycle, offset in arclength."""
 
-    __slots__ = ("cycle", "offset")
+    __slots__ = ("cycle", "offset", "_num", "_den", "_n")
 
     def __init__(self, cycle, offset):
         self.cycle = cycle
         self.offset = Fraction(offset)
+        self._num = self.offset.numerator
+        self._den = self.offset.denominator
+        self._n = len(cycle.steps)
 
     def contains(self, x: GraphPoint, y: GraphPoint) -> bool:
-        sx = self.cycle.coord(x)
-        sy = self.cycle.coord(y)
-        if sx is None or sy is None:
+        cx = self.cycle.int_coord(x)
+        cy = self.cycle.int_coord(y)
+        if cx is None or cy is None:
             return False
-        return (sy - sx - self.offset) % self.cycle.length == 0
-
-    def key(self, p: GraphPoint):
-        return self.cycle.coord(p)
+        # sy - sx - offset is a multiple of the length n, over the common
+        # denominator dx dy od
+        (nx, dx), (ny, dy) = cx, cy
+        od = self._den
+        den = dx * dy * od
+        return (ny * dx * od - nx * dy * od - self._num * dx * dy) \
+            % (self._n * den) == 0
 
     def is_closed(self) -> bool:
         return True
@@ -227,9 +245,6 @@ class RetractPreimage:
     def contains(self, x: GraphPoint, y: GraphPoint) -> bool:
         return self.inner.contains(self.homotopy.retract(x),
                                    self.homotopy.retract(y))
-
-    def key(self, p: GraphPoint):
-        return self.inner.key(self.homotopy.retract(p))
 
     def is_closed(self) -> bool:
         return self.inner.is_closed()
@@ -249,9 +264,339 @@ class Region:
                 return True
         return False
 
-    def key(self, p: GraphPoint):
-        """Point class: ``contains(x, y)`` is a function of the two keys."""
-        return tuple(q.key(p) for q in self.primitives)
-
     def is_closed(self) -> bool:
         return all(p.is_closed() for p in self.primitives)
+
+
+_COVER, _NEST = 0, 1
+_HALF = Fraction(1, 2)
+_PROBE_TS = (Fraction(1, 4), _HALF, Fraction(3, 4))
+
+
+def _chains(region, retractions=()):
+    """``(retractions, primitive)`` for each box and shifted diagonal of a
+    region, with the collapse homotopies it is pulled back through,
+    outermost first."""
+    for q in region.primitives:
+        if isinstance(q, RetractPreimage):
+            yield from _chains(q.inner, retractions + (q.homotopy,))
+        elif isinstance(q, (Box, Shift)):
+            yield retractions, q
+        else:
+            raise GraphError(f"cannot decide coverage by {q!r}")
+
+
+def _retract(retractions, p: GraphPoint) -> GraphPoint:
+    for h in retractions:
+        p = h.retract(p)
+    return p
+
+
+class _Filtration:
+    """The parts of G x G on which membership in every region of a filtration
+    is constant, and the failures of nesting and coverage among them.
+
+    Each edge is cut at every sub-arc end of every box factor (pulled back
+    through retractions, which fix the core's edges).  The pieces are the
+    vertices, the cut points and the open intervals between them; a piece's
+    class is its membership in each box factor, so box membership of a pair
+    is a function of the two classes.  A shifted diagonal with retraction r
+    holds the pairs (x, y) with c(r(y)) - c(r(x)) = o on its cycle.  A pair of
+    pieces that r maps to two points of the cycle ("point images") lies in it
+    wholly or not at all.  Every other pair of pieces meets it in a set with
+    empty interior, and only inside cycle x cycle, where r is the identity:
+    the curve y = x + o.  (The cycle is also cut at v + o and v - o for each
+    of its vertices v when r collapses anything, so a collapsed piece, whose
+    image is a vertex, never meets the curve inside an open interval.)
+
+    Membership is a bit mask over the strata.  All shifts must share one
+    cycle and one retraction; plans built here have at most one cycle.
+    """
+
+    def __init__(self, strata, g: MultiGraph):
+        self.strata = strata
+        self.full = (1 << len(strata)) - 1
+        self.top = 1 << (len(strata) - 1)
+        boxes, shifts = [], []
+        for j, f in enumerate(strata):
+            for hs, q in _chains(f):
+                (boxes if isinstance(q, Box) else shifts).append((j, hs, q))
+        self.boxes = boxes
+        cuts = {}
+        for _, _, box in boxes:
+            for e, t in box.first.cuts() + box.second.cuts():
+                cuts.setdefault(e, set()).add(t)
+        self.cycle = None
+        self.keys = {}  # offset in units of 1/D, mod N -> mask of its strata
+        if shifts:
+            self._frame(shifts, cuts)
+        self._pieces(g, cuts)
+        self._box_masks = {}
+
+    def _frame(self, shifts, cuts):
+        _, hs, first = shifts[0]
+        cyc = first.cycle
+        for _, hs2, s in shifts:
+            if not (s.cycle is cyc or s.cycle.graph == cyc.graph) \
+                    or len(hs2) != len(hs) \
+                    or not all(a is b or (a.graph, a.core, a.collapses)
+                               == (b.graph, b.core, b.collapses)
+                               for a, b in zip(hs, hs2)):
+                raise GraphError("shifted diagonals on more than one cycle or "
+                                 "retraction are not decided")
+        n = len(cyc.steps)
+        # in units of 1/D every probe (k/4), offset and cut on the cycle sits
+        # at an integer position in [0, N)
+        D = lcm(4, *(s.offset.denominator for _, _, s in shifts),
+                *(t.denominator for e, _ in cyc.steps for t in cuts.get(e.id, ())))
+        N = n * D
+        for j, _, s in shifts:
+            key = s.offset.numerator * (D // s.offset.denominator) % N
+            self.keys[key] = self.keys.get(key, 0) | 1 << j
+        if hs:
+            for key in self.keys:
+                for k in range(n):
+                    for u in ((k * D + key) % N, (k * D - key) % N):
+                        if u % D:
+                            p = cyc.point_at(Fraction(u, D))
+                            cuts.setdefault(p.edge, set()).add(p.t)
+        self.cycle, self.retractions, self.D, self.N = cyc, hs, D, N
+
+    def _pieces(self, g: MultiGraph, cuts):
+        rep, span = [], []  # a point of each piece; (edge, lo, hi) of an interval
+        self.vertex_piece = {}
+        for v in g.vertices:
+            self.vertex_piece[v] = len(rep)
+            rep.append(Vertex(v))
+            span.append(None)
+        self.edge_cuts = {}
+        one = Fraction(1)
+        for e in g.edges:
+            cs = sorted(cuts.get(e.id, ()))
+            self.edge_cuts[e.id] = (cs, len(rep))
+            lo = Fraction(0)
+            for t in cs + [one]:
+                rep.append(EdgeInterior(e.id, (lo + t) / 2 if cs else _HALF))
+                span.append((e.id, lo, t))
+                if t != 1:
+                    rep.append(EdgeInterior(e.id, t))
+                    span.append(None)
+                lo = t
+        classes = {}
+        cls, coord = [], []
+        for i, p in enumerate(rep):
+            images = {}
+            fa = sb = 0
+            for b, (_, hs, box) in enumerate(self.boxes):
+                z = images.get(hs)
+                if z is None:
+                    z = images[hs] = _retract(hs, p)
+                if box.first.contains(z):
+                    fa |= 1 << b
+                if box.second.contains(z):
+                    sb |= 1 << b
+            cls.append(classes.setdefault((fa, sb), len(classes)))
+            c = None
+            if self.cycle is not None:
+                z = _retract(self.retractions, p)
+                if span[i] is None or isinstance(z, Vertex):
+                    c = self._units(z)
+            coord.append(c)
+        self.rep, self.span, self.cls, self.coord = rep, span, cls, coord
+        self.sigs = list(classes)
+        self.class_pieces = [[] for _ in self.sigs]
+        for i, c in enumerate(cls):
+            self.class_pieces[c].append(i)
+
+    def _units(self, p: GraphPoint):
+        """Position on the cycle in units of 1/D, or None off the cycle."""
+        c = self.cycle.int_coord(p)
+        return None if c is None else c[0] * (self.D // c[1])
+
+    def piece_of(self, p: GraphPoint) -> int:
+        if isinstance(p, Vertex):
+            return self.vertex_piece[p.v]
+        cs, base = self.edge_cuts[p.edge]
+        k = bisect_left(cs, p.t)
+        if k < len(cs) and cs[k] == p.t:
+            return base + 2 * k + 1
+        return base + 2 * k
+
+    def box_mask(self, a: int, b: int) -> int:
+        """Box membership of pairs of classes a and b, as a stratum mask."""
+        mask = self._box_masks.get((a, b))
+        if mask is None:
+            ok = self.sigs[a][0] & self.sigs[b][1]
+            mask = 0
+            for i, (j, _, _) in enumerate(self.boxes):
+                if ok >> i & 1:
+                    mask |= 1 << j
+            self._box_masks[a, b] = mask
+        return mask
+
+    def verdict(self, mask: int):
+        """_COVER outside the top stratum, _NEST where membership is not
+        monotone, None where the pair passes."""
+        if not mask & self.top:
+            return _COVER
+        low = mask & -mask
+        return None if mask == self.full - (low - 1) else _NEST
+
+    def exact(self, x: GraphPoint, y: GraphPoint):
+        mask = 0
+        for j, f in enumerate(self.strata):
+            if f.contains(x, y):
+                mask |= 1 << j
+        return self.verdict(mask)
+
+    def _on_diagonal(self, p: int, q: int) -> bool:
+        """Whether the pair of pieces lies wholly in a shifted diagonal."""
+        cp, cq = self.coord[p], self.coord[q]
+        return cp is not None and cq is not None and (cq - cp) % self.N in self.keys
+
+    def _samples(self, p: int):
+        """Points of a piece, more of an interval than curves can meet."""
+        if self.span[p] is None:
+            return [self.rep[p]]
+        e, lo, hi = self.span[p]
+        m = len(self.keys) + 1
+        return [EdgeInterior(e, lo + (hi - lo) * k / (m + 1)) for k in range(1, m + 1)]
+
+    def decide(self):
+        """A failing pair of each kind, (cover, nest), or None where there is
+        none; also records which pairs of classes fail off the diagonals."""
+        found = [None, None]
+        count = {}  # pairs of classes -> pairs of their pieces wholly on a diagonal
+        k = len(self.sigs)
+        size = [len(ps) for ps in self.class_pieces]
+        self.box_fails = ({}, {})
+        if self.cycle is not None:
+            groups = {}  # point image -> class -> its pieces
+            for i, c in enumerate(self.coord):
+                if c is not None:
+                    groups.setdefault(c, {}).setdefault(self.cls[i], []).append(i)
+            for key, kmask in self.keys.items():
+                for u, row in groups.items():
+                    col = groups.get((u + key) % self.N)
+                    if col is None:
+                        continue
+                    for a, pa in row.items():
+                        for b, pb in col.items():
+                            count[a, b] = count.get((a, b), 0) + len(pa) * len(pb)
+                            v = self.verdict(self.box_mask(a, b) | kmask)
+                            if v is not None and found[v] is None:
+                                found[v] = (self.rep[pa[0]], self.rep[pb[0]])
+        for a in range(k):
+            for b in range(k):
+                v = self.verdict(self.box_mask(a, b))
+                if v is None:
+                    continue
+                self.box_fails[v].setdefault(a, []).append(b)
+                if found[v] is None and count.get((a, b), 0) < size[a] * size[b]:
+                    found[v] = self._off_diagonal(a, b, v)
+        if self.cycle is not None:
+            self._walk(found)
+        return found
+
+    def _off_diagonal(self, a: int, b: int, v):
+        """A pair of classes a and b, off every diagonal, that fails as v."""
+        for p in self.class_pieces[a]:
+            for q in self.class_pieces[b]:
+                if self._on_diagonal(p, q):
+                    continue
+                for x in self._samples(p):
+                    for y in self._samples(q):
+                        if self.exact(x, y) == v:
+                            return x, y
+        raise AssertionError("a failing pair of classes has no failing point")
+
+    def _walk(self, found):
+        """Decide the curves y = x + o of the diagonals on cycle x cycle, one
+        walk each, cut wherever x or x + o crosses a piece boundary."""
+        cyc, D, N = self.cycle, self.D, self.N
+        marks = {}  # position of each point piece on the cycle -> piece
+        for k, (e, fwd) in enumerate(cyc.steps):
+            marks[k * D] = self.piece_of(cyc.point_at(k))
+            cs, base = self.edge_cuts[e.id]
+            for i, t in enumerate(cs):
+                f = t if fwd else 1 - t
+                marks[k * D + f.numerator * (D // f.denominator)] = base + 2 * i + 1
+        pos = sorted(marks)
+        # the open interval that follows each point piece
+        after = [self.piece_of(cyc.point_at(Fraction(2 * u + 1, 2 * D))) for u in pos]
+        cls = self.cls
+        for key, kmask in self.keys.items():
+            for u in sorted(set(pos).union([(u - key) % N for u in pos])):
+                y = (u + key) % N
+                gx = after[bisect_right(pos, u) - 1]
+                gy = after[bisect_right(pos, y) - 1]
+                px, py = marks.get(u), marks.get(y)
+                parts = [(gx, gy, 2 * u + 1)]  # the open stretch after u
+                if px is None or py is None:  # two point pieces: a whole pair
+                    parts.insert(0, (gx if px is None else px,
+                                     gy if py is None else py, 2 * u))
+                for p, q, w in parts:
+                    v = self.verdict(self.box_mask(cls[p], cls[q]) | kmask)
+                    if v is not None and found[v] is None:
+                        found[v] = (cyc.point_at(Fraction(w, 2 * D)),
+                                    cyc.point_at(Fraction(w + 2 * key, 2 * D)))
+
+    def probe_witness(self, probes, v):
+        """The first pair of probes, x-major, that fails as v, or None."""
+        cls = [self.cls[self.piece_of(p)] for p in probes]
+        by_class = [[] for _ in self.sigs]
+        for i, c in enumerate(cls):
+            by_class[c].append(i)
+        coord, at = [None] * len(probes), {}
+        if self.cycle is not None:
+            for i, p in enumerate(probes):
+                coord[i] = c = self._units(_retract(self.retractions, p))
+                if c is not None:
+                    at.setdefault(c, []).append(i)
+        fails = self.box_fails[v]
+        for i, x in enumerate(probes):
+            near = set()  # probes y with (x, y) on a diagonal
+            if coord[i] is not None:
+                for key in self.keys:
+                    near.update(at.get((coord[i] + key) % self.N, ()))
+            best = None
+            for b in fails.get(cls[i], ()):
+                for j in by_class[b]:
+                    if j not in near:
+                        if best is None or j < best:
+                            best = j
+                        break
+            for j in near:
+                if (best is None or j < best) and self.exact(x, probes[j]) == v:
+                    best = j
+            if best is not None:
+                return x, probes[best]
+        return None
+
+
+def _probe_points(g: MultiGraph):
+    """Every vertex, then t = 1/4, 1/2, 3/4 of every edge, in graph order."""
+    probes = [Vertex(v) for v in g.vertices]
+    for e in g.edges:
+        probes.extend(EdgeInterior(e.id, t) for t in _PROBE_TS)
+    return probes
+
+
+def filtration_witnesses(strata, g: MultiGraph):
+    """``(cover, nest)``: a pair (x, y) of G x G outside the last stratum,
+    and a pair inside it whose membership along the strata is not monotone
+    (it lies in some stratum and not in the next); None where no pair of
+    G x G fails that way.
+
+    The decision is exact over all of G x G.  Each failure is reported at
+    the first pair of probe points (``_probe_points``, x-major) that fails
+    that way, as a loop over all probe pairs would report it, and at a point
+    of a failing part outside the probes only when no probe pair fails.
+    """
+    cells = _Filtration(strata, g)
+    found = cells.decide()
+    if found == [None, None]:
+        return None, None
+    probes = _probe_points(g)
+    return tuple(None if found[v] is None else cells.probe_witness(probes, v) or found[v]
+                 for v in (_COVER, _NEST))

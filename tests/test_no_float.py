@@ -1,6 +1,7 @@
-"""``wildcat/planner.py`` decides every check in exact arithmetic: it holds
-no float literal, and its one ``float(`` call formats the sup of a
-continuity witness inside that witness's f-string."""
+"""``wildcat/planner.py`` and ``wildcat/regions.py`` decide every check in
+exact arithmetic: they hold no float literal, and the planner's one
+``float(`` call formats the sup of a continuity witness inside that
+witness's f-string."""
 
 import ast
 import os
@@ -8,6 +9,7 @@ import os
 import wildcat
 
 PLANNER = os.path.join(wildcat.__path__[0], "planner.py")
+REGIONS = os.path.join(wildcat.__path__[0], "regions.py")
 
 
 def float_uses(source):
@@ -38,6 +40,13 @@ def test_planner_decides_without_floats():
     # the witness sup is the one float( call, and it is still there
     assert source.count("float(") == 1
     assert "sup {float(sup):.4f}" in source
+
+
+def test_regions_decide_without_floats():
+    with open(REGIONS, encoding="utf-8") as fh:
+        source = fh.read()
+    assert float_uses(source) == []
+    assert "float(" not in source
 
 
 def test_the_check_finds_floats():

@@ -2,6 +2,7 @@ import importlib
 import os
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from wildcat.graphs import (GraphError, Vertex, EdgeInterior, PathStep, PLPath,
                             tc_graph)
 from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
                              plan_graph, lift_plan, execute, cat_filtration,
-                             product_cat_filtration, ProductRule,
+                             product_cat_filtration,
                              corrupt_plan_swap_endpoints, verify_plan,
-                             MotionPlan, _fmt_pair, _nudge)
+                             MotionPlan, CycleRotateRule, _fmt_pair, _nudge)
+from wildcat.regions import Region, Box, Shift, CellUnion, SubArcCell
 from wildcat.spacefile import ParseError, parse_spacefile
 
 from gen import (point_graph, path_graph, cycle_graph, loop_graph,
@@ -305,22 +307,6 @@ def test_product_levels_nested_pointwise():
                        for m in range(k, len(prod.levels)))
 
 
-# --- ProductRule -----------------------------------------------------------------
-
-def test_product_rule_pairs_paths():
-    g = cycle_graph(4)
-    plan = plan_circle(g)
-    rule = ProductRule(plan.rules[1], plan.rules[1])
-    start = (Vertex("v0"), Vertex("v1"))
-    end = (Vertex("v1"), Vertex("v2"))
-    pair = rule.path_for(start, end)
-    assert pair.endpoint0 == start
-    assert pair.endpoint1 == end
-    mid = pair.at(Fraction(1, 2))
-    assert mid == (EdgeInterior("e0", Fraction(1, 2)),
-                   EdgeInterior("e1", Fraction(1, 2)))
-
-
 # --- verify_plan ------------------------------------------------------------------
 
 def test_verify_k4_passes():
@@ -553,19 +539,6 @@ def _all_pairs_cell_witnesses(plan, g):
     return cover, nest
 
 
-def test_region_key_determines_membership():
-    # contains(x, y) may depend on x and y only through key(x) and key(y)
-    rng = random.Random(7)
-    for name, g in _differential_graphs():
-        points = _cell_probes(g) + [random_point(rng, g) for _ in range(8)]
-        for f in plan_graph(g).strata:
-            first = {}
-            reps = [first.setdefault(f.key(q), q) for q in points]
-            for x, rx in zip(points, reps):
-                for y, ry in zip(points, reps):
-                    assert f.contains(x, y) == f.contains(rx, ry), (name, x, y)
-
-
 def _differential_graphs():
     fixdir = os.path.join(os.path.dirname(__file__), "fixtures")
     for name in sorted(os.listdir(fixdir)):
@@ -598,3 +571,45 @@ def test_cell_checks_match_all_pairs_reference():
             expected = _all_pairs_cell_witnesses(variant, g)
             assert (cover.witness, nest.witness) == expected, (name, label)
             assert (expected == (None, None)) == (label == "intact"), (name, label)
+
+
+# The probe loop above passes the next two plans: each fails only between
+# probes, where the exact check finds it.
+
+def test_gap_between_probes_fails_coverage():
+    g = path_graph(2)
+    gappy = CellUnion(g, [SubArcCell("e0", 0, Fraction(3, 10)),
+                          SubArcCell("e0", Fraction(2, 5), 1)])
+    plan = MotionPlan(g, (Region(Box(gappy, gappy)),), plan_tree(g).rules)
+    assert _all_pairs_cell_witnesses(plan, g) == (None, None)
+    cover, nest = _cell_checks(plan, g)
+    assert not cover.passed
+    assert cover.witness == "(vertex v0; edge e0 7/20)"
+    assert nest.passed
+
+
+def test_shift_between_probe_offsets_fails_nesting():
+    # a stratum (x, x + 1/8) below the anti-diagonal, which does not hold it;
+    # probe coordinates are multiples of 1/4, so no probe pair is 1/8 apart
+    for g, witness in ((cycle_graph(4), "(vertex v0; edge e0 1/8)"),
+                       (circle_with_hair(), "(vertex a; edge c0 1/8)")):
+        core, h = deforest(g)
+        cyc = CycleCoords(core)
+        eighth = lift_plan(MotionPlan(core, (Region(Shift(cyc, Fraction(1, 8))),),
+                                      (CycleRotateRule(core, cyc),)), h)
+        plan = plan_graph(g)
+        broken = MotionPlan(g, eighth.strata + plan.strata, eighth.rules + plan.rules)
+        assert _all_pairs_cell_witnesses(broken, g) == (None, None)
+        cover, nest = _cell_checks(broken, g)
+        assert cover.passed
+        assert not nest.passed
+        assert nest.witness == witness
+
+
+def test_cell_checks_scale_to_long_cycles():
+    g = cycle_graph(400)
+    plan = plan_graph(g)
+    start = time.perf_counter()
+    report = verify_plan(plan, g, samples=0)
+    assert time.perf_counter() - start < 1
+    assert report.passed

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from wildcat.graphs import Vertex, EdgeInterior, GraphError
+from wildcat.graphs import Vertex, EdgeInterior, GraphError, build_graph, deforest
 from wildcat.regions import (VertexCell, ClosedEdgeCell, OpenEdgeCell,
                              SubArcCell, CellUnion, whole_graph_cells, Box,
-                             Shift, Region)
-from wildcat.planner import CycleCoords
+                             Shift, RetractPreimage, Region,
+                             filtration_witnesses)
+from wildcat.planner import CycleCoords, CycleGeodesicRule, LiftedRule
 
-from gen import path_graph, cycle_graph, loop_graph, theta_graph
+from gen import (path_graph, cycle_graph, loop_graph, theta_graph,
+                 random_cycle_with_hairs)
 
 
 def test_cell_membership():
@@ -125,18 +127,207 @@ def test_shift_on_loop():
                              EdgeInterior("l", Fraction(1, 2)))
 
 
-def test_region_key_separates_both_box_factors_and_cycle_coordinates():
-    g = cycle_graph(4)
-    first = CellUnion(g, [VertexCell("v0"), SubArcCell("e0", Fraction(0), Fraction(1, 2))])
-    box = Box(first, CellUnion(g, [ClosedEdgeCell("e2")]))
-    region = Region(box, Shift(CycleCoords(g), 1))
-    assert region.key(EdgeInterior("e0", Fraction(1, 4))) == ((True, False), Fraction(1, 4))
-    points = [Vertex(v) for v in g.vertices]
-    points += [EdgeInterior(e.id, Fraction(k, 4)) for e in g.edges for k in (1, 2, 3)]
-    # on a bare cycle every point has its own Shift coordinate, hence its own class
-    assert len({region.key(p) for p in points}) == len(points)
-    first_of = {}
-    reps = [first_of.setdefault(box.key(p), p) for p in points]
-    for x, rx in zip(points, reps):
-        for y, ry in zip(points, reps):
-            assert box.contains(x, y) == box.contains(rx, ry)
+# --- integer cycle coordinates -------------------------------------------------
+
+def _fraction_shift_contains(shift, x, y):
+    """``Shift.contains`` as it was, in Fraction arithmetic."""
+    sx = shift.cycle.coord(x)
+    sy = shift.cycle.coord(y)
+    if sx is None or sy is None:
+        return False
+    return (sy - sx - shift.offset) % shift.cycle.length == 0
+
+
+def _fraction_piece_id(cycle, x, y):
+    """``CycleGeodesicRule.piece_id`` as it was, in Fraction arithmetic."""
+    d = (cycle.coord(y) - cycle.coord(x)) % cycle.length
+    return "fwd" if d < cycle.length / 2 else "bwd"
+
+
+def _cycle_point(rng, g):
+    k = rng.randrange(len(g.vertices) + 2 * len(g.edges))
+    if k < len(g.vertices):
+        return Vertex(g.vertices[k])
+    d = rng.choice((2, 3, 5, 8, 12, 64, 4096))
+    return EdgeInterior(rng.choice(g.edges).id, Fraction(rng.randrange(1, d), d))
+
+
+def _reversed_cycle():
+    """A 3-cycle whose walk crosses e1 from v1 to v0."""
+    return build_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "c", "b"),
+                                         ("e2", "c", "a")])
+
+
+def test_integer_cycle_coordinates_match_fractions():
+    rng = random.Random(1105)
+    cases = [(g, g, None) for g in (loop_graph(), cycle_graph(2), cycle_graph(3),
+                                   _reversed_cycle(), cycle_graph(4), cycle_graph(7))]
+    for _ in range(4):
+        g = random_cycle_with_hairs(rng, rng.randint(1, 6), rng.randint(1, 5))
+        core, h = deforest(g)
+        cases.append((g, core, h))
+    for g, core, h in cases:
+        cyc = CycleCoords(core)
+        L = cyc.length
+        offsets = {Fraction(k, d) for d in (1, 2, 3, 8) for k in range(-d, 2 * d * int(L) + 2)}
+        offsets |= {-L, L, L + Fraction(1, 8), 2 * L + Fraction(2, 3), -L / 2}
+        rule = CycleGeodesicRule(core, cyc)
+        lifted = rule if h is None else LiftedRule(h, rule)
+        for o in sorted(offsets):
+            shift = Shift(cyc, o)
+            region = Region(shift) if h is None else Region(RetractPreimage(h, Region(shift)))
+            for _ in range(12):
+                x = _cycle_point(rng, g)
+                rx = x if h is None else h.retract(x)
+                if rng.random() < 0.5 and cyc.coord(rx) is not None:
+                    y = cyc.point_at(cyc.coord(rx) + o)  # on the diagonal
+                else:
+                    y = _cycle_point(rng, g)
+                ry = y if h is None else h.retract(y)
+                assert region.contains(x, y) == _fraction_shift_contains(shift, rx, ry), \
+                    (o, x, y)
+                if cyc.coord(rx) is not None and cyc.coord(ry) is not None:
+                    assert lifted.piece_id(x, y) == _fraction_piece_id(cyc, rx, ry), (x, y)
+    # off the cycle a Shift holds nothing
+    g = random_cycle_with_hairs(random.Random(3), 3, 2)
+    shift = Shift(CycleCoords(deforest(g)[0]), 0)
+    assert not shift.contains(EdgeInterior("h0", Fraction(1, 2)), Vertex("c0"))
+
+
+# --- exact coverage and nesting --------------------------------------------------
+
+def _grid(g, n=32):
+    """Every vertex and the points k/32 of every edge.  With every cut and
+    offset a multiple of 1/8, every part of G x G on which membership is
+    constant holds a pair of grid points, and a part not wholly on a
+    diagonal holds one off every diagonal."""
+    return [Vertex(v) for v in g.vertices] + [
+        EdgeInterior(e.id, Fraction(k, n)) for e in g.edges for k in range(1, n)]
+
+
+def _grid_failures(strata, points):
+    cover = nest = False
+    for x in points:
+        for y in points:
+            member = [f.contains(x, y) for f in strata]
+            if not member[-1]:
+                cover = True
+            elif not all(member[member.index(True):]):
+                nest = True
+            if cover and nest:
+                return cover, nest
+    return cover, nest
+
+
+def _random_strata(rng, g, core, h, cyc):
+    """Two to four regions of boxes (sub-arcs at eighths, on G or pulled back
+    from the core) and shifted diagonals (offsets at eighths, pulled back)."""
+    def lift(q):
+        return q if h is None else RetractPreimage(h, Region(q))
+
+    def primitive():
+        k = rng.randrange(5)
+        if k < 2:
+            return lift(Shift(cyc, Fraction(rng.choice((-1, 0, 1, 2, 3, 4, 9, 12)), 8)
+                              + rng.choice((0, cyc.length / 2))))
+        if k == 2:
+            return lift(Box(whole_graph_cells(core), whole_graph_cells(core)))
+        on = rng.choice((g, core))
+        first = CellUnion(on, [_random_cell(rng, on) for _ in range(rng.randint(1, 4))])
+        second = CellUnion(on, [_random_cell(rng, on) for _ in range(rng.randint(1, 4))])
+        return Box(first, second) if on is g else lift(Box(first, second))
+
+    if rng.random() < 0.5:
+        # a diagonal below a box it may leave, on open stretches or whole
+        # pairs of collapsed pieces
+        strata = [Region(lift(Shift(cyc, Fraction(rng.randrange(-4, 12), 8)))),
+                  Region(primitive() if rng.random() < 0.25 else Box(*(CellUnion(
+                      g, [_random_cell(rng, g) for _ in range(rng.randint(2, 5))])
+                      for _ in range(2))))]
+    else:
+        strata = []
+        for _ in range(rng.randint(2, 3)):
+            prims = [primitive() for _ in range(rng.randint(1, 2))]
+            if strata and rng.random() < 0.6:
+                prims += strata[-1].primitives
+            strata.append(Region(*prims))
+    if rng.random() < 0.5:
+        strata.append(Region(Box(whole_graph_cells(g), whole_graph_cells(g))))
+    return strata
+
+
+def _monotone(member):
+    return member[-1] and all(member[member.index(True):])
+
+
+def test_filtration_witnesses_match_a_dense_grid():
+    rng = random.Random(1111)
+    graphs = [loop_graph(), _reversed_cycle(),
+              build_graph(["a", "t"], [("l", "a", "a"), ("h", "a", "t")]),
+              build_graph(["a", "b", "t"], [("e0", "a", "b"), ("e1", "a", "b"),
+                                            ("h", "b", "t")])]
+    seen = set()
+    for g in graphs:
+        core, h = deforest(g)
+        cyc = CycleCoords(core)
+        points = _grid(g)
+        for _ in range(12):
+            strata = _random_strata(rng, g, core, h if h.collapses else None, cyc)
+            cover, nest = filtration_witnesses(strata, g)
+            assert (cover is not None, nest is not None) == _grid_failures(strata, points)
+            if cover is not None:
+                assert not strata[-1].contains(*cover)
+            if nest is not None:
+                member = [f.contains(*nest) for f in strata]
+                assert member[-1] and not _monotone(member)
+            seen.add((cover is None, nest is None))
+    # plans that pass, and plans that fail each way only
+    assert {(True, True), (False, True), (True, False)} <= seen
+
+
+def test_diagonal_leaves_a_stratum_on_an_open_stretch_only():
+    # the diagonal passes a gap (1/8, 1/4) of e0 that the middle stratum,
+    # made of closed arcs, leaves open; no probe lies in the gap
+    g = cycle_graph(3)
+    everything = whole_graph_cells(g)
+    gappy = CellUnion(g, [ClosedEdgeCell("e1"), ClosedEdgeCell("e2"),
+                          SubArcCell("e0", 0, Fraction(1, 8)),
+                          SubArcCell("e0", Fraction(1, 4), 1)])
+    strata = [Region(Shift(CycleCoords(g), 0)), Region(Box(gappy, gappy)),
+              Region(Box(everything, everything))]
+    cover, nest = filtration_witnesses(strata, g)
+    assert cover is None
+    assert nest == (EdgeInterior("e0", Fraction(3, 16)), EdgeInterior("e0", Fraction(3, 16)))
+
+
+def test_collapsed_pieces_meet_the_diagonal_on_whole_pieces():
+    # the hair's pieces retract to a, so (hair, l 1/2) lies in the
+    # anti-diagonal's preimage; the middle stratum holds every pair but those
+    g = build_graph(["a", "t"], [("l", "a", "a"), ("h", "a", "t")])
+    core, h = deforest(g)
+    loop = CellUnion(g, [ClosedEdgeCell("l")])
+    vertices = CellUnion(g, [VertexCell("a"), VertexCell("t")])
+    everything = whole_graph_cells(g)
+    anti = Region(RetractPreimage(h, Region(Shift(CycleCoords(core), Fraction(1, 2)))))
+    strata = [anti, Region(Box(loop, everything), Box(everything, vertices)),
+              Region(Box(everything, everything))]
+    assert filtration_witnesses(strata, g) == (
+        None, (Vertex("t"), EdgeInterior("l", Fraction(1, 2))))
+
+
+def test_diagonal_covers_the_vertex_pairs_boxes_miss():
+    # the boxes miss exactly the pairs of vertices; the diagonal holds (a, a),
+    # the only such pair on a loop, but not (v0, v1) on a 2-cycle
+    for g, cover in ((loop_graph(), None), (cycle_graph(2), (Vertex("v0"), Vertex("v1")))):
+        everything = whole_graph_cells(g)
+        edges = CellUnion(g, [OpenEdgeCell(e.id) for e in g.edges])
+        top = Region(Shift(CycleCoords(g), 0), Box(everything, edges), Box(edges, everything))
+        assert filtration_witnesses([top], g) == (cover, None)
+
+
+def test_shifts_on_two_cycles_are_not_decided():
+    g = cycle_graph(3)
+    other = CycleCoords(cycle_graph(4))
+    strata = [Region(Shift(CycleCoords(g), 0)), Region(Shift(other, 0))]
+    with pytest.raises(GraphError, match="more than one cycle"):
+        filtration_witnesses(strata, g)
