@@ -10,7 +10,7 @@ from .graphs import (GraphError, Edge, Vertex, EdgeInterior, GraphPoint,
                      MultiGraph, build_graph, subgraph, betti1,
                      spanning_forest, Collapse, CollapseHomotopy, deforest,
                      PathStep, PLPath, constant_path, concat_paths,
-                     TreeRouter, tree_path, point_dist, cat_graph, tc_graph)
+                     TreeRouter, point_dist, cat_graph, tc_graph)
 from .cohomology import (CocycleBasis, KunnethElement, h1_basis,
                          zero_divisor_cuplength)
 from .regions import (VertexCell, ClosedEdgeCell, OpenEdgeCell, SubArcCell,

@@ -39,6 +39,14 @@ def _load(path: str) -> SpaceFile:
         raise ParseError(f"cannot read {path}: space files are ASCII")
 
 
+def _save(path: str, text: str):
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}")
+
+
 def _num(value):
     return "inf" if value is INF else value
 
@@ -92,8 +100,7 @@ def _write_dot(path: str, g, highlight=()):
         attr += "];"
         lines.append(f'  "{e.v0}" -- "{e.v1}"{attr}')
     lines.append("}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _save(path, "\n".join(lines) + "\n")
 
 
 def cmd_info(args) -> int:
@@ -120,9 +127,9 @@ def cmd_plan(args) -> int:
                   "to": f"{s.b.numerator}/{s.b.denominator}"}
                  for s in path.steps],
     }
-    _emit(doc, f"stratum {j}, {len(path.steps)} steps, length {path.length}")
     if args.dot:
         _write_dot(args.dot, g, highlight=[s.edge for s in path.steps])
+    _emit(doc, f"stratum {j}, {len(path.steps)} steps, length {path.length}")
     return EXIT_OK
 
 
@@ -166,16 +173,15 @@ def cmd_truncate(args) -> int:
     g = truncate(sf.main_expr(), args.depth)
     out = SpaceFile({"truncated": g}, {}, "truncated")
     text = print_spacefile(out)
+    if args.dot:
+        _write_dot(args.dot, g)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _save(args.output, text)
     else:
         sys.stdout.write(text)
     sys.stderr.write(f"truncated at depth {args.depth}: "
                      f"{len(g.vertices)} vertices, {len(g.edges)} edges, "
                      f"betti1 {betti1(g)}\n")
-    if args.dot:
-        _write_dot(args.dot, g)
     return EXIT_OK
 
 

@@ -74,14 +74,6 @@ class KunnethElement:
         """a (x) 1 - 1 (x) a for the index-th basis class a."""
         return cls(dim, {index: _ONE}, {index: -_ONE}, {})
 
-    @property
-    def cross(self) -> tuple:
-        """The H1 (x) H1 component as a dense ``dim`` x ``dim`` matrix."""
-        rows = [[_ZERO] * self.dim for _ in range(self.dim)]
-        for (i, j), c in self.pairs.items():
-            rows[i][j] = c
-        return tuple(tuple(row) for row in rows)
-
     def is_zero(self) -> bool:
         return not (self.left or self.right or self.pairs)
 

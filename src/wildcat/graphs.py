@@ -33,7 +33,6 @@ __all__ = [
     "constant_path",
     "concat_paths",
     "TreeRouter",
-    "tree_path",
     "vertex_distances",
     "point_dist",
     "cat_graph",
@@ -729,14 +728,6 @@ class TreeRouter:
         if not steps:
             return constant_path(g, p)
         return PLPath._trusted(g, steps, p)
-
-
-def tree_path(forest: MultiGraph, p: GraphPoint, q: GraphPoint) -> PLPath:
-    """Unique reduced path between two points of the same tree component.
-
-    For repeated queries on one forest build a :class:`TreeRouter` once.
-    """
-    return TreeRouter(forest).route(p, q)
 
 
 def vertex_distances(g: MultiGraph) -> dict:

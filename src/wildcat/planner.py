@@ -25,7 +25,7 @@ from .graphs import (GraphError, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      _ONE, _ZERO, _whole_step)
 from .regions import (Region, Box, Shift, RetractPreimage, CellUnion,
                       whole_graph_cells, VertexCell, ClosedEdgeCell,
-                      filtration_witnesses)
+                      cut_pieces, filtration_witnesses)
 
 __all__ = [
     "PlanError",
@@ -72,7 +72,7 @@ class CycleCoords:
     """
 
     __slots__ = ("graph", "length", "steps", "_edge_slot", "_vertex_at",
-                 "_vertex_coord", "_vertex_slot", "_whole")
+                 "_vertex_slot", "_whole")
 
     def __init__(self, g: MultiGraph):
         if g.n_components != 1 or betti1(g) != 1:
@@ -99,19 +99,13 @@ class CycleCoords:
         self.steps = tuple(steps)
         self._edge_slot = {e.id: (i, fwd) for i, (e, fwd) in enumerate(steps)}
         self._vertex_at = vertex_at
-        self._vertex_coord = {v: Fraction(i) for i, v in vertex_at.items()}
         self._vertex_slot = {v: (i, 1) for i, v in vertex_at.items()}
         self._whole = {}
 
     def coord(self, p: GraphPoint):
         """Arclength of a point, or None if the point misses the cycle."""
-        if isinstance(p, Vertex):
-            return self._vertex_coord.get(p.v)
-        slot = self._edge_slot.get(p.edge)
-        if slot is None:
-            return None
-        i, fwd = slot
-        return i + (p.t if fwd else 1 - p.t)
+        c = self.int_coord(p)
+        return None if c is None else Fraction(*c)
 
     def int_coord(self, p: GraphPoint):
         """Arclength of a point as integers ``(numerator, denominator)``, the
@@ -125,6 +119,18 @@ class CycleCoords:
         i, fwd = slot
         a, b = p.t.numerator, p.t.denominator
         return i * b + (a if fwd else b - a), b
+
+    def gap(self, x: GraphPoint, y: GraphPoint):
+        """(c(y) - c(x)) mod n as integers ``(numerator, denominator)``, the
+        denominator the product of the points' denominators, or None if a
+        point misses the cycle."""
+        cx = self.int_coord(x)
+        cy = self.int_coord(y)
+        if cx is None or cy is None:
+            return None
+        (nx, dx), (ny, dy) = cx, cy
+        den = dx * dy
+        return (ny * dx - nx * dy) % (len(self.steps) * den), den
 
     def point_at(self, s) -> GraphPoint:
         s = Fraction(s) % self.length
@@ -226,31 +232,25 @@ class CycleGeodesicRule:
         self.graph = g
         self.cycle = cycle
 
-    def _gap(self, x, y):
-        sx = self.cycle.coord(x)
-        sy = self.cycle.coord(y)
-        if sx is None or sy is None:
+    def _arc(self, x, y):
+        """``(num, den, fwd)``: the gap from x to y is num / den, and fwd
+        whether it is under half the cycle."""
+        gap = self.cycle.gap(x, y)
+        if gap is None:
             raise PlanError("query point misses the cycle")
-        return sx, (sy - sx) % self.cycle.length
+        num, den = gap
+        return num, den, 2 * num < len(self.cycle.steps) * den
 
     def path_for(self, x: GraphPoint, y: GraphPoint) -> PLPath:
-        sx, d = self._gap(x, y)
-        if d == 0:
+        num, den, fwd = self._arc(x, y)
+        if num == 0:
             return constant_path(self.graph, x)
-        half = self.cycle.length / 2
-        dist = d if d < half else d - self.cycle.length
-        steps = self.cycle.march(sx, dist)
+        d = Fraction(num, den)
+        steps = self.cycle.march(self.cycle.coord(x), d if fwd else d - self.cycle.length)
         return PLPath._trusted(self.graph, steps, x)
 
     def piece_id(self, x, y):
-        cx = self.cycle.int_coord(x)
-        cy = self.cycle.int_coord(y)
-        if cx is None or cy is None:
-            raise PlanError("query point misses the cycle")
-        # d = (sy - sx) mod n over the denominator dx dy; fwd iff d < n / 2
-        (nx, dx), (ny, dy) = cx, cy
-        span = len(self.cycle.steps) * dx * dy
-        return "fwd" if 2 * ((ny * dx - nx * dy) % span) < span else "bwd"
+        return "fwd" if self._arc(x, y)[2] else "bwd"
 
 
 class EdgeEvacuateRule:
@@ -433,8 +433,11 @@ class GraphFiltration:
                 raise PlanError("filtration levels must be cell unions of the graph")
             if not lv.is_closed():
                 raise PlanError("filtration levels must be closed")
+        # every level holds each piece of G cut at all their sub-arc ends
+        # wholly or not at all
+        pieces = cut_pieces(self.graph, [c for lv in self.levels for c in lv.cuts()])[0]
         for a, b in zip(self.levels, self.levels[1:]):
-            if not all(b.contains_cell(c) for c in a.cells):
+            if any(a.contains(p) and not b.contains(p) for p in pieces):
                 raise PlanError("filtration levels must be nested")
 
     def level_index(self, p: GraphPoint) -> int:
@@ -482,9 +485,6 @@ class ProductFiltration:
             if region.contains(x, y):
                 return k
         raise PlanError("pair not covered by the top level")
-
-    def factor_indices(self, x: GraphPoint, y: GraphPoint):
-        return (self.first.level_index(x), self.second.level_index(y))
 
 
 def product_cat_filtration(f: GraphFiltration, g: GraphFiltration) -> ProductFiltration:

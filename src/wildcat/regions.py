@@ -8,10 +8,12 @@ read off the descriptors.
 
 ``filtration_witnesses`` decides whether a sequence of regions is nested and
 covers G x G, exactly and over every pair of points.  Cutting each edge at
-the ends of every box's sub-arcs splits G into pieces (vertices, cut points
-and the open intervals between them) on whose pairs box membership is
-constant.  A shifted diagonal is a curve; one walk round its cycle, cut
-where either coordinate crosses a piece boundary, decides it.
+the ends of every box's sub-arcs splits G into pieces (``cut_pieces``:
+vertices, cut points and the open intervals between them) on whose pairs box
+membership is constant; ``GraphFiltration`` decides the nesting of closed
+cell unions of G on the same pieces.  A shifted diagonal is a curve; one
+walk round its cycle, cut where either coordinate crosses a piece boundary,
+decides it.
 """
 
 from bisect import bisect_left, bisect_right
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .graphs import (MultiGraph, Vertex, EdgeInterior, GraphPoint, GraphError,
-                     CollapseHomotopy)
+                     CollapseHomotopy, _ONE, _ZERO)
 
 __all__ = [
     "VertexCell",
@@ -33,6 +35,7 @@ __all__ = [
     "Shift",
     "RetractPreimage",
     "Region",
+    "cut_pieces",
     "filtration_witnesses",
 ]
 
@@ -76,11 +79,10 @@ Cell = VertexCell | ClosedEdgeCell | OpenEdgeCell | SubArcCell
 class CellUnion:
     """Finite union of cells of one graph, with O(1) point membership."""
 
-    __slots__ = ("graph", "cells", "_vertices", "_closed_edges", "_open_edges",
+    __slots__ = ("graph", "_vertices", "_closed_edges", "_open_edges",
                  "_arcs_by_edge")
 
     def __init__(self, graph: MultiGraph, cells):
-        cells = tuple(cells)
         vertices = set()
         closed = set()
         open_ = set()
@@ -109,7 +111,6 @@ class CellUnion:
             else:
                 raise GraphError(f"not a cell: {c!r}")
         self.graph = graph
-        self.cells = cells
         self._vertices = frozenset(vertices)
         self._closed_edges = frozenset(closed)
         self._open_edges = frozenset(open_)
@@ -126,31 +127,6 @@ class CellUnion:
                 return True
         return False
 
-    def contains_cell(self, cell) -> bool:
-        """Whether every point of a cell of the same graph lies in the union.
-
-        Decided exactly: the cell's endpoint vertices by set inclusion, its
-        points inside the edge by the union's whole edges or by a sweep over
-        the union's closed arcs on that edge.  A finite union of closed arcs
-        is closed, so it covers an open parameter interval only if it covers
-        the interval's closure.
-        """
-        if isinstance(cell, VertexCell):
-            return cell.v in self._vertices
-        e = self.graph.edge_by_id[cell.edge]
-        if isinstance(cell, SubArcCell):
-            lo, hi = cell.lo, cell.hi
-            ends = [v for v, t in ((e.v0, 0), (e.v1, 1)) if t in (lo, hi)]
-        else:
-            lo, hi = Fraction(0), Fraction(1)
-            ends = [e.v0, e.v1] if isinstance(cell, ClosedEdgeCell) else []
-        if not all(v in self._vertices for v in ends):
-            return False
-        if (lo == hi and lo in (0, 1)) or e.id in self._closed_edges \
-                or e.id in self._open_edges:
-            return True
-        return _arcs_cover(self._arcs_by_edge.get(e.id, ()), lo, hi)
-
     def cuts(self):
         """``(edge, t)`` for each sub-arc end strictly inside its edge: the
         union's membership is constant between consecutive cuts."""
@@ -159,27 +135,8 @@ class CellUnion:
 
     def is_closed(self) -> bool:
         """Closed iff every open-edge cell has both endpoints in the union."""
-        for eid in self._open_edges:
-            if eid in self._closed_edges:
-                continue
-            e = self.graph.edge_by_id[eid]
-            if not (self.contains(Vertex(e.v0)) and self.contains(Vertex(e.v1))):
-                return False
-        return True
-
-
-def _arcs_cover(arcs, lo, hi) -> bool:
-    """Whether closed arcs, sorted by their lower end, cover [lo, hi]."""
-    reach = lo  # [lo, reach) is covered so far
-    for a, b in arcs:
-        if b < reach:
-            continue
-        if a > reach:
-            return False
-        if b >= hi:
-            return True
-        reach = b
-    return False
+        ends = (self.graph.edge_by_id[eid] for eid in self._open_edges)
+        return all(e.v0 in self._vertices and e.v1 in self._vertices for e in ends)
 
 
 def whole_graph_cells(g: MultiGraph) -> CellUnion:
@@ -207,27 +164,21 @@ class Box:
 class Shift:
     """Pairs (x, x + offset) along an oriented cycle, offset in arclength."""
 
-    __slots__ = ("cycle", "offset", "_num", "_den", "_n")
+    __slots__ = ("cycle", "offset", "_num", "_den")
 
     def __init__(self, cycle, offset):
         self.cycle = cycle
         self.offset = Fraction(offset)
-        self._num = self.offset.numerator
+        # the offset mod n, as _num / _den in [0, n)
         self._den = self.offset.denominator
-        self._n = len(cycle.steps)
+        self._num = self.offset.numerator % (len(cycle.steps) * self._den)
 
     def contains(self, x: GraphPoint, y: GraphPoint) -> bool:
-        cx = self.cycle.int_coord(x)
-        cy = self.cycle.int_coord(y)
-        if cx is None or cy is None:
+        gap = self.cycle.gap(x, y)
+        if gap is None:
             return False
-        # sy - sx - offset is a multiple of the length n, over the common
-        # denominator dx dy od
-        (nx, dx), (ny, dy) = cx, cy
-        od = self._den
-        den = dx * dy * od
-        return (ny * dx * od - nx * dy * od - self._num * dx * dy) \
-            % (self._n * den) == 0
+        num, den = gap
+        return num * self._den == self._num * den
 
     def is_closed(self) -> bool:
         return True
@@ -271,6 +222,36 @@ class Region:
 _COVER, _NEST = 0, 1
 _HALF = Fraction(1, 2)
 _PROBE_TS = (Fraction(1, 4), _HALF, Fraction(3, 4))
+
+
+def cut_pieces(g: MultiGraph, cuts):
+    """The pieces of G cut at ``cuts``, pairs ``(edge, t)`` with 0 < t < 1:
+    each vertex, then along each edge its open intervals and the cut points
+    between them.  A cell union whose sub-arc ends are all cuts holds each
+    piece wholly or not at all.
+
+    Returns a point of each piece, ``(edge, lo, hi)`` of each interval (None
+    for a point piece), the piece of each vertex, and per edge its sorted
+    cuts and first piece (cut i is piece ``first + 2 i + 1``).
+    """
+    by_edge = {}
+    for e, t in cuts:
+        by_edge.setdefault(e, set()).add(t)
+    rep = [Vertex(v) for v in g.vertices]
+    span = [None] * len(rep)
+    edge_cuts = {}
+    for e in g.edges:
+        cs = sorted(by_edge.get(e.id, ()))
+        edge_cuts[e.id] = (cs, len(rep))
+        lo = _ZERO
+        for t in cs + [_ONE]:
+            rep.append(EdgeInterior(e.id, (lo + t) / 2 if cs else _HALF))
+            span.append((e.id, lo, t))
+            if t != 1:
+                rep.append(EdgeInterior(e.id, t))
+                span.append(None)
+            lo = t
+    return rep, span, {v: i for i, v in enumerate(g.vertices)}, edge_cuts
 
 
 def _chains(region, retractions=()):
@@ -322,10 +303,7 @@ class _Filtration:
             for hs, q in _chains(f):
                 (boxes if isinstance(q, Box) else shifts).append((j, hs, q))
         self.boxes = boxes
-        cuts = {}
-        for _, _, box in boxes:
-            for e, t in box.first.cuts() + box.second.cuts():
-                cuts.setdefault(e, set()).add(t)
+        cuts = [c for _, _, box in boxes for c in box.first.cuts() + box.second.cuts()]
         self.cycle = None
         self.keys = {}  # offset in units of 1/D, mod N -> mask of its strata
         if shifts:
@@ -347,8 +325,9 @@ class _Filtration:
         n = len(cyc.steps)
         # in units of 1/D every probe (k/4), offset and cut on the cycle sits
         # at an integer position in [0, N)
+        on_cycle = {e.id for e, _ in cyc.steps}
         D = lcm(4, *(s.offset.denominator for _, _, s in shifts),
-                *(t.denominator for e, _ in cyc.steps for t in cuts.get(e.id, ())))
+                *(t.denominator for e, t in cuts if e in on_cycle))
         N = n * D
         for j, _, s in shifts:
             key = s.offset.numerator * (D // s.offset.denominator) % N
@@ -359,32 +338,14 @@ class _Filtration:
                     for u in ((k * D + key) % N, (k * D - key) % N):
                         if u % D:
                             p = cyc.point_at(Fraction(u, D))
-                            cuts.setdefault(p.edge, set()).add(p.t)
+                            cuts.append((p.edge, p.t))
         self.cycle, self.retractions, self.D, self.N = cyc, hs, D, N
 
     def _pieces(self, g: MultiGraph, cuts):
-        rep, span = [], []  # a point of each piece; (edge, lo, hi) of an interval
-        self.vertex_piece = {}
-        for v in g.vertices:
-            self.vertex_piece[v] = len(rep)
-            rep.append(Vertex(v))
-            span.append(None)
-        self.edge_cuts = {}
-        one = Fraction(1)
-        for e in g.edges:
-            cs = sorted(cuts.get(e.id, ()))
-            self.edge_cuts[e.id] = (cs, len(rep))
-            lo = Fraction(0)
-            for t in cs + [one]:
-                rep.append(EdgeInterior(e.id, (lo + t) / 2 if cs else _HALF))
-                span.append((e.id, lo, t))
-                if t != 1:
-                    rep.append(EdgeInterior(e.id, t))
-                    span.append(None)
-                lo = t
+        self.rep, self.span, self.vertex_piece, self.edge_cuts = cut_pieces(g, cuts)
         classes = {}
         cls, coord = [], []
-        for i, p in enumerate(rep):
+        for i, p in enumerate(self.rep):
             images = {}
             fa = sb = 0
             for b, (_, hs, box) in enumerate(self.boxes):
@@ -399,10 +360,10 @@ class _Filtration:
             c = None
             if self.cycle is not None:
                 z = _retract(self.retractions, p)
-                if span[i] is None or isinstance(z, Vertex):
+                if self.span[i] is None or isinstance(z, Vertex):
                     c = self._units(z)
             coord.append(c)
-        self.rep, self.span, self.cls, self.coord = rep, span, cls, coord
+        self.cls, self.coord = cls, coord
         self.sigs = list(classes)
         self.class_pieces = [[] for _ in self.sigs]
         for i, c in enumerate(cls):

@@ -9,14 +9,16 @@ intermediate path; and ``lifted_path`` assembles a lifted answer from five
 such paths (two slides, the core path, the reversed slide and the
 concatenation).  They are the oracle for ``CycleCoords.march``,
 ``TreeRouter.route_steps`` and ``LiftedRule.path_for``, which share
-whole-edge steps and check an answer once.
+whole-edge steps and check an answer once.  ``coord`` reads a cycle
+coordinate in Fraction arithmetic from the walk's steps, independently of
+the integer ``CycleCoords.int_coord``.
 """
 
 from collections import deque
 from fractions import Fraction
 
 import graph_reference
-from wildcat.graphs import EdgeInterior, GraphError, PathStep, PLPath, betti1
+from wildcat.graphs import EdgeInterior, GraphError, PathStep, PLPath, Vertex, betti1
 
 
 def validated(graph, steps, source=None):
@@ -106,13 +108,25 @@ def march(cycle, s0, dist):
     return steps
 
 
+def coord(cycle, p):
+    """Arclength of a point on the cycle, or None off it, as
+    ``CycleCoords.coord`` computed it in Fraction arithmetic."""
+    for i, (e, fwd) in enumerate(cycle.steps):
+        if isinstance(p, Vertex):
+            if p.v == (e.v0 if fwd else e.v1):
+                return Fraction(i)
+        elif p.edge == e.id:
+            return i + (p.t if fwd else 1 - p.t)
+    return None
+
+
 def circle_path(graph, cycle, j, x, y):
     """The answer of stratum j of the circle plan: rotate by half the
     perimeter (j = 0) or follow the shorter arc (j = 1)."""
-    sx = cycle.coord(x)
+    sx = coord(cycle, x)
     if j == 0:
         return validated(graph, march(cycle, sx, cycle.length / 2), x)
-    d = (cycle.coord(y) - sx) % cycle.length
+    d = (coord(cycle, y) - sx) % cycle.length
     if d == 0:
         return constant(graph, x)
     half = cycle.length / 2

@@ -126,11 +126,11 @@ def test_criterion_6_product_filtration():
                 k = prod.level_index(x, y)
                 assert all(prod.levels[m].contains(x, y)
                            for m in range(k, len(prod.levels)))
-                i, j = prod.factor_indices(x, y)
-                assert k == i + j
+                assert k == prod.first.level_index(x) + prod.second.level_index(y)
         for _ in range(50):
             x, y = random_point(rng, g), random_point(rng, g)
-            assert prod.level_index(x, y) == sum(prod.factor_indices(x, y))
+            assert prod.level_index(x, y) == \
+                prod.first.level_index(x) + prod.second.level_index(y)
     _line(6, True,
           "product of the cat filtration with itself is a valid closed "
           "filtration of length <= 2*cat on 10 graphs (exact)")

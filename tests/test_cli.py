@@ -201,6 +201,16 @@ def test_plan_dot_output(tmp_path, capsys):
     assert '"a" -- "b"' in text
 
 
+def test_plan_dot_unwritable_path(tmp_path, capsys):
+    dot = tmp_path / "missing" / "g.dot"
+    code, out, err = run_cli(capsys, "plan", fixture("c3.space"),
+                             "--from", "vertex a", "--to", "vertex b",
+                             "--dot", str(dot))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {dot}: ")
+
+
 # --- verify ---------------------------------------------------------------------------
 
 def test_verify_k4_passes(capsys):
@@ -350,6 +360,16 @@ def test_truncate_atoms_rejected(capsys):
                            "--depth", "2")
     assert code == 2
     assert "atom" in err
+
+
+@pytest.mark.parametrize("flag", ["-o", "--dot"])
+def test_truncate_unwritable_path(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "x.space"
+    code, out, err = run_cli(capsys, "truncate", fixture("nested3.space"),
+                             "--depth", "2", flag, str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 # --- cuplength --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from wildcat.graphs import (GraphError, Vertex, EdgeInterior, build_graph,
                             subgraph, betti1, spanning_forest, deforest,
-                            tree_path, TreeRouter, constant_path, point_dist,
+                            TreeRouter, constant_path, point_dist,
                             cat_graph, tc_graph, PLPath, PathStep, Collapse,
                             CollapseHomotopy)
 
@@ -221,19 +221,19 @@ def test_deforest_and_slides_scale_linearly():
     assert elapsed < 3.0, f"deforest + 2000 slides took {elapsed:.2f} s"
 
 
-# --- tree_path ---------------------------------------------------------------
+# --- tree routes -------------------------------------------------------------
 
 def test_tree_path_constant():
     g = path_graph(3)
     p = Vertex("v1")
-    path = tree_path(g, p, p)
+    path = TreeRouter(g).route(p, p)
     assert path.length == 0
     assert path.at(0) == p and path.at(1) == p
 
 
 def test_tree_path_through_middle():
     g = path_graph(3)
-    path = tree_path(g, Vertex("v0"), Vertex("v2"))
+    path = TreeRouter(g).route(Vertex("v0"), Vertex("v2"))
     assert path.length == 2
     assert [s.edge for s in path.steps] == ["e0", "e1"]
     assert path.at(Fraction(1, 2)) == Vertex("v1")
@@ -242,7 +242,7 @@ def test_tree_path_through_middle():
 def test_tree_path_from_midpoint():
     g = path_graph(3)
     p = EdgeInterior("e0", Fraction(1, 2))
-    path = tree_path(g, p, Vertex("v2"))
+    path = TreeRouter(g).route(p, Vertex("v2"))
     assert path.length == Fraction(3, 2)
     assert path.at(0) == p
     assert path.at(1) == Vertex("v2")
@@ -252,7 +252,7 @@ def test_tree_path_same_edge_midpoints():
     g = path_graph(2)
     p = EdgeInterior("e0", Fraction(1, 4))
     q = EdgeInterior("e0", Fraction(3, 4))
-    path = tree_path(g, p, q)
+    path = TreeRouter(g).route(p, q)
     assert path.length == Fraction(1, 2)
     assert len(path.steps) == 1
 
@@ -281,7 +281,7 @@ def _anchor(g, p):
 def test_tree_path_different_components():
     g = build_graph(["a", "b"], [])
     with pytest.raises(GraphError, match="different components"):
-        tree_path(g, Vertex("a"), Vertex("b"))
+        TreeRouter(g).route(Vertex("a"), Vertex("b"))
 
 
 # --- PLPath ------------------------------------------------------------------
@@ -344,7 +344,7 @@ def test_plpath_constant_midedge_single_degenerate_step():
 
 def test_plpath_exact_arclength_eval():
     g = path_graph(3)
-    path = tree_path(g, EdgeInterior("e0", Fraction(1, 2)), Vertex("v2"))
+    path = TreeRouter(g).route(EdgeInterior("e0", Fraction(1, 2)), Vertex("v2"))
     # length 3/2: time 1/3 is arclength 1/2, exactly at vertex v1
     assert path.at(Fraction(1, 3)) == Vertex("v1")
     assert path.at(Fraction(2, 3)) == EdgeInterior("e1", Fraction(1, 2))

@@ -289,8 +289,8 @@ def test_product_difference_indices_are_sums():
     prod = product_cat_filtration(f, f)
     for _ in range(200):
         x, y = random_point(rng, g), random_point(rng, g)
-        i, j = prod.factor_indices(x, y)
-        assert prod.level_index(x, y) == i + j
+        assert prod.level_index(x, y) == \
+            prod.first.level_index(x) + prod.second.level_index(y)
 
 
 def test_product_levels_nested_pointwise():

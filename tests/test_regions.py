@@ -8,8 +8,10 @@ from wildcat.regions import (VertexCell, ClosedEdgeCell, OpenEdgeCell,
                              SubArcCell, CellUnion, whole_graph_cells, Box,
                              Shift, RetractPreimage, Region,
                              filtration_witnesses)
-from wildcat.planner import CycleCoords, CycleGeodesicRule, LiftedRule
+from wildcat.planner import (CycleCoords, CycleGeodesicRule, LiftedRule,
+                             GraphFiltration, PlanError)
 
+import path_reference
 from gen import (path_graph, cycle_graph, loop_graph, theta_graph,
                  random_cycle_with_hairs)
 
@@ -61,38 +63,46 @@ def _random_cell(rng, g):
     return SubArcCell(e, lo, hi)
 
 
-def _cell_grid(g, cell):
-    """Points of a cell at parameters k/16: with every arc end a multiple of
-    1/8, membership in a union is constant between consecutive grid points,
-    so the grid decides whether the cell lies in the union."""
-    if isinstance(cell, VertexCell):
-        return [Vertex(cell.v)]
-    lo, hi, ends = Fraction(0), Fraction(1), True
-    if isinstance(cell, SubArcCell):
-        lo, hi = cell.lo, cell.hi
-    elif isinstance(cell, OpenEdgeCell):
-        ends = False
-    return [g.point(cell.edge, Fraction(k, 16)) for k in range(17)
-            if lo <= Fraction(k, 16) <= hi and (ends or 0 < k < 16)]
+def _closed(g, cells):
+    """A closed cell union: the cells, and the ends of each open edge."""
+    cells = list(cells)
+    for c in list(cells):
+        if isinstance(c, OpenEdgeCell):
+            e = g.edge_by_id[c.edge]
+            cells += [VertexCell(e.v0), VertexCell(e.v1)]
+    return CellUnion(g, cells)
 
 
-def test_contains_cell_matches_a_fine_grid():
+def _nested(g, *levels):
+    """Whether ``GraphFiltration`` accepts the levels as nested."""
+    try:
+        GraphFiltration(g, levels)
+    except PlanError as exc:
+        assert "nested" in str(exc)
+        return False
+    return True
+
+
+def test_filtration_nesting_matches_a_fine_grid():
+    # every arc end is a multiple of 1/8, so membership in a union is
+    # constant between consecutive points k/16, and the grid decides nesting
     rng = random.Random(41)
     g = theta_graph()
+    grid = _grid(g, 16)
     for _ in range(2000):
-        union = CellUnion(g, [_random_cell(rng, g) for _ in range(rng.randint(1, 5))])
-        cell = _random_cell(rng, g)
-        assert union.contains_cell(cell) == all(
-            union.contains(p) for p in _cell_grid(g, cell))
+        union = _closed(g, [_random_cell(rng, g) for _ in range(rng.randint(1, 5))])
+        cell = _closed(g, [_random_cell(rng, g)])
+        assert _nested(g, cell, union) == all(
+            union.contains(p) for p in grid if cell.contains(p))
 
 
-def test_contains_cell_needs_the_closure_of_an_open_edge():
+def test_filtration_nesting_needs_the_closure_of_an_open_edge():
     g = path_graph(2)
     u = CellUnion(g, [SubArcCell("e0", Fraction(1, 100), 1), VertexCell("v0")])
-    assert not u.contains_cell(OpenEdgeCell("e0"))
-    assert u.contains_cell(SubArcCell("e0", Fraction(1, 100), Fraction(1, 2)))
-    assert u.contains_cell(SubArcCell("e0", 0, 0))
-    assert not u.contains_cell(SubArcCell("e0", 0, Fraction(1, 100)))
+    assert not _nested(g, _closed(g, [OpenEdgeCell("e0")]), u)
+    assert _nested(g, CellUnion(g, [SubArcCell("e0", Fraction(1, 100), Fraction(1, 2))]), u)
+    assert _nested(g, CellUnion(g, [SubArcCell("e0", 0, 0)]), u)
+    assert not _nested(g, CellUnion(g, [SubArcCell("e0", 0, Fraction(1, 100))]), u)
 
 
 def test_box_region():
@@ -131,8 +141,8 @@ def test_shift_on_loop():
 
 def _fraction_shift_contains(shift, x, y):
     """``Shift.contains`` as it was, in Fraction arithmetic."""
-    sx = shift.cycle.coord(x)
-    sy = shift.cycle.coord(y)
+    sx = path_reference.coord(shift.cycle, x)
+    sy = path_reference.coord(shift.cycle, y)
     if sx is None or sy is None:
         return False
     return (sy - sx - shift.offset) % shift.cycle.length == 0
@@ -140,7 +150,7 @@ def _fraction_shift_contains(shift, x, y):
 
 def _fraction_piece_id(cycle, x, y):
     """``CycleGeodesicRule.piece_id`` as it was, in Fraction arithmetic."""
-    d = (cycle.coord(y) - cycle.coord(x)) % cycle.length
+    d = (path_reference.coord(cycle, y) - path_reference.coord(cycle, x)) % cycle.length
     return "fwd" if d < cycle.length / 2 else "bwd"
 
 
@@ -179,14 +189,16 @@ def test_integer_cycle_coordinates_match_fractions():
             for _ in range(12):
                 x = _cycle_point(rng, g)
                 rx = x if h is None else h.retract(x)
-                if rng.random() < 0.5 and cyc.coord(rx) is not None:
-                    y = cyc.point_at(cyc.coord(rx) + o)  # on the diagonal
+                sx = path_reference.coord(cyc, rx)
+                assert cyc.coord(rx) == sx
+                if rng.random() < 0.5 and sx is not None:
+                    y = cyc.point_at(sx + o)  # on the diagonal
                 else:
                     y = _cycle_point(rng, g)
                 ry = y if h is None else h.retract(y)
                 assert region.contains(x, y) == _fraction_shift_contains(shift, rx, ry), \
                     (o, x, y)
-                if cyc.coord(rx) is not None and cyc.coord(ry) is not None:
+                if sx is not None and path_reference.coord(cyc, ry) is not None:
                     assert lifted.piece_id(x, y) == _fraction_piece_id(cyc, rx, ry), (x, y)
     # off the cycle a Shift holds nothing
     g = random_cycle_with_hairs(random.Random(3), 3, 2)
