@@ -13,6 +13,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "GraphError",
@@ -51,8 +52,10 @@ class GraphError(ValueError):
     """Malformed graph data, or an operation applied to an unsuitable graph."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """An edge record: an immutable named tuple, so it equals, hashes and
+    unpacks like the plain triple ``(id, v0, v1)``."""
+
     id: str
     v0: str
     v1: str
@@ -90,6 +93,49 @@ class EdgeInterior:
 GraphPoint = Vertex | EdgeInterior
 
 
+def _valid_names(vs, es) -> bool:
+    """True when the names need no item-by-item check: all are non-empty
+    ``str`` identifiers, none repeats, and every endpoint is a vertex.  Each
+    test runs in C over a whole column; it may answer False for input that
+    is valid (an empty graph, a ``str`` subclass), never True for input that
+    is not."""
+    ids, v0s, v1s = zip(*es) if es else ((), (), ())
+    if not {str}.issuperset(map(type, vs + ids + v0s + v1s)):
+        return False                          # before any name is hashed
+    vset, idset = set(vs), set(ids)
+    return ("" not in vset and "" not in idset
+            and len(vset) == len(vs) and len(idset) == len(ids)
+            and vset.issuperset(v0s) and vset.issuperset(v1s)
+            and _all_idents(vs) and _all_idents(ids))
+
+
+def _all_idents(names) -> bool:
+    # each name is non-empty, so the names are identifiers exactly when
+    # their concatenation is one
+    return not names or _IDENT.match("".join(names)) is not None
+
+
+def _check_each_name(vs, es):
+    """Raise ``GraphError`` at the first bad name, in declaration order."""
+    vset = set()
+    for v in vs:
+        if not isinstance(v, str) or not _IDENT.match(v):
+            raise GraphError(f"invalid vertex identifier {v!r}")
+        if v in vset:
+            raise GraphError(f"duplicate identifier {v!r}")
+        vset.add(v)
+    eset = set()
+    for e in es:
+        if not _IDENT.match(e.id):
+            raise GraphError(f"invalid edge identifier {e.id!r}")
+        if e.id in eset:
+            raise GraphError(f"duplicate identifier {e.id!r}")
+        eset.add(e.id)
+        for v in (e.v0, e.v1):
+            if v not in vset:
+                raise GraphError(f"dangling endpoint {v!r} on edge {e.id!r}")
+
+
 class MultiGraph:
     """Validated immutable multigraph with precomputed component data.
 
@@ -103,50 +149,35 @@ class MultiGraph:
 
     def __init__(self, vertices, edges):
         vs = tuple(vertices)
-        es = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
-        vset = set()
-        for v in vs:
-            if not isinstance(v, str) or not _IDENT.match(v):
-                raise GraphError(f"invalid vertex identifier {v!r}")
-            if v in vset:
-                raise GraphError(f"duplicate identifier {v!r}")
-            vset.add(v)
-        eset = set()
-        for e in es:
-            if not _IDENT.match(e.id):
-                raise GraphError(f"invalid edge identifier {e.id!r}")
-            if e.id in eset:
-                raise GraphError(f"duplicate identifier {e.id!r}")
-            eset.add(e.id)
-            for v in (e.v0, e.v1):
-                if v not in vset:
-                    raise GraphError(f"dangling endpoint {v!r} on edge {e.id!r}")
+        es = tuple([e if isinstance(e, Edge) else Edge(*e) for e in edges])
+        if not _valid_names(vs, es):
+            _check_each_name(vs, es)
         self.vertices = vs
         self.edges = es
-        self.edge_by_id = {e.id: e for e in es}
+        self.edge_by_id = edge_by_id = {e.id: e for e in es}
         incident = {v: [] for v in vs}
-        degree = {v: 0 for v in vs}
-        for e in es:
-            incident[e.v0].append(e.id)
-            if e.is_loop:
-                degree[e.v0] += 2
+        degree = dict.fromkeys(vs, 0)
+        for eid, v0, v1 in es:
+            incident[v0].append(eid)
+            if v0 == v1:
+                degree[v0] += 2
             else:
-                incident[e.v1].append(e.id)
-                degree[e.v0] += 1
-                degree[e.v1] += 1
-        self.incident = {v: tuple(sorted(ids)) for v, ids in incident.items()}
+                incident[v1].append(eid)
+                degree[v0] += 1
+                degree[v1] += 1
+        self.incident = incident = {v: tuple(sorted(ids)) for v, ids in incident.items()}
         self.degree = degree
         comp = {}
         n = 0
         for root in sorted(vs):
             if root in comp:
                 continue
-            queue = deque([root])
             comp[root] = n
-            while queue:
-                u = queue.popleft()
-                for eid in self.incident[u]:
-                    w = self.edge_by_id[eid].other(u)
+            queue = [root]
+            for u in queue:
+                for eid in incident[u]:
+                    _, v0, v1 = edge_by_id[eid]
+                    w = v1 if v0 == u else v0
                     if w not in comp:
                         comp[w] = n
                         queue.append(w)

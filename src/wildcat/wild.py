@@ -874,6 +874,66 @@ def _key(p: GraphPoint):
     return p.v if isinstance(p, Vertex) else (p.edge, p.t)
 
 
+def _template(node: Node, anchor, depth: int):
+    """What every copy of ``node`` glued at ``anchor`` writes, in the node's
+    own names: ``(vertices, edges, children, anchor record)``.  A copy adds
+    its prefix to each name; None stands for the host vertex.  Edges are
+    ``(id, v0, v1)``; children are ``(child, child anchor, prefix suffix,
+    attach point)``, in stack order; the anchor record is the anchor's own
+    vertex name and the edge it cuts (or None), or None at the root."""
+    children = [(att.child, _key(att.anchor), f"a{i}_", _key(att.at))
+                for i, att in enumerate(node.fin)]
+    for i, fam in enumerate(node.seq):
+        # copies go round the cells, vertices first; the j-th of the m
+        # copies on an edge sits at parameter j / (m + 1)
+        cvs, ces = fam.subcomplex.vertices, fam.subcomplex.edges
+        n = len(cvs) + len(ces)
+        pattern_anchor = _key(fam.anchor)
+        for c in range(depth):
+            k = c % n
+            at = (cvs[k] if k < len(cvs) else
+                  (ces[k - len(cvs)], Fraction(c // n + 1, (depth - 1 - k) // n + 2)))
+            children.append((fam.pattern, pattern_anchor, f"s{i}c{c}_", at))
+    cuts = defaultdict(set)
+    for at in (anchor, *(child[3] for child in children)):
+        if isinstance(at, tuple):
+            cuts[at[0]].add(at[1])
+    cut_names = {}                            # in edge order
+    for ed in node.base.edges:
+        if ed.id in cuts:
+            cuts[ed.id] = ts = sorted(cuts[ed.id])
+            for k, t in enumerate(ts, 1):
+                cut_names[(ed.id, t)] = f"{ed.id}_p{k}"
+
+    def name(key):
+        if key == anchor:
+            return None
+        return key if isinstance(key, str) else cut_names[key]
+
+    record = None
+    if anchor is not None:
+        on_edge = isinstance(anchor, tuple)
+        record = (cut_names[anchor] if on_edge else anchor,
+                  anchor[0] if on_edge else None)
+    vs = [v for v in node.base.vertices if v != anchor]
+    vs.extend(v for key, v in cut_names.items() if key != anchor)
+    es = []
+    for ed in node.base.edges:
+        v0, v1 = name(ed.v0), name(ed.v1)
+        ts = cuts.get(ed.id)
+        if not ts:
+            es.append((ed.id, v0, v1))
+            continue
+        for k, t in enumerate(ts):
+            cut = name((ed.id, t))
+            es.append((f"{ed.id}_s{k}", v0, cut))
+            v0 = cut
+        es.append((f"{ed.id}_s{len(ts)}", v0, v1))
+    kids = [(child, child_anchor, suffix, name(at))
+            for child, child_anchor, suffix, at in reversed(children)]
+    return vs, es, kids, record
+
+
 def _expand(root: Node, depth: int):
     """Vertex names and ``(id, v0, v1)`` edge triples of the truncation, in
     declaration order, from one pre-order walk of the expansion tree.
@@ -882,72 +942,46 @@ def _expand(root: Node, depth: int):
     (edge by edge, parameters ascending), then its edges with each cut edge
     replaced in place by its segments; its ``fin`` attachments follow, then
     its ``seq`` copies, each a whole subtree.  A child's stack entry carries
-    its prefix, its anchor and its host vertex, resolved in the parent's
+    its anchor, its prefix and its host vertex, resolved in the parent's
     names; the child writes the host wherever its anchor would appear, in
     its own edges and as the host of its own attachments.  The anchor's
     parameter joins the cuts of its edge, so ``_p``/``_s`` numbering runs
     over the union.
 
+    All of that depends only on the node and its anchor: every copy of a
+    ``seq`` pattern is the same ``Node``, glued at the same anchor.  So it
+    is worked out once per (node, anchor) pair as a ``_template`` in the
+    node's own names, and each copy only adds its prefix and its host.  The
+    memo keys on the anchor too, since one node may be glued at two anchors.
+
     Also returns, for each anchor renamed away, its own vertex name, the
     edge it cuts (or None) and the vertex and edge ranges of its subtree.
     """
     vs, es, anchors = [], [], []
-    stack = [(root, "", None, None)]
+    templates = {}
+    stack = [(root, None, "", None)]
     while stack:
         entry = stack.pop()
         if isinstance(entry, list):           # an anchored subtree ends here
             entry.extend((len(vs), len(es)))
             continue
-        node, prefix, anchor, host = entry
-        children = [(att.child, f"{prefix}a{i}_", _key(att.at), _key(att.anchor))
-                    for i, att in enumerate(node.fin)]
-        for i, fam in enumerate(node.seq):
-            # copies go round the cells, vertices first; the j-th of the m
-            # copies on an edge sits at parameter j / (m + 1)
-            cvs, ces = fam.subcomplex.vertices, fam.subcomplex.edges
-            n = len(cvs) + len(ces)
-            pattern_anchor = _key(fam.anchor)
-            for c in range(depth):
-                k = c % n
-                at = (cvs[k] if k < len(cvs) else
-                      (ces[k - len(cvs)], Fraction(c // n + 1, (depth - 1 - k) // n + 2)))
-                children.append((fam.pattern, f"{prefix}s{i}c{c}_", at, pattern_anchor))
-        cuts = defaultdict(set)
-        for at in (anchor, *(child[2] for child in children)):
-            if isinstance(at, tuple):
-                cuts[at[0]].add(at[1])
-        cut_names = {}                        # in edge order
-        for ed in node.base.edges:
-            if ed.id in cuts:
-                cuts[ed.id] = ts = sorted(cuts[ed.id])
-                for k, t in enumerate(ts, 1):
-                    cut_names[(ed.id, t)] = f"{prefix}{ed.id}_p{k}"
-
-        def name(key):
-            if key == anchor:
-                return host
-            return prefix + key if isinstance(key, str) else cut_names[key]
-
-        if anchor is not None:
-            on_edge = isinstance(anchor, tuple)
-            anchors.append([cut_names[anchor] if on_edge else prefix + anchor,
-                            prefix + anchor[0] if on_edge else None, len(vs), len(es)])
+        node, anchor, prefix, host = entry
+        key = (id(node), anchor)
+        tpl = templates.get(key)
+        if tpl is None:
+            tpl = templates[key] = _template(node, anchor, depth)
+        tvs, tes, kids, record = tpl
+        if record is not None:
+            vname, eid = record
+            anchors.append([prefix + vname, None if eid is None else prefix + eid,
+                            len(vs), len(es)])
             stack.append(anchors[-1])
-        vs.extend(prefix + v for v in node.base.vertices if v != anchor)
-        vs.extend(v for key, v in cut_names.items() if key != anchor)
-        for ed in node.base.edges:
-            v0, v1 = name(ed.v0), name(ed.v1)
-            ts = cuts.get(ed.id)
-            if not ts:
-                es.append((prefix + ed.id, v0, v1))
-                continue
-            for k, t in enumerate(ts):
-                cut = name((ed.id, t))
-                es.append((f"{prefix}{ed.id}_s{k}", v0, cut))
-                v0 = cut
-            es.append((f"{prefix}{ed.id}_s{len(ts)}", v0, v1))
-        for child, child_prefix, at, child_anchor in reversed(children):
-            stack.append((child, child_prefix, child_anchor, name(at)))
+        vs.extend([prefix + v for v in tvs])
+        es.extend([(prefix + i, host if v0 is None else prefix + v0,
+                    host if v1 is None else prefix + v1) for i, v0, v1 in tes])
+        stack.extend([(child, child_anchor, prefix + suffix,
+                       host if at is None else prefix + at)
+                      for child, child_anchor, suffix, at in kids])
     return vs, es, anchors
 
 

@@ -285,3 +285,17 @@ def attach_chain_text(depth):
     body = ("(node (base tri) (attach (vertex a) " * depth + earring
             + " (vertex v)))" + " (vertex b)))" * (depth - 1))
     return chain_space_text(body)
+
+
+def seq_chain_text(depth):
+    """Space file of ``depth`` nested families: a point with shrinking copies
+    of a triangle at its vertex, each triangle with shrinking copies of the
+    next one at its vertex a, glued at their own a, the innermost with
+    shrinking loops.  Every copy is glued at the one accumulation point, so
+    the wild tower stays two levels deep and (wrk, cat, tc) is (2, 1, 2)
+    at any depth."""
+    inner, anchor = "(graph loop)", "(vertex o)"
+    for _ in range(depth):
+        inner = f"(node (base tri) (seqfam (a) {inner} {anchor}))"
+        anchor = "(vertex a)"
+    return chain_space_text(f"(node (base pt) (seqfam (v) {inner} {anchor}))")

@@ -18,8 +18,8 @@ table.
 
 from fractions import Fraction
 
-from wildcat.graphs import (Collapse, EdgeInterior, GraphError, PathStep, PLPath,
-                            Vertex, subgraph, vertex_distances)
+from wildcat.graphs import (Collapse, Edge, EdgeInterior, GraphError, PathStep,
+                            PLPath, Vertex, subgraph, vertex_distances, _IDENT)
 
 
 def deforest_collapses(g):
@@ -114,3 +114,28 @@ def path_at(path, time):
             t = st.a + (local if st.b > st.a else -local)
             return path.graph.point(st.edge, t)
     return path.endpoint1
+
+
+def check_names(vertices, edges):
+    """Raise what ``MultiGraph(vertices, edges)`` raises for bad names, or
+    return None: vertices in order, then edges in order, each checked for a
+    valid identifier, a repeat and, for an edge, dangling endpoints."""
+    vs = tuple(vertices)
+    es = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
+    vset = set()
+    for v in vs:
+        if not isinstance(v, str) or not _IDENT.match(v):
+            raise GraphError(f"invalid vertex identifier {v!r}")
+        if v in vset:
+            raise GraphError(f"duplicate identifier {v!r}")
+        vset.add(v)
+    eset = set()
+    for e in es:
+        if not _IDENT.match(e.id):
+            raise GraphError(f"invalid edge identifier {e.id!r}")
+        if e.id in eset:
+            raise GraphError(f"duplicate identifier {e.id!r}")
+        eset.add(e.id)
+        for v in (e.v0, e.v1):
+            if v not in vset:
+                raise GraphError(f"dangling endpoint {v!r} on edge {e.id!r}")

@@ -10,7 +10,7 @@ from wildcat.cli import main
 from wildcat.spacefile import parse_spacefile
 from wildcat.graphs import betti1
 
-from gen import attach_chain_text, chain_space_text
+from gen import attach_chain_text, chain_space_text, seq_chain_text
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -99,6 +99,17 @@ def test_deep_attach_chain_exits_zero(tmp_path, capsys, command):
     assert code == 0
     assert (doc["wrk"], doc["cat"], doc["tc"]) == (2, 1, 2)
     assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("command", ["info", "certify"])
+def test_deep_seq_chain_exits_zero(tmp_path, capsys, command):
+    # 1500 nested (seqfam ...) forms: the stability walk over families and
+    # the wild-set pieces use no recursion either
+    path = tmp_path / "deep.space"
+    path.write_text(seq_chain_text(1500), encoding="ascii")
+    code, doc, _ = run_json(capsys, command, str(path))
+    assert code == 0
+    assert (doc["wrk"], doc["cat"], doc["tc"]) == (2, 1, 2)
 
 
 # --- exit-status contract --------------------------------------------------------
@@ -335,6 +346,19 @@ def test_truncate_deep_attach_chain_exits_zero(tmp_path, capsys):
     # 1500 nested (attach ...) forms: the expansion uses no recursion
     path = tmp_path / "deep.space"
     path.write_text(attach_chain_text(1500), encoding="ascii")
+    out = tmp_path / "t.space"
+    code, _, err = run_cli(capsys, "truncate", str(path), "--depth", "1", "-o", str(out))
+    assert code == 0
+    assert "3001 vertices, 4501 edges" in err
+    g = parse_spacefile(out.read_text()).main_graph()
+    assert (len(g.vertices), len(g.edges), betti1(g)) == (3001, 4501, 1501)
+
+
+def test_truncate_deep_seq_chain_exits_zero(tmp_path, capsys):
+    # one copy per family: each of the 1500 triangles adds two vertices and
+    # three edges, glued at a to the one before, and the loop adds an edge
+    path = tmp_path / "deep.space"
+    path.write_text(seq_chain_text(1500), encoding="ascii")
     out = tmp_path / "t.space"
     code, _, err = run_cli(capsys, "truncate", str(path), "--depth", "1", "-o", str(out))
     assert code == 0

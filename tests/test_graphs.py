@@ -1,10 +1,13 @@
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from wildcat.graphs import (GraphError, Vertex, EdgeInterior, build_graph,
+import wildcat
+from wildcat import graphs
+from wildcat.graphs import (GraphError, Edge, Vertex, EdgeInterior, build_graph,
                             subgraph, betti1, spanning_forest, deforest,
                             TreeRouter, constant_path, point_dist,
                             cat_graph, tc_graph, PLPath, PathStep, Collapse,
@@ -46,6 +49,108 @@ def test_build_duplicate_ids():
 def test_build_bad_identifier():
     with pytest.raises(GraphError, match="invalid"):
         build_graph(["a b"], [])
+
+
+# --- constructor errors against the item-by-item reference -------------------
+
+_BAD_NAMES = ["a b", "", "a\n", "\u00e9", 7, ["v"]]
+
+
+def _faulty_input(rng):
+    """A small graph's records with up to three faults at random positions:
+    repeats, dangling endpoints and bad names, in vertices and in edges."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 6))]
+    es = [[f"e{i}", rng.choice(vs), rng.choice(vs)] for i in range(rng.randint(0, 6))]
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        kind = rng.randrange(5)
+        if kind == 0:
+            vs.insert(rng.randint(0, len(vs)), rng.choice(vs))
+        elif kind == 1 and es:
+            es.insert(rng.randint(0, len(es)),
+                      [rng.choice(es)[0], rng.choice(vs), rng.choice(vs)])
+        elif kind == 2 and es:
+            rng.choice(es)[rng.randint(1, 2)] = f"x{rng.randrange(3)}"
+        elif kind == 3:
+            vs.insert(rng.randint(0, len(vs)), rng.choice(_BAD_NAMES))
+        elif kind == 4 and es:
+            rng.choice(es)[rng.randrange(3)] = rng.choice(_BAD_NAMES)
+    return vs, [tuple(e) for e in es]
+
+
+def _build_outcome(fn, vs, es):
+    try:
+        fn(vs, es)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _constructor_mismatches(seed=77, n=3000):
+    """Inputs on which ``MultiGraph`` and the reference loop raise a
+    different error (or only one of them raises), and the outcomes seen."""
+    rng = random.Random(seed)
+    bad, seen = [], []
+    for _ in range(n):
+        vs, es = _faulty_input(rng)
+        want = _build_outcome(graph_reference.check_names, vs, es)
+        if _build_outcome(graphs.MultiGraph, vs, es) != want:
+            bad.append((vs, es))
+        seen.append(want)
+    return bad, seen
+
+
+def test_constructor_errors_match_the_reference_loop():
+    bad, seen = _constructor_mismatches()
+    assert not bad, bad[:3]
+    messages = [o[1] for o in seen if o is not None and o[0] is GraphError]
+    # the corpus reaches every error, and valid graphs too
+    assert seen.count(None) >= 300
+    for start in ("duplicate identifier", "dangling endpoint",
+                  "invalid vertex identifier", "invalid edge identifier"):
+        assert sum(m.startswith(start) for m in messages) >= 50, start
+    for name in _BAD_NAMES:
+        assert any(repr(name) in m for m in messages), name
+    assert any(o is not None and o[0] is TypeError for o in seen)
+
+
+def test_constructor_parity_catches_a_space_joined_identifier_check(monkeypatch):
+    # joining names with a space lets the one name "a b" pass as two
+    spaced = re.compile(r"[A-Za-z0-9_]+(?: [A-Za-z0-9_]+)*\Z")
+    monkeypatch.setattr(graphs, "_all_idents",
+                        lambda names: not names or spaced.match(" ".join(names)) is not None)
+    bad, _ = _constructor_mismatches()
+    assert bad and any("a b" in vs or any("a b" in e for e in es) for vs, es in bad)
+
+
+def test_constructor_parity_catches_hashing_before_the_type_check(monkeypatch):
+    # a set built before the type check raises TypeError for a list vertex,
+    # where the reference raises GraphError
+    fast = graphs._valid_names
+
+    def hashing_first(vs, es):
+        set(vs)
+        return fast(vs, es)
+
+    monkeypatch.setattr(graphs, "_valid_names", hashing_first)
+    bad, _ = _constructor_mismatches()
+    assert bad and all(["v"] in vs for vs, _ in bad)
+
+
+def test_edge_contract():
+    e = Edge("e", "a", "b")
+    assert repr(e) == "Edge(id='e', v0='a', v1='b')"
+    with pytest.raises(AttributeError):
+        e.v0 = "c"
+    with pytest.raises(AttributeError):
+        e.weight = 1
+    assert (e.other("a"), e.other("b")) == ("b", "a")
+    with pytest.raises(GraphError, match="'c' is not an endpoint of edge 'e'"):
+        e.other("c")
+    assert Edge("l", "a", "a").is_loop and not e.is_loop
+    assert "Edge" in graphs.__all__ and wildcat.Edge is Edge
+    # a named tuple: equal to the plain triple, and it unpacks
+    assert e == ("e", "a", "b") and tuple(e) == ("e", "a", "b")
+    assert build_graph(["a", "b"], [("e", "a", "b")]).edges == (e,)
 
 
 def test_point_canonical_form():

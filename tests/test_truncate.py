@@ -108,6 +108,41 @@ def test_matches_reference_on_rank_chain():
     assert _check(e, (5,)) == ["ok"]
 
 
+def test_matches_reference_at_benchmark_scale():
+    # nested3 at depth 20, and a three-level triangle chain at depth 12,
+    # where each edge holds two copies of a pattern whose expansion is
+    # shared, so _p/_s numbering runs over reused templates
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "nested3.space"),
+              encoding="ascii") as fh:
+        assert _check(parse_spacefile(fh.read()).main_expr(), (20,)) == ["ok"]
+    text = ("graph pt\nvertex v\nendgraph\n"
+            "graph tri\nvertex q1\nvertex q2\nvertex q3\n"
+            "edge f0 q1 q2\nedge f1 q2 q3\nedge f2 q3 q1\nendgraph\n"
+            "graph loop\nvertex o\nedge l o o\nendgraph\n")
+    inner, anchor = "(graph loop)", "(vertex o)"
+    for a in ("q2", "q3", "q1"):
+        inner = f"(node (base tri) (seqfam (q1 q2 q3 f0 f1 f2) {inner} {anchor}))"
+        anchor = f"(vertex {a})"
+    text += f"expr chain (node (base pt) (seqfam (v) {inner} {anchor}))\nmain chain\n"
+    e = parse_spacefile(text).main_expr()
+    assert _check(e, (12,)) == ["ok"]
+    assert _size(e, 12)[1] > 30000
+
+
+def test_one_node_under_two_anchors():
+    # the same Node is a fin child glued at a vertex and a seq pattern glued
+    # at an edge point; the edge anchor cuts f0, the vertex anchor does not,
+    # so the two need their own expansions
+    tri = build_graph(["a", "b", "c"], [("f0", "a", "b"), ("f1", "b", "c"),
+                                        ("f2", "c", "a")])
+    loop = graph_expr(build_graph(["o"], [("l", "o", "o")]))
+    pattern = Node(tri, (), (SeqFamily(Subcomplex.of(tri, ["b"]), loop, Vertex("o")),))
+    root = Node(tri, (Attachment(Vertex("a"), pattern, Vertex("c")),),
+                (SeqFamily(Subcomplex.whole(tri), pattern,
+                           EdgeInterior("f0", Fraction(1, 3))),))
+    assert _check(root, (0, 1, 2, 5, 7)) == ["ok"] * 5
+
+
 def test_matches_reference_on_unstable_and_atom_corpus():
     kinds = set()
     for e in _random_corpus(9001, 200, 3):
@@ -192,3 +227,23 @@ def test_truncate_builds_one_graph(monkeypatch):
         g = wild.truncate(e, depth)
         assert count[0] == 1, (depth, count[0])
     assert len(g.edges) > 500
+
+
+def test_templates_do_not_grow_with_depth(monkeypatch):
+    # one expansion per (node, anchor) pair: the point, three triangles and
+    # the loop, however many copies each family makes
+    e = parse_spacefile(rank_chain_text(3)).main_expr()
+    count = [0]
+    original = wild._template
+
+    def counting(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(wild, "_template", counting)
+    counts = []
+    for depth in (4, 12):
+        count[0] = 0
+        wild.truncate(e, depth)
+        counts.append(count[0])
+    assert counts == [5, 5]
