@@ -17,6 +17,7 @@ matters for the wild set, so no metric data is stored.
 """
 
 import math
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,34 +121,6 @@ class Subcomplex:
         return Subcomplex(tuple(sorted(set(self.vertices) & set(other.vertices))),
                           tuple(sorted(set(self.edges) & set(other.edges))))
 
-    def components(self, g: MultiGraph):
-        """Connected components, in order of their smallest vertex id."""
-        vs = set(self.vertices)
-        adj = defaultdict(set)
-        for eid in self.edges:
-            e = g.edge_by_id[eid]
-            adj[e.v0].add(e.v1)
-            adj[e.v1].add(e.v0)
-        seen = set()
-        comps = []
-        for root in self.vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            seen.add(root)
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comp_edges = tuple(sorted(eid for eid in self.edges
-                                      if g.edge_by_id[eid].v0 in comp))
-            comps.append(Subcomplex(tuple(sorted(comp)), comp_edges))
-        return tuple(comps)
-
     def as_graph(self, g: MultiGraph) -> MultiGraph:
         return subgraph(g, self.edges, self.vertices)
 
@@ -183,15 +156,31 @@ class ZeroDimWild:
     a dendrite."""
 
 
+class _Shape:
+    """The structural identity of a node: one token per distinct structure,
+    alive while some node of that structure is.  It refers to nothing, so
+    the table entry goes as soon as the last such node does."""
+
+    __slots__ = ("__weakref__",)
+
+
+# structural key -> _Shape; the key holds child shapes, never a Node
+_SHAPES = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True, eq=False)
 class Node:
     """A base graph with finite attachments and null-sequence families.
 
-    ``==`` and ``hash`` compare the same fields a dataclass would (base,
-    then each attachment's point, child and anchor, then each family's
-    subcomplex, pattern and anchor), but walk the tree with an explicit
-    stack, so nesting depth is bounded by memory, not by the interpreter's
-    recursion limit.  Each call still walks the whole tree.
+    Nodes are hash-consed: each is given its structural identity when it is
+    built, from its base, each attachment's point, child identity and
+    anchor, and each family's subcomplex, pattern identity and anchor (an
+    atom is its own identity).  Children exist before their parents, so
+    the key is a flat tuple and no tree walk is needed.  ``==`` is identity
+    of the shape token and ``hash`` its ``id``, both O(1) at any nesting
+    depth; every expression memo keys by the node itself and so by its
+    structure.  Copies and pickles go back through the constructor, so they
+    share the original's token.
     """
 
     base: MultiGraph
@@ -201,44 +190,13 @@ class Node:
     def __eq__(self, other):
         if not isinstance(other, Node):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            x, y = stack.pop()
-            if x is y:
-                continue
-            if type(x) is not type(y):
-                return False
-            if not isinstance(x, Node):
-                continue  # the atoms have no fields
-            if (x.base != y.base or len(x.fin) != len(y.fin)
-                    or len(x.seq) != len(y.seq)):
-                return False
-            for a, b in zip(x.fin, y.fin):
-                if a.at != b.at or a.anchor != b.anchor:
-                    return False
-                stack.append((a.child, b.child))
-            for a, b in zip(x.seq, y.seq):
-                if a.subcomplex != b.subcomplex or a.anchor != b.anchor:
-                    return False
-                stack.append((a.pattern, b.pattern))
-        return True
+        return self._shape is other._shape
 
     def __hash__(self):
-        parts = []
-        stack = [self]
-        while stack:
-            x = stack.pop()
-            if not isinstance(x, Node):
-                parts.append(hash(x))
-                continue
-            parts.append((hash(x.base), len(x.fin), len(x.seq)))
-            for a in x.fin:
-                parts.append(hash((a.at, a.anchor)))
-                stack.append(a.child)
-            for a in x.seq:
-                parts.append(hash((a.subcomplex, a.anchor)))
-                stack.append(a.pattern)
-        return hash(tuple(parts))
+        return id(self._shape)
+
+    def __reduce__(self):
+        return Node, (self.base, self.fin, self.seq)
 
     def __post_init__(self):
         object.__setattr__(self, "fin", tuple(self.fin))
@@ -260,6 +218,18 @@ class Node:
                 if eid not in self.base.edge_by_id:
                     raise ExprError(f"subcomplex edge {eid!r} not on the base")
             _check_anchor(fam.pattern, fam.anchor)
+        key = (self.base.vertices, self.base.edges,
+               tuple((a.at, _shape(a.child), a.anchor) for a in self.fin),
+               tuple((s.subcomplex, _shape(s.pattern), s.anchor)
+                     for s in self.seq))
+        shape = _SHAPES.get(key)
+        if shape is None:
+            shape = _SHAPES[key] = _Shape()
+        object.__setattr__(self, "_shape", shape)
+
+
+def _shape(x):
+    return x._shape if isinstance(x, Node) else x
 
 
 def _check_anchor(child, anchor):
@@ -313,13 +283,13 @@ class WildProfile:
 
 
 class _Facts:
-    """What an analysis knows about one expression object.  The structural
-    facts are set when the object is first reached; on a node, ``pieces``
+    """What an analysis knows about one expression structure.  The
+    structural facts are set when it is first reached; on a node, ``pieces``
     and ``stability`` stay None until asked for, because wild pieces are
     only defined on stable parts."""
 
-    __slots__ = ("expr", "atom", "selfwild", "scc", "connected", "b1",
-                 "shape", "pieces", "stability")
+    __slots__ = ("atom", "selfwild", "scc", "connected", "b1", "pieces",
+                 "stability")
 
 
 class Analysis:
@@ -329,28 +299,26 @@ class Analysis:
     One post-order walk gives the structural facts of every subexpression:
     atoms, self-wild subspaces, simple closed curves, connectedness and the
     total first Betti number.  W-stability and wild-set pieces are derived
-    from them on demand.  The pieces of a piece are analysed and memoised
-    like any other subexpression, so each level of the wild tower of a
-    nested expression is built once, not once per reader: a rank-growing
-    chain of depth d costs O(d^2) pieces in all.
+    from them on demand.
 
-    Facts are keyed by object identity, because ``==`` and ``hash`` of an
-    expression walk its whole tree on every call; each entry
-    holds its expression, so no identity is reused while the analysis
-    lives.  Structural equality of two pieces, which the stability check
-    needs, is an integer ``shape`` interned bottom-up.  Every walk uses an
-    explicit stack, so nesting depth is bounded by memory, not by the
-    interpreter's recursion limit.  Nothing outlives the analysis: a caller
-    with several questions about one expression builds one with
-    ``analyze`` and passes it to each reader.
+    Facts are keyed by the expression itself, that is by its hash-consed
+    structure (see ``Node``), so every subexpression and every wild piece
+    equal to one already seen is a memo hit.  The pieces of a piece are
+    analysed like any other subexpression, and a piece that reappears one
+    tower level further down is the same entry: on a rank-growing chain of
+    depth d the memo holds 3d + 3 entries, not d^2 / 2.  The stability
+    check's "same level again" test is ``==``.  Every walk uses an explicit
+    stack, so nesting depth is bounded by memory, not by the interpreter's
+    recursion limit.  Nothing outlives the analysis: a caller with several
+    questions about one expression builds one with ``analyze`` and passes
+    it to each reader.
     """
 
     def __init__(self, e: SpaceExpr):
         if not isinstance(e, (Node, SelfWild, ZeroDimWild)):
             raise ExprError(f"not a space expression: {e!r}")
         self.expr = e
-        self._memo = {}    # id(expr) -> _Facts, which keeps expr alive
-        self._shapes = {}  # structural key -> shape number
+        self._memo = {}    # expression -> _Facts
         self._profile = None
         self._top = self._facts(e)
 
@@ -438,28 +406,27 @@ class Analysis:
         stack = [e]
         while stack:
             x = stack[-1]
-            if id(x) in memo:
+            if x in memo:
                 stack.pop()
                 continue
             if isinstance(x, Node):
-                todo = [a.child for a in x.fin if id(a.child) not in memo]
-                todo.extend(s.pattern for s in x.seq if id(s.pattern) not in memo)
+                todo = [a.child for a in x.fin if a.child not in memo]
+                todo.extend(s.pattern for s in x.seq if s.pattern not in memo)
                 if todo:
                     stack.extend(todo)
                     continue
             stack.pop()
-            memo[id(x)] = self._local(x)
-        return memo[id(e)]
+            memo[x] = self._local(x)
+        return memo[e]
 
     def _local(self, x) -> _Facts:
         """Structural facts of x from those of its children."""
         f = _Facts()
-        f.expr = x
         f.pieces = f.stability = None
         if isinstance(x, Node):
             memo = self._memo
-            fin = [memo[id(a.child)] for a in x.fin]
-            seq = [memo[id(s.pattern)] for s in x.seq]
+            fin = [memo[a.child] for a in x.fin]
+            seq = [memo[s.pattern] for s in x.seq]
             kids = fin + seq
             b = betti1(x.base)
             f.atom = any(k.atom for k in kids)
@@ -472,24 +439,17 @@ class Analysis:
                 f.b1 = INF
             else:
                 f.b1 = b + sum(k.b1 for k in fin)
-            key = (x.base.vertices, x.base.edges,
-                   tuple((a.at, k.shape, a.anchor) for a, k in zip(x.fin, fin)),
-                   tuple((s.subcomplex, k.shape, s.anchor)
-                         for s, k in zip(x.seq, seq)))
         elif isinstance(x, SelfWild):
             f.atom = f.scc = f.connected = f.selfwild = True
             f.b1 = INF
             f.pieces = ((x,), ())
             f.stability = StabilityReport(True)
-            key = "SelfWild"
         else:
             f.atom = f.scc = f.connected = True
             f.selfwild = False
             f.b1 = INF
             f.stability = StabilityReport(
                 False, "handled by the zero-dimensional special case")
-            key = "ZeroDimWild"
-        f.shape = self._shapes.setdefault(key, len(self._shapes))
         return f
 
     # --- wild-set pieces ----------------------------------------------------
@@ -509,14 +469,14 @@ class Analysis:
                                     "symbolic wild set")
                 sources = [a.child for a in x.fin]
                 sources.extend(s.pattern for s in x.seq
-                               if memo[id(s.pattern)].scc)
-                todo = [c for c in sources if memo[id(c)].pieces is None]
+                               if memo[s.pattern].scc)
+                todo = [c for c in sources if memo[c].pieces is None]
                 if todo:
                     stack.extend(todo)
                     continue
                 f.pieces = self._node_pieces(x)
             stack.pop()
-        return memo[id(e)].pieces
+        return memo[e].pieces
 
     def _node_pieces(self, e: "Node"):
         """Per family: a simply connected pattern contributes nothing; a
@@ -526,7 +486,7 @@ class Analysis:
         memo = self._memo
         contributions = []
         for fam in e.seq:
-            pf = memo[id(fam.pattern)]
+            pf = memo[fam.pattern]
             if not pf.scc:
                 continue
             own, foreign = pf.pieces
@@ -537,7 +497,15 @@ class Analysis:
             union = contributions[0][0].subcomplex
             for fam, _ in contributions[1:]:
                 union = union.union(fam.subcomplex)
-            for comp in union.components(e.base):
+            # components of the union, numbered by smallest vertex
+            ug = union.as_graph(e.base)
+            comps = [([], []) for _ in range(ug.n_components)]
+            for v in union.vertices:
+                comps[ug.component_of[v]][0].append(v)
+            for eid in union.edges:
+                comps[ug.component_of[ug.edge_by_id[eid].v0]][1].append(eid)
+            for vs, es in comps:
+                comp = Subcomplex(tuple(vs), tuple(es))
                 fams = []
                 for fam, wild_pattern in contributions:
                     if wild_pattern is None:
@@ -546,10 +514,12 @@ class Analysis:
                     if meet.is_empty():
                         continue
                     fams.append(SeqFamily(meet, wild_pattern, fam.anchor))
-                own.append(Node(comp.as_graph(e.base), (), tuple(fams)))
+                # a lone component is the union, whose graph is built
+                g = ug if len(comps) == 1 else comp.as_graph(e.base)
+                own.append(Node(g, (), tuple(fams)))
         foreign = []
         for att in e.fin:
-            child_own, child_foreign = memo[id(att.child)].pieces
+            child_own, child_foreign = memo[att.child].pieces
             foreign.extend(child_own)
             foreign.extend(child_foreign)
         return tuple(own), tuple(foreign)
@@ -564,7 +534,7 @@ class Analysis:
         while stack:
             frame = stack[-1]
             x, i = frame
-            f = memo[id(x)]
+            f = memo[x]
             if f.stability is not None:
                 stack.pop()
                 continue
@@ -578,7 +548,7 @@ class Analysis:
                     fam = x.seq[i - n_fin]
                     child = fam.pattern
                     label = f"seq family {i - n_fin}"
-                sub = memo[id(child)].stability
+                sub = memo[child].stability
                 if sub is None:
                     pending = child
                     break
@@ -596,7 +566,7 @@ class Analysis:
                 continue
             f.stability = StabilityReport(True) if report is None else report
             stack.pop()
-        return memo[id(e)].stability
+        return memo[e].stability
 
     def _family_report(self, i, fam: SeqFamily):
         """Failure of family i, or None.  A family whose pattern has a
@@ -628,9 +598,7 @@ class Analysis:
                 return StabilityReport(
                     False, f"seq family {i}: anchor {fam.anchor} does not lie "
                            f"in wild set level {level} of the pattern")
-            if isinstance(piece, SelfWild) or (
-                    prev is not None
-                    and self._facts(piece).shape == self._facts(prev).shape):
+            if isinstance(piece, SelfWild) or piece == prev:
                 break
             prev = piece
             own, foreign = self._split(piece)
@@ -948,11 +916,12 @@ def _expand(root: Node, depth: int):
     parameter joins the cuts of its edge, so ``_p``/``_s`` numbering runs
     over the union.
 
-    All of that depends only on the node and its anchor: every copy of a
-    ``seq`` pattern is the same ``Node``, glued at the same anchor.  So it
-    is worked out once per (node, anchor) pair as a ``_template`` in the
-    node's own names, and each copy only adds its prefix and its host.  The
-    memo keys on the anchor too, since one node may be glued at two anchors.
+    All of that depends only on the node's structure and its anchor: every
+    copy of a ``seq`` pattern is the same ``Node``, glued at the same
+    anchor.  So it is worked out once per (node, anchor) pair as a
+    ``_template`` in the node's own names, and each copy only adds its
+    prefix and its host.  The memo keys by the node, so equal nodes share
+    one template, and by the anchor, since one node may be glued at two.
 
     Also returns, for each anchor renamed away, its own vertex name, the
     edge it cuts (or None) and the vertex and edge ranges of its subtree.
@@ -966,7 +935,7 @@ def _expand(root: Node, depth: int):
             entry.extend((len(vs), len(es)))
             continue
         node, anchor, prefix, host = entry
-        key = (id(node), anchor)
+        key = (node, anchor)
         tpl = templates.get(key)
         if tpl is None:
             tpl = templates[key] = _template(node, anchor, depth)

@@ -3,14 +3,21 @@
 ``wild_reference`` is the plain structural recursion the analysis replaced.
 Every reader must agree with it exactly, results and errors alike, on the
 random stable corpora of acceptance criteria 5 and 7, on random expressions
-that are often unstable or carry atoms, and on the fixtures.  A counting
-test pins the cost: a rank-growing chain builds a quadratic, not cubic,
-number of graphs.
+that are often unstable or carry atoms, and on the fixtures.  Counting
+tests pin the cost: a rank-growing chain builds a linear number of graphs
+and memo entries.
+
+Expressions are hash-consed, so ``==`` is checked against the reference's
+tree walk on the same corpora and their single-field mutations, and copies,
+pickles and released nodes against the intern table.
 """
 
+import copy
+import gc
 import glob
 import io
 import os
+import pickle
 import random
 from contextlib import redirect_stderr
 from fractions import Fraction
@@ -223,16 +230,31 @@ def _count_builds(monkeypatch, argv):
     return count[0]
 
 
-def test_rank_chain_builds_quadratically_many_graphs(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("depth", [20, 80])
+def test_rank_chain_builds_linearly_many_graphs(tmp_path, monkeypatch, capsys,
+                                               depth):
     path = tmp_path / "chain.space"
-    path.write_text(rank_chain_text(20), encoding="ascii")
+    path.write_text(rank_chain_text(depth), encoding="ascii")
     info = _count_builds(monkeypatch, ["info", str(path)])
     certify = _count_builds(monkeypatch, ["certify", str(path)])
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith('{"wrk":22,"cat":21,"tc":42,')
-    # the recursive analysis built 9936 graphs for info and 23180 for certify
-    assert info <= 300
+    assert out[0].startswith(f'{{"wrk":{depth + 2},"cat":{depth + 1},'
+                             f'"tc":{2 * depth + 2},')
+    # at depth 20 the recursive analysis built 9936 graphs for info and
+    # 23180 for certify, and the identity-keyed memo 234 for each
+    assert info <= 3 * depth + 3
     assert certify <= info
+
+
+@pytest.mark.parametrize("depth", [20, 160, 640])
+def test_rank_chain_memo_is_linear(depth):
+    # each tower level's piece equals a family pattern one level down, so
+    # the memo holds one entry per distinct structure, not d^2 / 2
+    a = analyze(parse_spacefile(rank_chain_text(depth)).main_expr())
+    wild.cat_certificate(a)
+    wild.tc_certificate(a)
+    assert a.profile().wrk == depth + 2
+    assert len(a._memo) <= 3 * depth + 3
 
 
 @pytest.mark.parametrize("depth", [1, 2, 6])
@@ -241,3 +263,158 @@ def test_rank_chain_invariants(depth):
     assert (wild.wrk(e), wild.cat(e), wild.tc(e)) == (depth + 2, depth + 1,
                                                       2 * depth + 2)
     _assert_same(e)
+
+
+# --- hash-consing -------------------------------------------------------------
+
+def _rebuilt(x):
+    """An equal copy of x that shares no graph, point, subcomplex or node
+    with it."""
+    if not isinstance(x, Node):
+        return type(x)()
+    base = build_graph(list(x.base.vertices), [tuple(e) for e in x.base.edges])
+    return Node(base,
+                tuple(Attachment(_point(a.at), _rebuilt(a.child), _point(a.anchor))
+                      for a in x.fin),
+                tuple(SeqFamily(Subcomplex(tuple(s.subcomplex.vertices),
+                                           tuple(s.subcomplex.edges)),
+                                _rebuilt(s.pattern), _point(s.anchor))
+                      for s in x.seq))
+
+
+def _point(p):
+    return Vertex(p.v) if isinstance(p, Vertex) else EdgeInterior(p.edge, p.t)
+
+
+def _other_anchor(child, anchor):
+    if not isinstance(child, Node):
+        return Vertex("y" if anchor == Vertex("x") else "x")
+    g = child.base
+    if isinstance(anchor, Vertex) and g.edges:
+        return EdgeInterior(g.edges[0].id, Fraction(1, 3))
+    return next((Vertex(v) for v in g.vertices if Vertex(v) != anchor), None)
+
+
+def _variants(x):
+    """Single-field mutations of node x, by kind: each a tuple of nodes that
+    differ from x, and from each other, in that field only."""
+    base, fin, seq = x.base, x.fin, x.seq
+    out = {"rebuilt": (_rebuilt(x),)}
+    if fin:
+        a = fin[0]
+        other = _other_anchor(a.child, a.anchor)
+        if other is not None:
+            out["anchor"] = (Node(base, (Attachment(a.at, a.child, other),)
+                                  + fin[1:], seq),)
+        at = next((Vertex(v) for v in base.vertices if Vertex(v) != a.at), None)
+        if at is not None:
+            out["at"] = (Node(base, (Attachment(at, a.child, a.anchor),)
+                              + fin[1:], seq),)
+        b = Attachment(at or a.at, graph_expr(point_graph()), Vertex("a"))
+        out["fin order"] = (Node(base, (a, b) + fin[1:], seq),
+                            Node(base, (b, a) + fin[1:], seq))
+    if seq:
+        f = seq[0]
+        other = _other_anchor(f.pattern, f.anchor)
+        if other is not None:
+            out["anchor"] = out.get("anchor", ()) + (
+                Node(base, fin, (SeqFamily(f.subcomplex, f.pattern, other),)
+                     + seq[1:]),)
+        sc = Subcomplex.whole(base)
+        if sc == f.subcomplex:
+            sc = Subcomplex.of(base, [base.vertices[0]])
+        out["subcomplex"] = (Node(base, fin, (SeqFamily(sc, f.pattern, f.anchor),)
+                                  + seq[1:]),)
+        out["atom"] = tuple(Node(base, fin, (SeqFamily(f.subcomplex, atom(),
+                                                       Vertex("x")),) + seq[1:])
+                            for atom in (SelfWild, ZeroDimWild))
+        if len(seq) > 1:
+            out["seq order"] = (Node(base, fin, seq[::-1]),)
+    return out
+
+
+def _with_node(root, path, new):
+    """root with the subexpression at path (("fin"|"seq", index) steps)
+    replaced by new, every node above it rebuilt."""
+    if not path:
+        return new
+    (kind, i), rest = path[0], path[1:]
+    fin, seq = list(root.fin), list(root.seq)
+    if kind == "fin":
+        a = fin[i]
+        fin[i] = Attachment(a.at, _with_node(a.child, rest, new), a.anchor)
+    else:
+        f = seq[i]
+        seq[i] = SeqFamily(f.subcomplex, _with_node(f.pattern, rest, new), f.anchor)
+    return Node(root.base, tuple(fin), tuple(seq))
+
+
+def _node_paths(e):
+    stack = [(e, ())]
+    while stack:
+        x, path = stack.pop()
+        if isinstance(x, Node):
+            yield x, path
+            stack.extend((a.child, path + (("fin", i),)) for i, a in enumerate(x.fin))
+            stack.extend((f.pattern, path + (("seq", i),)) for i, f in enumerate(x.seq))
+
+
+def _assert_eq_agrees(x, y):
+    want = ref.node_eq(x, y)
+    assert (x == y) == want and (y == x) == want, (x, y)
+    if want:
+        assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("corpus", [_corpus_5150, _corpus_707])
+def test_equality_matches_reference(corpus):
+    exprs = corpus()
+    for x in exprs:
+        for y in exprs:
+            _assert_eq_agrees(x, y)
+    seen = {}
+    for e in exprs:
+        for node, path in _node_paths(e):
+            for kind, nodes in _variants(node).items():
+                group = [e] + [_with_node(e, path, n) for n in nodes]
+                for x in group:
+                    for y in group:
+                        _assert_eq_agrees(x, y)
+                # a mutation gives a different expression; a rebuild does not
+                verdicts = {ref.node_eq(e, v) for v in group[1:]}
+                seen.setdefault(kind, set()).update(verdicts)
+    assert seen["rebuilt"] == {True}
+    for kind in ("anchor", "at", "fin order", "subcomplex", "atom", "seq order"):
+        assert False in seen[kind], kind
+
+
+def test_copies_and_pickles_are_equal():
+    exprs = _corpus_707()[:20] + [parse_spacefile(rank_chain_text(6)).main_expr()]
+    for e in exprs:
+        for twin in (copy.copy(e), copy.deepcopy(e),
+                     pickle.loads(pickle.dumps(e))):
+            assert twin == e and hash(twin) == hash(e)
+
+
+def _tri_chain(depth):
+    tri = cycle_graph(3)
+    e, anchor = graph_expr(build_graph(["o"], [("l", "o", "o")])), Vertex("o")
+    for _ in range(depth):
+        e = Node(tri, (), (SeqFamily(Subcomplex.whole(tri), e, anchor),))
+        anchor = Vertex(tri.vertices[0])
+    return e
+
+
+def test_dropped_nodes_leave_the_intern_table():
+    # the intern table holds its tokens weakly and a token refers to no
+    # node, so releasing a chain releases its entries without a collection
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(wild._SHAPES)
+        e = _tri_chain(50)
+        assert len(wild._SHAPES) >= before + 50
+        del e
+        assert len(wild._SHAPES) == before
+    finally:
+        gc.enable()

@@ -10,7 +10,8 @@ from wildcat.cli import main
 from wildcat.spacefile import parse_spacefile
 from wildcat.graphs import betti1
 
-from gen import attach_chain_text, chain_space_text, seq_chain_text
+from gen import (attach_chain_text, chain_space_text, rank_chain_text,
+                 seq_chain_text)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -110,6 +111,17 @@ def test_deep_seq_chain_exits_zero(tmp_path, capsys, command):
     code, doc, _ = run_json(capsys, command, str(path))
     assert code == 0
     assert (doc["wrk"], doc["cat"], doc["tc"]) == (2, 1, 2)
+
+
+@pytest.mark.parametrize("command", ["info", "certify"])
+def test_deep_rank_chain_exits_zero(tmp_path, capsys, command):
+    # 400 nested families whose rank grows with depth: every tower level is
+    # a chain one family shorter, which the analysis meets as a memo hit
+    path = tmp_path / "deep.space"
+    path.write_text(rank_chain_text(400), encoding="ascii")
+    code, doc, _ = run_json(capsys, command, str(path))
+    assert code == 0
+    assert (doc["wrk"], doc["cat"], doc["tc"]) == (402, 401, 802)
 
 
 # --- exit-status contract --------------------------------------------------------

@@ -9,6 +9,8 @@ from wildcat.spacefile import (ParseError, parse_spacefile, print_spacefile,
                                parse_point, format_point, graph_records)
 from wildcat.wild import Node, SelfWild, wrk, cat, tc
 
+from wild_reference import node_eq
+
 FIXTURES = sorted(glob.glob(os.path.join(os.path.dirname(__file__),
                                          "fixtures", "*.space")))
 
@@ -150,33 +152,10 @@ def test_roundtrip_random_generated_expressions():
         assert print_spacefile(back) == text
 
 
-def _same_expr(a, b):
-    # expression equality without recursion: the dataclass == recurses once
-    # per nesting level
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if not isinstance(x, Node):
-            continue
-        if (x.base != y.base or len(x.fin) != len(y.fin)
-                or len(x.seq) != len(y.seq)):
-            return False
-        for p, q in zip(x.fin, y.fin):
-            if (p.at, p.anchor) != (q.at, q.anchor):
-                return False
-            stack.append((p.child, q.child))
-        for p, q in zip(x.seq, y.seq):
-            if (p.subcomplex, p.anchor) != (q.subcomplex, q.anchor):
-                return False
-            stack.append((p.pattern, q.pattern))
-    return True
-
-
 def _same_file(a, b):
+    # compared by the reference tree walk, independently of ``Node.__eq__``
     return (a.graphs == b.graphs and a.main == b.main and a.exprs.keys() == b.exprs.keys()
-            and all(_same_expr(a.exprs[k], b.exprs[k]) for k in a.exprs))
+            and all(node_eq(a.exprs[k], b.exprs[k]) for k in a.exprs))
 
 
 def test_same_expr_helper_sees_a_deep_difference():

@@ -247,3 +247,24 @@ def test_templates_do_not_grow_with_depth(monkeypatch):
         wild.truncate(e, depth)
         counts.append(count[0])
     assert counts == [5, 5]
+
+
+def test_equal_patterns_share_one_template(monkeypatch):
+    # two distinct but equal loop patterns glued at the same anchor are one
+    # (node, anchor) pair: the root and one loop, not two
+    base = build_graph(["p", "q"], [("s", "p", "q")])
+    one, two = (graph_expr(build_graph(["o"], [("l", "o", "o")]))
+                for _ in range(2))
+    assert one is not two and one == two
+    e = Node(base, (), (SeqFamily(Subcomplex.of(base, ["p"]), one, Vertex("o")),
+                        SeqFamily(Subcomplex.of(base, ["q"]), two, Vertex("o"))))
+    count = [0]
+    original = wild._template
+
+    def counting(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(wild, "_template", counting)
+    assert wild.truncate(e, 3) == ref.truncate(e, 3)
+    assert count[0] == 2

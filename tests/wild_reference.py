@@ -2,12 +2,13 @@
 for differential tests only.
 
 This is the straightforward structural recursion that ``wildcat.wild`` once
-used: every reader re-derives stability, wild pieces and the tower from the
-expression, with no memo, and ``truncate`` expands each subexpression into
+used: ``node_eq`` walks both trees to compare two expressions, every reader
+re-derives stability, wild pieces and the tower from the expression, with
+no memo, and ``truncate`` expands each subexpression into
 its own validated graph before gluing it in.  It is cubic in nesting depth
 and limited by the interpreter's recursion depth, but each function is a
 direct transcription of its definition, which makes it the oracle for
-``wildcat.wild.Analysis`` and ``wildcat.wild.truncate``.
+``Node.__eq__``, ``wildcat.wild.Analysis`` and ``wildcat.wild.truncate``.
 """
 
 from collections import Counter, defaultdict
@@ -16,8 +17,35 @@ from fractions import Fraction
 from wildcat.graphs import Edge, EdgeInterior, Vertex, betti1, build_graph
 from wildcat.wild import (INF, ExprError, UnstableExpressionError,
                           InfiniteRankError, Node, SelfWild, ZeroDimWild,
-                          SeqFamily, StabilityReport, TowerLevel, WildProfile,
-                          CertificateLevel, Certificate)
+                          SeqFamily, Subcomplex, StabilityReport, TowerLevel,
+                          WildProfile, CertificateLevel, Certificate)
+
+
+def node_eq(x, y):
+    """Structural equality of two expressions, by an explicit-stack walk
+    over both trees: the base, then each attachment's point, child and
+    anchor, then each family's subcomplex, pattern and anchor."""
+    stack = [(x, y)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if not isinstance(x, Node):
+            continue  # the atoms have no fields
+        if (x.base != y.base or len(x.fin) != len(y.fin)
+                or len(x.seq) != len(y.seq)):
+            return False
+        for a, b in zip(x.fin, y.fin):
+            if a.at != b.at or a.anchor != b.anchor:
+                return False
+            stack.append((a.child, b.child))
+        for a, b in zip(x.seq, y.seq):
+            if a.subcomplex != b.subcomplex or a.anchor != b.anchor:
+                return False
+            stack.append((a.pattern, b.pattern))
+    return True
 
 
 def is_connected_expr(e):
@@ -120,7 +148,7 @@ def wild_pieces_split(e):
         union = contributions[0][0].subcomplex
         for fam, _ in contributions[1:]:
             union = union.union(fam.subcomplex)
-        for comp in union.components(e.base):
+        for comp in subcomplex_components(union, e.base):
             fams = []
             for fam, wild_pattern in contributions:
                 if wild_pattern is None:
@@ -134,6 +162,35 @@ def wild_pieces_split(e):
     for att in e.fin:
         foreign.extend(wild_pieces(att.child))
     return tuple(own), tuple(foreign)
+
+
+def subcomplex_components(sc, g):
+    """Connected components of a subcomplex, in order of their smallest
+    vertex id."""
+    adj = defaultdict(set)
+    for eid in sc.edges:
+        e = g.edge_by_id[eid]
+        adj[e.v0].add(e.v1)
+        adj[e.v1].add(e.v0)
+    seen = set()
+    comps = []
+    for root in sc.vertices:
+        if root in seen:
+            continue
+        comp = {root}
+        seen.add(root)
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comp_edges = tuple(sorted(eid for eid in sc.edges
+                                  if g.edge_by_id[eid].v0 in comp))
+        comps.append(Subcomplex(tuple(sorted(comp)), comp_edges))
+    return tuple(comps)
 
 
 def wild_pieces(e):
