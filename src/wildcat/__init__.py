@@ -9,8 +9,8 @@ with executable, provably minimal stratified motion plans on graphs.
 from .graphs import (GraphError, Edge, Vertex, EdgeInterior, GraphPoint,
                      MultiGraph, build_graph, subgraph, betti1,
                      spanning_forest, Collapse, CollapseHomotopy, deforest,
-                     PathStep, PLPath, constant_path, concat_paths,
-                     TreeRouter, point_dist, cat_graph, tc_graph)
+                     PathStep, PLPath, constant_path, TreeRouter,
+                     point_dist, cat_graph, tc_graph)
 from .cohomology import (CocycleBasis, KunnethElement, h1_basis,
                          zero_divisor_cuplength)
 from .regions import (VertexCell, ClosedEdgeCell, OpenEdgeCell, SubArcCell,

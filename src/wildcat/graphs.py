@@ -32,7 +32,6 @@ __all__ = [
     "PathStep",
     "PLPath",
     "constant_path",
-    "concat_paths",
     "TreeRouter",
     "vertex_distances",
     "point_dist",
@@ -354,8 +353,8 @@ class CollapseHomotopy:
         return Vertex(self._final[kept])
 
     def _walk(self, p: GraphPoint, back: bool):
-        """Steps of the slide from p (of its reverse when ``back``) and the
-        point it ends at."""
+        """Steps of the slide from p (of its reverse when ``back``) and
+        retract(p), where the slide ends and its reverse starts."""
         steps = []
         down = self._down
         whole = self._whole
@@ -388,12 +387,6 @@ class CollapseHomotopy:
         point at depth ``depth`` in the collapsed forest.
         """
         return PLPath._trusted(self.graph, self._walk(p, False)[0], p)
-
-    def slide_back(self, p: GraphPoint) -> "PLPath":
-        """The reverse of ``slide(p)``, from retract(p) to p, built from the
-        same shared steps."""
-        steps, end = self._walk(p, True)
-        return PLPath._trusted(self.graph, steps, end)
 
 
 def deforest(g: MultiGraph):
@@ -612,26 +605,6 @@ def constant_path(g: MultiGraph, p: GraphPoint) -> PLPath:
     if isinstance(p, EdgeInterior):
         return PLPath(g, (PathStep(p.edge, p.t, p.t),), source=p)
     return PLPath(g, (), source=p)
-
-
-def concat_paths(g: MultiGraph, source: GraphPoint, paths) -> PLPath:
-    """Concatenate paths end to start, dropping degenerate steps.
-
-    The parts are taken as well-formed paths in g (``check`` them first if
-    they are not), so only their chaining is checked here.
-    """
-    steps = []
-    cur = source
-    for p in paths:
-        if p.endpoint0 != cur:
-            raise GraphError("paths do not chain")
-        # only a one-step part can be degenerate: a constant path
-        if len(p.steps) != 1 or p.steps[0].a != p.steps[0].b:
-            steps.extend(p.steps)
-        cur = p.endpoint1
-    if not steps:
-        return constant_path(g, source)
-    return PLPath._trusted(g, steps, source)
 
 
 class TreeRouter:

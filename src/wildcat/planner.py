@@ -5,7 +5,10 @@ computable path rule per filtration difference.  Plans built here always
 have exactly tc_graph(G) + 1 strata: one global tree rule for trees, the
 rotate/geodesic pair for a single cycle (lifted through deforestation when
 the graph has hairs), and the tree / one-coordinate-evacuated /
-two-coordinates-evacuated triple otherwise.  ``verify_plan`` checks
+two-coordinates-evacuated triple otherwise.  Rules build their answers
+from shared whole-edge steps and unchecked: a cycle answer walks integer
+slots of ``CycleCoords``, and a lifted answer joins the slide, core and
+reverse-slide step lists into one path.  ``verify_plan`` checks
 closedness, nesting, coverage, the exact section property, continuity
 (bounded exactly where two answers share one walk, sampled exactly at 32
 times otherwise) and the well-formedness of every answer path; the product
@@ -21,7 +24,7 @@ from math import lcm
 from .graphs import (GraphError, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      PLPath, PathStep, CollapseHomotopy, TreeRouter, betti1,
                      spanning_forest, subgraph, deforest, constant_path,
-                     concat_paths, tc_graph, point_dist, vertex_distances,
+                     tc_graph, point_dist, vertex_distances,
                      _ONE, _ZERO, _whole_step)
 from .regions import (Region, Box, Shift, RetractPreimage, CellUnion,
                       whole_graph_cells, VertexCell, ClosedEdgeCell,
@@ -68,7 +71,11 @@ class CycleCoords:
 
     The cycle is oriented deterministically: the walk starts at the smallest
     vertex id along its smallest incident edge id.  Points correspond to
-    arclengths modulo the total length (= number of edges).
+    arclengths modulo the total length (= number of edges).  Slot k is the
+    k-th edge of that walk, from the vertex at position k to the next; a
+    point's slot and its arclength come out as integers (``int_coord``,
+    ``gap``, ``int_point``), and ``walk`` builds the steps between two
+    points from the slots, with no Fraction arithmetic.
     """
 
     __slots__ = ("graph", "length", "steps", "_edge_slot", "_vertex_at",
@@ -133,63 +140,59 @@ class CycleCoords:
         return (ny * dx - nx * dy) % (len(self.steps) * den), den
 
     def point_at(self, s) -> GraphPoint:
-        s = Fraction(s) % self.length
-        k = int(s)
-        f = s - k
-        if f == 0:
+        s = Fraction(s)
+        return self.int_point(s.numerator, s.denominator)
+
+    def int_point(self, num: int, den: int) -> GraphPoint:
+        """The point at arclength num / den, taken modulo the length."""
+        k, r = divmod(num % (len(self.steps) * den), den)
+        if not r:
             return Vertex(self._vertex_at[k])
         e, fwd = self.steps[k]
-        return EdgeInterior(e.id, f if fwd else 1 - f)
+        return EdgeInterior(e.id, Fraction(r if fwd else den - r, den))
 
-    def march(self, s0, dist):
-        """Parametric steps from arclength s0 moving dist (signed) along the cycle.
+    def walk(self, x: GraphPoint, y: GraphPoint, forward: bool):
+        """Parametric steps from x to y along the cycle, in its direction
+        when ``forward`` and against it otherwise; x != y, both on the cycle.
 
-        Only the first and the last step can cover part of an edge, and only
-        they cost Fraction arithmetic.  The whole-edge steps between them are
-        shared, one per cycle edge and direction, made on first use.
+        Only the first and the last step can cover part of an edge: each
+        runs between its point's own parameter and an edge end.  The
+        whole-edge steps between them are shared, one per cycle edge and
+        direction, made on first use.  The slots are integers and no
+        Fraction is built.
         """
-        if not isinstance(s0, Fraction):
-            s0 = Fraction(s0)
-        if not isinstance(dist, Fraction):
-            dist = Fraction(dist)
-        steps = []
-        if dist == 0:
-            return steps
         ring = self.steps
         n = len(ring)
-        forward = dist > 0
-        remaining = dist if forward else -dist
-        s = s0 % self.length
-        k = s.numerator // s.denominator
-        f = s - k
-        if f:
-            e, fwd = ring[k]
-            if forward:
-                take = min(1 - f, remaining)
-                a, b = (f, f + take) if fwd else (1 - f, 1 - f - take)
-                k = (k + 1) % n
-            else:
-                take = min(f, remaining)
-                a, b = (f, f - take) if fwd else (1 - f, 1 - f + take)
-            steps.append(PathStep(e.id, a, b))
-            remaining -= take
-            if not remaining:
-                return steps
-        # at the vertex of position k; the next edge is slot k forward, k - 1
-        # backward
-        whole = remaining.numerator // remaining.denominator
-        rest = remaining - whole
+        steps = []
+        if isinstance(x, Vertex):
+            p = self._vertex_slot[x.v][0]
+        else:
+            k, fwd = self._edge_slot[x.edge]
+            # whether the walk runs along the edge from v0 to v1
+            rising = fwd == forward
+            if isinstance(y, EdgeInterior) and y.edge == x.edge \
+                    and (y.t > x.t) == rising:
+                return [PathStep(x.edge, x.t, y.t)]
+            steps.append(PathStep(x.edge, x.t, _ONE if rising else _ZERO))
+            p = k + 1 if forward else k
+        # p is the vertex position the walk is at; q the one it must reach
+        if isinstance(y, Vertex):
+            q = self._vertex_slot[y.v][0]
+            last = None
+        else:
+            m, fwd = self._edge_slot[y.edge]
+            last = PathStep(y.edge, _ZERO if fwd == forward else _ONE, y.t)
+            q = m if forward else m + 1
         memo = self._whole
-        step = 1 if forward else -1
-        slot = k if forward else k - 1
-        for _ in range(whole):
-            e, fwd = ring[slot % n]
+        if forward:
+            slots = range(p, p + (q - p) % n)
+        else:
+            slots = range(p - 1, p - 1 - (p - q) % n, -1)
+        for i in slots:
+            e, fwd = ring[i % n]
             steps.append(_whole_step(memo, e.id, fwd == forward))
-            slot += step
-        if rest:
-            e, fwd = ring[slot % n]
-            steps.append(PathStep(e.id, _ZERO, rest) if fwd == forward
-                         else PathStep(e.id, _ONE, 1 - rest))
+        if last is not None:
+            steps.append(last)
         return steps
 
 
@@ -215,11 +218,13 @@ class CycleRotateRule:
         self.cycle = cycle
 
     def path_for(self, x: GraphPoint, y: GraphPoint) -> PLPath:
-        s = self.cycle.coord(x)
-        if s is None:
+        cycle = self.cycle
+        c = cycle.int_coord(x)
+        if c is None:
             raise PlanError("query point misses the cycle")
-        steps = self.cycle.march(s, self.cycle.length / 2)
-        return PLPath._trusted(self.graph, steps, x)
+        num, den = c
+        antipode = cycle.int_point(2 * num + len(cycle.steps) * den, 2 * den)
+        return PLPath._trusted(self.graph, cycle.walk(x, antipode, True), x)
 
     def piece_id(self, x, y):
         return 0
@@ -242,12 +247,10 @@ class CycleGeodesicRule:
         return num, den, 2 * num < len(self.cycle.steps) * den
 
     def path_for(self, x: GraphPoint, y: GraphPoint) -> PLPath:
-        num, den, fwd = self._arc(x, y)
+        num, _, fwd = self._arc(x, y)
         if num == 0:
             return constant_path(self.graph, x)
-        d = Fraction(num, den)
-        steps = self.cycle.march(self.cycle.coord(x), d if fwd else d - self.cycle.length)
-        return PLPath._trusted(self.graph, steps, x)
+        return PLPath._trusted(self.graph, self.cycle.walk(x, y, fwd), x)
 
     def piece_id(self, x, y):
         return "fwd" if self._arc(x, y)[2] else "bwd"
@@ -303,12 +306,17 @@ class LiftedRule:
         self.graph = homotopy.graph
 
     def path_for(self, x: GraphPoint, y: GraphPoint) -> PLPath:
-        sx = self.homotopy.slide(x)
-        sy = self.homotopy.slide_back(y)
+        steps, rx = self.homotopy._walk(x, False)
+        back, ry = self.homotopy._walk(y, True)
         # the core path lives on the core graph, whose edges are edges of
-        # the whole graph
-        core = self.inner.path_for(sx.endpoint1, sy.source)
-        return concat_paths(self.graph, x, (sx, core, sy))
+        # the whole graph; a constant one adds no step
+        core = self.inner.path_for(rx, ry).steps
+        if len(core) != 1 or core[0].a != core[0].b:
+            steps += core
+        steps += back
+        if not steps:
+            return constant_path(self.graph, x)
+        return PLPath._trusted(self.graph, steps, x)
 
     def piece_id(self, x, y):
         return self.inner.piece_id(self.homotopy.retract(x),

@@ -337,7 +337,7 @@ class _Filtration:
                 for k in range(n):
                     for u in ((k * D + key) % N, (k * D - key) % N):
                         if u % D:
-                            p = cyc.point_at(Fraction(u, D))
+                            p = cyc.int_point(u, D)
                             cuts.append((p.edge, p.t))
         self.cycle, self.retractions, self.D, self.N = cyc, hs, D, N
 
@@ -477,14 +477,14 @@ class _Filtration:
         cyc, D, N = self.cycle, self.D, self.N
         marks = {}  # position of each point piece on the cycle -> piece
         for k, (e, fwd) in enumerate(cyc.steps):
-            marks[k * D] = self.piece_of(cyc.point_at(k))
+            marks[k * D] = self.piece_of(cyc.int_point(k, 1))
             cs, base = self.edge_cuts[e.id]
             for i, t in enumerate(cs):
                 f = t if fwd else 1 - t
                 marks[k * D + f.numerator * (D // f.denominator)] = base + 2 * i + 1
         pos = sorted(marks)
         # the open interval that follows each point piece
-        after = [self.piece_of(cyc.point_at(Fraction(2 * u + 1, 2 * D))) for u in pos]
+        after = [self.piece_of(cyc.int_point(2 * u + 1, 2 * D)) for u in pos]
         cls = self.cls
         for key, kmask in self.keys.items():
             for u in sorted(set(pos).union([(u - key) % N for u in pos])):
@@ -499,8 +499,8 @@ class _Filtration:
                 for p, q, w in parts:
                     v = self.verdict(self.box_mask(cls[p], cls[q]) | kmask)
                     if v is not None and found[v] is None:
-                        found[v] = (cyc.point_at(Fraction(w, 2 * D)),
-                                    cyc.point_at(Fraction(w + 2 * key, 2 * D)))
+                        found[v] = (cyc.int_point(w, 2 * D),
+                                    cyc.int_point(w + 2 * key, 2 * D))
 
     def probe_witness(self, probes, v):
         """The first pair of probes, x-major, that fails as v, or None."""

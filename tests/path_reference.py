@@ -7,9 +7,10 @@ every walk edge and cancels backtracks in one generic pass; every path is
 built by ``validated``, which runs the step-chain checks on each
 intermediate path; and ``lifted_path`` assembles a lifted answer from five
 such paths (two slides, the core path, the reversed slide and the
-concatenation).  They are the oracle for ``CycleCoords.march``,
-``TreeRouter.route_steps`` and ``LiftedRule.path_for``, which share
-whole-edge steps and check an answer once.  ``coord`` reads a cycle
+concatenation).  They are the oracle for ``CycleCoords.walk`` (``march``
+from x the signed distance to y), ``TreeRouter.route_steps`` and
+``LiftedRule.path_for``, which share whole-edge steps and check an answer
+once; a lifted answer joins step lists and builds no path for its slides.  ``coord`` reads a cycle
 coordinate in Fraction arithmetic from the walk's steps, independently of
 the integer ``CycleCoords.int_coord``.
 """

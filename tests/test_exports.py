@@ -39,3 +39,17 @@ def test_package_imports_are_listed_in_module_all():
         module = importlib.import_module(f"wildcat.{module_name}")
         assert name in module.__all__, f"{name!r} is not in wildcat.{module_name}.__all__"
         assert getattr(wildcat, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize("owner,name", [("graphs", "concat_paths"),
+                                        ("graphs.CollapseHomotopy", "slide_back"),
+                                        ("planner.CycleCoords", "march")])
+def test_replaced_path_helpers_are_gone(owner, name):
+    """Lifted answers join step lists, and cycle answers walk integer slots;
+    the path concatenation, reverse slide and Fraction march they replace
+    are deleted, from the package's names too."""
+    module, _, cls = owner.partition(".")
+    obj = importlib.import_module(f"wildcat.{module}")
+    obj = getattr(obj, cls) if cls else obj
+    assert not hasattr(obj, name)
+    assert not hasattr(wildcat, name)

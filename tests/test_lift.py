@@ -13,9 +13,10 @@ import random
 import pytest
 
 import graph_reference as ref
+import path_reference
 from gen import (random_connected_graph, random_cycle_with_hairs, random_point,
                  random_tree)
-from wildcat.graphs import EdgeInterior, PLPath, Vertex, concat_paths, deforest
+from wildcat.graphs import EdgeInterior, PLPath, Vertex, deforest
 from wildcat.planner import execute, plan_circle, plan_graph
 
 
@@ -49,7 +50,7 @@ def _reference_answer(g, circle, collapses, x, y):
     j = circle.stratum_index(rx, ry)
     core = circle.rules[j].path_for(rx, ry)
     mid = PLPath(g, core.steps, source=core.source)
-    return j, concat_paths(g, x, (sx, mid, sy.reverse()))
+    return j, path_reference.concat(g, x, (sx, mid, path_reference.reverse(sy)))
 
 
 def _assert_lifted_answers_match(rng, g, n_queries):

@@ -1,7 +1,7 @@
 """Differential tests of the path builders against the validated reference
 in ``path_reference``.
 
-``CycleCoords.march``, ``TreeRouter.route_steps`` and the rules share
+``CycleCoords.walk``, ``TreeRouter.route_steps`` and the rules share
 whole-edge steps and build their answers unchecked.  They must give the
 same steps, lengths and positions as the reference, which builds every step
 afresh and validates every intermediate path.
@@ -43,45 +43,148 @@ def _random_cycle(rng, n):
     return build_graph(names, es)
 
 
-def _distances(rng, length, s0):
-    """Signed distances that cross no, one and many whole edges, wrap
-    around, and stop on vertices and inside edges."""
-    frac = Fraction(rng.randrange(1, 64), 64)
-    out = [Fraction(0), frac, length / 2, -length / 2, length, 2 * length + frac,
-           1 - (s0 % 1 or 1) + Fraction(1, 128), length - s0 + frac]
-    for whole in (1, 2, rng.randrange(length.numerator + 1)):
-        out += [Fraction(whole), whole + frac]
-    return out + [-d for d in out if d]
+def _cycle_points(rng, cyc):
+    """Every vertex and, on every edge, the points at 1/3 and 2/3 and a
+    random one, so pairs on one edge lie both ways round; then the antipode
+    of each, read in Fraction arithmetic."""
+    pts = []
+    for k, (e, _) in enumerate(cyc.steps):
+        pts += [cyc.point_at(k), EdgeInterior(e.id, Fraction(1, 3)),
+                EdgeInterior(e.id, Fraction(2, 3)),
+                EdgeInterior(e.id, Fraction(rng.randrange(1, 4096), 4096))]
+    antipodes = [cyc.point_at(ref.coord(cyc, p) + cyc.length / 2) for p in pts]
+    return pts + [a for a in antipodes if a not in pts]
 
 
-def test_march_matches_reference_random_cycles():
+def _reference_walk(cyc, x, y, forward):
+    """``path_reference.march`` from x the signed distance that reaches y
+    in the given direction, within one round."""
+    d = (ref.coord(cyc, y) - ref.coord(cyc, x)) % cyc.length
+    return ref.march(cyc, ref.coord(cyc, x), d if forward else d - cyc.length)
+
+
+def _walk_kinds(cyc, x, y, forward, steps):
+    """What a walk covers: its end kinds, whether it stays on one edge or
+    goes round from it, whether it crosses the seam of the slot order and
+    whether it ends at the antipode."""
+    n = len(cyc.steps)
+    kinds = {(type(x).__name__, type(y).__name__)}
+    if isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior) and x.edge == y.edge:
+        kinds.add("ahead" if len(steps) == 1 else "behind")
+    slots = [cyc._edge_slot[s.edge][0] for s in steps]
+    if slots != sorted(slots, reverse=not forward):
+        kinds.add("wraps")
+    if 2 * ((ref.coord(cyc, y) - ref.coord(cyc, x)) % n) == n:
+        kinds.add("antipode")
+    return kinds
+
+
+def test_walk_matches_reference_random_cycles():
     rng = random.Random(7101)
+    kinds = set()
     checked = 0
-    for n in [1, 2, 3] + [rng.randint(4, 24) for _ in range(16)]:
+    for n in [1, 2, 3] + list(range(4, 25)):
         g = _random_cycle(rng, n)
         cyc = CycleCoords(g)
-        starts = [Fraction(k) for k in range(n)] + \
-                 [Fraction(rng.randrange(1, 64 * n), 64) for _ in range(4)]
-        for s0 in starts:
-            for dist in _distances(rng, cyc.length, s0):
-                got = cyc.march(s0, dist)
-                want = ref.march(cyc, s0, dist)
-                assert got == want, (n, s0, dist)
-                source = cyc.point_at(s0)
-                _assert_same_path(PLPath(g, got, source=source),
-                                  ref.validated(g, want, source))
-                checked += 1
-    assert checked > 4000
+        pts = _cycle_points(rng, cyc)
+        if n > 6:
+            # every pair on the shortest cycles, a sample of them on longer
+            pts = rng.sample(pts, 24)
+        for x in pts:
+            for y in pts:
+                if x == y:
+                    continue
+                for forward in (True, False):
+                    got = cyc.walk(x, y, forward)
+                    want = _reference_walk(cyc, x, y, forward)
+                    assert got == want, (n, x, y, forward)
+                    if checked % 7 == 0:
+                        _assert_same_path(PLPath(g, got, source=x),
+                                          ref.validated(g, want, x))
+                    kinds |= _walk_kinds(cyc, x, y, forward, got)
+                    checked += 1
+    assert checked > 25000
+    assert kinds == {("Vertex", "Vertex"), ("Vertex", "EdgeInterior"),
+                     ("EdgeInterior", "Vertex"), ("EdgeInterior", "EdgeInterior"),
+                     "ahead", "behind", "wraps", "antipode"}
 
 
-def test_march_reuses_whole_edge_steps():
+def test_rotate_walks_to_the_reference_antipode():
+    rng = random.Random(7107)
+    for n in [1, 2, 3] + [rng.randint(4, 24) for _ in range(8)]:
+        g = _random_cycle(rng, n)
+        rule = plan_circle(g).rules[0]
+        for x in _cycle_points(rng, rule.cycle):
+            _assert_same_path(rule.path_for(x, None).check(),
+                              ref.circle_path(g, rule.cycle, 0, x, None))
+
+
+def test_walk_reuses_whole_edge_steps():
     cyc = CycleCoords(_random_cycle(random.Random(7102), 12))
-    first = cyc.march(Fraction(1, 3), 30)
-    again = cyc.march(Fraction(2, 3), 30)
-    # both cross the same 29 whole edges the same way, with the same steps
-    assert len(first) == len(again) == 31
-    assert all(a is b for a, b in zip(first[1:-1], again[1:-1]))
-    assert first[0] != again[0] and first[-1] != again[-1]
+    e0, e5 = cyc.steps[0][0].id, cyc.steps[5][0].id
+    walks = {}
+    for forward in (True, False):
+        first = cyc.walk(EdgeInterior(e0, Fraction(1, 3)),
+                         EdgeInterior(e5, Fraction(1, 3)), forward)
+        again = cyc.walk(EdgeInterior(e0, Fraction(2, 3)),
+                         EdgeInterior(e5, Fraction(2, 3)), forward)
+        # both cross the same whole edges the same way, with the same steps
+        assert len(first) == len(again) == (6 if forward else 8)
+        assert all(a is b for a, b in zip(first[1:-1], again[1:-1]))
+        assert first[0] != again[0] and first[-1] != again[-1]
+        walks[forward] = first
+    # a walk between vertices crosses slots 0-5 with the same shared steps,
+    # and the reverse walk crosses slots 11-6 with the backward walk's
+    out = cyc.walk(cyc.point_at(0), cyc.point_at(6), True)
+    assert len(out) == 6 and all(a is b for a, b in zip(out[1:5], walks[True][1:5]))
+    back = cyc.walk(cyc.point_at(0), cyc.point_at(6), False)
+    assert len(back) == 6 and all(a is b for a, b in zip(back, walks[False][1:7]))
+
+
+def test_walk_builds_no_fraction(monkeypatch):
+    rng = random.Random(7108)
+    cycles = [CycleCoords(_random_cycle(rng, n)) for n in (1, 2, 3, 9)]
+    pairs = [(cyc, x, y) for cyc in cycles for x in _cycle_points(rng, cyc)
+             for y in _cycle_points(rng, cyc) if x != y]
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    steps = sum(len(cyc.walk(x, y, fwd)) for cyc, x, y in pairs for fwd in (True, False))
+    monkeypatch.undo()
+    assert steps > 5000 and made == []
+
+
+def test_lifted_answer_builds_two_paths(monkeypatch):
+    rng = random.Random(7109)
+    g = random_cycle_with_hairs(rng, 9, 30)
+    plan = plan_graph(g)
+    queries = [(random_point(rng, g), random_point(rng, g)) for _ in range(200)]
+    queries += [(x, x) for x, _ in queries[:20]]
+    built = []
+    init, trusted = PLPath.__init__, PLPath._trusted.__func__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_trusted(cls, *args):
+        built.append(cls)
+        return trusted(cls, *args)
+
+    # a path is made by the checking constructor or by _trusted
+    monkeypatch.setattr(PLPath, "__init__", counting_init)
+    monkeypatch.setattr(PLPath, "_trusted", classmethod(counting_trusted))
+    for x, y in queries:
+        path = plan.rules[plan.stratum_index(x, y)].path_for(x, y)
+        # the core rule's path and the answer
+        assert 1 <= len(built) <= 2, (x, y)
+        assert path.check().source == x and path.endpoint1 == y
+        built.clear()
 
 
 def _tree_points(rng, g, n):
