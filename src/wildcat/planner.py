@@ -139,10 +139,6 @@ class CycleCoords:
         den = dx * dy
         return (ny * dx - nx * dy) % (len(self.steps) * den), den
 
-    def point_at(self, s) -> GraphPoint:
-        s = Fraction(s)
-        return self.int_point(s.numerator, s.denominator)
-
     def int_point(self, num: int, den: int) -> GraphPoint:
         """The point at arclength num / den, taken modulo the length."""
         k, r = divmod(num % (len(self.steps) * den), den)

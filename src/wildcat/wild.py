@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import (MultiGraph, Vertex, GraphPoint, GraphError,
+from .graphs import (Edge, MultiGraph, Vertex, GraphPoint, GraphError,
                      build_graph, subgraph, betti1)
 
 __all__ = [
@@ -837,6 +837,9 @@ def tc_certificate(e) -> Certificate:
     return Certificate("tc", tuple(levels), tc(a))
 
 
+_new_tuple = tuple.__new__
+
+
 def _key(p: GraphPoint):
     """A point in its own node's names: a vertex id, or (edge id, parameter)."""
     return p.v if isinstance(p, Vertex) else (p.edge, p.t)
@@ -844,11 +847,12 @@ def _key(p: GraphPoint):
 
 def _template(node: Node, anchor, depth: int):
     """What every copy of ``node`` glued at ``anchor`` writes, in the node's
-    own names: ``(vertices, edges, children, anchor record)``.  A copy adds
-    its prefix to each name; None stands for the host vertex.  Edges are
-    ``(id, v0, v1)``; children are ``(child, child anchor, prefix suffix,
-    attach point)``, in stack order; the anchor record is the anchor's own
-    vertex name and the edge it cuts (or None), or None at the root."""
+    own names: ``(vertices, edges, children, anchor record)``.  Edges are
+    ``(id, i0, i1)`` and children ``(child, child anchor, prefix suffix,
+    attach)``, in stack order; each endpoint and attach point is an index
+    into the vertices, with -1 for the host vertex.  The anchor record is
+    the anchor's own vertex name and the edge it cuts (or None), or None at
+    the root."""
     children = [(att.child, _key(att.anchor), f"a{i}_", _key(att.at))
                 for i, att in enumerate(node.fin)]
     for i, fam in enumerate(node.seq):
@@ -873,38 +877,36 @@ def _template(node: Node, anchor, depth: int):
             for k, t in enumerate(ts, 1):
                 cut_names[(ed.id, t)] = f"{ed.id}_p{k}"
 
-    def name(key):
-        if key == anchor:
-            return None
-        return key if isinstance(key, str) else cut_names[key]
-
     record = None
     if anchor is not None:
         on_edge = isinstance(anchor, tuple)
         record = (cut_names[anchor] if on_edge else anchor,
                   anchor[0] if on_edge else None)
-    vs = [v for v in node.base.vertices if v != anchor]
-    vs.extend(v for key, v in cut_names.items() if key != anchor)
+    vs, slot = [], {anchor: -1}               # point key -> vertex index
+    for key in (*node.base.vertices, *cut_names):
+        if key != anchor:
+            slot[key] = len(vs)
+            vs.append(key if isinstance(key, str) else cut_names[key])
     es = []
     for ed in node.base.edges:
-        v0, v1 = name(ed.v0), name(ed.v1)
+        i0, i1 = slot[ed.v0], slot[ed.v1]
         ts = cuts.get(ed.id)
         if not ts:
-            es.append((ed.id, v0, v1))
+            es.append((ed.id, i0, i1))
             continue
         for k, t in enumerate(ts):
-            cut = name((ed.id, t))
-            es.append((f"{ed.id}_s{k}", v0, cut))
-            v0 = cut
-        es.append((f"{ed.id}_s{len(ts)}", v0, v1))
-    kids = [(child, child_anchor, suffix, name(at))
+            cut = slot[(ed.id, t)]
+            es.append((f"{ed.id}_s{k}", i0, cut))
+            i0 = cut
+        es.append((f"{ed.id}_s{len(ts)}", i0, i1))
+    kids = [(child, child_anchor, suffix, slot[at])
             for child, child_anchor, suffix, at in reversed(children)]
     return vs, es, kids, record
 
 
 def _expand(root: Node, depth: int):
-    """Vertex names and ``(id, v0, v1)`` edge triples of the truncation, in
-    declaration order, from one pre-order walk of the expansion tree.
+    """Vertex names and ``Edge`` records of the truncation, in declaration
+    order, from one pre-order walk of the expansion tree.
 
     A node writes its base vertices, then the vertices cutting its edges
     (edge by edge, parameters ascending), then its edges with each cut edge
@@ -919,12 +921,15 @@ def _expand(root: Node, depth: int):
     All of that depends only on the node's structure and its anchor: every
     copy of a ``seq`` pattern is the same ``Node``, glued at the same
     anchor.  So it is worked out once per (node, anchor) pair as a
-    ``_template`` in the node's own names, and each copy only adds its
-    prefix and its host.  The memo keys by the node, so equal nodes share
-    one template, and by the anchor, since one node may be glued at two.
+    ``_template`` in the node's own names, and each copy only prefixes the
+    template's vertex names once and reads every edge endpoint and child
+    host from that list, so the graph holds one string per vertex.  The
+    memo keys by the node, so equal nodes share one template, and by the
+    anchor, since one node may be glued at two.
 
-    Also returns, for each anchor renamed away, its own vertex name, the
-    edge it cuts (or None) and the vertex and edge ranges of its subtree.
+    Also returns, for the first copy of each template with an anchor, the
+    anchor's own vertex name, the edge it cuts (or None) and the vertex and
+    edge ranges of its subtree.
     """
     vs, es, anchors = [], [], []
     templates = {}
@@ -939,17 +944,20 @@ def _expand(root: Node, depth: int):
         tpl = templates.get(key)
         if tpl is None:
             tpl = templates[key] = _template(node, anchor, depth)
-        tvs, tes, kids, record = tpl
-        if record is not None:
-            vname, eid = record
-            anchors.append([prefix + vname, None if eid is None else prefix + eid,
-                            len(vs), len(es)])
-            stack.append(anchors[-1])
-        vs.extend([prefix + v for v in tvs])
-        es.extend([(prefix + i, host if v0 is None else prefix + v0,
-                    host if v1 is None else prefix + v1) for i, v0, v1 in tes])
-        stack.extend([(child, child_anchor, prefix + suffix,
-                       host if at is None else prefix + at)
+            if tpl[3] is not None:
+                vname, eid = tpl[3]
+                anchors.append([prefix + vname,
+                                None if eid is None else prefix + eid,
+                                len(vs), len(es)])
+                stack.append(anchors[-1])
+        tvs, tes, kids, _ = tpl
+        names = [prefix + v for v in tvs]
+        vs.extend(names)
+        names.append(host)                    # index -1
+        # what Edge(...) does, less its Python-level __new__
+        es.extend([_new_tuple(Edge, (prefix + i, names[i0], names[i1]))
+                   for i, i0, i1 in tes])
+        stack.extend([(child, child_anchor, prefix + suffix, names[at])
                       for child, child_anchor, suffix, at in kids])
     return vs, es, anchors
 
@@ -970,7 +978,9 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
     g = build_graph(vs, es)
     # An anchor is renamed to its host, so the build never sees its own
     # name, nor the id of the edge it cuts; either must still be unique
-    # within the anchor's subtree.
+    # within the anchor's subtree.  A subtree's names are its prefix plus
+    # names fixed by its template, so every copy of a template gets the
+    # verdict of its first copy, which the pre-order also reaches first.
     for vname, eid, v0, e0, v1, e1 in anchors:
         if vname in g.degree and vname in vs[v0:v1]:
             raise GraphError(f"duplicate identifier {vname!r}")

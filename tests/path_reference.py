@@ -12,7 +12,8 @@ from x the signed distance to y), ``TreeRouter.route_steps`` and
 ``LiftedRule.path_for``, which share whole-edge steps and check an answer
 once; a lifted answer joins step lists and builds no path for its slides.  ``coord`` reads a cycle
 coordinate in Fraction arithmetic from the walk's steps, independently of
-the integer ``CycleCoords.int_coord``.
+the integer ``CycleCoords.int_coord``, and ``point_at`` finds the point at a
+Fraction arclength through ``CycleCoords.int_point``.
 """
 
 from collections import deque
@@ -119,6 +120,12 @@ def coord(cycle, p):
         elif p.edge == e.id:
             return i + (p.t if fwd else 1 - p.t)
     return None
+
+
+def point_at(cycle, s):
+    """The point at arclength s on the cycle, taken modulo its length."""
+    s = Fraction(s)
+    return cycle.int_point(s.numerator, s.denominator)
 
 
 def circle_path(graph, cycle, j, x, y):

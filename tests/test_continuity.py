@@ -16,6 +16,7 @@ from wildcat.planner import (MotionPlan, _nudge, _sampled_sup, _walk_bound,
                              plan_circle, plan_graph, verify_plan)
 
 import continuity_reference as ref
+from path_reference import point_at
 from gen import (circle_with_hair, cycle_graph, k4, random_cycle_with_hairs,
                  random_tree, theta_graph)
 
@@ -227,7 +228,7 @@ def _antipode(rule, x):
     lifted = hasattr(rule, "homotopy")
     cycle = rule.inner.cycle if lifted else rule.cycle
     s = cycle.coord(rule.homotopy.retract(x) if lifted else x)
-    return cycle.point_at(s + cycle.length / 2)
+    return point_at(cycle, s + cycle.length / 2)
 
 
 def _answer_pairs(rng):

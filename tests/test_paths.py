@@ -49,10 +49,10 @@ def _cycle_points(rng, cyc):
     of each, read in Fraction arithmetic."""
     pts = []
     for k, (e, _) in enumerate(cyc.steps):
-        pts += [cyc.point_at(k), EdgeInterior(e.id, Fraction(1, 3)),
+        pts += [ref.point_at(cyc, k), EdgeInterior(e.id, Fraction(1, 3)),
                 EdgeInterior(e.id, Fraction(2, 3)),
                 EdgeInterior(e.id, Fraction(rng.randrange(1, 4096), 4096))]
-    antipodes = [cyc.point_at(ref.coord(cyc, p) + cyc.length / 2) for p in pts]
+    antipodes = [ref.point_at(cyc, ref.coord(cyc, p) + cyc.length / 2) for p in pts]
     return pts + [a for a in antipodes if a not in pts]
 
 
@@ -135,9 +135,9 @@ def test_walk_reuses_whole_edge_steps():
         walks[forward] = first
     # a walk between vertices crosses slots 0-5 with the same shared steps,
     # and the reverse walk crosses slots 11-6 with the backward walk's
-    out = cyc.walk(cyc.point_at(0), cyc.point_at(6), True)
+    out = cyc.walk(ref.point_at(cyc, 0), ref.point_at(cyc, 6), True)
     assert len(out) == 6 and all(a is b for a, b in zip(out[1:5], walks[True][1:5]))
-    back = cyc.walk(cyc.point_at(0), cyc.point_at(6), False)
+    back = cyc.walk(ref.point_at(cyc, 0), ref.point_at(cyc, 6), False)
     assert len(back) == 6 and all(a is b for a, b in zip(back, walks[False][1:7]))
 
 
@@ -313,7 +313,7 @@ def _antipode(plan, x):
         x, cyc = rule.homotopy.retract(x), rule.inner.cycle
     else:
         cyc = rule.cycle
-    return cyc.point_at(cyc.coord(x) + cyc.length / 2)
+    return ref.point_at(cyc, cyc.coord(x) + cyc.length / 2)
 
 
 def test_no_answer_is_shorter_than_point_dist():

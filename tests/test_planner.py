@@ -18,6 +18,7 @@ from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
 from wildcat.regions import Region, Box, Shift, CellUnion, SubArcCell
 from wildcat.spacefile import ParseError, parse_spacefile
 
+from path_reference import point_at
 from gen import (point_graph, path_graph, cycle_graph, loop_graph,
                  figure_eight, circle_with_hair, theta_graph, k4,
                  random_connected_graph, random_point, random_tree,
@@ -116,7 +117,7 @@ def test_circle_plan_lengths_and_midpoints_exact():
             if j == 0:
                 assert d == L / 2
                 assert path.length == L / 2
-                assert path.at(Fraction(1, 2)) == cyc.point_at(cyc.coord(x) + L / 4)
+                assert path.at(Fraction(1, 2)) == point_at(cyc, cyc.coord(x) + L / 4)
             else:
                 assert path.length == min(d, L - d)
 

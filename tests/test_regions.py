@@ -192,7 +192,7 @@ def test_integer_cycle_coordinates_match_fractions():
                 sx = path_reference.coord(cyc, rx)
                 assert cyc.coord(rx) == sx
                 if rng.random() < 0.5 and sx is not None:
-                    y = cyc.point_at(sx + o)  # on the diagonal
+                    y = path_reference.point_at(cyc, sx + o)  # on the diagonal
                 else:
                     y = _cycle_point(rng, g)
                 ry = y if h is None else h.retract(y)

@@ -13,7 +13,10 @@ departures are allowed:
   the walk validates the whole graph once instead of level by level.
 
 Every successful truncation is also checked against a size count that
-knows nothing of names.
+knows nothing of names.  Against ``wild_reference.walk_truncate``, the
+template walk with a name per copy and an anchor check per copy, no
+departure is allowed: the same vertex and edge lists, or the same error
+text.
 """
 
 import glob
@@ -210,6 +213,87 @@ def test_matches_reference_on_colliding_identifiers():
     assert counts["anchor-on-cut-edge"] >= 20, counts
 
 
+# --- against the per-copy template walk --------------------------------------
+
+# ``wild_reference.walk_truncate`` is the template walk before copies shared
+# their name strings and before the anchor check ran once per template.  The
+# two must agree exactly: the same vertex and edge lists, or the same error
+# with the same text, so the same first duplicate identifier.
+
+def _exact(fn, e, depth):
+    try:
+        g = fn(e, depth)
+    except ValueError as exc:
+        return ("raises", type(exc), str(exc))
+    return ("ok", g.vertices, g.edges)
+
+
+def _same_as_walk(e, depths):
+    """The outcomes, each equal to the old walk's; "anchor" where only the
+    old walk's anchor check rejects the expansion."""
+    kinds = []
+    for depth in depths:
+        want = _exact(ref.walk_truncate, e, depth)
+        assert _exact(wild.truncate, e, depth) == want, (depth, want)
+        if want[0] == "ok" or want[1] is not GraphError:
+            kinds.append(want[0])
+            continue
+        try:
+            build_graph(*ref._walk_expand(e, depth)[:2])
+        except GraphError:
+            kinds.append("raises")
+        else:
+            kinds.append("anchor")
+    return kinds
+
+
+def _two_anchor_exprs():
+    """One pattern glued first at a vertex, then at a point of its edge
+    ``e``, once as a second attachment and once as a family's copies.  The
+    cut vertex the second anchor would write, ``e_p1``, is also a vertex of
+    the pattern's base, so only the second (node, anchor) template fails
+    the anchor check."""
+    pattern = Node(build_graph(["v", "w", "e_p1"], [("e", "v", "w"), ("f", "w", "e_p1")]))
+    base = build_graph(["p", "q"], [("s", "p", "q")])
+    mid = EdgeInterior("e", Fraction(1, 2))
+    yield Node(base, (Attachment(Vertex("p"), pattern, Vertex("v")),
+                      Attachment(Vertex("q"), pattern, mid)))
+    yield Node(base, (Attachment(Vertex("p"), pattern, Vertex("v")),),
+               (SeqFamily(Subcomplex.whole(base), pattern, mid),))
+
+
+def test_matches_walk_on_criterion_corpora():
+    for e in _corpus_5150():
+        assert set(_same_as_walk(e, (0, 1, 2, 3))) == {"ok"}
+    for e in _corpus_707():
+        assert set(_same_as_walk(e, (0, 1, 2, 4))) == {"ok"}
+
+
+def test_matches_walk_on_fixtures():
+    fixtures = glob.glob(os.path.join(os.path.dirname(__file__), "fixtures",
+                                      "*.space"))
+    assert len(fixtures) == 21
+    for path in fixtures:
+        with open(path, encoding="ascii") as fh:
+            _same_as_walk(parse_spacefile(fh.read()).main_expr(), (0, 1, 2, 3, 4))
+
+
+def test_matches_walk_on_colliding_identifiers():
+    rng = random.Random(4242)
+    kinds = []
+    for _ in range(2000):
+        kinds += _same_as_walk(_colliding_expr(rng, rng.randint(0, 3)),
+                               (rng.randint(0, 4),))
+    counts = {k: kinds.count(k) for k in set(kinds)}
+    assert counts["ok"] >= 1000, counts
+    assert counts["anchor"] >= 20, counts
+
+
+def test_matches_walk_on_one_node_under_two_anchors():
+    for e in _two_anchor_exprs():
+        assert _same_as_walk(e, (1, 2, 3)) == ["anchor"] * 3
+
+
 # --- cost --------------------------------------------------------------------
 
 def test_truncate_builds_one_graph(monkeypatch):
@@ -268,3 +352,25 @@ def test_equal_patterns_share_one_template(monkeypatch):
     monkeypatch.setattr(wild, "_template", counting)
     assert wild.truncate(e, 3) == ref.truncate(e, 3)
     assert count[0] == 2
+
+
+def test_anchor_records_do_not_grow_with_depth():
+    # the anchor check runs once per anchored (node, anchor) template, so at
+    # most the chain's five; the per-copy walk keeps one per copy
+    e = parse_spacefile(rank_chain_text(3)).main_expr()
+    for depth in (4, 12):
+        assert len(wild._expand(e, depth)[2]) <= 5
+    assert len(ref._walk_expand(e, 4)[2]) > 5
+
+
+def _shares_names(g):
+    names = {id(v) for v in g.vertices}
+    return all(id(v0) in names and id(v1) in names for _, v0, v1 in g.edges)
+
+
+def test_edges_share_the_vertex_name_strings():
+    # a copy names its vertices once and its edges point at those strings;
+    # the per-copy walk concatenates every endpoint again
+    e = parse_spacefile(rank_chain_text(3)).main_expr()
+    assert _shares_names(wild.truncate(e, 4))
+    assert not _shares_names(ref.walk_truncate(e, 4))

@@ -9,12 +9,18 @@ its own validated graph before gluing it in.  It is cubic in nesting depth
 and limited by the interpreter's recursion depth, but each function is a
 direct transcription of its definition, which makes it the oracle for
 ``Node.__eq__``, ``wildcat.wild.Analysis`` and ``wildcat.wild.truncate``.
+
+``walk_truncate`` is the iterative template walk as it was before copies
+shared their name strings: it names every edge endpoint per copy and checks
+every copy's anchor.  It is the oracle for the exact errors of
+``wildcat.wild.truncate``, which the recursive ``truncate`` does not match.
 """
 
 from collections import Counter, defaultdict
 from fractions import Fraction
 
-from wildcat.graphs import Edge, EdgeInterior, Vertex, betti1, build_graph
+from wildcat.graphs import (Edge, EdgeInterior, GraphError, Vertex, betti1,
+                            build_graph)
 from wildcat.wild import (INF, ExprError, UnstableExpressionError,
                           InfiniteRankError, Node, SelfWild, ZeroDimWild,
                           SeqFamily, Subcomplex, StabilityReport, TowerLevel,
@@ -459,3 +465,109 @@ def truncate(e, depth):
     if depth < 0:
         raise ExprError("depth must be a natural number")
     return _expand(e, depth, "")
+
+
+# --- the template walk with per-copy names ---------------------------------
+#
+# Templates hold names, every copy concatenates each edge's endpoints again,
+# and every copy of an anchored template pushes its own anchor record.
+
+def _walk_key(p):
+    return p.v if isinstance(p, Vertex) else (p.edge, p.t)
+
+
+def _walk_template(node, anchor, depth):
+    children = [(att.child, _walk_key(att.anchor), f"a{i}_", _walk_key(att.at))
+                for i, att in enumerate(node.fin)]
+    for i, fam in enumerate(node.seq):
+        cvs, ces = fam.subcomplex.vertices, fam.subcomplex.edges
+        n = len(cvs) + len(ces)
+        pattern_anchor = _walk_key(fam.anchor)
+        for c in range(depth):
+            k = c % n
+            at = (cvs[k] if k < len(cvs) else
+                  (ces[k - len(cvs)], Fraction(c // n + 1, (depth - 1 - k) // n + 2)))
+            children.append((fam.pattern, pattern_anchor, f"s{i}c{c}_", at))
+    cuts = defaultdict(set)
+    for at in (anchor, *(child[3] for child in children)):
+        if isinstance(at, tuple):
+            cuts[at[0]].add(at[1])
+    cut_names = {}
+    for ed in node.base.edges:
+        if ed.id in cuts:
+            cuts[ed.id] = ts = sorted(cuts[ed.id])
+            for k, t in enumerate(ts, 1):
+                cut_names[(ed.id, t)] = f"{ed.id}_p{k}"
+
+    def name(key):
+        if key == anchor:
+            return None
+        return key if isinstance(key, str) else cut_names[key]
+
+    record = None
+    if anchor is not None:
+        on_edge = isinstance(anchor, tuple)
+        record = (cut_names[anchor] if on_edge else anchor,
+                  anchor[0] if on_edge else None)
+    vs = [v for v in node.base.vertices if v != anchor]
+    vs.extend(v for key, v in cut_names.items() if key != anchor)
+    es = []
+    for ed in node.base.edges:
+        v0, v1 = name(ed.v0), name(ed.v1)
+        ts = cuts.get(ed.id)
+        if not ts:
+            es.append((ed.id, v0, v1))
+            continue
+        for k, t in enumerate(ts):
+            cut = name((ed.id, t))
+            es.append((f"{ed.id}_s{k}", v0, cut))
+            v0 = cut
+        es.append((f"{ed.id}_s{len(ts)}", v0, v1))
+    kids = [(child, child_anchor, suffix, name(at))
+            for child, child_anchor, suffix, at in reversed(children)]
+    return vs, es, kids, record
+
+
+def _walk_expand(root, depth):
+    vs, es, anchors = [], [], []
+    templates = {}
+    stack = [(root, None, "", None)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            entry.extend((len(vs), len(es)))
+            continue
+        node, anchor, prefix, host = entry
+        key = (node, anchor)
+        tpl = templates.get(key)
+        if tpl is None:
+            tpl = templates[key] = _walk_template(node, anchor, depth)
+        tvs, tes, kids, record = tpl
+        if record is not None:
+            vname, eid = record
+            anchors.append([prefix + vname, None if eid is None else prefix + eid,
+                            len(vs), len(es)])
+            stack.append(anchors[-1])
+        vs.extend([prefix + v for v in tvs])
+        es.extend([(prefix + i, host if v0 is None else prefix + v0,
+                    host if v1 is None else prefix + v1) for i, v0, v1 in tes])
+        stack.extend([(child, child_anchor, prefix + suffix,
+                       host if at is None else prefix + at)
+                      for child, child_anchor, suffix, at in kids])
+    return vs, es, anchors
+
+
+def walk_truncate(e, depth):
+    """The template walk with a name per copy and an anchor check per copy."""
+    if contains_atom(e):
+        raise ExprError("cannot truncate an expression with opaque atoms")
+    if depth < 0:
+        raise ExprError("depth must be a natural number")
+    vs, es, anchors = _walk_expand(e, depth)
+    g = build_graph(vs, es)
+    for vname, eid, v0, e0, v1, e1 in anchors:
+        if vname in g.degree and vname in vs[v0:v1]:
+            raise GraphError(f"duplicate identifier {vname!r}")
+        if eid in g.edge_by_id and any(ed[0] == eid for ed in es[e0:e1]):
+            raise GraphError(f"duplicate identifier {eid!r}")
+    return g
