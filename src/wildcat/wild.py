@@ -210,13 +210,12 @@ class Node:
         for fam in self.seq:
             if not isinstance(fam, SeqFamily):
                 raise ExprError("seq entries must be SeqFamilies")
+            # the family's cells must be Subcomplex.of's normal form, which
+            # raises on an empty subcomplex or a cell off the base
             sc = fam.subcomplex
-            for v in sc.vertices:
-                if v not in self.base.degree:
-                    raise ExprError(f"subcomplex vertex {v!r} not on the base")
-            for eid in sc.edges:
-                if eid not in self.base.edge_by_id:
-                    raise ExprError(f"subcomplex edge {eid!r} not on the base")
+            if Subcomplex.of(self.base, sc.vertices, sc.edges) != sc:
+                raise ExprError(f"{sc} is not sorted, repeats a cell or lists "
+                                "an edge without its endpoints")
             _check_anchor(fam.pattern, fam.anchor)
         key = (self.base.vertices, self.base.edges,
                tuple((a.at, _shape(a.child), a.anchor) for a in self.fin),
@@ -306,7 +305,9 @@ class Analysis:
     equal to one already seen is a memo hit.  The pieces of a piece are
     analysed like any other subexpression, and a piece that reappears one
     tower level further down is the same entry: on a rank-growing chain of
-    depth d the memo holds 3d + 3 entries, not d^2 / 2.  The stability
+    depth d whose levels all anchor their copies at one vertex the memo
+    holds 3d + 3 entries.  Where the anchor changes from level to level the
+    pieces equal no pattern, and it holds about d^2 / 2.  The stability
     check's "same level again" test is ``==``.  Every walk uses an explicit
     stack, so nesting depth is bounded by memory, not by the interpreter's
     recursion limit.  Nothing outlives the analysis: a caller with several

@@ -111,8 +111,8 @@ def march(cycle, s0, dist):
 
 
 def coord(cycle, p):
-    """Arclength of a point on the cycle, or None off it, as
-    ``CycleCoords.coord`` computed it in Fraction arithmetic."""
+    """Arclength of a point on the cycle, or None off it, in Fraction
+    arithmetic: the reference for ``CycleCoords.int_coord``."""
     for i, (e, fwd) in enumerate(cycle.steps):
         if isinstance(p, Vertex):
             if p.v == (e.v0 if fwd else e.v1):

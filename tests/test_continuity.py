@@ -16,7 +16,7 @@ from wildcat.planner import (MotionPlan, _nudge, _sampled_sup, _walk_bound,
                              plan_circle, plan_graph, verify_plan)
 
 import continuity_reference as ref
-from path_reference import point_at
+from path_reference import coord, point_at
 from gen import (circle_with_hair, cycle_graph, k4, random_cycle_with_hairs,
                  random_tree, theta_graph)
 
@@ -227,7 +227,7 @@ def _antipode(rule, x):
     """The partner of x in the stratum of a (lifted) rotate rule."""
     lifted = hasattr(rule, "homotopy")
     cycle = rule.inner.cycle if lifted else rule.cycle
-    s = cycle.coord(rule.homotopy.retract(x) if lifted else x)
+    s = coord(cycle, rule.homotopy.retract(x) if lifted else x)
     return point_at(cycle, s + cycle.length / 2)
 
 

@@ -44,12 +44,14 @@ def test_package_imports_are_listed_in_module_all():
 @pytest.mark.parametrize("owner,name", [("graphs", "concat_paths"),
                                         ("graphs.CollapseHomotopy", "slide_back"),
                                         ("planner.CycleCoords", "march"),
-                                        ("planner.CycleCoords", "point_at")])
+                                        ("planner.CycleCoords", "point_at"),
+                                        ("planner.CycleCoords", "coord")])
 def test_replaced_path_helpers_are_gone(owner, name):
     """Lifted answers join step lists, and cycle answers walk integer slots;
     the path concatenation, reverse slide and Fraction march they replace
-    are deleted, from the package's names too, and so is the Fraction
-    ``point_at`` that only tests read (now ``path_reference.point_at``)."""
+    are deleted, from the package's names too, and so are the Fraction
+    ``point_at`` and ``coord`` that only tests read (now
+    ``path_reference.point_at`` and ``path_reference.coord``)."""
     module, _, cls = owner.partition(".")
     obj = importlib.import_module(f"wildcat.{module}")
     obj = getattr(obj, cls) if cls else obj

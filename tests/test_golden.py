@@ -14,10 +14,12 @@ main definition is an expression (so the call fails and its exit status is
 recorded); ``none`` stands in for a vertex or edge the file does not have.
 ``STEM.cuplength`` is ``wildcat cuplength fixtures/STEM.space``; a file whose
 main definition is an expression records exit 2.  Any change to a report
-shows up here.
+shows up here, and so does a file under ``tests/golden/`` that no test
+reads.
 """
 
 import os
+import re
 
 import pytest
 
@@ -30,6 +32,9 @@ GOLDDIR = os.path.join(HERE, "golden")
 
 FIXTURES = sorted(f[:-len(".space")] for f in os.listdir(FIXDIR)
                   if f.endswith(".space"))
+# one golden file per fixture and kind: STEM.KIND
+KINDS = ("verify", "corrupt.verify", "info", "certify", "truncate", "plan",
+         "cuplength")
 
 
 def _run(capsys, argv):
@@ -95,3 +100,23 @@ def test_plan_matches_golden(capsys, stem):
 def test_cuplength_matches_golden(capsys, stem):
     _check(capsys, ["cuplength", os.path.join(FIXDIR, stem + ".space")],
            f"{stem}.cuplength")
+
+
+def _check_inventory(names):
+    """The golden directory ``names`` are exactly the files the tests read."""
+    expected = {f"{stem}.{kind}" for stem in FIXTURES for kind in KINDS}
+    names = set(names)
+    assert names == expected, (f"no test reads {sorted(names - expected)}; "
+                               f"missing {sorted(expected - names)}")
+
+
+def test_golden_files_are_exactly_those_read():
+    _check_inventory(os.listdir(GOLDDIR))
+
+
+def test_golden_inventory_rejects_an_extra_or_a_missing_file():
+    names = sorted(os.listdir(GOLDDIR))
+    with pytest.raises(AssertionError, match=re.escape("no test reads ['stale.verify']")):
+        _check_inventory(names + ["stale.verify"])
+    with pytest.raises(AssertionError, match=re.escape(f"missing [{names[0]!r}]")):
+        _check_inventory(names[1:])

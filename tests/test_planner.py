@@ -15,10 +15,12 @@ from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
                              product_cat_filtration,
                              corrupt_plan_swap_endpoints, verify_plan,
                              MotionPlan, CycleRotateRule, _fmt_pair, _nudge)
-from wildcat.regions import Region, Box, Shift, CellUnion, SubArcCell
+from wildcat import regions
+from wildcat.regions import (Region, Box, Shift, CellUnion, SubArcCell,
+                             filtration_witnesses)
 from wildcat.spacefile import ParseError, parse_spacefile
 
-from path_reference import point_at
+from path_reference import coord, point_at
 from gen import (point_graph, path_graph, cycle_graph, loop_graph,
                  figure_eight, circle_with_hair, theta_graph, k4,
                  random_connected_graph, random_point, random_tree,
@@ -113,11 +115,11 @@ def test_circle_plan_lengths_and_midpoints_exact():
         for _ in range(60):
             x, y = random_point(rng, g), random_point(rng, g)
             j, path = execute(plan, x, y)
-            d = (cyc.coord(y) - cyc.coord(x)) % L
+            d = (coord(cyc, y) - coord(cyc, x)) % L
             if j == 0:
                 assert d == L / 2
                 assert path.length == L / 2
-                assert path.at(Fraction(1, 2)) == point_at(cyc, cyc.coord(x) + L / 4)
+                assert path.at(Fraction(1, 2)) == point_at(cyc, coord(cyc, x) + L / 4)
             else:
                 assert path.length == min(d, L - d)
 
@@ -195,7 +197,7 @@ def test_stratum_assignment_matches_independent_predicate():
             cyc = CycleCoords(core)
             for _ in range(25):
                 x, y = random_point(rng, g), random_point(rng, g)
-                d = (cyc.coord(h.retract(y)) - cyc.coord(h.retract(x)))
+                d = (coord(cyc, h.retract(y)) - coord(cyc, h.retract(x)))
                 antipodal = d % cyc.length == cyc.length / 2
                 assert plan.stratum_index(x, y) == (0 if antipodal else 1)
 
@@ -505,7 +507,7 @@ def test_coverage_cells_fails_without_top_stratum():
     g = k4()
     cover, nest = _cell_checks(_drop_top(plan_graph(g)), g)
     assert not cover.passed
-    assert cover.witness == "(edge e3 1/4; edge e3 1/4)"
+    assert cover.witness == "(edge e3 1/2; edge e3 1/2)"
     assert nest.passed and nest.witness is None
 
 
@@ -514,7 +516,7 @@ def test_nesting_cells_fails_with_swapped_strata():
     cover, nest = _cell_checks(_swap_first_two(plan_graph(g)), g)
     assert cover.passed and cover.witness is None
     assert not nest.passed
-    assert nest.witness == "(vertex a; edge e3 1/4)"
+    assert nest.witness == "(vertex a; edge e3 1/2)"
 
 
 def _cell_probes(g):
@@ -559,9 +561,8 @@ def _differential_graphs():
         yield f"tree{i}", random_tree(rng, rng.randint(1, 12))
 
 
-def test_cell_checks_match_all_pairs_reference():
-    # intact plans pass; both broken variants fail on every multi-stratum plan
-    for name, g in _differential_graphs():
+def _check_cells_against_reference(graphs):
+    for name, g in graphs:
         plan = plan_graph(g)
         variants = [("intact", plan)]
         if len(plan.strata) > 1:
@@ -570,8 +571,32 @@ def test_cell_checks_match_all_pairs_reference():
         for label, variant in variants:
             cover, nest = _cell_checks(variant, g)
             expected = _all_pairs_cell_witnesses(variant, g)
-            assert (cover.witness, nest.witness) == expected, (name, label)
+            assert (cover.passed, nest.passed) == \
+                tuple(w is None for w in expected), (name, label)
             assert (expected == (None, None)) == (label == "intact"), (name, label)
+            wc, wn = filtration_witnesses(variant.strata, g)
+            assert (cover.witness, nest.witness) == \
+                (wc and _fmt_pair(*wc), wn and _fmt_pair(*wn)), (name, label)
+            if wc is not None:
+                assert not variant.strata[-1].contains(*wc), (name, label)
+            if wn is not None:
+                member = [f.contains(*wn) for f in variant.strata]
+                assert member[-1] and not all(member[member.index(True):]), \
+                    (name, label)
+
+
+def test_cell_checks_match_all_pairs_reference():
+    # intact plans pass; both broken variants fail on every multi-stratum plan,
+    # as the probe reference says, each at a pair that really fails that way
+    _check_cells_against_reference(_differential_graphs())
+
+
+def test_cell_reference_rejects_a_wrong_witness(monkeypatch):
+    # negative control: a witness that does not fail must fail the test
+    monkeypatch.setattr(regions._Filtration, "_off_diagonal",
+                        lambda self, a, b, v: (self.rep[0], self.rep[0]))
+    with pytest.raises(AssertionError):
+        _check_cells_against_reference(_differential_graphs())
 
 
 # The probe loop above passes the next two plans: each fails only between

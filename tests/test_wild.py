@@ -80,6 +80,38 @@ def test_subcomplex_normalizes_to_closure():
     assert not sc.contains_point(Vertex("v2"))
 
 
+def _family_on(cells):
+    tri = build_graph(["a", "b", "c"], [("f0", "a", "b"), ("f1", "b", "c"),
+                                        ("f2", "c", "a")])
+    loop = graph_expr(build_graph(["o"], [("l", "o", "o")]))
+    return Node(tri, (), (SeqFamily(cells, loop, Vertex("o")),))
+
+
+def test_node_rejects_an_empty_subcomplex():
+    with pytest.raises(ExprError, match="empty subcomplex"):
+        _family_on(Subcomplex((), ()))
+
+
+def test_node_rejects_an_edge_without_its_endpoints():
+    with pytest.raises(ExprError, match="without its endpoints"):
+        _family_on(Subcomplex((), ("f0",)))
+
+
+def test_node_rejects_an_unsorted_subcomplex():
+    with pytest.raises(ExprError, match="not sorted"):
+        _family_on(Subcomplex(("c", "b", "a"), ("f2", "f1", "f0")))
+
+
+def test_node_rejects_a_repeated_cell():
+    with pytest.raises(ExprError, match="repeats a cell"):
+        _family_on(Subcomplex(("a", "a", "b"), ("f0",)))
+
+
+def test_node_rejects_a_subcomplex_cell_off_the_base():
+    with pytest.raises(ExprError, match="not in the base"):
+        _family_on(Subcomplex(("a", "z"), ()))
+
+
 def test_connectivity_of_expressions():
     assert is_connected_expr(earring())
     assert is_connected_expr(SelfWild())
