@@ -27,7 +27,8 @@ from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
                    is_connected_expr, contains_scc, contains_atom,
                    is_w_stable, wild_set,
                    wild_tower, wrk, WildProfile, profile, cat, tc,
-                   Certificate, cat_certificate, tc_certificate, truncate)
+                   Certificate, cat_certificate, tc_certificate, truncate,
+                   truncation_size)
 from .spacefile import (ParseError, SpaceFile, parse_spacefile,
                         print_spacefile, parse_point, format_point)
 

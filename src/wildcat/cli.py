@@ -20,7 +20,7 @@ from .spacefile import (ParseError, SpaceFile, parse_spacefile, print_spacefile,
                         parse_point)
 from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
                    analyze, graph_expr, profile, cat, tc, cat_certificate,
-                   tc_certificate, truncate)
+                   tc_certificate, truncate, truncation_size)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -170,7 +170,14 @@ def cmd_certify(args) -> int:
 
 def cmd_truncate(args) -> int:
     sf = _load(args.file)
-    g = truncate(sf.main_expr(), args.depth)
+    e = sf.main_expr()
+    if args.max_edges is not None:
+        n_vertices, n_edges = truncation_size(e, args.depth)
+        if n_edges > args.max_edges:
+            raise ExprError(f"truncation at depth {args.depth} would have "
+                            f"{n_vertices} vertices and {n_edges} edges, "
+                            f"more than --max-edges {args.max_edges}")
+    g = truncate(e, args.depth)
     out = SpaceFile({"truncated": g}, {}, "truncated")
     text = print_spacefile(out)
     if args.dot:
@@ -194,7 +201,7 @@ def cmd_cuplength(args) -> int:
     return EXIT_OK
 
 
-def _sample_count(text: str) -> int:
+def _natural(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
@@ -237,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="verify the stratified plan of a graph")
     p.add_argument("file")
     p.add_argument("--graph", default=None)
-    p.add_argument("--samples", type=_sample_count, default=2000)
+    p.add_argument("--samples", type=_natural, default=2000)
     p.add_argument("--delta", type=_positive_fraction, default=DEFAULT_DELTA)
     p.add_argument("--eps", type=_positive_fraction, default=DEFAULT_EPS)
     p.add_argument("--seed", type=int, default=0)
@@ -252,6 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("truncate", help="finite graph approximation of the main expression")
     p.add_argument("file")
     p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--max-edges", type=_natural, default=None, metavar="N",
+                   help="exit 2 without expanding when the truncation would "
+                        "have more than N edges (default: no limit)")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--dot", default=None, metavar="PATH")
     p.set_defaults(fn=cmd_truncate)

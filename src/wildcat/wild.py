@@ -11,9 +11,10 @@ contained in a dendrite.
 One memoised post-order pass (``Analysis``) computes iterated wild sets,
 the wildness rank, the category and topological complexity formulas and
 filtration certificates; ``truncate`` builds finite graph approximations
-for cross-checks.  Copy sizes and attachment
-density are abstract: only the closure subcomplex of an attachment sequence
-matters for the wild set, so no metric data is stored.
+for cross-checks, and ``truncation_size`` counts them without building
+them.  Copy sizes and attachment density are abstract: only the closure
+subcomplex of an attachment sequence matters for the wild set, so no
+metric data is stored.
 """
 
 import math
@@ -22,8 +23,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import (Edge, MultiGraph, Vertex, GraphPoint, GraphError,
-                     build_graph, subgraph, betti1)
+from .graphs import (Edge, MultiGraph, Vertex, EdgeInterior, GraphPoint,
+                     GraphError, build_graph, subgraph, betti1)
 
 __all__ = [
     "INF",
@@ -59,6 +60,7 @@ __all__ = [
     "cat_certificate",
     "tc_certificate",
     "truncate",
+    "truncation_size",
 ]
 
 INF = math.inf
@@ -259,11 +261,10 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class TowerLevel:
-    """One non-empty iterated wild set: its symbolic pieces (a finite
-    disjoint union; empty for the opaque zero-dimensional level, which has
-    no expression), the piece count, and the total first Betti number."""
+    """One non-empty iterated wild set, a finite disjoint union of pieces:
+    the piece count and the total first Betti number.  ``wild_tower``
+    builds the pieces themselves."""
 
-    pieces: tuple
     count: int
     b1: object  # int, or INF
 
@@ -283,36 +284,54 @@ class WildProfile:
 
 class _Facts:
     """What an analysis knows about one expression structure.  The
-    structural facts are set when it is first reached; on a node, ``pieces``
-    and ``stability`` stay None until asked for, because wild pieces are
-    only defined on stable parts."""
+    structural facts and the tower summary are set when it is first
+    reached; ``pieces`` and ``stability`` stay None until asked for,
+    because wild pieces are only defined on stable parts.
 
-    __slots__ = ("atom", "selfwild", "scc", "connected", "b1", "pieces",
-                 "stability")
+    The summary describes the wild tower of a stable node through the
+    height h_f of each family f: how many iterated wild sets of its
+    pattern, the pattern itself included, contain a cycle.  The own pieces
+    of wild level k >= 1 are the components of U_k, the union of the
+    subcomplexes of the families with h_f >= k; the other pieces of level
+    k are the level-k pieces of the finite attachments.
+
+    - ``runs``: one ``(last, count, b1)`` per distinct h_f >= 1, deepest
+      first: U_k is the same for every k from the next run's ``last`` + 1
+      up to ``last``, with ``count`` components and first Betti number
+      ``b1``.
+    - ``rank``: the number of non-empty levels; ``top``: the first Betti
+      number of the deepest; ``height``: h of the expression as a pattern.
+    - ``count1``: the number of level-1 pieces, own and foreign.
+    """
+
+    __slots__ = ("atom", "selfwild", "scc", "connected", "b1", "runs",
+                 "rank", "top", "height", "count1", "pieces", "stability")
 
 
 class Analysis:
     """Everything the calculus derives from one space expression, computed
     once per subexpression.
 
-    One post-order walk gives the structural facts of every subexpression:
-    atoms, self-wild subspaces, simple closed curves, connectedness and the
-    total first Betti number.  W-stability and wild-set pieces are derived
-    from them on demand.
+    One post-order walk gives the facts of every subexpression from those
+    of its children: atoms, self-wild subspaces, simple closed curves,
+    connectedness, the total first Betti number and a run-length summary
+    of the wild tower (see ``_Facts``).  A node's own level-k pieces change
+    only where one of its families' heights runs out, so its summary holds
+    one run per distinct height, from one union-find pass over its
+    subcomplexes.  ``profile``, ``cat``, ``tc``, the stability check and
+    both certificates read only the summaries: they build no piece and no
+    graph.  Wild-set pieces are built on demand for ``wild_set`` and
+    ``wild_tower``, whose output is that large.
 
     Facts are keyed by the expression itself, that is by its hash-consed
-    structure (see ``Node``), so every subexpression and every wild piece
-    equal to one already seen is a memo hit.  The pieces of a piece are
-    analysed like any other subexpression, and a piece that reappears one
-    tower level further down is the same entry: on a rank-growing chain of
-    depth d whose levels all anchor their copies at one vertex the memo
-    holds 3d + 3 entries.  Where the anchor changes from level to level the
-    pieces equal no pattern, and it holds about d^2 / 2.  The stability
-    check's "same level again" test is ``==``.  Every walk uses an explicit
-    stack, so nesting depth is bounded by memory, not by the interpreter's
-    recursion limit.  Nothing outlives the analysis: a caller with several
-    questions about one expression builds one with ``analyze`` and passes
-    it to each reader.
+    structure (see ``Node``), so a subexpression shared by several parents
+    is analysed once.  On a rank-growing chain of depth d the memo holds
+    d + 3 entries and the summaries d + 1 runs, wherever each level
+    anchors its copies.  Every walk uses an explicit stack, so nesting
+    depth is bounded by memory, not by the interpreter's recursion limit.
+    Nothing outlives the analysis: a caller with several questions about
+    one expression builds one with ``analyze`` and passes it to each
+    reader.
     """
 
     def __init__(self, e: SpaceExpr):
@@ -355,16 +374,6 @@ class Analysis:
         own, foreign = self._split(self.expr if x is None else x)
         return own + foreign
 
-    def tower(self) -> tuple:
-        """Non-empty iterated wild sets of a stable, self-wild-free
-        expression, each a tuple of pieces."""
-        levels = []
-        level = (self.expr,)
-        while level:
-            levels.append(level)
-            level = tuple(p for piece in level for p in self.pieces(piece))
-        return tuple(levels)
-
     def profile(self) -> WildProfile:
         if self._profile is None:
             self._profile = self._build_profile()
@@ -373,33 +382,55 @@ class Analysis:
     def _build_profile(self) -> WildProfile:
         e = self.expr
         if isinstance(e, ZeroDimWild):
-            tower = (TowerLevel((e,), 1, INF), TowerLevel((), 1, 0))
+            tower = (TowerLevel(1, INF), TowerLevel(1, 0))
             return WildProfile(tower, 2, 0, "none", False)
         self.require_stable()
         if self.selfwild:
-            return WildProfile((TowerLevel((e,), 1, INF),), INF, INF, "many", True)
-        levels = self.tower()
-        summaries = tuple(TowerLevel(lv, len(lv), self._level_b1(lv))
-                          for lv in levels)
-        top = summaries[-1].b1
+            return WildProfile((TowerLevel(1, INF),), INF, INF, "many", True)
+        top = self._top.top
+        # every level above the deepest holds a piece with a non-empty wild
+        # set, so a family whose pattern still has a cycle
+        counts = self._level_counts()
+        tower = tuple(TowerLevel(c, INF) for c in counts[:-1])
+        tower += (TowerLevel(counts[-1], top),)
         if top == 0:
             scc = "none"
         elif top == 1:
             scc = "one"
         else:
             scc = "many"
-        return WildProfile(summaries, len(levels), top, scc, True)
+        return WildProfile(tower, len(tower), top, scc, True)
 
-    def _level_b1(self, level):
+    def _level_counts(self) -> list:
+        """Pieces per level of the stable, self-wild-free expression.  Level
+        k >= 1 sums the own level-k pieces of every node reached through
+        finite attachments, once per attachment path to it, so each node's
+        runs are read once and no summary is merged into another."""
+        memo = self._memo
+        paths = {self.expr: 1}
+        # each entry follows its children, so backwards parents come first
+        for x in reversed(memo):
+            m = paths.get(x)
+            if m:
+                for att in x.fin:
+                    paths[att.child] = paths.get(att.child, 0) + m
+        # a run's count holds on every level up to its last, on top of the
+        # deeper runs' counts
+        ends = defaultdict(int)
+        for x, m in paths.items():
+            deeper = 0
+            for last, count, _ in memo[x].runs:
+                ends[last] += m * (count - deeper)
+                deeper = count
+        counts = []
         total = 0
-        for piece in level:
-            b = self._facts(piece).b1
-            if b is INF:
-                return INF
-            total += b
-        return total
+        for k in range(self._top.rank - 1, 0, -1):
+            total += ends[k]
+            counts.append(total)
+        counts.append(1)
+        return counts[::-1]
 
-    # --- structural facts ---------------------------------------------------
+    # --- structural facts and summaries -------------------------------------
 
     def _facts(self, e) -> _Facts:
         """Facts of e, reaching every subexpression below it first."""
@@ -421,9 +452,10 @@ class Analysis:
         return memo[e]
 
     def _local(self, x) -> _Facts:
-        """Structural facts of x from those of its children."""
+        """Facts and tower summary of x from those of its children."""
         f = _Facts()
         f.pieces = f.stability = None
+        f.runs = ()
         if isinstance(x, Node):
             memo = self._memo
             fin = [memo[a.child] for a in x.fin]
@@ -440,17 +472,39 @@ class Analysis:
                 f.b1 = INF
             else:
                 f.b1 = b + sum(k.b1 for k in fin)
+            f.runs = _own_runs(x, [k.height for k in seq])
+            own = f.runs[0][0] if f.runs else 0
+            f.rank = 1 + max([own] + [k.rank - 1 for k in fin])
+            if f.rank == 1:
+                f.top = f.b1
+            else:
+                # the deepest level: own pieces if a run reaches it, and the
+                # deepest pieces of the attachments as deep as x
+                f.top = ((f.runs[0][2] if own == f.rank - 1 else 0)
+                         + sum(k.top for k in fin if k.rank == f.rank))
+            f.count1 = ((f.runs[-1][1] if f.runs else 0)
+                        + sum(k.count1 for k in fin))
         elif isinstance(x, SelfWild):
             f.atom = f.scc = f.connected = f.selfwild = True
-            f.b1 = INF
+            f.b1 = f.rank = f.top = INF
+            f.count1 = 1
             f.pieces = ((x,), ())
             f.stability = StabilityReport(True)
         else:
             f.atom = f.scc = f.connected = True
             f.selfwild = False
             f.b1 = INF
+            f.rank, f.top, f.count1 = 2, 0, 1
             f.stability = StabilityReport(
                 False, "handled by the zero-dimensional special case")
+        if f.selfwild:
+            f.height = INF
+        elif not f.scc:
+            f.height = 0
+        else:
+            # every level above the deepest has a cycle; the deepest has
+            # one when its Betti number is positive
+            f.height = f.rank - (f.top == 0)
         return f
 
     # --- wild-set pieces ----------------------------------------------------
@@ -575,44 +629,82 @@ class Analysis:
         wild set of the pattern is one connected piece containing the
         anchor: otherwise copies of it accumulate on the subcomplex without
         touching it, and copies of deeper wild sets have to reach the
-        subcomplex through the gluing point too."""
-        if not self._facts(fam.pattern).scc:
+        subcomplex through the gluing point too.
+
+        Read from the pattern's summary, in O(its runs and families): only
+        level 1 can hold pieces of finite attachments, deeper levels have
+        the piece count of their run, and the anchor lies in U_k while k is
+        at most the largest height of a family whose subcomplex holds it.
+        A self-wild pattern's levels end in a run of unbounded length; the
+        self-wild atom is its own wild set."""
+        memo = self._memo
+        pattern = fam.pattern
+        p = memo[pattern]
+        if not p.scc or isinstance(pattern, SelfWild):
             return None
-        own, foreign = self._split(fam.pattern)
+
+        def split(level, count):
+            return StabilityReport(
+                False, f"seq family {i}: wild set level {level} of the "
+                       f"pattern is not path-connected ({count} pieces)")
+
+        def outside(level, where=""):
+            return StabilityReport(
+                False, f"seq family {i}: anchor {fam.anchor} does not lie "
+                       f"in wild set level {level} of the pattern{where}")
+
+        own1 = p.runs[-1][1] if p.runs else 0
+        if p.count1 > 1:
+            return split(1, p.count1)
+        if p.count1 > own1:
+            # the anchor is a point of the pattern's base; it cannot
+            # certify a wild set sitting inside a finite attachment
+            return outside(1, " (it sits inside a finite attachment)")
+        reach = max((memo[g.pattern].height for g in pattern.seq
+                     if g.subcomplex.contains_point(fam.anchor)), default=0)
         level = 1
-        prev = None
-        while own or foreign:
-            if len(own) + len(foreign) > 1:
-                return StabilityReport(
-                    False, f"seq family {i}: wild set level {level} of the "
-                           f"pattern is not path-connected "
-                           f"({len(own) + len(foreign)} pieces)")
-            if foreign:
-                # the anchor is a point of the pattern's base; it cannot
-                # certify a wild set sitting inside a finite attachment
-                return StabilityReport(
-                    False, f"seq family {i}: anchor {fam.anchor} does not lie "
-                           f"in wild set level {level} of the pattern (it "
-                           "sits inside a finite attachment)")
-            piece = own[0]
-            if not _point_in_piece(fam.anchor, piece):
-                return StabilityReport(
-                    False, f"seq family {i}: anchor {fam.anchor} does not lie "
-                           f"in wild set level {level} of the pattern")
-            if isinstance(piece, SelfWild) or piece == prev:
-                break
-            prev = piece
-            own, foreign = self._split(piece)
-            level += 1
+        for last, count, _ in reversed(p.runs):
+            if count > 1:
+                return split(level, count)
+            if reach < last:
+                return outside(reach + 1)
+            level = last + 1
         return None
 
 
-def _point_in_piece(p: GraphPoint, piece: SpaceExpr) -> bool:
-    if isinstance(piece, SelfWild):
-        return True
-    if isinstance(piece, ZeroDimWild):
-        return False
-    return piece.base.contains_point(p)
+def _own_runs(node: Node, heights) -> tuple:
+    """The runs of a node's own pieces, given its families' heights: the
+    families go into one union-find over base cells in decreasing height,
+    and after the last family of each height the union is U_k for every
+    level k up to that height."""
+    active = sorted(((h, i) for i, h in enumerate(heights) if h), reverse=True)
+    root = {}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    edges = set()
+    comps = 0
+    runs = []
+    for n, (h, i) in enumerate(active):
+        sc = node.seq[i].subcomplex
+        for v in sc.vertices:
+            if v not in root:
+                root[v] = v
+                comps += 1
+        for eid in sc.edges:
+            if eid not in edges:
+                edges.add(eid)
+                ed = node.base.edge_by_id[eid]
+                a, b = find(ed.v0), find(ed.v1)
+                if a != b:
+                    root[a] = b
+                    comps -= 1
+        if n + 1 == len(active) or active[n + 1][0] != h:
+            runs.append((h, comps, len(edges) - len(root) + comps))
+    return tuple(runs)
 
 
 def analyze(e) -> Analysis:
@@ -673,7 +765,12 @@ def wild_tower(e):
     a.require_stable()
     if a.selfwild:
         raise InfiniteRankError("self-wild subspaces give an infinite tower")
-    return a.tower()
+    levels = []
+    level = (a.expr,)
+    while level:
+        levels.append(level)
+        level = tuple(p for piece in level for p in a.pieces(piece))
+    return tuple(levels)
 
 
 def wrk(e):
@@ -971,10 +1068,7 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
     expanded exactly.  Depth 0 keeps the base skeleton and attachments only.
     The expansion is iterative and the graph is built once, at the end.
     """
-    if contains_atom(e):
-        raise ExprError("cannot truncate an expression with opaque atoms")
-    if depth < 0:
-        raise ExprError("depth must be a natural number")
+    _require_truncatable(e, depth)
     vs, es, anchors = _expand(e, depth)
     g = build_graph(vs, es)
     # An anchor is renamed to its host, so the build never sees its own
@@ -988,3 +1082,89 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
         if eid in g.edge_by_id and any(ed[0] == eid for ed in es[e0:e1]):
             raise GraphError(f"duplicate identifier {eid!r}")
     return g
+
+
+def _require_truncatable(e, depth):
+    if contains_atom(e):
+        raise ExprError("cannot truncate an expression with opaque atoms")
+    if depth < 0:
+        raise ExprError("depth must be a natural number")
+
+
+def truncation_size(e: SpaceExpr, depth: int):
+    """(vertices, edges) of ``truncate(e, depth)``, counted without
+    expanding it: one explicit-stack walk, memoised by (node, anchor) like
+    the expansion's templates.  A subtree glued at an anchor has its base's
+    vertices less the one glued to the host and all its edges, one more
+    vertex and edge per distinct point cutting an edge, each finite
+    attachment's subtree once and each family's ``depth`` times.  The cuts
+    are counted in integers, so the cost grows with the expression and the
+    square root of ``depth``, never with the output."""
+    _require_truncatable(e, depth)
+    sizes = {}
+    stack = [(e, None)]
+    while stack:
+        key = stack[-1]
+        if key in sizes:
+            stack.pop()
+            continue
+        node, anchor = key
+        kids = [(att.child, att.anchor) for att in node.fin]
+        kids.extend((fam.pattern, fam.anchor) for fam in node.seq)
+        todo = [kid for kid in kids if kid not in sizes]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        cuts = _cut_count(node, anchor, depth)
+        n_v = len(node.base.vertices) - (anchor is not None) + cuts
+        n_e = len(node.base.edges) + cuts
+        for i, kid in enumerate(kids):
+            copies = 1 if i < len(node.fin) else depth
+            n_v += copies * sizes[kid][0]
+            n_e += copies * sizes[kid][1]
+        sizes[key] = (n_v, n_e)
+    return sizes[(e, None)]
+
+
+def _cut_count(node: Node, anchor, depth: int) -> int:
+    """Distinct points cutting the node's edges in a truncation: its anchor
+    and attach points on edges, and the j / (m + 1), 0 < j <= m, of each
+    family putting m copies on an edge (as ``_template`` places them).  A
+    reduced p / d is among the j / a exactly when d divides a, and phi(d)
+    reduced fractions have denominator d."""
+    points = defaultdict(set)
+    for p in (anchor, *(att.at for att in node.fin)):
+        if isinstance(p, EdgeInterior):
+            points[p.edge].add(p.t)
+    spans = defaultdict(set)                  # edge -> its copies' m + 1
+    for fam in node.seq:
+        cvs, ces = fam.subcomplex.vertices, fam.subcomplex.edges
+        n = len(cvs) + len(ces)
+        for k, eid in enumerate(ces, len(cvs)):
+            if k < depth:
+                spans[eid].add((depth - 1 - k) // n + 2)
+    total = 0
+    for eid in points.keys() | spans.keys():
+        dens = {d for a in spans.get(eid, ()) for d in _divisors(a)} - {1}
+        total += sum(map(_totient, dens))
+        total += sum(1 for t in points.get(eid, ()) if t.denominator not in dens)
+    return total
+
+
+def _divisors(n: int) -> set:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return {*small, *(n // d for d in small)}
+
+
+def _totient(n: int) -> int:
+    result, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1
+    if n > 1:
+        result -= result // n
+    return result

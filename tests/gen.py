@@ -299,3 +299,22 @@ def seq_chain_text(depth):
         inner = f"(node (base tri) (seqfam (a) {inner} {anchor}))"
         anchor = "(vertex a)"
     return chain_space_text(f"(node (base pt) (seqfam (v) {inner} {anchor}))")
+
+
+def random_anchor_chain_text(rng, depth):
+    """Space file of a rank-growing chain like ``rank_chain_text``, whose
+    triangle has random vertex names and whose levels each glue their copies
+    at a random vertex: the pieces of its wild tower equal no pattern.  Its
+    (wrk, cat, tc) is (depth + 2, depth + 1, 2 depth + 2)."""
+    a, b, c = (f"q{n}" for n in rng.sample(range(100, 1000), 3))
+    lines = ["graph pt", "vertex v", "endgraph",
+             "graph tri", f"vertex {a}", f"vertex {b}", f"vertex {c}",
+             f"edge f0 {a} {b}", f"edge f1 {b} {c}", f"edge f2 {c} {a}", "endgraph",
+             "graph loop", "vertex o", "edge l o o", "endgraph"]
+    inner, anchor = "(graph loop)", "(vertex o)"
+    for _ in range(depth):
+        inner = f"(node (base tri) (seqfam ({a} {b} {c} f0 f1 f2) {inner} {anchor}))"
+        anchor = f"(vertex {rng.choice((a, b, c))})"
+    lines.append(f"expr chain (node (base pt) (seqfam (v) {inner} {anchor}))")
+    lines.append("main chain")
+    return "\n".join(lines) + "\n"

@@ -4,8 +4,9 @@
 Every reader must agree with it exactly, results and errors alike, on the
 random stable corpora of acceptance criteria 5 and 7, on random expressions
 that are often unstable or carry atoms, and on the fixtures.  Counting
-tests pin the cost: a rank-growing chain builds a linear number of graphs
-and memo entries.
+tests pin the cost: a rank-growing chain, with one anchor or a random
+anchor per level, builds no graph beyond the parser's, and the memo holds
+a linear number of entries.
 
 Expressions are hash-consed, so ``==`` is checked against the reference's
 tree walk on the same corpora and their single-field mutations, and copies,
@@ -33,7 +34,7 @@ from wildcat.wild import (Node, SelfWild, ZeroDimWild, Attachment, SeqFamily,
                           Subcomplex, graph_expr, analyze)
 
 from gen import (small_connected_graph, random_stable_expr, rank_chain_text,
-                 path_graph, point_graph, cycle_graph)
+                 random_anchor_chain_text, path_graph, point_graph, cycle_graph)
 
 READERS = ("is_w_stable", "contains_scc", "contains_atom", "is_connected_expr",
            "wild_set", "wild_tower", "wrk", "profile", "cat", "tc",
@@ -230,26 +231,44 @@ def _count_builds(monkeypatch, argv):
     return count[0]
 
 
-@pytest.mark.parametrize("depth", [20, 80])
-def test_rank_chain_builds_linearly_many_graphs(tmp_path, monkeypatch, capsys,
-                                               depth):
+def _graphs_built(tmp_path, monkeypatch, capsys, text, depth):
     path = tmp_path / "chain.space"
-    path.write_text(rank_chain_text(depth), encoding="ascii")
+    path.write_text(text, encoding="ascii")
     info = _count_builds(monkeypatch, ["info", str(path)])
     certify = _count_builds(monkeypatch, ["certify", str(path)])
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith(f'{{"wrk":{depth + 2},"cat":{depth + 1},'
-                             f'"tc":{2 * depth + 2},')
+    for line in out:
+        assert line.startswith(f'{{"wrk":{depth + 2},"cat":{depth + 1},'
+                               f'"tc":{2 * depth + 2},')
+    return info, certify
+
+
+@pytest.mark.parametrize("depth", [20, 80])
+def test_rank_chain_builds_linearly_many_graphs(tmp_path, monkeypatch, capsys,
+                                               depth):
+    info, certify = _graphs_built(tmp_path, monkeypatch, capsys,
+                                  rank_chain_text(depth), depth)
     # at depth 20 the recursive analysis built 9936 graphs for info and
-    # 23180 for certify, and the identity-keyed memo 234 for each
-    assert info <= 3 * depth + 3
-    assert certify <= info
+    # 23180 for certify, the identity-keyed memo 234 and the hash-consed
+    # one 63; the tower summaries build none, so only the parser's pt, tri
+    # and loop are left
+    assert info == certify == 3
+
+
+@pytest.mark.parametrize("depth", [20, 80])
+def test_random_anchor_chain_builds_only_the_parsers_graphs(tmp_path, monkeypatch,
+                                                            capsys, depth):
+    # each level anchors its copies at its own vertex, so no tower piece
+    # equals a pattern; the hash-consed memo built 433 graphs at depth 30
+    text = random_anchor_chain_text(random.Random(depth), depth)
+    info, certify = _graphs_built(tmp_path, monkeypatch, capsys, text, depth)
+    assert info == certify == 3
 
 
 @pytest.mark.parametrize("depth", [20, 160, 640])
 def test_rank_chain_memo_is_linear(depth):
-    # each tower level's piece equals a family pattern one level down, so
-    # the memo holds one entry per distinct structure, not d^2 / 2
+    # the summaries build no piece, so the memo holds one entry per
+    # distinct subexpression: the d + 2 nodes and the loop
     a = analyze(parse_spacefile(rank_chain_text(depth)).main_expr())
     wild.cat_certificate(a)
     wild.tc_certificate(a)

@@ -1,17 +1,19 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
+from wildcat import cli
 from wildcat.cli import main
 from wildcat.spacefile import parse_spacefile
 from wildcat.graphs import betti1
 
 from gen import (attach_chain_text, chain_space_text, rank_chain_text,
-                 seq_chain_text)
+                 random_anchor_chain_text, seq_chain_text)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -122,6 +124,20 @@ def test_deep_rank_chain_exits_zero(tmp_path, capsys, command):
     code, doc, _ = run_json(capsys, command, str(path))
     assert code == 0
     assert (doc["wrk"], doc["cat"], doc["tc"]) == (402, 401, 802)
+
+
+def test_info_on_a_deep_random_anchor_chain_is_fast(tmp_path, capsys):
+    # 960 levels, each gluing its copies at a random vertex: no tower piece
+    # equals a pattern, which took the piece-building analysis 41 s and
+    # 1.0 GB; the tower summaries take well under a second
+    path = tmp_path / "deep.space"
+    path.write_text(random_anchor_chain_text(random.Random(3), 960), encoding="ascii")
+    t0 = time.perf_counter()
+    code, doc, _ = run_json(capsys, "info", str(path))
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert (doc["wrk"], doc["cat"], doc["tc"]) == (962, 961, 1922)
+    assert elapsed < 10.0, elapsed
 
 
 # --- exit-status contract --------------------------------------------------------
@@ -389,6 +405,29 @@ def test_truncate_anchor_on_an_edge_the_pattern_cuts(tmp_path, capsys):
     assert code == 0
     assert "13 vertices, 32 edges" in err
     assert run_cli(capsys, "info", str(path))[0] == 0
+
+
+def test_truncate_max_edges_refuses_without_expanding(monkeypatch, capsys):
+    # nested3 at depth 400 has 240 800 edges; the limit is checked on the
+    # predicted size, before any expansion
+    def expand(e, depth):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(cli, "truncate", expand)
+    code, out, err = run_cli(capsys, "truncate", fixture("nested3.space"),
+                             "--depth", "400", "--max-edges", "240799")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: truncation at depth 400 would have 80401 vertices "
+                   "and 240800 edges, more than --max-edges 240799\n")
+
+
+def test_truncate_max_edges_allows_the_limit(capsys):
+    # nested3 at depth 2 has exactly 10 edges: the output is unchanged
+    plain = run_cli(capsys, "truncate", fixture("nested3.space"), "--depth", "2")
+    limited = run_cli(capsys, "truncate", fixture("nested3.space"), "--depth", "2",
+                      "--max-edges", "10")
+    assert plain[0] == 0 and limited == plain
 
 
 def test_truncate_atoms_rejected(capsys):

@@ -57,3 +57,17 @@ def test_replaced_path_helpers_are_gone(owner, name):
     obj = getattr(obj, cls) if cls else obj
     assert not hasattr(obj, name)
     assert not hasattr(wildcat, name)
+
+
+@pytest.mark.parametrize("name", ["tower", "_level_b1"])
+def test_tower_walk_is_gone_from_the_analysis(name):
+    """``profile`` reads run-length tower summaries, so the analysis keeps
+    no level-by-level walk over pieces; ``wild_tower`` runs its own."""
+    from wildcat.wild import Analysis
+    assert not hasattr(Analysis, name)
+
+
+def test_tower_levels_hold_no_pieces():
+    import dataclasses
+    from wildcat.wild import TowerLevel
+    assert [f.name for f in dataclasses.fields(TowerLevel)] == ["count", "b1"]

@@ -13,7 +13,8 @@ departures are allowed:
   the walk validates the whole graph once instead of level by level.
 
 Every successful truncation is also checked against a size count that
-knows nothing of names.  Against ``wild_reference.walk_truncate``, the
+knows nothing of names, ``_size``, and against ``wild.truncation_size``,
+which counts the same without recursion and without enumerating cuts.  Against ``wild_reference.walk_truncate``, the
 template walk with a name per copy and an anchor check per copy, no
 departure is allowed: the same vertex and edge lists, or the same error
 text.
@@ -30,7 +31,8 @@ from wildcat.graphs import GraphError, Vertex, EdgeInterior, build_graph
 from wildcat.spacefile import parse_spacefile
 from wildcat.wild import Node, Attachment, SeqFamily, Subcomplex, graph_expr
 
-from gen import rank_chain_text
+from gen import (attach_chain_text, path_graph, rank_chain_text,
+                 seq_chain_text)
 from test_analysis import _corpus_5150, _corpus_707, _random_corpus
 
 
@@ -74,7 +76,8 @@ def _check(e, depths):
         got = _outcome(wild.truncate, e, depth)
         want = _outcome(ref.truncate, e, depth)
         if got[0] == "ok":
-            assert (len(got[1]), len(got[2])) == _size(e, depth)
+            size = (len(got[1]), len(got[2]))
+            assert size == _size(e, depth) == wild.truncation_size(e, depth)
         if want[:2] == ("raises", KeyError):
             # where names also collide, the walk goes on to find that
             assert got[0] == "ok" or _duplicate(got), got
@@ -374,3 +377,70 @@ def test_edges_share_the_vertex_name_strings():
     e = parse_spacefile(rank_chain_text(3)).main_expr()
     assert _shares_names(wild.truncate(e, 4))
     assert not _shares_names(ref.walk_truncate(e, 4))
+
+
+# --- the size count ----------------------------------------------------------
+
+def test_truncation_size_matches_output_on_corpora_and_fixtures():
+    fixtures = glob.glob(os.path.join(os.path.dirname(__file__), "fixtures",
+                                      "*.space"))
+    exprs = _corpus_5150() + _corpus_707()
+    for path in fixtures:
+        with open(path, encoding="ascii") as fh:
+            exprs.append(parse_spacefile(fh.read()).main_expr())
+    atoms = 0
+    for e in exprs:
+        for depth in range(5):
+            want = _exact(wild.truncate, e, depth)
+            if want[0] == "raises":
+                # the atom fixtures: the count refuses them the same way
+                assert _exact(wild.truncation_size, e, depth) == want
+                atoms += 1
+                continue
+            size = (len(want[1]), len(want[2]))
+            assert wild.truncation_size(e, depth) == size == _size(e, depth)
+    assert atoms == 10
+
+
+def _shared_edge_expr():
+    """Two families put copies on edge e0 at j/(m + 1) for different m, and
+    two attachments cut it at 1/2 and 1/3, so many cuts coincide."""
+    base = path_graph(3)
+    loop = graph_expr(build_graph(["o"], [("l", "o", "o")]))
+    fin = tuple(Attachment(EdgeInterior("e0", t), loop, Vertex("o"))
+                for t in (Fraction(1, 2), Fraction(1, 3)))
+    return Node(base, fin, (
+        SeqFamily(Subcomplex.of(base, [], ["e0"]), loop, Vertex("o")),
+        SeqFamily(Subcomplex.whole(base), loop, Vertex("o"))))
+
+
+def test_truncation_size_counts_shared_cuts_once():
+    e = _shared_edge_expr()
+    for depth in range(40):
+        g = wild.truncate(e, depth)
+        assert wild.truncation_size(e, depth) == (len(g.vertices), len(g.edges))
+        assert _size(e, depth) == (len(g.vertices), len(g.edges))
+
+
+def test_truncation_size_does_not_enumerate_copies():
+    # a family on the edge of a 2-vertex path puts a copy at each of its
+    # three cells in turn: 10^9 on the edge, cutting it 10^9 times
+    base = path_graph(2)
+    loop = graph_expr(build_graph(["o"], [("l", "o", "o")]))
+    e = Node(base, (), (SeqFamily(Subcomplex.of(base, [], ["e0"]), loop,
+                                  Vertex("o")),))
+    depth = 3 * 10 ** 9
+    assert wild.truncation_size(e, depth) == (2 + 10 ** 9, 1 + 10 ** 9 + depth)
+
+
+def test_truncation_size_on_deep_chains():
+    # 1500 nested attachments or families, walked with an explicit stack;
+    # at depth 1 each of the 1500 triangles adds two vertices and three
+    # edges, as the truncate CLI tests find
+    for text in (attach_chain_text(1500), seq_chain_text(1500),
+                 rank_chain_text(1500)):
+        e = parse_spacefile(text).main_expr()
+        assert wild.truncation_size(e, 1) == (3001, 4501)
+    # two copies per family: the rank chain's size doubles per level
+    n_vertices, n_edges = wild.truncation_size(e, 2)
+    assert 2 ** 1500 < n_edges < 2 ** 1504

@@ -295,10 +295,11 @@ def test_profile_tower_shape():
     assert prof.tower[-1].b1 == 0 == prof.top_b1
     assert prof.scc_class == "none"
     assert prof.tower[0].b1 is INF  # infinitely many circles at level 0
-    # the tower carries the symbolic pieces themselves
-    assert prof.tower[0].pieces == (e,)
-    assert prof.tower[1].pieces == wild_set(e)
-    assert all(lv.count == len(lv.pieces) >= 1 for lv in prof.tower)
+    # wild_tower builds the symbolic pieces the profile counts
+    levels = wild_tower(e)
+    assert levels[0] == (e,)
+    assert levels[1] == wild_set(e)
+    assert [lv.count for lv in prof.tower] == [len(lv) for lv in levels]
 
 
 def test_profile_zero_dim():

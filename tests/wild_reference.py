@@ -267,15 +267,15 @@ def level_b1(level):
 
 def profile(e):
     if isinstance(e, ZeroDimWild):
-        tower = (TowerLevel((e,), 1, INF), TowerLevel((), 1, 0))
+        tower = (TowerLevel(1, INF), TowerLevel(1, 0))
         return WildProfile(tower, 2, 0, "none", False)
     st = is_w_stable(e)
     if not st:
         raise UnstableExpressionError(st.diagnostic)
     if isinstance(e, SelfWild) or contains_selfwild(e):
-        return WildProfile((TowerLevel((e,), 1, INF),), INF, INF, "many", True)
+        return WildProfile((TowerLevel(1, INF),), INF, INF, "many", True)
     levels = wild_tower(e)
-    summaries = tuple(TowerLevel(lv, len(lv), level_b1(lv)) for lv in levels)
+    summaries = tuple(TowerLevel(len(lv), level_b1(lv)) for lv in levels)
     top = summaries[-1].b1
     if top == 0:
         scc = "none"
