@@ -135,16 +135,32 @@ def _check_each_name(vs, es):
                 raise GraphError(f"dangling endpoint {v!r} on edge {e.id!r}")
 
 
-class MultiGraph:
-    """Validated immutable multigraph with precomputed component data.
+def _find(parent: dict, v: str) -> str:
+    """Root of v in a union-find forest, halving the path on the way."""
+    p = parent[v]
+    while p != v:
+        grand = parent[p]
+        parent[v] = grand
+        v, p = grand, parent[grand]
+    return v
 
-    ``vertices`` and ``edges`` keep declaration order; all deterministic
-    tie-breaking elsewhere is by smallest identifier.  No distance table is
-    kept: ``point_dist`` runs a bounded BFS per query.
+
+class MultiGraph:
+    """Validated immutable multigraph.
+
+    The constructor builds ``vertices`` and ``edges`` (declaration order),
+    ``edge_by_id`` and ``degree``, which is also the vertex-membership
+    table.  The derived tables are built on first read and then kept:
+    ``incident`` (each vertex's incident edge ids, sorted; a loop is listed
+    once) from one pass over the edges, and ``component_of`` and
+    ``n_components`` (components numbered in the order of their smallest
+    vertex) from one union-find pass.  All deterministic tie-breaking
+    elsewhere is by smallest identifier.  No distance table is kept:
+    ``point_dist`` runs a bounded BFS per query.
     """
 
-    __slots__ = ("vertices", "edges", "edge_by_id", "incident", "degree",
-                 "component_of", "n_components")
+    __slots__ = ("vertices", "edges", "edge_by_id", "degree",
+                 "_incident", "_component_of", "_n_components")
 
     def __init__(self, vertices, edges):
         vs = tuple(vertices)
@@ -153,36 +169,58 @@ class MultiGraph:
             _check_each_name(vs, es)
         self.vertices = vs
         self.edges = es
-        self.edge_by_id = edge_by_id = {e.id: e for e in es}
-        incident = {v: [] for v in vs}
+        self.edge_by_id = {e.id: e for e in es}
         degree = dict.fromkeys(vs, 0)
-        for eid, v0, v1 in es:
-            incident[v0].append(eid)
-            if v0 == v1:
-                degree[v0] += 2
-            else:
-                incident[v1].append(eid)
-                degree[v0] += 1
-                degree[v1] += 1
-        self.incident = incident = {v: tuple(sorted(ids)) for v, ids in incident.items()}
+        for _, v0, v1 in es:
+            degree[v0] += 1                   # a loop counts twice
+            degree[v1] += 1
         self.degree = degree
-        comp = {}
-        n = 0
-        for root in sorted(vs):
-            if root in comp:
-                continue
-            comp[root] = n
-            queue = [root]
-            for u in queue:
-                for eid in incident[u]:
-                    _, v0, v1 = edge_by_id[eid]
-                    w = v1 if v0 == u else v0
-                    if w not in comp:
-                        comp[w] = n
-                        queue.append(w)
-            n += 1
-        self.component_of = comp
-        self.n_components = n
+        self._incident = None
+        self._component_of = None
+        self._n_components = None
+
+    @property
+    def incident(self) -> dict:
+        if self._incident is None:
+            self._incidence()
+        return self._incident
+
+    @property
+    def component_of(self) -> dict:
+        if self._component_of is None:
+            self._components()
+        return self._component_of
+
+    @property
+    def n_components(self) -> int:
+        if self._n_components is None:
+            self._components()
+        return self._n_components
+
+    def _incidence(self):
+        incident = {v: [] for v in self.vertices}
+        for eid, v0, v1 in self.edges:
+            incident[v0].append(eid)
+            if v0 != v1:
+                incident[v1].append(eid)
+        self._incident = {v: tuple(sorted(ids)) for v, ids in incident.items()}
+
+    def _components(self):
+        """Union-find over the edges.  Linking keeps the smaller root, so
+        each root is its component's smallest vertex, and the components
+        are numbered in the sorted order of their roots."""
+        vs = self.vertices
+        parent = dict(zip(vs, vs))
+        for _, a, b in self.edges:
+            a, b = _find(parent, a), _find(parent, b)
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+        roots = [_find(parent, v) for v in vs]
+        number = {r: i for i, r in enumerate(sorted(set(roots)))}
+        self._component_of = dict(zip(vs, map(number.__getitem__, roots)))
+        self._n_components = len(number)
 
     def __eq__(self, other):
         if not isinstance(other, MultiGraph):
@@ -271,19 +309,10 @@ def spanning_forest(g: MultiGraph) -> tuple:
     Deterministic: edges are considered in increasing id order; loops never
     enter the forest.
     """
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    parent = dict(zip(g.vertices, g.vertices))
     chosen = []
     for e in sorted(g.edges, key=lambda e: e.id):
-        if e.is_loop:
-            continue
-        a, b = find(e.v0), find(e.v1)
+        a, b = _find(parent, e.v0), _find(parent, e.v1)
         if a != b:
             parent[a] = b
             chosen.append(e.id)
@@ -401,7 +430,8 @@ def deforest(g: MultiGraph):
     """
     _require_connected(g, "deforest")
     degree = dict(g.degree)
-    alive = {v: set(g.incident[v]) for v in g.vertices}
+    incident = g.incident
+    alive = {v: set(incident[v]) for v in g.vertices}
     live_edges = set(g.edge_by_id)
     removed = set()
     collapses = []
@@ -618,11 +648,14 @@ class TreeRouter:
     time a walk crosses that edge that way.
     """
 
-    __slots__ = ("forest", "_parent", "_depth", "_walks", "_whole")
+    __slots__ = ("forest", "_component_of", "_parent", "_depth", "_walks",
+                 "_whole")
 
     def __init__(self, forest: MultiGraph):
         if betti1(forest) != 0:
             raise GraphError("router requires a forest (betti1 = 0)")
+        incident = forest.incident
+        edge_by_id = forest.edge_by_id
         parent = {}
         depth = {}
         seen = set()
@@ -635,14 +668,15 @@ class TreeRouter:
             queue = deque([root])
             while queue:
                 u = queue.popleft()
-                for eid in forest.incident[u]:
-                    w = forest.edge_by_id[eid].other(u)
+                for eid in incident[u]:
+                    w = edge_by_id[eid].other(u)
                     if w not in seen:
                         seen.add(w)
                         parent[w] = (eid, u)
                         depth[w] = depth[u] + 1
                         queue.append(w)
         self.forest = forest
+        self._component_of = forest.component_of
         self._parent = parent
         self._depth = depth
         self._walks = {}
@@ -654,8 +688,8 @@ class TreeRouter:
         cached = self._walks.get(key)
         if cached is not None:
             return cached
-        forest = self.forest
-        if forest.component_of.get(a) != forest.component_of.get(b):
+        component_of = self._component_of
+        if component_of.get(a) != component_of.get(b):
             raise GraphError("points lie in different components")
         up_a = []
         up_b = []
@@ -671,7 +705,7 @@ class TreeRouter:
                 eid, py = parent[y]
                 up_b.append((eid, py))
                 y = py
-        edge_by_id = forest.edge_by_id
+        edge_by_id = self.forest.edge_by_id
         whole = self._whole
         # each pair holds the vertex the walk leaves the edge from
         walk = tuple(_whole_step(whole, eid, u == edge_by_id[eid].v0)
@@ -736,14 +770,16 @@ class TreeRouter:
 
 def vertex_distances(g: MultiGraph) -> dict:
     """All-pairs vertex distances (unit edge lengths), one BFS per vertex."""
+    incident = g.incident
+    edge_by_id = g.edge_by_id
     dist = {}
     for src in g.vertices:
         d = {src: 0}
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for eid in g.incident[u]:
-                w = g.edge_by_id[eid].other(u)
+            for eid in incident[u]:
+                w = edge_by_id[eid].other(u)
                 if w not in d:
                     d[w] = d[u] + 1
                     queue.append(w)
@@ -777,6 +813,8 @@ def point_dist(g: MultiGraph, x: GraphPoint, y: GraphPoint) -> Fraction:
     best = None
     if isinstance(x, EdgeInterior) and isinstance(y, EdgeInterior) and x.edge == y.edge:
         best = abs(x.t - y.t)
+    incident = g.incident
+    edge_by_id = g.edge_by_id
     ends_y = {}
     for b, db in _endpoint_offsets(g, y):
         # both ends of a loop are one vertex: keep the nearer offset
@@ -798,8 +836,8 @@ def point_dist(g: MultiGraph, x: GraphPoint, y: GraphPoint) -> Fraction:
                 break
             nxt = []
             for u in frontier:
-                for eid in g.incident[u]:
-                    w = g.edge_by_id[eid].other(u)
+                for eid in incident[u]:
+                    w = edge_by_id[eid].other(u)
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)

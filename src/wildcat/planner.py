@@ -90,10 +90,11 @@ class CycleCoords:
         steps = []
         used = set()
         vertex_at = {}
+        incident = g.incident
         cur = start
         while len(used) < len(g.edges):
             vertex_at[len(steps)] = cur
-            eid = min(e for e in g.incident[cur] if e not in used)
+            eid = min(e for e in incident[cur] if e not in used)
             e = g.edge_by_id[eid]
             forward = e.v0 == cur
             steps.append((e, forward))

@@ -554,11 +554,12 @@ class Analysis:
                 union = union.union(fam.subcomplex)
             # components of the union, numbered by smallest vertex
             ug = union.as_graph(e.base)
+            component_of = ug.component_of
             comps = [([], []) for _ in range(ug.n_components)]
             for v in union.vertices:
-                comps[ug.component_of[v]][0].append(v)
+                comps[component_of[v]][0].append(v)
             for eid in union.edges:
-                comps[ug.component_of[ug.edge_by_id[eid].v0]][1].append(eid)
+                comps[component_of[ug.edge_by_id[eid].v0]][1].append(eid)
             for vs, es in comps:
                 comp = Subcomplex(tuple(vs), tuple(es))
                 fams = []

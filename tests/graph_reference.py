@@ -14,6 +14,11 @@ replaced: it builds the all-pairs vertex distance table and takes the best
 sum over the ends of both points.  ``path_at`` evaluates a path by scanning
 its steps in order, as ``PLPath.at`` did before it bisected the arclength
 table.
+
+``tables`` is the eager part of the ``MultiGraph`` constructor from before
+the incidence and component tables were built on first read: sorted
+incident lists and degrees from one pass over the edges, then components
+numbered by a BFS from each vertex in sorted order.
 """
 
 from fractions import Fraction
@@ -139,3 +144,37 @@ def check_names(vertices, edges):
         for v in (e.v0, e.v1):
             if v not in vset:
                 raise GraphError(f"dangling endpoint {v!r} on edge {e.id!r}")
+
+
+def tables(g):
+    """``(incident, degree, component_of, n_components)`` of ``g``, computed
+    from its vertices and edges as the eager constructor did."""
+    vs, es = g.vertices, g.edges
+    edge_by_id = {e.id: e for e in es}
+    incident = {v: [] for v in vs}
+    degree = dict.fromkeys(vs, 0)
+    for eid, v0, v1 in es:
+        incident[v0].append(eid)
+        if v0 == v1:
+            degree[v0] += 2
+        else:
+            incident[v1].append(eid)
+            degree[v0] += 1
+            degree[v1] += 1
+    incident = {v: tuple(sorted(ids)) for v, ids in incident.items()}
+    comp = {}
+    n = 0
+    for root in sorted(vs):
+        if root in comp:
+            continue
+        comp[root] = n
+        queue = [root]
+        for u in queue:
+            for eid in incident[u]:
+                _, v0, v1 = edge_by_id[eid]
+                w = v1 if v0 == u else v0
+                if w not in comp:
+                    comp[w] = n
+                    queue.append(w)
+        n += 1
+    return incident, degree, comp, n
