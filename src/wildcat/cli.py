@@ -20,7 +20,8 @@ from .spacefile import (ParseError, SpaceFile, parse_spacefile, print_spacefile,
                         parse_point)
 from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
                    analyze, graph_expr, profile, cat, tc, cat_certificate,
-                   tc_certificate, truncate, truncation_size)
+                   tc_certificate, truncate, truncation_size,
+                   truncation_betti1)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -188,7 +189,7 @@ def cmd_truncate(args) -> int:
         sys.stdout.write(text)
     sys.stderr.write(f"truncated at depth {args.depth}: "
                      f"{len(g.vertices)} vertices, {len(g.edges)} edges, "
-                     f"betti1 {betti1(g)}\n")
+                     f"betti1 {truncation_betti1(e, args.depth)}\n")
     return EXIT_OK
 
 

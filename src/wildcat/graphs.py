@@ -427,12 +427,19 @@ def deforest(g: MultiGraph):
     Deterministic: the smallest-id degree-1 vertex is collapsed first.  The
     degree-1 vertices wait in a min-heap, so the whole collapse sequence
     costs O(V log V + E).
+
+    Only the edge list is read, never the incidence lists: each vertex
+    keeps the XOR of the indices of its live edge ends.  A loop's two ends
+    cancel, so at a vertex of degree 1 the XOR is the index of its one live
+    edge, and collapsing that edge XORs it out of the kept end.
     """
     _require_connected(g, "deforest")
+    edges = g.edges
     degree = dict(g.degree)
-    incident = g.incident
-    alive = {v: set(incident[v]) for v in g.vertices}
-    live_edges = set(g.edge_by_id)
+    ends = dict.fromkeys(degree, 0)
+    for i, e in enumerate(edges):
+        ends[e.v0] ^= i
+        ends[e.v1] ^= i
     removed = set()
     collapses = []
     leaves = [v for v, d in degree.items() if d == 1]
@@ -443,13 +450,11 @@ def deforest(g: MultiGraph):
         # lost that last edge since (it was the kept end of its neighbour)
         if degree[v] != 1:
             continue
-        eid = min(alive[v])
-        e = g.edge_by_id[eid]
+        i = ends[v]
+        e = edges[i]
         kept = e.other(v)
-        collapses.append(Collapse(eid, kept))
-        live_edges.discard(eid)
-        alive[v].discard(eid)
-        alive[kept].discard(eid)
+        collapses.append(Collapse(e.id, kept))
+        ends[kept] ^= i
         degree[v] -= 1
         degree[kept] -= 1
         removed.add(v)
@@ -458,7 +463,9 @@ def deforest(g: MultiGraph):
     core_vertices = [v for v in g.vertices if v not in removed]
     if not core_vertices:
         core_vertices = [g.vertices[0]]
-    core = subgraph(g, sorted(live_edges), core_vertices)
+    collapsed = {c.edge for c in collapses}
+    core = subgraph(g, [e.id for e in edges if e.id not in collapsed],
+                    core_vertices)
     return core, CollapseHomotopy(g, core, collapses)
 
 

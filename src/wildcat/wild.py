@@ -11,10 +11,10 @@ contained in a dendrite.
 One memoised post-order pass (``Analysis``) computes iterated wild sets,
 the wildness rank, the category and topological complexity formulas and
 filtration certificates; ``truncate`` builds finite graph approximations
-for cross-checks, and ``truncation_size`` counts them without building
-them.  Copy sizes and attachment density are abstract: only the closure
-subcomplex of an attachment sequence matters for the wild set, so no
-metric data is stored.
+for cross-checks, and ``truncation_size`` and ``truncation_betti1``
+count them without building them.  Copy sizes and attachment density are
+abstract: only the closure subcomplex of an attachment sequence matters
+for the wild set, so no metric data is stored.
 """
 
 import math
@@ -61,6 +61,7 @@ __all__ = [
     "tc_certificate",
     "truncate",
     "truncation_size",
+    "truncation_betti1",
 ]
 
 INF = math.inf
@@ -1126,6 +1127,36 @@ def truncation_size(e: SpaceExpr, depth: int):
             n_e += copies * sizes[kid][1]
         sizes[key] = (n_v, n_e)
     return sizes[(e, None)]
+
+
+def truncation_betti1(e: SpaceExpr, depth: int) -> int:
+    """First Betti number of ``truncate(e, depth)``, counted without
+    expanding it.  Every copy is glued to its host at one point, so the
+    truncation is a wedge of its nodes' bases, and b1 adds over a wedge;
+    cutting an edge at a point keeps b1 too.  So a node has b1 of its base,
+    plus each finite attachment's child once and each family's pattern
+    ``depth`` times, whatever the anchors.  One explicit-stack walk
+    memoised by node: the cost grows with the expression, never with the
+    output.  It does not check identifiers, so call it on an expression
+    ``truncate`` accepts."""
+    _require_truncatable(e, depth)
+    b1 = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in b1:
+            stack.pop()
+            continue
+        todo = [att.child for att in node.fin if att.child not in b1]
+        todo.extend(fam.pattern for fam in node.seq if fam.pattern not in b1)
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        b1[node] = (betti1(node.base)
+                    + sum(b1[att.child] for att in node.fin)
+                    + depth * sum(b1[fam.pattern] for fam in node.seq))
+    return b1[e]
 
 
 def _cut_count(node: Node, anchor, depth: int) -> int:

@@ -10,10 +10,12 @@ and 7 corpora.  Two faults the comparison must catch, each checked by a
 negative control: components numbered in declaration order, and a loop
 counted once in ``degree``.
 
-The cost guard counts the builders: truncating and printing builds no
-incidence table, and ``wildcat truncate`` builds the component table of
-its output once, for the ``betti1`` it reports.  Copies and pickles carry
-the tables whether or not they were built.
+The cost guards count the builders: truncating and printing builds no
+incidence table, ``wildcat truncate`` builds neither table of its output
+(the ``betti1`` it reports comes from the expression), and ``plan_graph``
+on a graph with one cycle builds no incidence table for its input (the
+deforestation reads only the edge list).  Copies and pickles carry the
+tables whether or not they were built.
 """
 
 import copy
@@ -27,11 +29,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import graph_reference
-from wildcat import cli, wild
+from wildcat import cli, planner, wild
 from wildcat.graphs import MultiGraph, build_graph
 from wildcat.spacefile import SpaceFile, parse_spacefile, print_spacefile
 
-from gen import rank_chain_text
+from gen import random_cycle_with_hairs, rank_chain_text
 from test_analysis import _corpus_5150, _corpus_707
 
 FIXTURES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "fixtures",
@@ -175,9 +177,9 @@ def _truncate_cost_failures(monkeypatch, tmp_path):
     """The clauses of the cost guard that fail: ``wild.truncate`` then
     ``print_spacefile`` on a rank chain build no incidence table and leave
     the output's component table unbuilt, and ``wildcat truncate`` on the
-    same file builds no incidence table and its output's component table
-    once.  (The wild analysis behind ``truncate``'s atom check reads the
-    components of the parsed base graphs; those are not counted.)"""
+    same file builds neither.  (The wild analysis behind ``truncate``'s atom
+    check and ``truncation_betti1`` read the components of the parsed base
+    graphs; those are not counted.)"""
     text = rank_chain_text(3)
     e = parse_spacefile(text).main_expr()
     built = _count_builders(monkeypatch)
@@ -205,12 +207,12 @@ def _truncate_cost_failures(monkeypatch, tmp_path):
         assert cli.main(["truncate", str(path), "--depth", "3"]) == 0
     if built["_incidence"]:
         failures.append("command built an incidence table")
-    if sum(h is outputs[0] for h in built["_components"]) != 1:
-        failures.append("command did not build the output's components once")
+    if any(h is outputs[0] for h in built["_components"]):
+        failures.append("command built the output's components")
     return failures
 
 
-def test_truncate_builds_no_incidence_and_components_once(monkeypatch, tmp_path):
+def test_truncate_builds_no_incidence_and_no_output_components(monkeypatch, tmp_path):
     assert _truncate_cost_failures(monkeypatch, tmp_path) == []
 
 
@@ -225,7 +227,31 @@ def test_cost_guard_catches_an_eager_constructor(monkeypatch, tmp_path):
     monkeypatch.setattr(MultiGraph, "__init__", eager)
     assert _truncate_cost_failures(monkeypatch, tmp_path) == [
         "library built an incidence table", "library built the output's components",
-        "command built an incidence table"]
+        "command built an incidence table", "command built the output's components"]
+
+
+def _lifted_plan_builds_incidence(monkeypatch):
+    """Whether ``plan_graph`` on a cycle with hairs, which it deforests,
+    builds the incidence table of its input graph."""
+    g = random_cycle_with_hairs(random.Random(5), 40, 200)
+    built = _count_builders(monkeypatch)
+    planner.plan_graph(g)
+    return any(h is g for h in built["_incidence"])
+
+
+def test_lifted_plan_builds_no_incidence_for_its_input(monkeypatch):
+    assert not _lifted_plan_builds_incidence(monkeypatch)
+
+
+def test_lifted_plan_guard_catches_an_incidence_read(monkeypatch):
+    deforest = planner.deforest
+
+    def reading(g):
+        g.incident
+        return deforest(g)
+
+    monkeypatch.setattr(planner, "deforest", reading)
+    assert _lifted_plan_builds_incidence(monkeypatch)
 
 
 def test_each_table_is_built_once_on_first_read(monkeypatch):

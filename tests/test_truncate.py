@@ -14,16 +14,21 @@ departures are allowed:
 
 Every successful truncation is also checked against a size count that
 knows nothing of names, ``_size``, and against ``wild.truncation_size``,
-which counts the same without recursion and without enumerating cuts.  Against ``wild_reference.walk_truncate``, the
-template walk with a name per copy and an anchor check per copy, no
-departure is allowed: the same vertex and edge lists, or the same error
-text.
+which counts the same without recursion and without enumerating cuts.
+``wild.truncation_betti1`` must give ``graphs.betti1`` of the output; three
+mutants of it are negative controls (a family's copies counted once, the
+finite attachments left out, the base's own cycles left out).  Against
+``wild_reference.walk_truncate``, the template walk with a name per copy
+and an anchor check per copy, no departure is allowed: the same vertex and
+edge lists, or the same error text.
 """
 
 import glob
 import os
 import random
 from fractions import Fraction
+
+import pytest
 
 import wild_reference as ref
 from wildcat import graphs, wild
@@ -34,6 +39,7 @@ from wildcat.wild import Node, Attachment, SeqFamily, Subcomplex, graph_expr
 from gen import (attach_chain_text, path_graph, rank_chain_text,
                  seq_chain_text)
 from test_analysis import _corpus_5150, _corpus_707, _random_corpus
+from test_tower_summary import _mutant
 
 
 def _outcome(fn, e, depth):
@@ -381,24 +387,31 @@ def test_edges_share_the_vertex_name_strings():
 
 # --- the size count ----------------------------------------------------------
 
-def test_truncation_size_matches_output_on_corpora_and_fixtures():
+def _corpora_and_fixtures():
     fixtures = glob.glob(os.path.join(os.path.dirname(__file__), "fixtures",
                                       "*.space"))
     exprs = _corpus_5150() + _corpus_707()
     for path in fixtures:
         with open(path, encoding="ascii") as fh:
             exprs.append(parse_spacefile(fh.read()).main_expr())
+    return exprs
+
+
+def test_truncation_size_matches_output_on_corpora_and_fixtures():
     atoms = 0
-    for e in exprs:
+    for e in _corpora_and_fixtures():
         for depth in range(5):
             want = _exact(wild.truncate, e, depth)
             if want[0] == "raises":
-                # the atom fixtures: the count refuses them the same way
+                # the atom fixtures: the counts refuse them the same way
                 assert _exact(wild.truncation_size, e, depth) == want
+                assert _exact(wild.truncation_betti1, e, depth) == want
                 atoms += 1
                 continue
             size = (len(want[1]), len(want[2]))
             assert wild.truncation_size(e, depth) == size == _size(e, depth)
+            b1 = graphs.betti1(build_graph(want[1], want[2]))
+            assert wild.truncation_betti1(e, depth) == b1
     assert atoms == 10
 
 
@@ -420,6 +433,7 @@ def test_truncation_size_counts_shared_cuts_once():
         g = wild.truncate(e, depth)
         assert wild.truncation_size(e, depth) == (len(g.vertices), len(g.edges))
         assert _size(e, depth) == (len(g.vertices), len(g.edges))
+        assert wild.truncation_betti1(e, depth) == graphs.betti1(g)
 
 
 def test_truncation_size_does_not_enumerate_copies():
@@ -431,6 +445,8 @@ def test_truncation_size_does_not_enumerate_copies():
                                   Vertex("o")),))
     depth = 3 * 10 ** 9
     assert wild.truncation_size(e, depth) == (2 + 10 ** 9, 1 + 10 ** 9 + depth)
+    # a tree with one loop per copy
+    assert wild.truncation_betti1(e, depth) == depth
 
 
 def test_truncation_size_on_deep_chains():
@@ -441,6 +457,36 @@ def test_truncation_size_on_deep_chains():
                  rank_chain_text(1500)):
         e = parse_spacefile(text).main_expr()
         assert wild.truncation_size(e, 1) == (3001, 4501)
+        # connected, so b1 = E - V + 1
+        assert wild.truncation_betti1(e, 1) == 1501
     # two copies per family: the rank chain's size doubles per level
     n_vertices, n_edges = wild.truncation_size(e, 2)
     assert 2 ** 1500 < n_edges < 2 ** 1504
+    assert wild.truncation_betti1(e, 2) == n_edges - n_vertices + 1
+
+
+BETTI1_MUTANTS = {
+    "seq-copies-counted-once": (
+        "                    + depth * sum(b1[fam.pattern] for fam in node.seq))\n",
+        "                    + sum(b1[fam.pattern] for fam in node.seq))\n"),
+    "fin-children-dropped": (
+        "                    + sum(b1[att.child] for att in node.fin)\n",
+        "                    + 0\n"),
+    "base-left-out": ("        b1[node] = (betti1(node.base)\n",
+                      "        b1[node] = (0\n"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(BETTI1_MUTANTS))
+def test_truncation_betti1_negative_control(monkeypatch, mutant):
+    module = _mutant(monkeypatch, *BETTI1_MUTANTS[mutant])
+
+    def differs(e, depth):
+        try:
+            g = wild.truncate(e, depth)
+        except ValueError:
+            return False
+        return module.truncation_betti1(e, depth) != graphs.betti1(g)
+
+    assert any(differs(e, depth) for e in _corpora_and_fixtures()
+               for depth in range(3))
