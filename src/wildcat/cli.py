@@ -171,14 +171,14 @@ def cmd_certify(args) -> int:
 
 def cmd_truncate(args) -> int:
     sf = _load(args.file)
-    e = sf.main_expr()
+    analysis = analyze(sf.main_expr())
     if args.max_edges is not None:
-        n_vertices, n_edges = truncation_size(e, args.depth)
+        n_vertices, n_edges = truncation_size(analysis, args.depth)
         if n_edges > args.max_edges:
             raise ExprError(f"truncation at depth {args.depth} would have "
                             f"{n_vertices} vertices and {n_edges} edges, "
                             f"more than --max-edges {args.max_edges}")
-    g = truncate(e, args.depth)
+    g = truncate(analysis, args.depth)
     out = SpaceFile({"truncated": g}, {}, "truncated")
     text = print_spacefile(out)
     if args.dot:
@@ -189,7 +189,7 @@ def cmd_truncate(args) -> int:
         sys.stdout.write(text)
     sys.stderr.write(f"truncated at depth {args.depth}: "
                      f"{len(g.vertices)} vertices, {len(g.edges)} edges, "
-                     f"betti1 {truncation_betti1(e, args.depth)}\n")
+                     f"betti1 {truncation_betti1(analysis, args.depth)}\n")
     return EXIT_OK
 
 

@@ -148,9 +148,11 @@ def _find(parent: dict, v: str) -> str:
 class MultiGraph:
     """Validated immutable multigraph.
 
-    The constructor builds ``vertices`` and ``edges`` (declaration order),
-    ``edge_by_id`` and ``degree``, which is also the vertex-membership
-    table.  The derived tables are built on first read and then kept:
+    The constructor checks the names, then ``_tables`` builds
+    ``vertices`` and ``edges`` (declaration order), ``edge_by_id`` and
+    ``degree``, which is also the vertex-membership table; ``_trusted``
+    builds the same from names its caller has proven valid, without the
+    checks.  The derived tables are built on first read and then kept:
     ``incident`` (each vertex's incident edge ids, sorted; a loop is listed
     once) from one pass over the edges, and ``component_of`` and
     ``n_components`` (components numbered in the order of their smallest
@@ -167,6 +169,17 @@ class MultiGraph:
         es = tuple([e if isinstance(e, Edge) else Edge(*e) for e in edges])
         if not _valid_names(vs, es):
             _check_each_name(vs, es)
+        self._tables(vs, es)
+
+    @classmethod
+    def _trusted(cls, vertices, edges) -> "MultiGraph":
+        """A graph from names already proven valid and ``Edge`` records,
+        unchecked."""
+        g = cls.__new__(cls)
+        g._tables(tuple(vertices), tuple(edges))
+        return g
+
+    def _tables(self, vs, es):
         self.vertices = vs
         self.edges = es
         self.edge_by_id = {e.id: e for e in es}

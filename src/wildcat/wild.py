@@ -18,10 +18,12 @@ for the wild set, so no metric data is stored.
 """
 
 import math
+import re
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .graphs import (Edge, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      GraphError, build_graph, subgraph, betti1)
@@ -939,6 +941,12 @@ def tc_certificate(e) -> Certificate:
 
 _new_tuple = tuple.__new__
 
+# what a copy's prefix is made of: ``a<i>_`` for the i-th finite attachment
+# and ``s<i>c<c>_`` for copy c of family i.  Each ends at its only ``_``, so
+# no token is a prefix of another; the pattern also matches tokens the
+# expansion never writes (``a01_``), which only makes the check stricter.
+_COPY_TOKEN = re.compile(r"a\d+_|s\d+c\d+_")
+
 
 def _key(p: GraphPoint):
     """A point in its own node's names: a vertex id, or (edge id, parameter)."""
@@ -947,12 +955,15 @@ def _key(p: GraphPoint):
 
 def _template(node: Node, anchor, depth: int):
     """What every copy of ``node`` glued at ``anchor`` writes, in the node's
-    own names: ``(vertices, edges, children, anchor record)``.  Edges are
-    ``(id, i0, i1)`` and children ``(child, child anchor, prefix suffix,
-    attach)``, in stack order; each endpoint and attach point is an index
-    into the vertices, with -1 for the host vertex.  The anchor record is
-    the anchor's own vertex name and the edge it cuts (or None), or None at
-    the root."""
+    own names: ``(vertices, edges, children, anchor record, proven)``.
+    Edges are ``(id, i0, i1)`` and children ``(child, child anchor, prefix
+    suffix, attach)``, in stack order; each endpoint and attach point is an
+    index into the vertices, with -1 for the host vertex.  The anchor
+    record is the anchor's own vertex name and the edge it cuts (or None),
+    or None at the root.  ``proven`` says that the vertex names and the
+    anchor's own name are distinct, so are the edge ids and the id of the
+    edge the anchor cuts, and none of them starts with a copy token (see
+    ``truncate``)."""
     children = [(att.child, _key(att.anchor), f"a{i}_", _key(att.at))
                 for i, att in enumerate(node.fin)]
     for i, fam in enumerate(node.seq):
@@ -1001,7 +1012,40 @@ def _template(node: Node, anchor, depth: int):
         es.append((f"{ed.id}_s{len(ts)}", i0, i1))
     kids = [(child, child_anchor, suffix, slot[at])
             for child, child_anchor, suffix, at in reversed(children)]
-    return vs, es, kids, record
+    names, ids = list(vs), [ed[0] for ed in es]
+    if record is not None:
+        names.append(record[0])
+        if record[1] is not None:
+            ids.append(record[1])
+    proven = (len(set(names)) == len(names) and len(set(ids)) == len(ids)
+              and not any(map(_COPY_TOKEN.match, names + ids)))
+    return vs, es, kids, record, proven
+
+
+def _leaf_runs(kids, n_names: int, templates: dict):
+    """``kids`` with each run of consecutive leaf copies (copies of a
+    template with no children) folded into one entry ``(None, (vertices,
+    edges), None, None)``, or None while some child's template is not
+    built.  The entry writes the run in copy order.  Its vertices are the
+    copies' names with their suffixes; its endpoints index the parent
+    copy's ``n_names`` names and its host, then those vertices."""
+    tpls = [templates.get(kid[:2]) for kid in kids]
+    if None in tpls:
+        return None
+    out = []
+    for leaf, group in groupby(zip(kids, tpls), key=lambda pair: not pair[1][2]):
+        if not leaf:
+            out.extend(kid for kid, _ in group)
+            continue
+        run_vs, run_es = [], []
+        for (_, _, suffix, at), (tvs, tes, _, _) in reversed(list(group)):
+            host = at % (n_names + 1)
+            start = n_names + 1 + len(run_vs)
+            run_vs += [suffix + v for v in tvs]
+            run_es += [(suffix + i, host if i0 < 0 else start + i0,
+                        host if i1 < 0 else start + i1) for i, i0, i1 in tes]
+        out.append((None, (run_vs, run_es), None, None))
+    return out
 
 
 def _expand(root: Node, depth: int):
@@ -1027,12 +1071,24 @@ def _expand(root: Node, depth: int):
     memo keys by the node, so equal nodes share one template, and by the
     anchor, since one node may be glued at two.
 
+    A leaf copy (one with no children) writes only its own vertices and
+    edges, so consecutive leaf children of one copy may be written together
+    without leaving the pre-order.  Once every child of a template has its
+    own template, which holds from its second copy on since the first
+    copy's subtree builds them, its children are recompiled once by
+    ``_leaf_runs``: each run of leaf copies becomes one stack entry, which
+    carries the parent copy's prefix and names and writes the whole run
+    with one prefix per name.  A child with children of its own keeps its
+    own entry, so a 1500-deep chain of single copies is walked one entry
+    per level.
+
     Also returns, for the first copy of each template with an anchor, the
     anchor's own vertex name, the edge it cuts (or None) and the vertex and
-    edge ranges of its subtree.
+    edge ranges of its subtree; and whether every template proved its names.
     """
     vs, es, anchors = [], [], []
-    templates = {}
+    templates = {}            # (node, anchor) -> [vs, es, kids, kids compiled]
+    proven = True
     stack = [(root, None, "", None)]
     while stack:
         entry = stack.pop()
@@ -1040,17 +1096,32 @@ def _expand(root: Node, depth: int):
             entry.extend((len(vs), len(es)))
             continue
         node, anchor, prefix, host = entry
+        if node is None:                      # a run of leaf copies
+            run_vs, run_es = anchor
+            names = [prefix + v for v in run_vs]
+            vs.extend(names)
+            names = host + names              # after the parent's names and host
+            es.extend([_new_tuple(Edge, (prefix + i, names[i0], names[i1]))
+                       for i, i0, i1 in run_es])
+            continue
         key = (node, anchor)
         tpl = templates.get(key)
         if tpl is None:
-            tpl = templates[key] = _template(node, anchor, depth)
-            if tpl[3] is not None:
-                vname, eid = tpl[3]
+            tvs, tes, kids, record, ok = _template(node, anchor, depth)
+            tpl = templates[key] = [tvs, tes, kids, False]
+            proven = proven and ok
+            if record is not None:
+                vname, eid = record
                 anchors.append([prefix + vname,
                                 None if eid is None else prefix + eid,
                                 len(vs), len(es)])
                 stack.append(anchors[-1])
-        tvs, tes, kids, _ = tpl
+        tvs, tes, kids, compiled = tpl
+        if kids and not compiled:
+            runs = _leaf_runs(kids, len(tvs), templates)
+            if runs is not None:
+                kids = tpl[2] = runs
+                tpl[3] = True
         names = [prefix + v for v in tvs]
         vs.extend(names)
         names.append(host)                    # index -1
@@ -1058,8 +1129,9 @@ def _expand(root: Node, depth: int):
         es.extend([_new_tuple(Edge, (prefix + i, names[i0], names[i1]))
                    for i, i0, i1 in tes])
         stack.extend([(child, child_anchor, prefix + suffix, names[at])
+                      if child is not None else (None, child_anchor, prefix, names)
                       for child, child_anchor, suffix, at in kids])
-    return vs, es, anchors
+    return vs, es, anchors, proven
 
 
 def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
@@ -1069,9 +1141,23 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
     evenly spaced rational parameters along edges); finite attachments are
     expanded exactly.  Depth 0 keeps the base skeleton and attachments only.
     The expansion is iterative and the graph is built once, at the end.
+
+    Every output name is a copy's prefix, a string of copy tokens (``a<i>_``,
+    ``s<i>c<c>_``) naming the path to the copy in the expansion tree,
+    followed by a local name of the copy's template.  No token is a prefix
+    of another, so when no local name starts with a token the split of a
+    name into tokens and local name is unique: equal names are one local
+    name of one copy.  So when every template proved its names unique and
+    token-free, the output's names are unique, and they are identifiers
+    with every endpoint a vertex by construction; the anchor check below
+    cannot fire either, as each template proved its anchor's names against
+    its own.  The graph is then built by ``MultiGraph._trusted``,
+    without checking names again.  Otherwise it is built and checked as
+    given, so each error names the first bad identifier.
     """
-    _require_truncatable(e, depth)
-    vs, es, anchors = _expand(e, depth)
+    vs, es, anchors, proven = _expand(_require_truncatable(e, depth), depth)
+    if proven:
+        return MultiGraph._trusted(vs, es)
     g = build_graph(vs, es)
     # An anchor is renamed to its host, so the build never sees its own
     # name, nor the id of the edge it cuts; either must still be unique
@@ -1087,10 +1173,14 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
 
 
 def _require_truncatable(e, depth):
-    if contains_atom(e):
+    """The expression of ``e``, an expression or its analysis, once the
+    analysis finds no atom in it and ``depth`` is natural."""
+    a = analyze(e)
+    if a.atom:
         raise ExprError("cannot truncate an expression with opaque atoms")
     if depth < 0:
         raise ExprError("depth must be a natural number")
+    return a.expr
 
 
 def truncation_size(e: SpaceExpr, depth: int):
@@ -1102,7 +1192,7 @@ def truncation_size(e: SpaceExpr, depth: int):
     attachment's subtree once and each family's ``depth`` times.  The cuts
     are counted in integers, so the cost grows with the expression and the
     square root of ``depth``, never with the output."""
-    _require_truncatable(e, depth)
+    e = _require_truncatable(e, depth)
     sizes = {}
     stack = [(e, None)]
     while stack:
@@ -1139,7 +1229,7 @@ def truncation_betti1(e: SpaceExpr, depth: int) -> int:
     memoised by node: the cost grows with the expression, never with the
     output.  It does not check identifiers, so call it on an expression
     ``truncate`` accepts."""
-    _require_truncatable(e, depth)
+    e = _require_truncatable(e, depth)
     b1 = {}
     stack = [e]
     while stack:

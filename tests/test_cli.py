@@ -8,7 +8,7 @@ import time
 import pytest
 
 import graph_reference
-from wildcat import cli
+from wildcat import cli, wild
 from wildcat.cli import main
 from wildcat.spacefile import parse_spacefile
 from wildcat.graphs import betti1
@@ -429,6 +429,31 @@ def test_truncate_max_edges_allows_the_limit(capsys):
     limited = run_cli(capsys, "truncate", fixture("nested3.space"), "--depth", "2",
                       "--max-edges", "10")
     assert plain[0] == 0 and limited == plain
+
+
+def test_truncate_builds_one_analysis(monkeypatch, capsys):
+    # the atom check, the --max-edges count, the expansion and the betti1
+    # share one wild analysis; the readers given the bare expression each
+    # build their own, which the counter must see
+    built = [0]
+    init = wild.Analysis.__init__
+
+    def counting(self, e):
+        built[0] += 1
+        init(self, e)
+
+    monkeypatch.setattr(wild.Analysis, "__init__", counting)
+    for stem in ("nested3", "earring"):
+        built[0] = 0
+        code = run_cli(capsys, "truncate", fixture(f"{stem}.space"), "--depth", "2",
+                       "--max-edges", "1000")[0]
+        assert (code, built[0]) == (0, 1), stem
+    with open(fixture("nested3.space"), encoding="ascii") as fh:
+        e = parse_spacefile(fh.read()).main_expr()
+    built[0] = 0
+    for reader in (wild.truncation_size, wild.truncate, wild.truncation_betti1):
+        reader(e, 2)
+    assert built[0] == 3
 
 
 def test_truncate_atoms_rejected(capsys):

@@ -217,14 +217,15 @@ def test_truncate_builds_no_incidence_and_no_output_components(monkeypatch, tmp_
 
 
 def test_cost_guard_catches_an_eager_constructor(monkeypatch, tmp_path):
-    original = MultiGraph.__init__
+    # both constructors, checked and trusted, build through ``_tables``
+    original = MultiGraph._tables
 
     def eager(self, vertices, edges):
         original(self, vertices, edges)
         self.incident
         self.n_components
 
-    monkeypatch.setattr(MultiGraph, "__init__", eager)
+    monkeypatch.setattr(MultiGraph, "_tables", eager)
     assert _truncate_cost_failures(monkeypatch, tmp_path) == [
         "library built an incidence table", "library built the output's components",
         "command built an incidence table", "command built the output's components"]

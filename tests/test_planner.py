@@ -431,21 +431,22 @@ def test_repeated_lifted_queries_share_whole_edge_steps(monkeypatch):
     assert again.steps == fresh.steps and len(again.steps) >= 60
 
 
-def test_benchmark_patch_targets_exist():
-    # the benchmark's traced runs patch these names; a renamed method fails here
+def _benchmark_patch_targets():
+    """The (owner, attribute) pairs the benchmark's traced runs patch, each
+    checked to exist, from ``bench/workloads.layer_patches`` with a tracer
+    that only records them."""
     bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
     names = ("gen", "oracles", "spans", "workloads")
     saved = {n: sys.modules.pop(n) for n in names if n in sys.modules}
     sys.path.insert(0, bench)
+    patched = []
     try:
         workloads = importlib.import_module("workloads")
 
         class Tracer:
-            patched = []
-
             def patch(self, owner, attr, name, count=None):
                 assert hasattr(owner, attr), (owner, attr)
-                self.patched.append(attr)
+                patched.append((owner, attr))
 
         workloads.layer_patches(Tracer())
     finally:
@@ -453,9 +454,15 @@ def test_benchmark_patch_targets_exist():
         for n in names:
             sys.modules.pop(n, None)
         sys.modules.update(saved)
+    return patched
+
+
+def test_benchmark_patch_targets_exist():
+    # the benchmark's traced runs patch these names; a renamed method fails here
+    patched = [attr for _, attr in _benchmark_patch_targets()]
     for attr in ("route_steps", "slide", "path_for", "stratum_index", "deforest",
                  "vertex_distances"):
-        assert attr in Tracer.patched
+        assert attr in patched
 
 
 def test_verify_hair_and_theta():

@@ -21,6 +21,15 @@ finite attachments left out, the base's own cycles left out).  Against
 ``wild_reference.walk_truncate``, the template walk with a name per copy
 and an anchor check per copy, no departure is allowed: the same vertex and
 edge lists, or the same error text.
+
+When every template proves its names, ``truncate`` builds its graph
+without checking names (``MultiGraph._trusted``).  A corpus of local names
+that start with copy tokens (``a0_x``, ``s0c1_v``, ...), at the root, in
+an ancestor, in a sibling and as an anchor, must take the checking build
+and still match the walk; the benchmark's chain must check no name.  Four
+mutants are the negative controls: a token test that misses ``s<i>c<c>_``,
+a template check without the anchor's name, the trusted build taken for
+an unproven template, and a run of leaf copies written in reverse.
 """
 
 import glob
@@ -39,6 +48,7 @@ from wildcat.wild import Node, Attachment, SeqFamily, Subcomplex, graph_expr
 from gen import (attach_chain_text, path_graph, rank_chain_text,
                  seq_chain_text)
 from test_analysis import _corpus_5150, _corpus_707, _random_corpus
+from test_planner import _benchmark_patch_targets
 from test_tower_summary import _mutant
 
 
@@ -120,13 +130,10 @@ def test_matches_reference_on_rank_chain():
     assert _check(e, (5,)) == ["ok"]
 
 
-def test_matches_reference_at_benchmark_scale():
-    # nested3 at depth 20, and a three-level triangle chain at depth 12,
-    # where each edge holds two copies of a pattern whose expansion is
-    # shared, so _p/_s numbering runs over reused templates
-    with open(os.path.join(os.path.dirname(__file__), "fixtures", "nested3.space"),
-              encoding="ascii") as fh:
-        assert _check(parse_spacefile(fh.read()).main_expr(), (20,)) == ["ok"]
+def _benchmark_chain():
+    """A three-level triangle chain of the benchmark's shape: each level
+    puts its copies of the next round the triangle's cells, and the last
+    level puts copies of a loop."""
     text = ("graph pt\nvertex v\nendgraph\n"
             "graph tri\nvertex q1\nvertex q2\nvertex q3\n"
             "edge f0 q1 q2\nedge f1 q2 q3\nedge f2 q3 q1\nendgraph\n"
@@ -136,7 +143,17 @@ def test_matches_reference_at_benchmark_scale():
         inner = f"(node (base tri) (seqfam (q1 q2 q3 f0 f1 f2) {inner} {anchor}))"
         anchor = f"(vertex {a})"
     text += f"expr chain (node (base pt) (seqfam (v) {inner} {anchor}))\nmain chain\n"
-    e = parse_spacefile(text).main_expr()
+    return parse_spacefile(text).main_expr()
+
+
+def test_matches_reference_at_benchmark_scale():
+    # nested3 at depth 20, and the benchmark's chain at depth 12, where
+    # each edge holds two copies of a pattern whose expansion is shared, so
+    # _p/_s numbering runs over reused templates
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "nested3.space"),
+              encoding="ascii") as fh:
+        assert _check(parse_spacefile(fh.read()).main_expr(), (20,)) == ["ok"]
+    e = _benchmark_chain()
     assert _check(e, (12,)) == ["ok"]
     assert _size(e, 12)[1] > 30000
 
@@ -303,23 +320,158 @@ def test_matches_walk_on_one_node_under_two_anchors():
         assert _same_as_walk(e, (1, 2, 3)) == ["anchor"] * 3
 
 
+# --- names proven on the templates -------------------------------------------
+
+# local names that start with a copy token.  Beside them every base has
+# vertices v and x and an edge e from v to x, so some meet names that a
+# copy writes: a0_x the x of attachment a0, s0c1_v the v of family copy 1,
+# s0c0_a0_x the x of that copy's own attachment.
+_TOKEN_NAMES = ("a0_x", "s0c1_v", "s12c3_e", "a1_p1", "a0_e_p1", "s0c0_a0_x")
+_TOKEN_PLACES = ("root", "ancestor", "sibling", "anchor")
+
+
+def _token_graph(name=None, kind=None):
+    vs, es = ["v", "x"], [("e", "v", "x")]
+    if kind == "vertex":
+        vs.append(name)
+        es.append(("g", "x", name))
+    elif kind == "edge":
+        es.append((name, "v", "x"))
+    return build_graph(vs, es)
+
+
+def _token_expr(name, kind, place):
+    """A root with two leaf attachments, a0 at v and a1 at the middle of e,
+    and a family round all its cells whose pattern has a leaf attachment
+    a0 of its own.  ``name`` is a vertex or an edge of the root's base, of
+    the pattern's base (an ancestor of its attachment), of the root's a0
+    (a sibling of the family's copies), or the point the pattern is
+    glued at."""
+    def base(*places):
+        return _token_graph(name, kind) if place in places else _token_graph()
+
+    leaf = graph_expr(_token_graph())
+    pattern = Node(base("ancestor", "anchor"), (Attachment(Vertex("x"), leaf, Vertex("v")),))
+    anchor = Vertex("x")
+    if place == "anchor":
+        anchor = Vertex(name) if kind == "vertex" else EdgeInterior(name, Fraction(1, 2))
+    root = base("root")
+    return Node(root, (Attachment(Vertex("v"), graph_expr(base("sibling")), Vertex("v")),
+                       Attachment(EdgeInterior("e", Fraction(1, 2)), leaf, Vertex("x"))),
+                (SeqFamily(Subcomplex.whole(root), pattern, anchor),))
+
+
+def _token_corpus():
+    """(expression, depth) pairs: each token name as a vertex and as an edge
+    at each place, at depths that reach every template."""
+    return [(_token_expr(name, kind, place), depth)
+            for name in _TOKEN_NAMES for kind in ("vertex", "edge")
+            for place in _TOKEN_PLACES for depth in (1, 2, 4)]
+
+
+def _count_valid_names(monkeypatch):
+    count = [0]
+    original = graphs._valid_names
+
+    def counting(vs, es):
+        count[0] += 1
+        return original(vs, es)
+
+    monkeypatch.setattr(graphs, "_valid_names", counting)
+    return count
+
+
+def test_token_corpus_takes_the_checked_build(monkeypatch):
+    corpus = _token_corpus()
+    count = _count_valid_names(monkeypatch)
+    kinds = []
+    for e, depth in corpus:
+        assert wild._expand(e, depth)[3] is False
+        count[0] = 0
+        try:
+            wild.truncate(e, depth)
+        except GraphError:
+            pass
+        assert count[0] >= 1
+        kinds += _same_as_walk(e, (depth,))
+    counts = {k: kinds.count(k) for k in set(kinds)}
+    # a clean build, a duplicate the build finds and one only the anchor
+    # check finds
+    assert counts["ok"] >= 100 and counts["raises"] >= 10 and counts["anchor"] >= 3, counts
+
+
+def test_benchmark_chain_checks_no_name(monkeypatch):
+    e = _benchmark_chain()
+    count = _count_valid_names(monkeypatch)
+    g = wild.truncate(e, 12)
+    assert count[0] == 0
+    assert len(g.edges) > 30000
+
+
+def test_benchmark_traces_the_checked_build(monkeypatch):
+    # the traced benchmark runs patch ``wild.build_graph``; the checked
+    # build calls it by that name, the trusted one does not call it
+    assert (wild, "build_graph") in _benchmark_patch_targets()
+    calls = [0]
+    original = wild.build_graph
+
+    def counting(vs, es):
+        calls[0] += 1
+        return original(vs, es)
+
+    monkeypatch.setattr(wild, "build_graph", counting)
+    wild.truncate(_token_expr("a1_p1", "vertex", "root"), 2)
+    assert calls == [1]
+    wild.truncate(_benchmark_chain(), 2)
+    assert calls == [1]
+
+
+PROOF_MUTANTS = {
+    "token-test-misses-family-copies": (
+        '_COPY_TOKEN = re.compile(r"a\\d+_|s\\d+c\\d+_")\n',
+        '_COPY_TOKEN = re.compile(r"a\\d+_")\n'),
+    "anchor-name-not-checked": ("        names.append(record[0])\n",
+                                "        pass\n"),
+    "trusted-although-flagged": ("    if proven:\n", "    if True:\n"),
+    "leaf-run-in-reverse": (
+        "        for (_, _, suffix, at), (tvs, tes, _, _) in reversed(list(group)):\n",
+        "        for (_, _, suffix, at), (tvs, tes, _, _) in group:\n"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(PROOF_MUTANTS))
+def test_name_proof_negative_control(monkeypatch, mutant):
+    module = _mutant(monkeypatch, *PROOF_MUTANTS[mutant])
+    cases = _token_corpus() + [(e, 2) for e in _two_anchor_exprs()]
+    cases.append((_benchmark_chain(), 4))
+    assert any(_exact(module.truncate, e, depth) != _exact(ref.walk_truncate, e, depth)
+               for e, depth in cases)
+
+
 # --- cost --------------------------------------------------------------------
 
 def test_truncate_builds_one_graph(monkeypatch):
+    # the checked constructor and ``_trusted`` both build their tables
+    # through ``_tables``, once per graph; the chain takes the trusted
+    # build, the token-named chain the checked one
     e = parse_spacefile(rank_chain_text(3)).main_expr()
+    tokened = parse_spacefile(rank_chain_text(3).replace(" o", " a0_o")).main_expr()
     count = [0]
-    original = graphs.MultiGraph.__init__
+    original = graphs.MultiGraph._tables
 
     def counting(self, *args, **kwargs):
         count[0] += 1
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(graphs.MultiGraph, "__init__", counting)
-    for depth in (0, 1, 4):
-        count[0] = 0
-        g = wild.truncate(e, depth)
-        assert count[0] == 1, (depth, count[0])
-    assert len(g.edges) > 500
+    monkeypatch.setattr(graphs.MultiGraph, "_tables", counting)
+    # at depth 0 the loop, the only template with a token name, is not reached
+    for expr, proven, depths in ((e, True, (0, 1, 4)), (tokened, False, (1, 4))):
+        for depth in depths:
+            count[0] = 0
+            g = wild.truncate(expr, depth)
+            assert count[0] == 1, (depth, count[0])
+            assert wild._expand(expr, depth)[3] is proven
+        assert len(g.edges) > 500
 
 
 def test_templates_do_not_grow_with_depth(monkeypatch):
