@@ -7,7 +7,7 @@ with executable, provably minimal stratified motion plans on graphs.
 """
 
 from .graphs import (GraphError, Edge, Vertex, EdgeInterior, GraphPoint,
-                     MultiGraph, build_graph, subgraph, betti1,
+                     MultiGraph, GraphRecords, build_graph, subgraph, betti1,
                      spanning_forest, Collapse, CollapseHomotopy, deforest,
                      PathStep, PLPath, constant_path, TreeRouter,
                      point_dist, cat_graph, tc_graph)
@@ -28,7 +28,7 @@ from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
                    is_w_stable, wild_set,
                    wild_tower, wrk, WildProfile, profile, cat, tc,
                    Certificate, cat_certificate, tc_certificate, truncate,
-                   truncation_size, truncation_betti1)
+                   truncation_records, truncation_size, truncation_betti1)
 from .spacefile import (ParseError, SpaceFile, parse_spacefile,
                         print_spacefile, parse_point, format_point)
 

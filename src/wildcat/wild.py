@@ -11,10 +11,12 @@ contained in a dendrite.
 One memoised post-order pass (``Analysis``) computes iterated wild sets,
 the wildness rank, the category and topological complexity formulas and
 filtration certificates; ``truncate`` builds finite graph approximations
-for cross-checks, and ``truncation_size`` and ``truncation_betti1``
-count them without building them.  Copy sizes and attachment density are
-abstract: only the closure subcomplex of an attachment sequence matters
-for the wild set, so no metric data is stored.
+for cross-checks, ``truncation_records`` lists their checked names and
+records without building a graph, and ``truncation_size`` and
+``truncation_betti1`` count them without expanding them.  Copy sizes and
+attachment density are abstract: only the closure subcomplex of an
+attachment sequence matters for the wild set, so no metric data is
+stored.
 """
 
 import math
@@ -25,8 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .graphs import (Edge, MultiGraph, Vertex, EdgeInterior, GraphPoint,
-                     GraphError, build_graph, subgraph, betti1)
+from .graphs import (Edge, MultiGraph, GraphRecords, Vertex, EdgeInterior,
+                     GraphPoint, GraphError, _check_names, subgraph, betti1)
+# not called here: kept because bench/workloads.py patches ``wild.build_graph``
+from .graphs import build_graph  # noqa: F401
 
 __all__ = [
     "INF",
@@ -62,6 +66,7 @@ __all__ = [
     "cat_certificate",
     "tc_certificate",
     "truncate",
+    "truncation_records",
     "truncation_size",
     "truncation_betti1",
 ]
@@ -1140,7 +1145,15 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
     deterministic points of the subcomplex (vertices first in id order, then
     evenly spaced rational parameters along edges); finite attachments are
     expanded exactly.  Depth 0 keeps the base skeleton and attachments only.
-    The expansion is iterative and the graph is built once, at the end.
+    The graph is built once, from ``truncation_records``."""
+    return MultiGraph._trusted(*truncation_records(e, depth))
+
+
+def truncation_records(e: SpaceExpr, depth: int) -> GraphRecords:
+    """The checked vertex names and ``Edge`` records of ``truncate(e,
+    depth)``, in declaration order, with no graph built: the expansion is
+    iterative, and a bad name raises the ``GraphError`` the checking
+    constructor raises.
 
     Every output name is a copy's prefix, a string of copy tokens (``a<i>_``,
     ``s<i>c<c>_``) naming the path to the copy in the expansion tree,
@@ -1151,25 +1164,27 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
     token-free, the output's names are unique, and they are identifiers
     with every endpoint a vertex by construction; the anchor check below
     cannot fire either, as each template proved its anchor's names against
-    its own.  The graph is then built by ``MultiGraph._trusted``,
-    without checking names again.  Otherwise it is built and checked as
-    given, so each error names the first bad identifier.
+    its own.  The records are then returned without checking names again.
+    Otherwise they are checked as the constructor checks them, so each
+    error names the first bad identifier.
     """
     vs, es, anchors, proven = _expand(_require_truncatable(e, depth), depth)
+    vs, es = tuple(vs), tuple(es)
     if proven:
-        return MultiGraph._trusted(vs, es)
-    g = build_graph(vs, es)
-    # An anchor is renamed to its host, so the build never sees its own
+        return GraphRecords(vs, es)
+    _check_names(vs, es)
+    # An anchor is renamed to its host, so the check never sees its own
     # name, nor the id of the edge it cuts; either must still be unique
     # within the anchor's subtree.  A subtree's names are its prefix plus
     # names fixed by its template, so every copy of a template gets the
     # verdict of its first copy, which the pre-order also reaches first.
+    names, ids = set(vs), {ed[0] for ed in es}
     for vname, eid, v0, e0, v1, e1 in anchors:
-        if vname in g.degree and vname in vs[v0:v1]:
+        if vname in names and vname in vs[v0:v1]:
             raise GraphError(f"duplicate identifier {vname!r}")
-        if eid in g.edge_by_id and any(ed[0] == eid for ed in es[e0:e1]):
+        if eid in ids and any(ed[0] == eid for ed in es[e0:e1]):
             raise GraphError(f"duplicate identifier {eid!r}")
-    return g
+    return GraphRecords(vs, es)
 
 
 def _require_truncatable(e, depth):

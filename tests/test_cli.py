@@ -1,9 +1,14 @@
+import importlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
 import time
+import traceback
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -414,13 +419,16 @@ def test_truncate_max_edges_refuses_without_expanding(monkeypatch, capsys):
     def expand(e, depth):
         raise AssertionError("expanded")
 
-    monkeypatch.setattr(cli, "truncate", expand)
+    monkeypatch.setattr(cli, "truncation_records", expand)
     code, out, err = run_cli(capsys, "truncate", fixture("nested3.space"),
                              "--depth", "400", "--max-edges", "240799")
     assert code == 2
     assert out == ""
     assert err == ("error: truncation at depth 400 would have 80401 vertices "
                    "and 240800 edges, more than --max-edges 240799\n")
+    # the patched name is the one the command expands through
+    with pytest.raises(AssertionError, match="expanded"):
+        main(["truncate", fixture("nested3.space"), "--depth", "2", "--max-edges", "10"])
 
 
 def test_truncate_max_edges_allows_the_limit(capsys):
@@ -505,6 +513,102 @@ def test_cuplength_tree(capsys):
     code, doc, _ = run_json(capsys, "cuplength", fixture("tree5.space"))
     assert code == 0
     assert doc == {"betti1": 0, "cuplength": 0}
+
+
+# --- one parser per process -------------------------------------------------------------
+
+# each subcommand once, with a usage error after each
+SUBCOMMAND_CALLS = (
+    ["info", fixture("earring.space")],
+    ["nosuch", fixture("earring.space")],
+    ["plan", fixture("circle4.space"), "--from", "vertex a", "--to", "vertex c"],
+    ["plan", fixture("circle4.space"), "--from", "vertex a"],
+    ["verify", fixture("k4.space"), "--samples", "50"],
+    ["verify", fixture("k4.space"), "--samples=-3"],
+    ["certify", fixture("earring.space")],
+    ["certify"],
+    ["truncate", fixture("nested3.space"), "--depth", "2"],
+    ["truncate", fixture("nested3.space"), "--depth", "two"],
+    ["cuplength", fixture("k4.space")],
+    [],
+)
+
+
+def _call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_parser_serves_every_call(capsys):
+    separate = []
+    for argv in SUBCOMMAND_CALLS:
+        cli._build_parser.cache_clear()
+        separate.append(_call(capsys, argv))
+    assert [c[0] for c in separate] == [0, 2] * len(SUBCOMMAND_CALLS[::2])
+    cli._build_parser.cache_clear()
+    assert [_call(capsys, argv) for argv in SUBCOMMAND_CALLS] == separate
+    assert cli._build_parser.cache_info().misses == 1
+
+
+# --- the traced benchmark ---------------------------------------------------------------
+
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def _benchmark_patch_failure():
+    """Apply ``bench/workloads.layer_patches`` to a ``bench/spans.Tracer``,
+    run one traced ``wildcat truncate`` and unpatch, in a forked child: the
+    child sees this process's monkeypatches, and the bench's ``gen`` module
+    does not shadow ``tests/gen.py`` here.  Returns the child's traceback,
+    or "" when every patched name exists, the print is traced and each name
+    is restored."""
+    assert threading.active_count() == 1          # forking is safe
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        status = 1
+        try:
+            for name in ("gen", "oracles", "spans", "workloads"):
+                sys.modules.pop(name, None)
+            sys.path.insert(0, BENCH)
+            spans = importlib.import_module("spans")
+            workloads = importlib.import_module("workloads")
+            tracer = spans.Tracer()
+            workloads.layer_patches(tracer)
+            originals = list(tracer._patches)
+            assert all(getattr(owner, attr) is not fn for owner, attr, fn in originals)
+            tracer.enabled = True
+            with tracer.span("op"), redirect_stdout(io.StringIO()):
+                assert main(["truncate", fixture("nested3.space"), "--depth", "2"]) == 0
+            assert {"spacefile.parse", "spacefile.print"} <= {s[3] for s in tracer.spans}
+            tracer.unpatch()
+            assert all(getattr(owner, attr) is fn for owner, attr, fn in originals)
+            status = 0
+        except Exception:
+            os.write(write, traceback.format_exc().encode())
+        finally:
+            os._exit(status)
+    os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        text = fh.read().decode()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == (1 if text else 0)
+    return text
+
+
+def test_benchmark_layer_patches_apply_and_unpatch():
+    # ``cli`` keeps ``truncate``, and ``wild`` keeps ``build_graph``, for these
+    assert _benchmark_patch_failure() == ""
+
+
+def test_benchmark_patch_guard_catches_a_missing_name(monkeypatch):
+    monkeypatch.delattr(cli, "truncate")
+    assert "AttributeError" in _benchmark_patch_failure()
 
 
 # --- entry point ------------------------------------------------------------------------

@@ -11,8 +11,9 @@ negative control: components numbered in declaration order, and a loop
 counted once in ``degree``.
 
 The cost guards count the builders: truncating and printing builds no
-incidence table, ``wildcat truncate`` builds neither table of its output
-(the ``betti1`` it reports comes from the expression), and ``plan_graph``
+incidence table, ``wildcat truncate`` builds no graph of its output at all
+(it prints the checked records, and the ``betti1`` it reports comes from
+the expression), and ``plan_graph``
 on a graph with one cycle builds no incidence table for its input (the
 deforestation reads only the edge list).  Copies and pickles carry the
 tables whether or not they were built.
@@ -177,8 +178,9 @@ def _truncate_cost_failures(monkeypatch, tmp_path):
     """The clauses of the cost guard that fail: ``wild.truncate`` then
     ``print_spacefile`` on a rank chain build no incidence table and leave
     the output's component table unbuilt, and ``wildcat truncate`` on the
-    same file builds neither.  (The wild analysis behind ``truncate``'s atom
-    check and ``truncation_betti1`` read the components of the parsed base
+    same file builds no incidence table and no graph of its output at all:
+    it prints the checked records.  (The wild analysis behind the atom
+    check and ``truncation_betti1`` reads the components of the parsed base
     graphs; those are not counted.)"""
     text = rank_chain_text(3)
     e = parse_spacefile(text).main_expr()
@@ -193,22 +195,23 @@ def _truncate_cost_failures(monkeypatch, tmp_path):
         failures.append("library built the output's components")
     path = tmp_path / "chain.space"
     path.write_text(text, encoding="ascii")
-    outputs = []
-    truncate = cli.truncate
+    # both constructors, checked and trusted, build through ``_tables``
+    graphs_built = []
+    tables = MultiGraph._tables
 
-    def recording(e, depth):
-        outputs.append(truncate(e, depth))
-        return outputs[-1]
+    def recording(self, vertices, edges):
+        tables(self, vertices, edges)
+        graphs_built.append(self)
 
-    monkeypatch.setattr(cli, "truncate", recording)
+    monkeypatch.setattr(MultiGraph, "_tables", recording)
     for gs in built.values():
         gs.clear()
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert cli.main(["truncate", str(path), "--depth", "3"]) == 0
     if built["_incidence"]:
         failures.append("command built an incidence table")
-    if any(h is outputs[0] for h in built["_components"]):
-        failures.append("command built the output's components")
+    if any(h.edges == g.edges for h in graphs_built):
+        failures.append("command built a graph of its output")
     return failures
 
 
@@ -217,7 +220,8 @@ def test_truncate_builds_no_incidence_and_no_output_components(monkeypatch, tmp_
 
 
 def test_cost_guard_catches_an_eager_constructor(monkeypatch, tmp_path):
-    # both constructors, checked and trusted, build through ``_tables``
+    # both constructors, checked and trusted, build through ``_tables``; the
+    # command's only graphs are the parsed bases, which then build incidence
     original = MultiGraph._tables
 
     def eager(self, vertices, edges):
@@ -228,7 +232,14 @@ def test_cost_guard_catches_an_eager_constructor(monkeypatch, tmp_path):
     monkeypatch.setattr(MultiGraph, "_tables", eager)
     assert _truncate_cost_failures(monkeypatch, tmp_path) == [
         "library built an incidence table", "library built the output's components",
-        "command built an incidence table", "command built the output's components"]
+        "command built an incidence table"]
+
+
+def test_cost_guard_catches_a_command_routed_through_truncate(monkeypatch, tmp_path):
+    # the parent's command printed the graph ``truncate`` built
+    monkeypatch.setattr(cli, "truncation_records", cli.truncate)
+    assert _truncate_cost_failures(monkeypatch, tmp_path) == [
+        "command built a graph of its output"]
 
 
 def _lifted_plan_builds_incidence(monkeypatch):

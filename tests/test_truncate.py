@@ -22,33 +22,42 @@ finite attachments left out, the base's own cycles left out).  Against
 and an anchor check per copy, no departure is allowed: the same vertex and
 edge lists, or the same error text.
 
-When every template proves its names, ``truncate`` builds its graph
-without checking names (``MultiGraph._trusted``).  A corpus of local names
-that start with copy tokens (``a0_x``, ``s0c1_v``, ...), at the root, in
-an ancestor, in a sibling and as an anchor, must take the checking build
-and still match the walk; the benchmark's chain must check no name.  Four
-mutants are the negative controls: a token test that misses ``s<i>c<c>_``,
-a template check without the anchor's name, the trusted build taken for
-an unproven template, and a run of leaf copies written in reverse.
+When every template proves its names, ``truncation_records`` returns the
+expansion's records without checking names, and ``truncate`` builds its
+graph from them unchecked (``MultiGraph._trusted``).  A corpus of local
+names that start with copy tokens (``a0_x``, ``s0c1_v``, ...), at the
+root, in an ancestor, in a sibling and as an anchor, must take the checking
+path and still match the walk; the benchmark's chain must check no name.
+Four mutants are the negative controls: a token test that misses
+``s<i>c<c>_``, a template check without the anchor's name, the unchecked
+path taken for an unproven template, and a run of leaf copies written in
+reverse.
+
+``wildcat truncate`` prints the records and builds no graph of them.  On
+the fixtures, both criterion corpora, the token corpus and a 1500-deep
+chain it must write what it wrote when it printed the graph built by the
+checking constructor: the same exit code, stdout, stderr, ``-o`` file and
+``--dot`` file.
 """
 
 import glob
+import io
 import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 import wild_reference as ref
-from wildcat import graphs, wild
-from wildcat.graphs import GraphError, Vertex, EdgeInterior, build_graph
-from wildcat.spacefile import parse_spacefile
+from wildcat import cli, graphs, wild
+from wildcat.graphs import GraphError, MultiGraph, Vertex, EdgeInterior, build_graph
+from wildcat.spacefile import SpaceFile, parse_spacefile, print_spacefile
 from wildcat.wild import Node, Attachment, SeqFamily, Subcomplex, graph_expr
 
 from gen import (attach_chain_text, path_graph, rank_chain_text,
                  seq_chain_text)
 from test_analysis import _corpus_5150, _corpus_707, _random_corpus
-from test_planner import _benchmark_patch_targets
 from test_tower_summary import _mutant
 
 
@@ -408,24 +417,6 @@ def test_benchmark_chain_checks_no_name(monkeypatch):
     assert len(g.edges) > 30000
 
 
-def test_benchmark_traces_the_checked_build(monkeypatch):
-    # the traced benchmark runs patch ``wild.build_graph``; the checked
-    # build calls it by that name, the trusted one does not call it
-    assert (wild, "build_graph") in _benchmark_patch_targets()
-    calls = [0]
-    original = wild.build_graph
-
-    def counting(vs, es):
-        calls[0] += 1
-        return original(vs, es)
-
-    monkeypatch.setattr(wild, "build_graph", counting)
-    wild.truncate(_token_expr("a1_p1", "vertex", "root"), 2)
-    assert calls == [1]
-    wild.truncate(_benchmark_chain(), 2)
-    assert calls == [1]
-
-
 PROOF_MUTANTS = {
     "token-test-misses-family-copies": (
         '_COPY_TOKEN = re.compile(r"a\\d+_|s\\d+c\\d+_")\n',
@@ -642,3 +633,74 @@ def test_truncation_betti1_negative_control(monkeypatch, mutant):
 
     assert any(differs(e, depth) for e in _corpora_and_fixtures()
                for depth in range(3))
+
+
+# --- the command's records against the graph the command used to print -------
+
+def _graph_truncate(e, depth):
+    """``truncate`` before ``truncation_records``: the expansion built by the
+    checking constructor, then the two anchor checks run on the graph."""
+    vs, es, anchors, proven = wild._expand(wild._require_truncatable(e, depth), depth)
+    if proven:
+        return MultiGraph._trusted(vs, es)
+    g = build_graph(vs, es)
+    for vname, eid, v0, e0, v1, e1 in anchors:
+        if vname in g.degree and vname in vs[v0:v1]:
+            raise GraphError(f"duplicate identifier {vname!r}")
+        if eid in g.edge_by_id and any(ed[0] == eid for ed in es[e0:e1]):
+            raise GraphError(f"duplicate identifier {eid!r}")
+    return g
+
+
+def _command_outputs(path, depth, out_dir):
+    """Exit code, stdout and stderr of ``wildcat truncate`` and of the same
+    call with ``-o`` and ``--dot``, and the two files it writes."""
+    calls = []
+    for extra in ((), ("-o", "o.space", "--dot", "o.dot")):
+        argv = ["truncate", str(path), "--depth", str(depth)]
+        argv += [str(out_dir / a) if a.startswith("o.") else a for a in extra]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            calls.append((cli.main(argv), out.getvalue(), err.getvalue()))
+    files = []
+    for name in ("o.space", "o.dot"):
+        f = out_dir / name
+        files.append(f.read_text(encoding="ascii") if f.exists() else None)
+        if f.exists():
+            f.unlink()
+    return calls, files
+
+
+def _command_cases(tmp_path):
+    """(space file, depth) pairs: the fixtures at depths 0-4, the criterion
+    5 and 7 corpora, the token-collision corpus and a 1500-deep chain."""
+    cases = [(path, depth) for path in sorted(glob.glob(os.path.join(
+        os.path.dirname(__file__), "fixtures", "*.space"))) for depth in range(5)]
+    exprs = [(e, 3) for e in _corpus_5150()] + [(e, 4) for e in _corpus_707()]
+    exprs += _token_corpus()
+    for i, (e, depth) in enumerate(exprs):
+        path = tmp_path / f"e{i}.space"
+        path.write_text(print_spacefile(SpaceFile({}, {"main": e}, "main")),
+                        encoding="ascii")
+        cases.append((path, depth))
+    path = tmp_path / "chain.space"
+    path.write_text(attach_chain_text(1500), encoding="ascii")
+    cases.append((path, 1))
+    return cases
+
+
+def test_command_prints_what_the_graph_printed(monkeypatch, tmp_path):
+    # the command used to build ``truncate``'s graph and print it; it must
+    # write the same bytes and exit the same way from the records alone
+    cases = _command_cases(tmp_path)
+    new = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
+    monkeypatch.setattr(cli, "truncation_records", _graph_truncate)
+    old = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
+    for case, got, want in zip(cases, new, old):
+        assert got == want, case
+    errors = [calls[0][2] for calls, _ in new if calls[0][0] == 2]
+    # the two atom fixtures at each depth, and the token names the name and
+    # anchor checks reject
+    assert sum("opaque atoms" in err for err in errors) == 10
+    assert sum("duplicate identifier" in err for err in errors) >= 10
+    assert new[-1][0][0][2] == "truncated at depth 1: 3001 vertices, 4501 edges, betti1 1501\n"
