@@ -28,7 +28,8 @@ from fractions import Fraction
 from itertools import groupby
 
 from .graphs import (Edge, MultiGraph, GraphRecords, Vertex, EdgeInterior,
-                     GraphPoint, GraphError, _check_names, subgraph, betti1)
+                     GraphPoint, GraphError, _check_names, _find, subgraph,
+                     betti1)
 # not called here: kept because bench/workloads.py patches ``wild.build_graph``
 from .graphs import build_graph  # noqa: F401
 
@@ -115,24 +116,10 @@ class Subcomplex:
     def whole(cls, g: MultiGraph):
         return cls.of(g, g.vertices, [e.id for e in g.edges])
 
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def contains_point(self, p: GraphPoint) -> bool:
         if isinstance(p, Vertex):
             return p.v in set(self.vertices)
         return p.edge in set(self.edges)
-
-    def union(self, other: "Subcomplex") -> "Subcomplex":
-        return Subcomplex(tuple(sorted(set(self.vertices) | set(other.vertices))),
-                          tuple(sorted(set(self.edges) | set(other.edges))))
-
-    def intersect(self, other: "Subcomplex") -> "Subcomplex":
-        return Subcomplex(tuple(sorted(set(self.vertices) & set(other.vertices))),
-                          tuple(sorted(set(self.edges) & set(other.edges))))
-
-    def as_graph(self, g: MultiGraph) -> MultiGraph:
-        return subgraph(g, self.edges, self.vertices)
 
 
 @dataclass(frozen=True)
@@ -329,7 +316,9 @@ class Analysis:
     subcomplexes.  ``profile``, ``cat``, ``tc``, the stability check and
     both certificates read only the summaries: they build no piece and no
     graph.  Wild-set pieces are built on demand for ``wild_set`` and
-    ``wild_tower``, whose output is that large.
+    ``wild_tower``, whose output is that large: a node's own pieces are the
+    components of the forest that the same union-find pass leaves for U_1,
+    each built with one ``subgraph`` call.
 
     Facts are keyed by the expression itself, that is by its hash-consed
     structure (see ``Node``), so a subexpression shared by several parents
@@ -545,48 +534,42 @@ class Analysis:
         """Per family: a simply connected pattern contributes nothing; a
         pattern with a cycle makes its subcomplex wild and carries its own
         first wild piece down as a new family.  Contributions merge along
-        the components of the union of their subcomplexes."""
+        the components of U_1, the union of their subcomplexes.  The
+        contributing families are those of height at least 1, so U_1 is
+        the forest that ``_own_runs`` leaves.  Its components are numbered
+        by smallest vertex; every family cell is filed under its root, and
+        a family's cells under one root are its meet with that component."""
         memo = self._memo
-        contributions = []
+        root = {}
+        _own_runs(e, [memo[fam.pattern].height for fam in e.seq], root)
+        comps = {}                    # root -> (vertices, edge ids, families)
+        for v in sorted(root):
+            comps.setdefault(_find(root, v), ([], [], []))[0].append(v)
+        edge_by_id = e.base.edge_by_id
         for fam in e.seq:
             pf = memo[fam.pattern]
             if not pf.scc:
                 continue
             own, foreign = pf.pieces
             inner = own + foreign
-            contributions.append((fam, inner[0] if inner else None))
-        own = []
-        if contributions:
-            union = contributions[0][0].subcomplex
-            for fam, _ in contributions[1:]:
-                union = union.union(fam.subcomplex)
-            # components of the union, numbered by smallest vertex
-            ug = union.as_graph(e.base)
-            component_of = ug.component_of
-            comps = [([], []) for _ in range(ug.n_components)]
-            for v in union.vertices:
-                comps[component_of[v]][0].append(v)
-            for eid in union.edges:
-                comps[component_of[ug.edge_by_id[eid].v0]][1].append(eid)
-            for vs, es in comps:
-                comp = Subcomplex(tuple(vs), tuple(es))
-                fams = []
-                for fam, wild_pattern in contributions:
-                    if wild_pattern is None:
-                        continue
-                    meet = fam.subcomplex.intersect(comp)
-                    if meet.is_empty():
-                        continue
-                    fams.append(SeqFamily(meet, wild_pattern, fam.anchor))
-                # a lone component is the union, whose graph is built
-                g = ug if len(comps) == 1 else comp.as_graph(e.base)
-                own.append(Node(g, (), tuple(fams)))
+            meets = defaultdict(lambda: ([], []))
+            for v in fam.subcomplex.vertices:
+                meets[_find(root, v)][0].append(v)
+            for eid in fam.subcomplex.edges:
+                meets[_find(root, edge_by_id[eid].v0)][1].append(eid)
+            for r, (vs, es) in meets.items():
+                comps[r][1].extend(es)
+                if inner:
+                    meet = Subcomplex(tuple(vs), tuple(es))
+                    comps[r][2].append(SeqFamily(meet, inner[0], fam.anchor))
+        own = tuple(Node(subgraph(e.base, es, vs), (), tuple(fams))
+                    for vs, es, fams in comps.values())
         foreign = []
         for att in e.fin:
             child_own, child_foreign = memo[att.child].pieces
             foreign.extend(child_own)
             foreign.extend(child_foreign)
-        return tuple(own), tuple(foreign)
+        return own, tuple(foreign)
 
     # --- w-stability --------------------------------------------------------
 
@@ -681,19 +664,14 @@ class Analysis:
         return None
 
 
-def _own_runs(node: Node, heights) -> tuple:
+def _own_runs(node: Node, heights, root=None) -> tuple:
     """The runs of a node's own pieces, given its families' heights: the
     families go into one union-find over base cells in decreasing height,
     and after the last family of each height the union is U_k for every
-    level k up to that height."""
+    level k up to that height.  The forest is left in ``root`` when one is
+    given: each vertex of U_1 maps towards the root of its component."""
     active = sorted(((h, i) for i, h in enumerate(heights) if h), reverse=True)
-    root = {}
-
-    def find(v):
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
+    root = {} if root is None else root
     edges = set()
     comps = 0
     runs = []
@@ -707,7 +685,7 @@ def _own_runs(node: Node, heights) -> tuple:
             if eid not in edges:
                 edges.add(eid)
                 ed = node.base.edge_by_id[eid]
-                a, b = find(ed.v0), find(ed.v1)
+                a, b = _find(root, ed.v0), _find(root, ed.v1)
                 if a != b:
                     root[a] = b
                     comps -= 1
@@ -1240,28 +1218,18 @@ def truncation_betti1(e: SpaceExpr, depth: int) -> int:
     truncation is a wedge of its nodes' bases, and b1 adds over a wedge;
     cutting an edge at a point keeps b1 too.  So a node has b1 of its base,
     plus each finite attachment's child once and each family's pattern
-    ``depth`` times, whatever the anchors.  One explicit-stack walk
-    memoised by node: the cost grows with the expression, never with the
-    output.  It does not check identifiers, so call it on an expression
-    ``truncate`` accepts."""
-    e = _require_truncatable(e, depth)
+    ``depth`` times, whatever the anchors.  One pass over the analysis
+    memo, which lists every subexpression after its children: the cost
+    grows with the expression, never with the output.  It does not check
+    identifiers, so call it on an expression ``truncate`` accepts."""
+    a = analyze(e)
+    _require_truncatable(a, depth)
     b1 = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if node in b1:
-            stack.pop()
-            continue
-        todo = [att.child for att in node.fin if att.child not in b1]
-        todo.extend(fam.pattern for fam in node.seq if fam.pattern not in b1)
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
+    for node in a._memo:
         b1[node] = (betti1(node.base)
                     + sum(b1[att.child] for att in node.fin)
                     + depth * sum(b1[fam.pattern] for fam in node.seq))
-    return b1[e]
+    return b1[a.expr]
 
 
 def _cut_count(node: Node, anchor, depth: int) -> int:

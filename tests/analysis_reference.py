@@ -16,7 +16,19 @@ from wildcat.wild import (INF, ExprError, UnstableExpressionError,
                           InfiniteRankError, Node, SelfWild, ZeroDimWild,
                           SeqFamily, Subcomplex, StabilityReport, TowerLevel,
                           WildProfile, CertificateLevel, Certificate)
-from wildcat.graphs import betti1
+from wildcat.graphs import betti1, subgraph
+
+
+def _union(a, b):
+    """``Subcomplex.union`` as the package defined it."""
+    return Subcomplex(tuple(sorted(set(a.vertices) | set(b.vertices))),
+                      tuple(sorted(set(a.edges) | set(b.edges))))
+
+
+def _intersect(a, b):
+    """``Subcomplex.intersect`` as the package defined it."""
+    return Subcomplex(tuple(sorted(set(a.vertices) & set(b.vertices))),
+                      tuple(sorted(set(a.edges) & set(b.edges))))
 
 
 class _Facts:
@@ -187,8 +199,8 @@ class Analysis:
         if contributions:
             union = contributions[0][0].subcomplex
             for fam, _ in contributions[1:]:
-                union = union.union(fam.subcomplex)
-            ug = union.as_graph(e.base)
+                union = _union(union, fam.subcomplex)
+            ug = subgraph(e.base, union.edges, union.vertices)
             comps = [([], []) for _ in range(ug.n_components)]
             for v in union.vertices:
                 comps[ug.component_of[v]][0].append(v)
@@ -200,11 +212,12 @@ class Analysis:
                 for fam, wild_pattern in contributions:
                     if wild_pattern is None:
                         continue
-                    meet = fam.subcomplex.intersect(comp)
-                    if meet.is_empty():
+                    meet = _intersect(fam.subcomplex, comp)
+                    if not meet.vertices:
                         continue
                     fams.append(SeqFamily(meet, wild_pattern, fam.anchor))
-                g = ug if len(comps) == 1 else comp.as_graph(e.base)
+                g = (ug if len(comps) == 1
+                     else subgraph(e.base, comp.edges, comp.vertices))
                 own.append(Node(g, (), tuple(fams)))
         foreign = []
         for att in e.fin:

@@ -45,13 +45,21 @@ def test_package_imports_are_listed_in_module_all():
                                         ("graphs.CollapseHomotopy", "slide_back"),
                                         ("planner.CycleCoords", "march"),
                                         ("planner.CycleCoords", "point_at"),
-                                        ("planner.CycleCoords", "coord")])
+                                        ("planner.CycleCoords", "coord"),
+                                        ("wild.Subcomplex", "union"),
+                                        ("wild.Subcomplex", "intersect"),
+                                        ("wild.Subcomplex", "as_graph"),
+                                        ("wild.Subcomplex", "is_empty")])
 def test_replaced_path_helpers_are_gone(owner, name):
     """Lifted answers join step lists, and cycle answers walk integer slots;
     the path concatenation, reverse slide and Fraction march they replace
     are deleted, from the package's names too, and so are the Fraction
     ``point_at`` and ``coord`` that only tests read (now
-    ``path_reference.point_at`` and ``path_reference.coord``)."""
+    ``path_reference.point_at`` and ``path_reference.coord``).  Wild-set
+    pieces come from the union-find forest of U_1, so the subcomplex
+    union, intersection, graph and emptiness test are deleted too (the
+    test-only reference analyses keep their own ``_union`` and
+    ``_intersect``)."""
     module, _, cls = owner.partition(".")
     obj = importlib.import_module(f"wildcat.{module}")
     obj = getattr(obj, cls) if cls else obj

@@ -11,10 +11,18 @@ expressions, the fixtures, rank-growing chains with one anchor and with a
 random anchor per level, and random expressions whose patterns fail
 stability at deeper levels.
 
-Three mutants of ``wildcat.wild`` are the negative controls, and each must
+``wild_set`` and ``wild_tower``, which build pieces from the union-find of
+the summaries, must give the reference's pieces on every stable expression
+of the same corpora, compared as hash-consed expressions.  The deeper-level
+corpus puts families on random, often disconnected, sets of cells, so a
+family's meet with U_1 often splits across components.
+
+Five mutants of ``wildcat.wild`` are the negative controls, and each must
 disagree with the reference somewhere: an anchor check that reads only the
-first level, family heights off by one, and finite attachments' pieces
-left out of the level counts.
+first level, family heights off by one, finite attachments' pieces left
+out of the level counts, U_1's components numbered in union-find order
+instead of by smallest vertex, and every meet filed under the first
+component.
 
 Counting tests pin the cost: the summaries hold one run per family on
 both chains up to depth 2000, and on a staircase of attachments whose
@@ -177,11 +185,19 @@ CORPORA = {
 @functools.cache
 def _reference(name):
     """The corpus with the reference's outcome of every reader, all read
-    from one reference analysis per expression."""
+    from one reference analysis per expression, and on a stable expression
+    its pieces and, when its rank is finite, its tower: the reference's
+    ``tower`` has no self-wild guard, and a self-wild piece is its own wild
+    set, so the walk would not end."""
     outcomes = []
     for e in CORPORA[name]():
         a = ref.analyze(e)
-        outcomes.append((e, {r: _outcome(getattr(ref, r), a) for r in READERS}))
+        want = {r: _outcome(getattr(ref, r), a) for r in READERS}
+        if a.stability:
+            want["wild_set"] = ("ok", a.pieces())
+            if a.profile().wrk is not math.inf:
+                want["wild_tower"] = ("ok", a.tower())
+        outcomes.append((e, want))
     return outcomes
 
 
@@ -199,9 +215,43 @@ def _mismatches(module, name):
     return found
 
 
+def _piece_mismatches(module, name):
+    """(reader, got, want) wherever ``module``'s pieces or tower differ
+    from the reference's, both read through one analysis."""
+    found = []
+    for e, want in _reference(name):
+        a = module.analyze(e)
+        for r in ("wild_set", "wild_tower"):
+            if r in want:
+                got = _outcome(getattr(module, r), a)
+                if got != want[r]:
+                    found.append((r, got, want[r]))
+    return found
+
+
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_summaries_match_reference(name):
     assert _mismatches(wild, name) == []
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_pieces_match_reference(name):
+    assert _piece_mismatches(wild, name) == []
+
+
+def test_deeper_level_corpus_splits_meets():
+    """Some stable expression has a family whose subcomplex meets two of
+    its own pieces, the components of U_1: there a meet can be filed
+    under the wrong piece."""
+    def splits(e):
+        a = ref.Analysis(e)
+        own, _ = a._split(e)
+        return any(a._memo[fam.pattern].scc
+                   and sum(not set(fam.subcomplex.vertices).isdisjoint(
+                       p.base.vertices) for p in own) > 1
+                   for fam in e.seq)
+    assert any(splits(e) for e, want in _reference("deeper-levels")
+               if "wild_set" in want)
 
 
 def test_deeper_level_corpus_reaches_every_failure():
@@ -229,6 +279,12 @@ MUTANTS = {
     "fin-counts-not-added": (
         "                    paths[att.child] = paths.get(att.child, 0) + m\n",
         "                    pass\n"),
+    "components-in-union-find-order": ("        for v in sorted(root):\n",
+                                       "        for v in root:\n"),
+    "meet-under-first-component": (
+        "                    comps[r][2].append(SeqFamily(meet, inner[0], fam.anchor))\n",
+        "                    comps[next(iter(comps))][2].append("
+        "SeqFamily(meet, inner[0], fam.anchor))\n"),
 }
 
 
@@ -251,7 +307,8 @@ def _mutant(monkeypatch, old, new):
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_negative_control_disagrees_with_reference(monkeypatch, mutant):
     module = _mutant(monkeypatch, *MUTANTS[mutant])
-    assert any(_mismatches(module, name) for name in sorted(CORPORA))
+    assert any(_mismatches(module, name) or _piece_mismatches(module, name)
+               for name in sorted(CORPORA))
 
 
 # --- cost ------------------------------------------------------------------------

@@ -20,11 +20,23 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 from wildcat.graphs import (Edge, EdgeInterior, GraphError, Vertex, betti1,
-                            build_graph)
+                            build_graph, subgraph)
 from wildcat.wild import (INF, ExprError, UnstableExpressionError,
                           InfiniteRankError, Node, SelfWild, ZeroDimWild,
                           SeqFamily, Subcomplex, StabilityReport, TowerLevel,
                           WildProfile, CertificateLevel, Certificate)
+
+
+def _union(a, b):
+    """``Subcomplex.union`` as the package defined it."""
+    return Subcomplex(tuple(sorted(set(a.vertices) | set(b.vertices))),
+                      tuple(sorted(set(a.edges) | set(b.edges))))
+
+
+def _intersect(a, b):
+    """``Subcomplex.intersect`` as the package defined it."""
+    return Subcomplex(tuple(sorted(set(a.vertices) & set(b.vertices))),
+                      tuple(sorted(set(a.edges) & set(b.edges))))
 
 
 def node_eq(x, y):
@@ -153,17 +165,18 @@ def wild_pieces_split(e):
     if contributions:
         union = contributions[0][0].subcomplex
         for fam, _ in contributions[1:]:
-            union = union.union(fam.subcomplex)
+            union = _union(union, fam.subcomplex)
         for comp in subcomplex_components(union, e.base):
             fams = []
             for fam, wild_pattern in contributions:
                 if wild_pattern is None:
                     continue
-                meet = fam.subcomplex.intersect(comp)
-                if meet.is_empty():
+                meet = _intersect(fam.subcomplex, comp)
+                if not meet.vertices:
                     continue
                 fams.append(SeqFamily(meet, wild_pattern, fam.anchor))
-            own.append(Node(comp.as_graph(e.base), (), tuple(fams)))
+            g = subgraph(e.base, comp.edges, comp.vertices)
+            own.append(Node(g, (), tuple(fams)))
     foreign = []
     for att in e.fin:
         foreign.extend(wild_pieces(att.child))
