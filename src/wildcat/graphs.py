@@ -286,9 +286,12 @@ class MultiGraph:
             return Vertex(e.v1)
         if not isinstance(t, Fraction):
             t = Fraction(t)
-        if t == 0:
+        # a Fraction is normalised, so t is 0 or 1 exactly when its
+        # numerator is 0 or equals its denominator
+        n = t.numerator
+        if n == 0:
             return Vertex(e.v0)
-        if t == 1:
+        if n == t.denominator:
             return Vertex(e.v1)
         return EdgeInterior(edge_id, t)
 
@@ -372,17 +375,18 @@ class CollapseHomotopy:
 
     Recorded as an ordered sequence of elementary free-edge collapses, each
     removing an edge with a degree-1 endpoint and retaining the other
-    endpoint.  ``retract`` gives the induced retraction r and ``slide`` the
-    path D(x, .) from a point to r(x).  Every vertex outside the core is
-    freed by exactly one collapse, so the collapses form a forest hanging off
-    the core, and each freed vertex points along its collapsed edge to the
+    endpoint.  ``retract`` gives the induced retraction r, one shared
+    ``Vertex`` per image vertex, made on first use, and ``slide`` the path
+    D(x, .) from a point to r(x).  Every vertex outside the core is freed by
+    exactly one collapse, so the collapses form a forest hanging off the
+    core, and each freed vertex points along its collapsed edge to the
     vertex it was collapsed onto.  Slides share their whole-edge steps: one
     ``PathStep`` per collapsed edge and direction, made the first time a
     slide crosses that edge that way.
     """
 
     __slots__ = ("graph", "core", "collapses", "_final", "_kept_of", "_down",
-                 "_whole")
+                 "_whole", "_images")
 
     def __init__(self, graph: MultiGraph, core: MultiGraph, collapses):
         collapses = tuple(collapses)
@@ -412,16 +416,21 @@ class CollapseHomotopy:
         self._kept_of = {c.edge: c.kept for c in collapses}
         self._down = down
         self._whole = {}
+        self._images = {}
 
     def retract(self, p: GraphPoint) -> GraphPoint:
         if isinstance(p, Vertex):
-            return Vertex(self._final[p.v])
-        if p.edge in self.core.edge_by_id:
+            v = p.v
+        elif p.edge in self.core.edge_by_id:
             return p
-        kept = self._kept_of.get(p.edge)
-        if kept is None:
-            raise GraphError(f"point on edge {p.edge!r} outside graph and core")
-        return Vertex(self._final[kept])
+        else:
+            v = self._kept_of.get(p.edge)
+            if v is None:
+                raise GraphError(f"point on edge {p.edge!r} outside graph and core")
+        image = self._images.get(v)
+        if image is None:
+            image = self._images[v] = Vertex(self._final[v])
+        return image
 
     def _walk(self, p: GraphPoint, back: bool):
         """Steps of the slide from p (of its reverse when ``back``) and
@@ -528,6 +537,46 @@ class PathStep:
             raise GraphError(f"step parameters must lie in [0,1], got {a}..{b}")
 
 
+def _point_key(p: GraphPoint):
+    """A point as ``PLPath.check`` reads it: a vertex's name, or the pair
+    ``(edge, t)`` for a point inside an edge.  Two points are equal exactly
+    when their keys are, and a name (a ``str``) never equals a pair, even
+    where an edge is named like a vertex."""
+    return p.v if isinstance(p, Vertex) else (p.edge, p.t)
+
+
+def _step_keys(edge_by_id: dict, steps, multi: bool) -> tuple:
+    """Check ``steps`` in order as ``PLPath.check`` does (``multi``: they
+    are steps of a multi-step path) and return the keys of the first step's
+    start and of the last step's end; the junction into the first step is
+    not checked."""
+    first = prev = None
+    for s in steps:
+        e = edge_by_id.get(s.edge)
+        if e is None:
+            raise GraphError(f"unknown edge {s.edge!r} in path")
+        a, b = s.a, s.b
+        if a is _ZERO and b is _ONE:
+            start, end = e.v0, e.v1
+        elif a is _ONE and b is _ZERO:
+            start, end = e.v1, e.v0
+        else:
+            # Fractions are normalised: a parameter is 0 or 1 exactly when
+            # its numerator is 0 or equals its denominator, and two are
+            # equal exactly when both integers are
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            if multi and an == bn and ad == bd:
+                raise GraphError("degenerate step inside a multi-step path")
+            start = e.v0 if an == 0 else (e.v1 if an == ad else (s.edge, a))
+            end = e.v0 if bn == 0 else (e.v1 if bn == bd else (s.edge, b))
+        if prev is None:
+            first = start
+        elif start != prev:
+            raise GraphError("discontinuous consecutive steps")
+        prev = end
+    return first, prev
+
+
 def _whole_step(memo: dict, edge: str, forward: bool) -> PathStep:
     """The step across the whole edge, v0 to v1 when ``forward``, made on
     first use and then shared through ``memo``."""
@@ -579,12 +628,30 @@ class PLPath:
         return path
 
     def check(self) -> "PLPath":
-        """Raise :class:`GraphError` unless the path is well-formed.
+        """Raise :class:`GraphError` unless the path is well-formed; return
+        the path.
 
         Every step lies on a known edge, no step of a multi-step path is
         degenerate, consecutive steps meet, and a declared source is the
         start of the first step; a path with no steps needs a source on the
         graph.  Step parameters are in [0,1] by construction of ``PathStep``.
+        ``_end_keys`` runs the check and gives the keys of the two ends it
+        reads on the way (see ``_point_key``), so that a caller can compare
+        them with the points it expects without building endpoint objects.
+        """
+        self._end_keys()
+        return self
+
+    def _end_keys(self, partner: "PLPath" = None) -> tuple:
+        """Check the path as ``check`` does and return ``_point_key`` of its
+        start and of its end.
+
+        ``partner`` is a path already found well-formed.  When it is on the
+        same graph and its middle steps (all but the first and the last)
+        equal this path's, those steps and the junctions between them are
+        known good, so only the first two steps, the last two and the
+        source are read, in the full check's order: a fault gives the error
+        the full check gives.
         """
         steps = self.steps
         graph = self.graph
@@ -594,31 +661,19 @@ class PLPath:
                 raise GraphError("a path with no steps needs a source point")
             if not graph.contains_point(source):
                 raise GraphError("source point not on the graph")
-            return self
-        multi = len(steps) > 1
+            key = _point_key(source)
+            return key, key
+        n = len(steps)
         edge_by_id = graph.edge_by_id
-        prev = None
-        for s in steps:
-            e = edge_by_id.get(s.edge)
-            if e is None:
-                raise GraphError(f"unknown edge {s.edge!r} in path")
-            a, b = s.a, s.b
-            if a is _ZERO and b is _ONE:
-                start, end = e.v0, e.v1
-            elif a is _ONE and b is _ZERO:
-                start, end = e.v1, e.v0
-            else:
-                if multi and a == b:
-                    raise GraphError("degenerate step inside a multi-step path")
-                # a vertex is keyed by its name, an interior point by a pair
-                start = e.v0 if a == 0 else (e.v1 if a == 1 else (s.edge, a))
-                end = e.v0 if b == 0 else (e.v1 if b == 1 else (s.edge, b))
-            if prev is not None and start != prev:
-                raise GraphError("discontinuous consecutive steps")
-            prev = end
-        if source is not None and source != self.endpoint0:
+        if partner is not None and n > 2 and partner.graph is graph \
+                and steps[1:-1] == partner.steps[1:-1]:
+            first = _step_keys(edge_by_id, steps[:2], True)[0]
+            last = _step_keys(edge_by_id, steps[-2:], True)[1]
+        else:
+            first, last = _step_keys(edge_by_id, steps, n > 1)
+        if source is not None and _point_key(source) != first:
             raise GraphError("declared source does not match the first step")
-        return self
+        return first, last
 
     def _arclengths(self) -> tuple:
         """Cumulative arclength at the start of each step, then the total."""
@@ -693,12 +748,13 @@ class TreeRouter:
     cancelled; this precomputes BFS parent tables (root = smallest vertex id
     per component, adjacency scanned in edge-id order) and serves exact
     reduced paths between arbitrary points.  The cached walks share their
-    steps: one ``PathStep`` per forest edge and direction, made the first
-    time a walk crosses that edge that way.
+    steps: each vertex but a root has two hops, the whole-edge steps up to
+    its parent and back down, made the first time a walk passes that
+    vertex, and a walk reads them per vertex it climbs from.
     """
 
     __slots__ = ("forest", "_component_of", "_parent", "_depth", "_walks",
-                 "_whole")
+                 "_hops")
 
     def __init__(self, forest: MultiGraph):
         if betti1(forest) != 0:
@@ -729,7 +785,18 @@ class TreeRouter:
         self._parent = parent
         self._depth = depth
         self._walks = {}
-        self._whole = {}
+        self._hops = {}
+
+    def _hop(self, v: str) -> tuple:
+        """Make and keep v's hops: the steps from v up to its parent and
+        from the parent down to v."""
+        eid = self._parent[v][0]
+        up = PathStep(eid, _ZERO, _ONE)
+        down = PathStep(eid, _ONE, _ZERO)
+        # a forest edge is no loop, so v is exactly one of its ends
+        hop = self._hops[v] = ((up, down) if v == self.forest.edge_by_id[eid].v0
+                               else (down, up))
+        return hop
 
     def _vertex_walk(self, a: str, b: str) -> tuple:
         """Whole-edge steps of the reduced walk from vertex a to vertex b."""
@@ -745,21 +812,16 @@ class TreeRouter:
         x, y = a, b
         depth = self._depth
         parent = self._parent
+        hops = self._hops
         while x != y:
             if depth[x] >= depth[y]:
-                eid, px = parent[x]
-                up_a.append((eid, x))
-                x = px
+                up_a.append((hops.get(x) or self._hop(x))[0])
+                x = parent[x][1]
             else:
-                eid, py = parent[y]
-                up_b.append((eid, py))
-                y = py
-        edge_by_id = self.forest.edge_by_id
-        whole = self._whole
-        # each pair holds the vertex the walk leaves the edge from
-        walk = tuple(_whole_step(whole, eid, u == edge_by_id[eid].v0)
-                     for eid, u in up_a + up_b[::-1])
-        self._walks[key] = walk
+                up_b.append((hops.get(y) or self._hop(y))[1])
+                y = parent[y][1]
+        up_b.reverse()
+        walk = self._walks[key] = tuple(up_a + up_b)
         return walk
 
     def _anchor(self, p: GraphPoint) -> str:

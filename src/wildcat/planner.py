@@ -11,8 +11,11 @@ slots of ``CycleCoords``, and a lifted answer joins the slide, core and
 reverse-slide step lists into one path.  ``verify_plan`` checks
 closedness, nesting, coverage, the exact section property, continuity
 (bounded exactly where two answers share one walk, sampled exactly at 32
-times otherwise) and the well-formedness of every answer path; the product
-filtration combinator witnesses the additivity of category under products.
+times otherwise) and the well-formedness of every answer path, reading
+each answer once: the section compares the end keys the path check
+returns, and a perturbed answer that keeps its partner's middle steps is
+checked at its ends.  The product filtration combinator witnesses the
+additivity of category under products.
 """
 
 import random
@@ -25,7 +28,7 @@ from .graphs import (GraphError, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      PLPath, PathStep, CollapseHomotopy, TreeRouter, betti1,
                      spanning_forest, subgraph, deforest, constant_path,
                      tc_graph, point_dist, vertex_distances,
-                     _ONE, _ZERO, _whole_step)
+                     _ONE, _ZERO, _point_key, _whole_step)
 from .regions import (Region, Box, Shift, RetractPreimage, CellUnion,
                       whole_graph_cells, VertexCell, ClosedEdgeCell,
                       cut_pieces, filtration_witnesses)
@@ -581,9 +584,11 @@ def _walk_bound(path1: PLPath, path2: PLPath):
         return None
     l1, l2 = steps1[-1], steps2[-1]
     # a step of a multi-step path is not degenerate, so _rises is its
-    # direction
-    if n > 1 and (f1.b != f2.b or _rises(f1) != _rises(f2)
-                  or l1.edge != l2.edge or l1.a != l2.a
+    # direction; shared parameters (_ZERO, _ONE, a query's own t) are told
+    # equal by identity before any Fraction is compared
+    if n > 1 and ((f1.b is not f2.b and f1.b != f2.b)
+                  or _rises(f1) != _rises(f2)
+                  or l1.edge != l2.edge or (l1.a is not l2.a and l1.a != l2.a)
                   or _rises(l1) != _rises(l2)
                   or steps1[1:-1] != steps2[1:-1]):
         return None
@@ -603,15 +608,6 @@ def _sampled_sup(g: MultiGraph, path1: PLPath, path2: PLPath, eps: Fraction):
     times = (Fraction(k, TIME_SAMPLES - 1) for k in range(TIME_SAMPLES))
     sup = max(point_dist(g, path1.at(t), path2.at(t)) for t in times)
     return sup if sup > eps else None
-
-
-def _malformed(path: PLPath):
-    """Why ``path`` fails ``PLPath.check``, or None when it passes."""
-    try:
-        path.check()
-    except GraphError as exc:
-        return str(exc)
-    return None
 
 
 def _random_point(rng, g: MultiGraph, denom=4096) -> GraphPoint:
@@ -655,8 +651,10 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         shifted diagonal, else a point of the first failing pair of box
         classes off every diagonal, else the first failing stretch of the
         diagonal walk;
-    (c) the section property holds exactly (rational equality of endpoints)
-        on ``samples`` seeded random queries;
+    (c) the section property holds exactly on ``samples`` seeded random
+        queries: the keys of an answer's two ends, which its path check
+        reads anyway (a vertex's name, or an edge and an exact rational
+        parameter), equal those of the query's points;
     (d) continuity: for perturbed query pairs in the same stratum difference
         and the same separated piece at path-metric distance < delta, the
         uniform distance between the two answer paths is <= eps.  A pair is
@@ -673,7 +671,11 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         queries and to the perturbed ones, passes ``PLPath.check``.  Rules
         build their answers unchecked, so this is where a plan's paths are
         validated; a malformed answer is left out of the section and
-        continuity checks, and its query pair is the witness.
+        continuity checks, and its query pair is the witness.  An answer to
+        a perturbed query whose middle steps equal those of the answer to
+        its sampled query, already checked, is checked at its ends: its
+        first two steps, its last two and its source, in the full check's
+        order, so a fault gives the same witness and detail.
 
     The report is deterministic for fixed inputs and seed.
     """
@@ -724,13 +726,14 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
             nest_sample_witness = nest_sample_witness or _fmt_pair(x, y)
         path = p.rules[j].path_for(x, y)
         answers += 1
-        reason = _malformed(path)
-        if reason is not None:
-            malformed = malformed or (_fmt_pair(x, y), reason)
+        try:
+            start, end = path._end_keys()
+        except GraphError as exc:
+            malformed = malformed or (_fmt_pair(x, y), str(exc))
             continue
         if len(answered) < continuity_samples:
             answered.append((x, y, j, path))
-        if path.endpoint0 != x or path.endpoint1 != y:
+        if start != _point_key(x) or end != _point_key(y):
             if section_witness is None:
                 section_witness = _fmt_pair(x, y)
     checks.append(CheckResult(
@@ -764,9 +767,11 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
             continue
         path2 = rule.path_for(x2, y2)
         answers += 1
-        reason = _malformed(path2)
-        if reason is not None:
-            malformed = malformed or (_fmt_pair(x2, y2), reason)
+        try:
+            # where path2 keeps path1's middle steps, only its ends are read
+            path2._end_keys(path1)
+        except GraphError as exc:
+            malformed = malformed or (_fmt_pair(x2, y2), str(exc))
             continue
         compared += 1
         if cont_witness is not None:

@@ -15,9 +15,17 @@ change from the old code: a vertex sample is tagged None, as in
 import random
 from fractions import Fraction
 
-from wildcat.graphs import EdgeInterior, PLPath, Vertex, vertex_distances
-from wildcat.planner import (CheckResult, TIME_SAMPLES, _fmt_pair, _malformed,
-                             _random_point)
+from wildcat.graphs import EdgeInterior, GraphError, PLPath, Vertex, vertex_distances
+from wildcat.planner import CheckResult, TIME_SAMPLES, _fmt_pair, _random_point
+
+
+def _malformed(path: PLPath):
+    """Why ``path`` fails ``PLPath.check``, or None when it passes."""
+    try:
+        path.check()
+    except GraphError as exc:
+        return str(exc)
+    return None
 
 
 def nudge(rng, p, max_shift):
