@@ -77,8 +77,26 @@ class Vertex:
     v: str
 
 
+# The trusted builders of ``EdgeInterior`` and ``PathStep`` set each field
+# with ``object.__setattr__``, as the dataclass constructor does, so an
+# instance keeps its attributes in the compact per-class layout.  Filling
+# ``__dict__`` with one ``update`` is about 20% faster, but it makes each
+# instance a real dict: 248 bytes per ``PathStep`` against 104 (CPython 3.11,
+# measured with tracemalloc).
+_new = object.__new__
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class EdgeInterior:
+    """A point inside an edge, at parameter 0 < t < 1.
+
+    The public constructor coerces t to a Fraction and checks that it lies
+    strictly between 0 and 1.  ``_trusted`` takes a Fraction its caller has
+    already proven in that range, unchecked: the planner's random, nudged
+    and cycle points.
+    """
+
     edge: str
     t: Fraction
 
@@ -88,6 +106,13 @@ class EdgeInterior:
         # a Fraction's denominator is positive, so this is 0 < t < 1 in ints
         if not 0 < t.numerator < t.denominator:
             raise GraphError(f"interior parameter must lie strictly in (0,1), got {t}")
+
+    @classmethod
+    def _trusted(cls, edge: str, t: Fraction) -> "EdgeInterior":
+        p = _new(cls)
+        _set(p, "edge", edge)
+        _set(p, "t", t)
+        return p
 
 
 GraphPoint = Vertex | EdgeInterior
@@ -188,7 +213,9 @@ class MultiGraph:
     by +10% and +16% in two pairs of runs; a property adds about 70 ns to
     each read.  A caller that reads only the names and records of a graph
     it has proven valid, such as ``wildcat truncate``'s printer, keeps them
-    as ``GraphRecords`` and builds no graph.
+    as ``GraphRecords`` and builds no graph.  ``deforest`` builds its core
+    with ``_trusted`` from its input's names and records the core's one
+    component, so the core runs no union-find.
     """
 
     __slots__ = ("vertices", "edges", "edge_by_id", "degree",
@@ -253,13 +280,21 @@ class MultiGraph:
         are numbered in the sorted order of their roots."""
         vs = self.vertices
         parent = dict(zip(vs, vs))
+        # a vertex's parent is most often a root: _find runs only from a
+        # parent that is not
         for _, a, b in self.edges:
-            a, b = _find(parent, a), _find(parent, b)
+            a = parent[a]
+            if parent[a] != a:
+                a = _find(parent, a)
+            b = parent[b]
+            if parent[b] != b:
+                b = _find(parent, b)
             if a < b:
                 parent[b] = a
             elif b < a:
                 parent[a] = b
-        roots = [_find(parent, v) for v in vs]
+        roots = [r if parent[r] == r else _find(parent, r)
+                 for r in map(parent.__getitem__, vs)]
         number = {r: i for i, r in enumerate(sorted(set(roots)))}
         self._component_of = dict(zip(vs, map(number.__getitem__, roots)))
         self._n_components = len(number)
@@ -375,22 +410,32 @@ class CollapseHomotopy:
 
     Recorded as an ordered sequence of elementary free-edge collapses, each
     removing an edge with a degree-1 endpoint and retaining the other
-    endpoint.  ``retract`` gives the induced retraction r, one shared
-    ``Vertex`` per image vertex, made on first use, and ``slide`` the path
-    D(x, .) from a point to r(x).  Every vertex outside the core is freed by
-    exactly one collapse, so the collapses form a forest hanging off the
-    core, and each freed vertex points along its collapsed edge to the
-    vertex it was collapsed onto.  Slides share their whole-edge steps: one
-    ``PathStep`` per collapsed edge and direction, made the first time a
-    slide crosses that edge that way.
+    endpoint.  Every vertex outside the core is freed by exactly one
+    collapse, so the collapses form a forest hanging off the core.  Two
+    tables hold it: ``_down`` maps each freed vertex to (its collapsed
+    edge, whether a slide crosses that edge from v0 to v1, the vertex it
+    was collapsed onto), and ``_kept_of`` maps each collapsed edge to its
+    kept end, in collapse order.
+
+    The public constructor checks the ``Collapse`` records it is given and
+    builds both tables from them.  ``deforest`` builds them while it peels
+    and hands them to ``_trusted``, unchecked, so ``collapses`` makes its
+    records from ``_kept_of`` on first read.  ``retract`` gives the induced
+    retraction r: the first time a vertex is retracted, ``_down`` is
+    followed from it to the core and the image kept, one shared ``Vertex``
+    per image vertex.  ``slide`` gives the path D(x, .) from a point to
+    r(x).  Slides share their whole-edge steps: one ``PathStep`` per
+    collapsed edge and direction, made the first time a slide crosses that
+    edge that way.
     """
 
-    __slots__ = ("graph", "core", "collapses", "_final", "_kept_of", "_down",
-                 "_whole", "_images")
+    __slots__ = ("graph", "core", "_collapses", "_kept_of", "_down", "_whole",
+                 "_images")
 
     def __init__(self, graph: MultiGraph, core: MultiGraph, collapses):
         collapses = tuple(collapses)
-        final = {v: v for v in core.vertices}
+        # the core and the vertices freed by later collapses
+        settled = set(core.vertices)
         down = {}
         for c in reversed(collapses):
             e = graph.edge_by_id.get(c.edge)
@@ -400,23 +445,56 @@ class CollapseHomotopy:
                 raise GraphError(f"loop edge {c.edge!r} cannot be collapsed")
             if c.kept not in (e.v0, e.v1):
                 raise GraphError(f"{c.kept!r} is not an endpoint of {c.edge!r}")
-            if c.kept not in final:
+            if c.kept not in settled:
                 raise GraphError(f"collapse order broken at edge {c.edge!r}")
             free = e.other(c.kept)
-            if free in final:
+            if free in settled:
                 raise GraphError(f"collapse of edge {c.edge!r} frees {free!r}, "
                                  "which is in the core or freed by a later collapse")
-            final[free] = final[c.kept]
-            # (edge, whether the slide crosses it from v0 to v1, kept vertex)
+            settled.add(free)
             down[free] = (c.edge, c.kept == e.v1, c.kept)
+        self._tables(graph, core, {c.edge: c.kept for c in collapses}, down,
+                     collapses)
+
+    @classmethod
+    def _trusted(cls, graph: MultiGraph, core: MultiGraph, kept_of: dict,
+                 down: dict) -> "CollapseHomotopy":
+        """A homotopy from tables a peel has proven valid, unchecked."""
+        h = cls.__new__(cls)
+        h._tables(graph, core, kept_of, down, None)
+        return h
+
+    def _tables(self, graph, core, kept_of, down, collapses):
         self.graph = graph
         self.core = core
-        self.collapses = collapses
-        self._final = final
-        self._kept_of = {c.edge: c.kept for c in collapses}
+        self._collapses = collapses
+        self._kept_of = kept_of
         self._down = down
         self._whole = {}
         self._images = {}
+
+    @property
+    def collapses(self) -> tuple:
+        """The ``Collapse`` records in collapse order."""
+        if self._collapses is None:
+            self._collapses = tuple([Collapse(e, v) for e, v in self._kept_of.items()])
+        return self._collapses
+
+    def _image(self, v: str) -> Vertex:
+        """retract(v) for a vertex v, found by following ``_down`` to the
+        core and kept for v and for its image."""
+        images = self._images
+        down = self._down
+        w = v
+        while w in down:
+            w = down[w][2]
+        image = images.get(w)
+        if image is None:
+            if w not in self.core.degree:
+                raise GraphError(f"vertex {v!r} outside graph and core")
+            image = images[w] = Vertex(w)
+        images[v] = image
+        return image
 
     def retract(self, p: GraphPoint) -> GraphPoint:
         if isinstance(p, Vertex):
@@ -428,9 +506,7 @@ class CollapseHomotopy:
             if v is None:
                 raise GraphError(f"point on edge {p.edge!r} outside graph and core")
         image = self._images.get(v)
-        if image is None:
-            image = self._images[v] = Vertex(self._final[v])
-        return image
+        return image if image is not None else self._image(v)
 
     def _walk(self, p: GraphPoint, back: bool):
         """Steps of the slide from p (of its reverse when ``back``) and
@@ -444,8 +520,8 @@ class CollapseHomotopy:
             v = self._kept_of.get(p.edge)
             if v is not None:
                 kp = _ZERO if v == self.graph.edge_by_id[p.edge].v0 else _ONE
-                steps.append(PathStep(p.edge, kp, p.t) if back
-                             else PathStep(p.edge, p.t, kp))
+                steps.append(PathStep._trusted(p.edge, kp, p.t) if back
+                             else PathStep._trusted(p.edge, p.t, kp))
         while v in down:
             edge, forward, v = down[v]
             steps.append(_whole_step(whole, edge, forward != back))
@@ -455,7 +531,8 @@ class CollapseHomotopy:
             return steps, p
         if back:
             steps.reverse()
-        return steps, Vertex(v)
+        image = self._images.get(v)
+        return steps, image if image is not None else self._image(v)
 
     def slide(self, p: GraphPoint) -> "PLPath":
         """Path from p to retract(p), the same steps as following the
@@ -483,16 +560,23 @@ def deforest(g: MultiGraph):
     keeps the XOR of the indices of its live edge ends.  A loop's two ends
     cancel, so at a vertex of degree 1 the XOR is the index of its one live
     edge, and collapsing that edge XORs it out of the kept end.
+
+    The peel fills the homotopy's own tables as it collapses (``_down`` for
+    the freed vertex, ``_kept_of`` for the edge), so the homotopy is built
+    by ``CollapseHomotopy._trusted`` and makes no ``Collapse`` record until
+    ``collapses`` is read.  The core is built by ``MultiGraph._trusted``
+    from g's checked names, with its one component recorded: g is
+    connected, and collapsing a free edge keeps a graph connected.
     """
     _require_connected(g, "deforest")
     edges = g.edges
     degree = dict(g.degree)
     ends = dict.fromkeys(degree, 0)
-    for i, e in enumerate(edges):
-        ends[e.v0] ^= i
-        ends[e.v1] ^= i
-    removed = set()
-    collapses = []
+    for i, (_, v0, v1) in enumerate(edges):
+        ends[v0] ^= i
+        ends[v1] ^= i
+    down = {}
+    kept_of = {}
     leaves = [v for v, d in degree.items() if d == 1]
     heapq.heapify(leaves)
     while leaves:
@@ -502,26 +586,36 @@ def deforest(g: MultiGraph):
         if degree[v] != 1:
             continue
         i = ends[v]
-        e = edges[i]
-        kept = e.other(v)
-        collapses.append(Collapse(e.id, kept))
+        eid, v0, v1 = edges[i]
+        # a loop adds 2 to a degree, so v's one live edge is no loop, and
+        # the slide from v crosses it from v0 to v1 exactly when v is v0
+        forward = v == v0
+        kept = v1 if forward else v0
+        down[v] = (eid, forward, kept)
+        kept_of[eid] = kept
         ends[kept] ^= i
-        degree[v] -= 1
+        degree[v] = 0
         degree[kept] -= 1
-        removed.add(v)
         if degree[kept] == 1:
             heapq.heappush(leaves, kept)
-    core_vertices = [v for v in g.vertices if v not in removed]
-    if not core_vertices:
-        core_vertices = [g.vertices[0]]
-    collapsed = {c.edge for c in collapses}
-    core = subgraph(g, [e.id for e in edges if e.id not in collapsed],
-                    core_vertices)
-    return core, CollapseHomotopy(g, core, collapses)
+    core = MultiGraph._trusted([v for v in g.vertices if v not in down],
+                               [e for e in edges if e.id not in kept_of])
+    core._component_of = dict.fromkeys(core.vertices, 0)
+    core._n_components = 1
+    return core, CollapseHomotopy._trusted(g, core, kept_of, down)
 
 
 @dataclass(frozen=True)
 class PathStep:
+    """One monotone piece of a path: along ``edge`` from parameter a to b.
+
+    The public constructor coerces a and b to Fractions and checks that
+    both lie in [0, 1].  ``_trusted`` takes Fractions its caller has
+    already proven in range, unchecked: an edge end (``_ZERO`` or ``_ONE``)
+    or the parameter of a point inside the edge.  Routers, slides and rules
+    build their steps with it.
+    """
+
     edge: str
     a: Fraction
     b: Fraction
@@ -535,6 +629,14 @@ class PathStep:
         if not (0 <= a.numerator <= a.denominator
                 and 0 <= b.numerator <= b.denominator):
             raise GraphError(f"step parameters must lie in [0,1], got {a}..{b}")
+
+    @classmethod
+    def _trusted(cls, edge: str, a: Fraction, b: Fraction) -> "PathStep":
+        s = _new(cls)
+        _set(s, "edge", edge)
+        _set(s, "a", a)
+        _set(s, "b", b)
+        return s
 
 
 def _point_key(p: GraphPoint):
@@ -583,8 +685,8 @@ def _whole_step(memo: dict, edge: str, forward: bool) -> PathStep:
     key = (edge, forward)
     step = memo.get(key)
     if step is None:
-        step = memo[key] = (PathStep(edge, _ZERO, _ONE) if forward
-                            else PathStep(edge, _ONE, _ZERO))
+        step = memo[key] = (PathStep._trusted(edge, _ZERO, _ONE) if forward
+                            else PathStep._trusted(edge, _ONE, _ZERO))
     return step
 
 
@@ -642,7 +744,7 @@ class PLPath:
         self._end_keys()
         return self
 
-    def _end_keys(self, partner: "PLPath" = None) -> tuple:
+    def _end_keys(self, partner: "PLPath" = None, same_middle: bool = None) -> tuple:
         """Check the path as ``check`` does and return ``_point_key`` of its
         start and of its end.
 
@@ -651,7 +753,9 @@ class PLPath:
         equal this path's, those steps and the junctions between them are
         known good, so only the first two steps, the last two and the
         source are read, in the full check's order: a fault gives the error
-        the full check gives.
+        the full check gives.  ``same_middle`` is whether the middle steps
+        are equal, for a caller that has compared them already; when it is
+        None they are compared here.
         """
         steps = self.steps
         graph = self.graph
@@ -665,8 +769,9 @@ class PLPath:
             return key, key
         n = len(steps)
         edge_by_id = graph.edge_by_id
-        if partner is not None and n > 2 and partner.graph is graph \
-                and steps[1:-1] == partner.steps[1:-1]:
+        if partner is not None and n > 2 and partner.graph is graph and (
+                steps[1:-1] == partner.steps[1:-1] if same_middle is None
+                else same_middle):
             first = _step_keys(edge_by_id, steps[:2], True)[0]
             last = _step_keys(edge_by_id, steps[-2:], True)[1]
         else:
@@ -736,9 +841,16 @@ class PLPath:
 
 
 def constant_path(g: MultiGraph, p: GraphPoint) -> PLPath:
+    """The constant path at p, checked: p must be a point of g."""
+    return _constant_path(g, p).check()
+
+
+def _constant_path(g: MultiGraph, p: GraphPoint) -> PLPath:
+    """The constant path at a point of g, unchecked: a rule's constant
+    answer, which ``execute`` and ``verify_plan`` check."""
     if isinstance(p, EdgeInterior):
-        return PLPath(g, (PathStep(p.edge, p.t, p.t),), source=p)
-    return PLPath(g, (), source=p)
+        return PLPath._trusted(g, (PathStep._trusted(p.edge, p.t, p.t),), p)
+    return PLPath._trusted(g, (), p)
 
 
 class TreeRouter:
@@ -791,8 +903,8 @@ class TreeRouter:
         """Make and keep v's hops: the steps from v up to its parent and
         from the parent down to v."""
         eid = self._parent[v][0]
-        up = PathStep(eid, _ZERO, _ONE)
-        down = PathStep(eid, _ONE, _ZERO)
+        up = PathStep._trusted(eid, _ZERO, _ONE)
+        down = PathStep._trusted(eid, _ONE, _ZERO)
         # a forest edge is no loop, so v is exactly one of its ends
         hop = self._hops[v] = ((up, down) if v == self.forest.edge_by_id[eid].v0
                                else (down, up))
@@ -849,22 +961,22 @@ class TreeRouter:
         if isinstance(p, EdgeInterior) and isinstance(q, EdgeInterior) \
                 and p.edge == q.edge:
             # both anchors are v0 of the same edge, so the walk is empty
-            return [] if p.t == q.t else [PathStep(p.edge, p.t, q.t)]
+            return [] if p.t == q.t else [PathStep._trusted(p.edge, p.t, q.t)]
         walk = self._vertex_walk(a, b)
         lo, hi = 0, len(walk)
         head = tail = None
         if isinstance(p, EdgeInterior):
             if walk and walk[0].edge == p.edge:
-                head = PathStep(p.edge, p.t, _ONE)
+                head = PathStep._trusted(p.edge, p.t, _ONE)
                 lo = 1
             else:
-                head = PathStep(p.edge, p.t, _ZERO)
+                head = PathStep._trusted(p.edge, p.t, _ZERO)
         if isinstance(q, EdgeInterior):
             if hi > lo and walk[hi - 1].edge == q.edge:
-                tail = PathStep(q.edge, _ONE, q.t)
+                tail = PathStep._trusted(q.edge, _ONE, q.t)
                 hi -= 1
             else:
-                tail = PathStep(q.edge, _ZERO, q.t)
+                tail = PathStep._trusted(q.edge, _ZERO, q.t)
         out = [head] if head is not None else []
         out.extend(walk[lo:hi])
         if tail is not None:
@@ -875,7 +987,7 @@ class TreeRouter:
         g = into if into is not None else self.forest
         steps = self.route_steps(p, q)
         if not steps:
-            return constant_path(g, p)
+            return _constant_path(g, p)
         return PLPath._trusted(g, steps, p)
 
 

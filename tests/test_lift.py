@@ -2,21 +2,30 @@
 ordered-scan reference in ``graph_reference``.
 
 The heap-driven ``deforest`` must collapse the same edges in the same order,
-and the pointer-walk ``slide`` must take the same steps, as the reference
-that re-sorts the leaves before every collapse and scans every collapse on
-every slide.  The lifted plan's answers are compared with answers assembled
-from the reference slides and the circle plan on the core.
+and the pointer-walk ``slide`` and ``retract`` must take the same steps and
+reach the same point, as the reference that re-sorts the leaves before every
+collapse and scans every collapse on every slide.  ``deforest`` builds its
+homotopy and core unchecked, from the tables its peel fills; both must
+equal what the checking constructors build from the same records, and two
+source mutants (a flipped direction bit in the peel, a retraction one hop
+short) are the negative controls.  The lifted plan's answers are compared
+with answers assembled from the reference slides and the circle plan on the
+core, and a cost guard counts what ``wildcat plan``'s path builds.
 """
 
+import inspect
 import random
+import textwrap
 
 import pytest
 
 import graph_reference as ref
 import path_reference
-from gen import (random_connected_graph, random_cycle_with_hairs, random_point,
-                 random_tree)
-from wildcat.graphs import EdgeInterior, PLPath, Vertex, deforest
+from gen import (GRAPH_FIXTURES, random_connected_graph, random_cycle_with_hairs,
+                 random_point, random_tree)
+from wildcat import graphs, planner
+from wildcat.graphs import (Collapse, CollapseHomotopy, EdgeInterior, MultiGraph,
+                            PLPath, Vertex, build_graph)
 from wildcat.planner import execute, plan_circle, plan_graph
 
 
@@ -32,15 +41,23 @@ def _sample_points(rng, g, n_edge_points):
 
 
 def _assert_deforest_matches(rng, g, n_edge_points=20):
-    core, h = deforest(g)
+    core, h = graphs.deforest(g)
     ref_core, ref_collapses = ref.deforest_collapses(g)
     assert core == ref_core
     assert h.collapses == ref_collapses
+    # the unchecked tables equal those the checking constructors build
+    checked = CollapseHomotopy(g, core, h.collapses)
+    assert h._down == checked._down
+    assert list(h._kept_of.items()) == list(checked._kept_of.items())
+    built = MultiGraph(core.vertices, core.edges)
+    assert core.n_components == built.n_components == 1
+    assert core.component_of == built.component_of
     for p in _sample_points(rng, g, n_edge_points):
         got = h.slide(p)
         want = ref.slide(g, ref_collapses, p)
-        assert got.steps == want.steps
+        assert got.steps == want.steps == checked.slide(p).steps
         assert got.source == want.source == p
+        assert h.retract(p) == checked.retract(p) == want.endpoint1
 
 
 def _reference_answer(g, circle, collapses, x, y):
@@ -54,7 +71,7 @@ def _reference_answer(g, circle, collapses, x, y):
 
 
 def _assert_lifted_answers_match(rng, g, n_queries):
-    core, h = deforest(g)
+    core, h = graphs.deforest(g)
     plan = plan_graph(g)
     circle = plan_circle(core)
     for _ in range(n_queries):
@@ -65,6 +82,65 @@ def _assert_lifted_answers_match(rng, g, n_queries):
         assert path.steps == want.steps
         assert path.source == want.source == x
         assert path.endpoint1 == y
+
+
+# trees, loops, parallel edges, a cycle with parallel hairs, and graphs with
+# no free edge, whose homotopy is the identity
+_SHAPES = dict(
+    {name: make() for name, make in GRAPH_FIXTURES.items()},
+    loop=build_graph(["a"], [("l", "a", "a")]),
+    loop_with_hairs=build_graph(
+        ["a", "b", "c", "d"],
+        [("l", "a", "a"), ("h0", "b", "a"), ("h1", "b", "c"), ("h2", "d", "b")]),
+    parallel_with_hairs=build_graph(
+        ["x", "a", "b", "t"],
+        [("p1", "a", "b"), ("p0", "b", "a"), ("h", "t", "b"), ("k", "x", "t"),
+         ("m", "a", "t")]),
+    parallel_pair=build_graph(["a", "b"], [("e1", "a", "b"), ("e0", "b", "a")]),
+    star=build_graph(["c", "z", "y", "x"],
+                     [("e2", "c", "x"), ("e1", "y", "c"), ("e0", "c", "z")]))
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPES))
+def test_deforest_matches_reference_small_shapes(name):
+    g = _SHAPES[name]
+    _assert_deforest_matches(random.Random(5100), g)
+    if name in ("figure_eight", "theta", "k4", "c3", "loop", "parallel_pair"):
+        assert graphs.deforest(g)[1].collapses == ()
+
+
+def _mutant(monkeypatch, owner, name, *edits):
+    """Replace ``owner.name`` by a copy of its source with each ``(old,
+    new)`` edit made, run in the namespace of ``wildcat.graphs``."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(graphs))
+    exec(compile(source, f"<mutant of {name}>", "exec"), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+_HOMOTOPY_MUTANTS = {
+    "flipped-direction-bit": (
+        graphs, "deforest",
+        ("down[v] = (eid, forward, kept)", "down[v] = (eid, not forward, kept)")),
+    # without its check that the image is a core vertex, so that only the
+    # comparison with the reference can see the wrong image
+    "retract-one-hop-short": (
+        CollapseHomotopy, "_image",
+        ("while w in down:", "while w in down and down[w][2] in down:"),
+        ("if w not in self.core.degree:", "if False:")),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_HOMOTOPY_MUTANTS))
+def test_deforest_differential_catches_mutant(monkeypatch, mutant):
+    _mutant(monkeypatch, *_HOMOTOPY_MUTANTS[mutant])
+    rng = random.Random(5108)
+    with pytest.raises(AssertionError):
+        for _ in range(50):
+            _assert_deforest_matches(rng, random_cycle_with_hairs(rng, 3, 12))
 
 
 def test_deforest_matches_reference_random_connected():
@@ -116,3 +192,44 @@ def test_lifted_answers_match_reference_benchmark_sizes(cycle_len, n_hairs):
     rng = random.Random(5107 + n_hairs)
     g = random_cycle_with_hairs(rng, cycle_len, n_hairs)
     _assert_lifted_answers_match(rng, g, 100)
+
+
+# --- cost of ``wildcat plan`` -------------------------------------------------
+
+def _plan_cost(monkeypatch):
+    """``plan_graph`` and one ``execute`` on a 160-cycle with 1440 hairs, the
+    benchmark's ``wildcat plan`` graph: the ``Collapse`` records, checked
+    homotopies and checked graphs they build, and the homotopy's
+    ``collapses`` read afterwards, with the reference collapses."""
+    rng = random.Random(5109)
+    g = random_cycle_with_hairs(rng, 160, 1440)
+    x, y = random_point(rng, g), random_point(rng, g)
+    counts = {"Collapse": 0, "CollapseHomotopy": 0, "MultiGraph": 0}
+    for cls in (Collapse, CollapseHomotopy, MultiGraph):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    plan = plan_graph(g)
+    execute(plan, x, y)
+    built = dict(counts)
+    return built, plan.rules[0].homotopy.collapses, ref.deforest_collapses(g)[1]
+
+
+def test_lifted_plan_builds_no_collapse_records_and_no_checked_tables(monkeypatch):
+    built, collapses, want = _plan_cost(monkeypatch)
+    assert built == {"Collapse": 0, "CollapseHomotopy": 0, "MultiGraph": 0}
+    assert collapses == want and len(want) == 1440
+
+
+def test_plan_cost_guard_catches_a_lift_that_reads_the_records(monkeypatch):
+    lift_plan = planner.lift_plan
+
+    def reading(p, h):
+        h.collapses
+        return lift_plan(p, h)
+
+    monkeypatch.setattr(planner, "lift_plan", reading)
+    built, collapses, want = _plan_cost(monkeypatch)
+    assert built["Collapse"] == 1440
+    assert collapses == want

@@ -7,7 +7,9 @@ same steps, lengths and positions as the reference, which builds every step
 afresh and validates every intermediate path.
 """
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,9 @@ import pytest
 import path_reference as ref
 from gen import (random_connected_graph, random_cycle_with_hairs, random_point,
                  random_tree)
-from wildcat.graphs import (EdgeInterior, GraphError, PLPath, TreeRouter, Vertex,
-                            build_graph, point_dist, subgraph, spanning_forest)
+from wildcat.graphs import (EdgeInterior, GraphError, PathStep, PLPath, TreeRouter,
+                            Vertex, build_graph, point_dist, subgraph,
+                            spanning_forest, _ONE, _ZERO)
 from wildcat.planner import (CycleCoords, EdgeEvacuateRule, LiftedRule, TreeRule, execute,
                              plan_circle, plan_graph)
 
@@ -340,3 +343,48 @@ def test_no_answer_is_shorter_than_point_dist():
                      ("EdgeEvacuateRule", None, 2), ("LiftedRule", "CycleRotateRule", 0),
                      ("LiftedRule", "CycleGeodesicRule", 1), ("CycleRotateRule", None, 0),
                      ("CycleGeodesicRule", None, 1)}
+
+
+# --- trusted builders -------------------------------------------------------------
+
+def test_trusted_values_equal_public_ones():
+    t = Fraction(3, 7)
+    for trusted, public in ((PathStep._trusted("e", t, _ONE), PathStep("e", t, 1)),
+                            (EdgeInterior._trusted("e", t), EdgeInterior("e", t))):
+        assert trusted == public and hash(trusted) == hash(public)
+        assert repr(trusted) == repr(public)
+
+
+def _steps_bytes(build, n=10_000):
+    """Bytes held by n steps from ``build``, measured with tracemalloc: the
+    smaller of two measurements, after one to warm up."""
+    sizes = []
+    for _ in range(3):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            steps = [build("e", _ZERO, _ONE) for _ in range(n)]
+            sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del steps
+    return min(sizes[1:])
+
+
+def _no_more_memory_than_public(build) -> bool:
+    return _steps_bytes(build) <= _steps_bytes(PathStep)
+
+
+def test_trusted_steps_take_no_more_memory_than_public_ones():
+    assert _no_more_memory_than_public(PathStep._trusted)
+
+
+def test_memory_guard_catches_steps_built_with_a_dict():
+    # filling __dict__ in one update is faster, but gives each step a dict
+    def with_dict(edge, a, b):
+        s = object.__new__(PathStep)
+        s.__dict__.update(edge=edge, a=a, b=b)
+        return s
+
+    assert with_dict("e", _ZERO, _ONE) == PathStep("e", 0, 1)
+    assert not _no_more_memory_than_public(with_dict)

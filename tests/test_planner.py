@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from wildcat.graphs import (GraphError, Vertex, EdgeInterior, PathStep, PLPath,
-                            betti1, build_graph, deforest, spanning_forest,
-                            tc_graph)
+from wildcat.graphs import (CollapseHomotopy, GraphError, Vertex, EdgeInterior,
+                            PathStep, PLPath, betti1, build_graph, deforest,
+                            spanning_forest, tc_graph)
 from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
                              plan_graph, lift_plan, execute, cat_filtration,
                              product_cat_filtration,
@@ -402,33 +402,66 @@ def test_execute_rejects_a_malformed_answer():
     assert len(execute(plan_graph(g), x, y)[1].steps) == 4
 
 
-def test_repeated_lifted_queries_share_whole_edge_steps(monkeypatch):
+def _lifted_step_counts(monkeypatch):
+    """A long query on a cycle with hairs, repeated with nearby points, and
+    the steps built for it, counted at both ``PathStep`` constructors
+    (public and trusted): ``(steps built by a new plan, its answer's step
+    count, steps built by the plan that answered the first query, whether
+    both answers are equal)``."""
     rng = random.Random(4160)
     g = random_cycle_with_hairs(rng, 160, 1440)
     hairs = [e.id for e in g.edges if e.id.startswith("h")]
     plan = plan_graph(g)
-    # a long answer: two hair points, their answer crossing many cycle edges
+    slide = deforest(g)[1].slide
+    # a long answer: two hair points, each sliding over at least two whole
+    # hair edges, their answer crossing many cycle edges
     x, y, path = None, None, None
-    while path is None or len(path.steps) < 60:
+    while path is None or len(path.steps) < 60 \
+            or min(len(slide(x).steps), len(slide(y).steps)) < 3:
         x = EdgeInterior(rng.choice(hairs), Fraction(1, 3))
         y = EdgeInterior(rng.choice(hairs), Fraction(2, 3))
         path = execute(plan, x, y)[1]
     x2 = EdgeInterior(x.edge, Fraction(3, 7))
     y2 = EdgeInterior(y.edge, Fraction(5, 7))
     built = [0]
-    original = PathStep.__post_init__
+    checked, trusted = PathStep.__post_init__, PathStep._trusted
 
-    def counting(step):
+    def counting_checked(step):
         built[0] += 1
-        original(step)
+        checked(step)
 
-    monkeypatch.setattr(PathStep, "__post_init__", counting)
+    def counting_trusted(cls, edge, a, b):
+        built[0] += 1
+        return trusted(edge, a, b)
+
+    monkeypatch.setattr(PathStep, "__post_init__", counting_checked)
+    monkeypatch.setattr(PathStep, "_trusted", classmethod(counting_trusted))
     fresh = execute(plan_graph(g), x2, y2)[1]
-    assert built[0] >= len(fresh.steps)   # a new plan makes every step
+    first = built[0]
     built[0] = 0
     again = execute(plan, x2, y2)[1]
-    assert built[0] <= 4                  # only its partial end steps
-    assert again.steps == fresh.steps and len(again.steps) >= 60
+    return first, len(fresh.steps), built[0], again.steps == fresh.steps
+
+
+def test_repeated_lifted_queries_share_whole_edge_steps(monkeypatch):
+    first, n_steps, again, same = _lifted_step_counts(monkeypatch)
+    assert first >= n_steps >= 60         # a new plan makes every step
+    assert again <= 4                     # only its partial end steps
+    assert same
+
+
+def test_step_count_guard_catches_slides_built_fresh(monkeypatch):
+    # a slide that builds its whole-edge steps anew on every call
+    walk = CollapseHomotopy._walk
+
+    def fresh_walk(self, p, back):
+        self._whole = {}
+        return walk(self, p, back)
+
+    monkeypatch.setattr(CollapseHomotopy, "_walk", fresh_walk)
+    first, n_steps, again, same = _lifted_step_counts(monkeypatch)
+    assert first >= n_steps and same
+    assert again > 4
 
 
 def _benchmark_patch_targets():
