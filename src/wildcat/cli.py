@@ -3,13 +3,15 @@
 Subcommands: ``info``, ``plan``, ``verify``, ``certify``, ``truncate``,
 ``cuplength``.  Machine-readable output goes to stdout as one JSON document
 per invocation with a fixed, order-stable key set; a human-readable summary
-goes to stderr.  Exit status: 0 success, 2 parse/usage error, 3 unstable
-expression, 4 infinite rank, 5 verification failure.
+goes to stderr.  Exit status: 0 success, 2 parse/usage or output error, 3
+unstable expression, 4 infinite rank, 5 verification failure.
 """
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -51,6 +53,19 @@ def _save(path: str, text: str):
         raise ParseError(f"cannot write {path}: {exc.strerror}")
 
 
+def _write_stdout(text: str):
+    """Write and flush ``text``: a write error exits 2 here, not at exit."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what is left in the buffer goes to the null device, so the flush at
+        # exit passes; a stdout with no descriptor, such as a StringIO, has none
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ParseError(f"cannot write standard output: {exc.strerror}")
+
+
 def _num(value):
     return "inf" if value is INF else value
 
@@ -72,7 +87,7 @@ def _report(analysis):
 
 
 def _emit(doc, summary):
-    sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    _write_stdout(json.dumps(doc, separators=(",", ":")) + "\n")
     if summary:
         sys.stderr.write(summary + "\n")
 
@@ -190,7 +205,7 @@ def cmd_truncate(args) -> int:
     if args.output:
         _save(args.output, text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     sys.stderr.write(f"truncated at depth {args.depth}: "
                      f"{len(records.vertices)} vertices, {len(records.edges)} edges, "
                      f"betti1 {truncation_betti1(analysis, args.depth)}\n")

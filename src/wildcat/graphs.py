@@ -205,17 +205,14 @@ class MultiGraph:
     ``point_dist`` runs a bounded BFS per query.
 
     ``edge_by_id`` and ``degree`` stay eager, since the hot paths read them
-    often.  Building them on first read was measured two ways on CPython
-    3.11, and both slow those reads: a class-level ``__getattr__`` makes
-    every attribute read on the class about 3x slower (27 against 85 ns
-    for two reads, as ``LOAD_ATTR`` can no longer be specialised), which
-    moved verify-graph's benchmark round by +2.7% and +8.6% and its set-up
-    by +10% and +16% in two pairs of runs; a property adds about 70 ns to
-    each read.  A caller that reads only the names and records of a graph
-    it has proven valid, such as ``wildcat truncate``'s printer, keeps them
-    as ``GraphRecords`` and builds no graph.  ``deforest`` builds its core
-    with ``_trusted`` from its input's names and records the core's one
-    component, so the core runs no union-find.
+    often and building them on first read slows every read: a class-level
+    ``__getattr__`` keeps CPython from specialising attribute reads on the
+    class, and a property adds a call to each read.  A caller that reads
+    only the names and records of a graph it has proven valid, such as
+    ``wildcat truncate``'s printer, keeps them as ``GraphRecords`` and
+    builds no graph.  ``deforest`` builds its core with ``_trusted`` from
+    its input's names and records the core's one component, so the core
+    runs no union-find.
     """
 
     __slots__ = ("vertices", "edges", "edge_by_id", "degree",

@@ -646,14 +646,14 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
     """Check a motion plan against its contracts.
 
     (a) every stratum is closed (read from the region descriptors);
-    (b) strata are nested and cover G x G, checked on the sampled queries
-        and decided exactly on all of G x G (``filtration_witnesses``): box
-        strata on pairs of pieces of G cut at every sub-arc end, shifted
-        diagonals by one walk round their cycle.  A failure is reported at
-        the decision's own witness: a failing pair of pieces wholly on a
+    (b) strata are nested and cover G x G, decided exactly on all of G x G
+        once (``filtration_witnesses``), with no sampling: box strata on
+        pairs of pieces of G cut at every sub-arc end, shifted diagonals by
+        one walk round their cycle.  A failure is reported at the
+        decision's own witness: a failing pair of pieces wholly on a
         shifted diagonal, else a point of the first failing pair of box
         classes off every diagonal, else the first failing stretch of the
-        diagonal walk;
+        diagonal walk.  Later checks skip queries outside the top stratum;
     (c) the section property holds exactly on ``samples`` seeded random
         queries: the keys of an answer's two ends, which its path check
         reads anyway (a vertex's name, or an edge and an exact rational
@@ -695,22 +695,18 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
 
     cover_witness, nest_witness = (
         w and _fmt_pair(*w) for w in filtration_witnesses(p.strata, g))
-    # the V + 3E grid (each vertex, 3 points per edge) this line has printed
-    # since coverage became exact; the decision itself reads no grid
-    n_probes = len(g.vertices) + 3 * len(g.edges)
     checks.append(CheckResult(
         "coverage-cells", cover_witness is None,
-        f"all ({n_probes} x {n_probes}) cell representatives covered"
+        "every pair of G x G in the top stratum, decided exactly"
         if cover_witness is None else "cell pair escapes the top stratum",
         cover_witness))
     checks.append(CheckResult(
         "nesting-cells", nest_witness is None,
-        "stratum membership monotone on cell representatives"
+        "stratum membership monotone on all of G x G, decided exactly"
         if nest_witness is None else "nesting violated",
         nest_witness))
 
     section_witness = None
-    nest_sample_witness = None
     malformed = None  # (query pair, reason) of the first malformed answer
     answers = 0
     queries = []
@@ -719,14 +715,14 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         y = _random_point(rng, g)
         queries.append((x, y))
     answered = []
+    top = len(p.strata) - 1
     for x, y in queries:
-        member = [f.contains(x, y) for f in p.strata]
-        if not member[-1]:
-            nest_sample_witness = nest_sample_witness or _fmt_pair(x, y)
-            continue
-        j = member.index(True)
-        if not all(member[j:]):
-            nest_sample_witness = nest_sample_witness or _fmt_pair(x, y)
+        try:
+            j = p.stratum_index(x, y)
+        except PlanError:
+            continue  # outside every stratum: coverage-cells fails
+        if j < top and not p.strata[top].contains(x, y):
+            continue  # outside the top stratum too: coverage-cells fails
         path = p.rules[j].path_for(x, y)
         answers += 1
         try:
@@ -739,11 +735,6 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         if start != _point_key(x) or end != _point_key(y):
             if section_witness is None:
                 section_witness = _fmt_pair(x, y)
-    checks.append(CheckResult(
-        "nesting-samples", nest_sample_witness is None,
-        f"{samples} sampled pairs covered and monotone"
-        if nest_sample_witness is None else "sampled nesting/coverage violated",
-        nest_sample_witness))
     checks.append(CheckResult(
         "section", section_witness is None,
         f"exact endpoints on {samples} sampled queries"

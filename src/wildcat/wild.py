@@ -28,8 +28,8 @@ from fractions import Fraction
 from itertools import groupby
 
 from .graphs import (Edge, MultiGraph, GraphRecords, Vertex, EdgeInterior,
-                     GraphPoint, GraphError, _check_names, _find, subgraph,
-                     betti1)
+                     GraphPoint, GraphError, _check_names, _find, _point_key,
+                     subgraph, betti1)
 # not called here: kept because bench/workloads.py patches ``wild.build_graph``
 from .graphs import build_graph  # noqa: F401
 
@@ -931,11 +931,6 @@ _new_tuple = tuple.__new__
 _COPY_TOKEN = re.compile(r"a\d+_|s\d+c\d+_")
 
 
-def _key(p: GraphPoint):
-    """A point in its own node's names: a vertex id, or (edge id, parameter)."""
-    return p.v if isinstance(p, Vertex) else (p.edge, p.t)
-
-
 def _template(node: Node, anchor, depth: int):
     """What every copy of ``node`` glued at ``anchor`` writes, in the node's
     own names: ``(vertices, edges, children, anchor record, proven)``.
@@ -947,14 +942,14 @@ def _template(node: Node, anchor, depth: int):
     anchor's own name are distinct, so are the edge ids and the id of the
     edge the anchor cuts, and none of them starts with a copy token (see
     ``truncate``)."""
-    children = [(att.child, _key(att.anchor), f"a{i}_", _key(att.at))
+    children = [(att.child, _point_key(att.anchor), f"a{i}_", _point_key(att.at))
                 for i, att in enumerate(node.fin)]
     for i, fam in enumerate(node.seq):
         # copies go round the cells, vertices first; the j-th of the m
         # copies on an edge sits at parameter j / (m + 1)
         cvs, ces = fam.subcomplex.vertices, fam.subcomplex.edges
         n = len(cvs) + len(ces)
-        pattern_anchor = _key(fam.anchor)
+        pattern_anchor = _point_key(fam.anchor)
         for c in range(depth):
             k = c % n
             at = (cvs[k] if k < len(cvs) else

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -623,3 +624,69 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["tc"] == 2
+
+
+# --- standard output that cannot be written -----------------------------------------------
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["info", fixture("earring.space")],
+                                  ["truncate", fixture("earring.space"), "--depth", "3"]],
+                         ids=["info", "truncate"])
+def test_full_stdout_exits_2(argv, unbuffered):
+    # a buffered write fails only at the flush, an unbuffered one at once;
+    # either way the call ends with exit 2 and one error line, and the
+    # interpreter's flush at exit finds nothing left to fail on
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "wildcat", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+# --- the benchmark's own checks ----------------------------------------------------------
+
+def _bench_module(name):
+    """``bench/NAME.py`` loaded under its own name, so that the bench's
+    ``gen`` does not shadow ``tests/gen.py``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_selftest_and_oracles_accept_the_reports(capsys):
+    # a report change that breaks the benchmark's oracles fails here
+    proc = subprocess.run([sys.executable, os.path.join(BENCH, "selftest.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    oracles = _bench_module("oracles")
+    bench_gen = _bench_module("gen")
+    graphs_seen = 0
+    for name in sorted(os.listdir(FIXDIR)):
+        with open(fixture(name), encoding="ascii") as fh:
+            sf = parse_spacefile(fh.read())
+        if sf.main not in sf.graphs:
+            continue  # a wild space: verify exits 2
+        g = sf.graphs[sf.main]
+        graphs_seen += 1
+        tc = bench_gen.expected_tc(g.vertices, g.edges)
+        code, out, _ = run_cli(capsys, "verify", fixture(name))
+        assert oracles.check_verify(code, out, tc) is None, name
+        compared, skipped = oracles.continuity_counts(out)
+        assert compared + skipped <= json.loads(out)["verification"]["samples"], name
+        code, out, _ = run_cli(capsys, "verify", fixture(name), "--corrupt")
+        oracles.continuity_counts(out)
+        if g.edges:
+            assert oracles.check_corrupt_verify(code, out) is None, name
+        else:
+            # every answer on one point is the constant path: nothing to swap
+            assert oracles.check_verify(code, out, tc) is None, name
+    assert graphs_seen == 11

@@ -1,26 +1,33 @@
 """The whole report of ``verify_plan`` against a test-only copy of the
-verifier that checked every answer in full and compared endpoint objects
-(``verify_reference``), negative controls for the two ways the verifier
-reads less of an answer (end keys from the path check, and only the ends
-of a nudged answer that keeps its partner's middle steps), and a guard on
-what its sampled loops build and read."""
+verifier that checked every answer in full, compared endpoint objects and
+rechecked coverage and nesting on its sampled queries
+(``verify_reference``), that recheck as a differential test of the exact
+decision, negative controls for the two ways the verifier reads less of
+an answer (end keys from the path check, and only the ends of a nudged
+answer that keeps its partner's middle steps), and a guard on what its
+sampled loops build and read."""
 
+import dataclasses
 import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from wildcat import graphs
+from wildcat import graphs, regions
 from wildcat.graphs import (EdgeInterior, MultiGraph, PathStep, PLPath, Vertex,
-                            build_graph)
-from wildcat.planner import (MotionPlan, corrupt_plan_swap_endpoints, plan_graph,
+                            betti1, build_graph, deforest)
+from wildcat.planner import (CycleCoords, CycleRotateRule, MotionPlan,
+                             corrupt_plan_swap_endpoints, lift_plan, plan_graph,
                              verify_plan)
+from wildcat.regions import Region, Shift
 from wildcat.spacefile import ParseError, parse_spacefile
 
 import verify_reference as ref
 from gen import random_connected_graph, random_cycle_with_hairs, random_tree
+from test_cli import _bench_module
 from test_continuity import _perturbed, doubled_path, parallel_plan, whisker_plan
+from test_planner import _drop_top, _swap_first_two
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -52,9 +59,24 @@ def _check(report, name):
     return next(c for c in report.checks if c.name == name)
 
 
+# what the two cell checks say when they pass: both are decided exactly
+_EXACT = {"coverage-cells": "every pair of G x G in the top stratum, decided exactly",
+          "nesting-cells": "stratum membership monotone on all of G x G, decided exactly"}
+
+
+def _as_today(report):
+    """A reference report as the verifier gives it: without the sampled
+    ``nesting-samples`` recheck, and with the two passing cell checks
+    worded as decided exactly."""
+    checks = tuple(dataclasses.replace(c, detail=_EXACT[c.name])
+                   if c.passed and c.name in _EXACT else c
+                   for c in report.checks if c.name != "nesting-samples")
+    return dataclasses.replace(report, checks=checks)
+
+
 def _same_report(plan, g, **kw):
     report = verify_plan(plan, g, **kw)
-    assert report == ref.verify(plan, g, **kw)
+    assert report == _as_today(ref.verify(plan, g, **kw))
     return report
 
 
@@ -69,6 +91,75 @@ def test_report_matches_reference(seed):
     # the corpus reaches both verdicts of the section and continuity checks
     assert {("section", False), ("section", True),
             ("continuity", False), ("continuity", True)} <= verdicts
+
+
+# --- the sampled coverage and nesting recheck ----------------------------------
+
+def _shift_below(g):
+    """The plan of ``g``, a graph with one cycle, under a stratum (x, x + 1/8)
+    that the anti-diagonal stratum above it does not hold; no two sampled
+    points are likely to lie exactly 1/8 apart round the cycle."""
+    core, h = deforest(g)
+    cyc = CycleCoords(core)
+    eighth = lift_plan(MotionPlan(core, (Region(Shift(cyc, Fraction(1, 8))),),
+                                  (CycleRotateRule(core, cyc),)), h)
+    plan = plan_graph(g)
+    return MotionPlan(g, eighth.strata + plan.strata, eighth.rules + plan.rules)
+
+
+def _filtration_corpus():
+    """Every graph fixture and small shapes of the benchmark's generators,
+    each with its plan intact, without its top stratum, with its first two
+    strata swapped and, on one cycle, under a shifted diagonal."""
+    bench_gen = _bench_module("gen")
+    graphs_ = list(_fixture_graphs())
+    rng = random.Random(26)
+    for _ in range(2):
+        for vs, es in (bench_gen.general_graph(rng, 8, 12), bench_gen.lifted_graph(rng, 5, 5),
+                       bench_gen.tree_graph(rng, 8)):
+            graphs_.append(build_graph(vs, es))
+    for g in graphs_:
+        plan = plan_graph(g)
+        yield g, plan
+        if len(plan.strata) > 1:
+            yield g, _drop_top(plan)
+            yield g, _swap_first_two(plan)
+        if betti1(g) == 1:
+            yield g, _shift_below(g)
+
+
+def _cells_fail_wherever_samples_fail(corpus):
+    """The number of plans whose sampled recheck fails; on each of them
+    ``coverage-cells`` or ``nesting-cells`` fails too, and every report
+    equals the reference's but for the recheck."""
+    failing = 0
+    for g, plan in corpus:
+        expected = ref.verify(plan, g, samples=300)
+        report = verify_plan(plan, g, samples=300)
+        assert report == _as_today(expected)
+        if not _check(expected, "nesting-samples").passed:
+            failing += 1
+            assert not (_check(report, "coverage-cells").passed
+                        and _check(report, "nesting-cells").passed), g.vertices
+    return failing
+
+
+def test_cell_checks_fail_wherever_sampled_nesting_fails():
+    # the corpus reaches failing samples, so the test cannot pass vacuously
+    assert _cells_fail_wherever_samples_fail(_filtration_corpus()) >= 10
+
+
+def test_sampled_nesting_catches_a_decision_that_passes_non_nested_strata(monkeypatch):
+    # negative control: an exact decision that never reports a nesting failure
+    verdict = regions._Filtration.verdict
+
+    def no_nest(self, mask):
+        found = verdict(self, mask)
+        return None if found == regions._NEST else found
+
+    monkeypatch.setattr(regions._Filtration, "verdict", no_nest)
+    with pytest.raises(AssertionError):
+        _cells_fail_wherever_samples_fail(_filtration_corpus())
 
 
 # --- negative controls --------------------------------------------------------
