@@ -751,7 +751,10 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         if isinstance(x, Vertex) and isinstance(y, Vertex):
             skipped += 1
             continue
-        j2 = p.stratum_index(x2, y2)
+        try:
+            j2 = p.stratum_index(x2, y2)
+        except PlanError:
+            j2 = None  # outside every stratum: a change of stratum
         if j1 != j2:
             skipped += 1
             continue

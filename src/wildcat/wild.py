@@ -25,6 +25,7 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 
 from .graphs import (Edge, MultiGraph, GraphRecords, Vertex, EdgeInterior,
@@ -118,8 +119,8 @@ class Subcomplex:
 
     def contains_point(self, p: GraphPoint) -> bool:
         if isinstance(p, Vertex):
-            return p.v in set(self.vertices)
-        return p.edge in set(self.edges)
+            return p.v in self.vertices
+        return p.edge in self.edges
 
 
 @dataclass(frozen=True)
@@ -279,8 +280,8 @@ class WildProfile:
 
 class _Facts:
     """What an analysis knows about one expression structure.  The
-    structural facts and the tower summary are set when it is first
-    reached; ``pieces`` and ``stability`` stay None until asked for,
+    structural facts, the tower summary and the stability verdict are set
+    when it is first reached; ``pieces`` stays None until asked for,
     because wild pieces are only defined on stable parts.
 
     The summary describes the wild tower of a stable node through the
@@ -309,16 +310,17 @@ class Analysis:
 
     One post-order walk gives the facts of every subexpression from those
     of its children: atoms, self-wild subspaces, simple closed curves,
-    connectedness, the total first Betti number and a run-length summary
-    of the wild tower (see ``_Facts``).  A node's own level-k pieces change
-    only where one of its families' heights runs out, so its summary holds
-    one run per distinct height, from one union-find pass over its
-    subcomplexes.  ``profile``, ``cat``, ``tc``, the stability check and
-    both certificates read only the summaries: they build no piece and no
-    graph.  Wild-set pieces are built on demand for ``wild_set`` and
-    ``wild_tower``, whose output is that large: a node's own pieces are the
-    components of the forest that the same union-find pass leaves for U_1,
-    each built with one ``subgraph`` call.
+    connectedness, the total first Betti number, a run-length summary of
+    the wild tower (see ``_Facts``) and the w-stability verdict.  A node's
+    own level-k pieces change only where one of its families' heights runs
+    out, so its summary holds one run per distinct height, from one
+    union-find pass over its subcomplexes.  The stability verdict reads
+    the children's verdicts and the patterns' summaries, and ``profile``,
+    ``cat``, ``tc`` and both certificates read only the summaries: they
+    build no piece and no graph.  Wild-set pieces are built on demand for
+    ``wild_set`` and ``wild_tower``, whose output is that large: a node's
+    own pieces are the components of the forest that the same union-find
+    pass leaves for U_1, each built with one ``subgraph`` call.
 
     Facts are keyed by the expression itself, that is by its hash-consed
     structure (see ``Node``), so a subexpression shared by several parents
@@ -357,7 +359,7 @@ class Analysis:
 
     @property
     def stability(self) -> StabilityReport:
-        return self._stability(self.expr)
+        return self._top.stability
 
     def require_stable(self):
         st = self.stability
@@ -449,9 +451,10 @@ class Analysis:
         return memo[e]
 
     def _local(self, x) -> _Facts:
-        """Facts and tower summary of x from those of its children."""
+        """Facts, tower summary and stability of x from those of its
+        children."""
         f = _Facts()
-        f.pieces = f.stability = None
+        f.pieces = None
         f.runs = ()
         if isinstance(x, Node):
             memo = self._memo
@@ -481,6 +484,7 @@ class Analysis:
                          + sum(k.top for k in fin if k.rank == f.rank))
             f.count1 = ((f.runs[-1][1] if f.runs else 0)
                         + sum(k.count1 for k in fin))
+            f.stability = self._node_stability(x)
         elif isinstance(x, SelfWild):
             f.atom = f.scc = f.connected = f.selfwild = True
             f.b1 = f.rank = f.top = INF
@@ -573,47 +577,23 @@ class Analysis:
 
     # --- w-stability --------------------------------------------------------
 
-    def _stability(self, e) -> StabilityReport:
-        """W-stability of e.  Children are decided in order and the first
-        failure decides, so a child after it is never examined."""
+    def _node_stability(self, x: "Node") -> StabilityReport:
+        """W-stability of x from its children's verdicts, already in the
+        memo.  Children are decided in order, each family's pattern before
+        the family itself, and the first failure decides."""
         memo = self._memo
-        stack = [[e, 0]]
-        while stack:
-            frame = stack[-1]
-            x, i = frame
-            f = memo[x]
-            if f.stability is not None:
-                stack.pop()
-                continue
-            n_fin = len(x.fin)
-            report = pending = None
-            while i < n_fin + len(x.seq):
-                if i < n_fin:
-                    child = x.fin[i].child
-                    label = f"attachment {i}"
-                else:
-                    fam = x.seq[i - n_fin]
-                    child = fam.pattern
-                    label = f"seq family {i - n_fin}"
-                sub = memo[child].stability
-                if sub is None:
-                    pending = child
-                    break
-                if not sub:
-                    report = StabilityReport(False, f"{label}: {sub.diagnostic}")
-                    break
-                if i >= n_fin:
-                    report = self._family_report(i - n_fin, fam)
-                    if report is not None:
-                        break
-                i += 1
-            frame[1] = i
-            if pending is not None:
-                stack.append([pending, 0])
-                continue
-            f.stability = StabilityReport(True) if report is None else report
-            stack.pop()
-        return memo[e].stability
+        for i, att in enumerate(x.fin):
+            sub = memo[att.child].stability
+            if not sub:
+                return StabilityReport(False, f"attachment {i}: {sub.diagnostic}")
+        for i, fam in enumerate(x.seq):
+            sub = memo[fam.pattern].stability
+            if not sub:
+                return StabilityReport(False, f"seq family {i}: {sub.diagnostic}")
+            report = self._family_report(i, fam)
+            if report is not None:
+                return report
+        return StabilityReport(True)
 
     def _family_report(self, i, fam: SeqFamily):
         """Failure of family i, or None.  A family whose pattern has a
@@ -1173,38 +1153,33 @@ def _require_truncatable(e, depth):
 
 def truncation_size(e: SpaceExpr, depth: int):
     """(vertices, edges) of ``truncate(e, depth)``, counted without
-    expanding it: one explicit-stack walk, memoised by (node, anchor) like
-    the expansion's templates.  A subtree glued at an anchor has its base's
-    vertices less the one glued to the host and all its edges, one more
-    vertex and edge per distinct point cutting an edge, each finite
-    attachment's subtree once and each family's ``depth`` times.  The cuts
-    are counted in integers, so the cost grows with the expression and the
-    square root of ``depth``, never with the output."""
-    e = _require_truncatable(e, depth)
-    sizes = {}
-    stack = [(e, None)]
-    while stack:
-        key = stack[-1]
-        if key in sizes:
-            stack.pop()
-            continue
-        node, anchor = key
-        kids = [(att.child, att.anchor) for att in node.fin]
-        kids.extend((fam.pattern, fam.anchor) for fam in node.seq)
-        todo = [kid for kid in kids if kid not in sizes]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        cuts = _cut_count(node, anchor, depth)
-        n_v = len(node.base.vertices) - (anchor is not None) + cuts
-        n_e = len(node.base.edges) + cuts
-        for i, kid in enumerate(kids):
-            copies = 1 if i < len(node.fin) else depth
-            n_v += copies * sizes[kid][0]
-            n_e += copies * sizes[kid][1]
-        sizes[key] = (n_v, n_e)
-    return sizes[(e, None)]
+    expanding it.  A subtree glued at an anchor has its base's vertices
+    less the one glued to the host and all its edges, one more vertex and
+    edge per distinct point cutting an edge, each finite attachment's
+    subtree once and each family's ``depth`` times.  Only the cuts depend
+    on the anchor, so one pass over the analysis memo, which lists every
+    subexpression after its children, keeps one count per node without
+    its own cuts, and a parent adds each child's cuts at the anchor it
+    glues the child at.  The cuts are counted in integers, once per
+    (node, anchor), so the cost grows with the expression and the square
+    root of ``depth``, never with the output."""
+    a = analyze(e)
+    _require_truncatable(a, depth)
+    cuts = cache(lambda node, anchor: _cut_count(node, anchor, depth))
+    sizes = {}                    # node -> (vertices, edges) less its cuts
+    for node in a._memo:
+        n_v, n_e = len(node.base.vertices), len(node.base.edges)
+        kids = [(att.child, att.anchor, 1) for att in node.fin]
+        kids.extend((fam.pattern, fam.anchor, depth) for fam in node.seq)
+        for child, anchor, copies in kids:
+            k_v, k_e = sizes[child]
+            cut = cuts(child, anchor)
+            n_v += copies * (k_v - 1 + cut)
+            n_e += copies * (k_e + cut)
+        sizes[node] = (n_v, n_e)
+    n_v, n_e = sizes[a.expr]
+    cut = cuts(a.expr, None)
+    return n_v + cut, n_e + cut
 
 
 def truncation_betti1(e: SpaceExpr, depth: int) -> int:

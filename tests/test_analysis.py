@@ -3,7 +3,10 @@
 ``wild_reference`` is the plain structural recursion the analysis replaced.
 Every reader must agree with it exactly, results and errors alike, on the
 random stable corpora of acceptance criteria 5 and 7, on random expressions
-that are often unstable or carry atoms, and on the fixtures.  Counting
+that are often unstable or carry atoms, and on the fixtures.  The pass
+sets a stability verdict on every subexpression, and each must equal the
+one ``analysis_reference`` gives that subexpression on its own; a verdict
+that checks every child before any family is the negative control.  Counting
 tests pin the cost: a rank-growing chain, with one anchor or a random
 anchor per level, builds no graph beyond the parser's, and the memo holds
 a linear number of entries.
@@ -25,13 +28,14 @@ from fractions import Fraction
 
 import pytest
 
+import analysis_reference
 import wild_reference as ref
 from wildcat import graphs, wild
 from wildcat.cli import main
 from wildcat.graphs import Vertex, EdgeInterior, build_graph
 from wildcat.spacefile import parse_spacefile
 from wildcat.wild import (Node, SelfWild, ZeroDimWild, Attachment, SeqFamily,
-                          Subcomplex, graph_expr, analyze)
+                          Subcomplex, StabilityReport, graph_expr, analyze)
 
 from gen import (small_connected_graph, random_stable_expr, rank_chain_text,
                  random_anchor_chain_text, path_graph, point_graph, cycle_graph)
@@ -203,6 +207,73 @@ def test_stability_reports_the_first_failure_only():
     assert wild.is_w_stable(e).diagnostic == (
         "attachment 0: handled by the zero-dimensional special case")
     _assert_same(e)
+
+
+def _family_fails_before_unstable_pattern():
+    """Family 0's pattern is stable but its wild set misses the anchor;
+    family 1's pattern is unstable itself."""
+    base = point_graph()
+    hair = Node(path_graph(2), (), (SeqFamily(Subcomplex.of(path_graph(2), ["v0"]),
+                                             graph_expr(cycle_graph(3)),
+                                             Vertex("v0")),))
+    off = _earring_of(hair, Vertex("v1"))
+    at_a = Subcomplex.of(base, ["a"])
+    return Node(base, (), (SeqFamily(at_a, hair, Vertex("v1")),
+                           SeqFamily(at_a, off, Vertex("a"))))
+
+
+def test_a_failing_family_is_reported_before_a_later_unstable_pattern():
+    e = _family_fails_before_unstable_pattern()
+    assert wild.is_w_stable(e).diagnostic == (
+        "seq family 0: anchor Vertex(v='v1') does not lie in wild set level 1 "
+        "of the pattern")
+    _assert_same(e)
+
+
+def _stability_corpus():
+    fixtures = sorted(glob.glob(os.path.join(os.path.dirname(__file__),
+                                             "fixtures", "*.space")))
+    exprs = []
+    for path in fixtures:
+        with open(path, encoding="ascii") as fh:
+            exprs.append(parse_spacefile(fh.read()).main_expr())
+    exprs += _corpus_5150() + _corpus_707() + _random_corpus(9001, 400, 4)
+    exprs += [parse_spacefile(rank_chain_text(d)).main_expr() for d in (1, 2, 6)]
+    return exprs + [_family_fails_before_unstable_pattern()]
+
+
+def _assert_every_verdict(exprs):
+    for e in exprs:
+        for x, f in analyze(e)._memo.items():
+            assert f.stability == analysis_reference.analyze(x).stability, x
+
+
+def test_every_subexpression_gets_the_reference_verdict():
+    # the pass sets a verdict on every memo entry, not only the top one
+    _assert_every_verdict(_stability_corpus())
+
+
+def _children_before_families(self, x):
+    """A mutant verdict: every child's stability before any family's."""
+    memo = self._memo
+    kids = [(f"attachment {i}", att.child) for i, att in enumerate(x.fin)]
+    kids += [(f"seq family {i}", fam.pattern) for i, fam in enumerate(x.seq)]
+    for label, child in kids:
+        sub = memo[child].stability
+        if not sub:
+            return StabilityReport(False, f"{label}: {sub.diagnostic}")
+    for i, fam in enumerate(x.seq):
+        report = self._family_report(i, fam)
+        if report is not None:
+            return report
+    return StabilityReport(True)
+
+
+def test_checking_every_child_before_the_families_fails(monkeypatch):
+    # negative control for the per-subexpression verdicts
+    monkeypatch.setattr(wild.Analysis, "_node_stability", _children_before_families)
+    with pytest.raises(AssertionError):
+        _assert_every_verdict(_stability_corpus())
 
 
 def test_shared_subexpressions_are_analysed_once():

@@ -1,7 +1,8 @@
 """The package's public names stay consistent with the modules that define
 them: every ``__all__`` entry resolves, and the package re-exports only
 names its modules list in their ``__all__``.  A deleted function therefore
-has to leave both lists, or this fails."""
+has to leave both lists, or this fails.  No module imports a name that it
+neither uses nor exports, except the few that the benchmark patches."""
 
 import ast
 import importlib
@@ -14,6 +15,33 @@ import wildcat
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(wildcat.__path__)
                  if not m.name.startswith("_"))
+
+
+# imported but never called: bench/workloads.py patches each by this name
+BENCH_PATCHED = {
+    ("cli", "truncate"),                # p(cli, "truncate", "wild.truncate", ...)
+    ("wild", "build_graph"),            # p(mod, "build_graph", "graphs.build")
+    ("planner", "vertex_distances"),    # p(planner, "vertex_distances", ...)
+}
+
+
+def _unused_imports(path):
+    """Names the module at ``path`` imports but neither reads nor lists in
+    its ``__all__``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    return imported - used - exported
 
 
 def _package_imports():
@@ -39,6 +67,25 @@ def test_package_imports_are_listed_in_module_all():
         module = importlib.import_module(f"wildcat.{module_name}")
         assert name in module.__all__, f"{name!r} is not in wildcat.{module_name}.__all__"
         assert getattr(wildcat, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize("name", MODULES + ["__main__"])
+def test_no_module_imports_an_unused_name(name):
+    """The package's ``__init__`` re-exports what it imports, which the test
+    above checks."""
+    path = os.path.join(wildcat.__path__[0], f"{name}.py")
+    allowed = {n for m, n in BENCH_PATCHED if m == name}
+    assert _unused_imports(path) == allowed
+
+
+def test_a_stray_import_fails_the_guard(tmp_path):
+    # negative control: a copy of wild.py with one import nothing reads
+    with open(os.path.join(wildcat.__path__[0], "wild.py"), encoding="utf-8") as fh:
+        text = fh.read()
+    copy = tmp_path / "wild.py"
+    copy.write_text(text.replace("import math\n", "import math\nimport shutil\n", 1),
+                    encoding="utf-8")
+    assert _unused_imports(copy) == {"build_graph", "shutil"}
 
 
 @pytest.mark.parametrize("owner,name", [("graphs", "concat_paths"),

@@ -14,7 +14,11 @@ departures are allowed:
 
 Every successful truncation is also checked against a size count that
 knows nothing of names, ``_size``, and against ``wild.truncation_size``,
-which counts the same without recursion and without enumerating cuts.
+which counts the same without recursion and without enumerating cuts;
+``wild_reference.truncation_size``, the explicit-stack walk memoised by
+(node, anchor) that it replaced, must give the same counts or errors on
+the fixtures, all three random corpora and a rank-growing chain at depths
+0 to 5 and 10^9.
 ``wild.truncation_betti1`` must give ``graphs.betti1`` of the output; three
 mutants of it are negative controls (a family's copies counted once, the
 finite attachments left out, the base's own cycles left out).  Against
@@ -592,10 +596,30 @@ def test_truncation_size_does_not_enumerate_copies():
     assert wild.truncation_betti1(e, depth) == depth
 
 
+def _size_outcome(fn, e, depth):
+    try:
+        return ("ok", fn(e, depth))
+    except ValueError as exc:
+        return ("raises", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5, 10 ** 9])
+def test_truncation_size_matches_the_stack_walk(depth):
+    # one pass over the analysis memo, each child's cuts added at its
+    # anchor, counts what the walk memoised by (node, anchor) counted, and
+    # refuses the atom expressions the same way
+    exprs = (_corpora_and_fixtures() + _random_corpus(9001, 400, 4)
+             + [parse_spacefile(rank_chain_text(40)).main_expr()])
+    outcomes = [_size_outcome(wild.truncation_size, e, depth) for e in exprs]
+    assert outcomes == [_size_outcome(ref.truncation_size, e, depth) for e in exprs]
+    refused = sum(1 for got in outcomes if got[0] == "raises")
+    assert 50 <= refused < len(exprs) - 250
+
+
 def test_truncation_size_on_deep_chains():
-    # 1500 nested attachments or families, walked with an explicit stack;
-    # at depth 1 each of the 1500 triangles adds two vertices and three
-    # edges, as the truncate CLI tests find
+    # 1500 nested attachments or families, counted in one pass over the
+    # memo; at depth 1 each of the 1500 triangles adds two vertices and
+    # three edges, as the truncate CLI tests find
     for text in (attach_chain_text(1500), seq_chain_text(1500),
                  rank_chain_text(1500)):
         e = parse_spacefile(text).main_expr()

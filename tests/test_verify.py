@@ -4,8 +4,9 @@ rechecked coverage and nesting on its sampled queries
 (``verify_reference``), that recheck as a differential test of the exact
 decision, negative controls for the two ways the verifier reads less of
 an answer (end keys from the path check, and only the ends of a nudged
-answer that keeps its partner's middle steps), and a guard on what its
-sampled loops build and read."""
+answer that keeps its partner's middle steps), a guard on what its
+sampled loops build and read, and a plan whose nudged query lies outside
+every stratum, which the reference fails on."""
 
 import dataclasses
 import os
@@ -160,6 +161,18 @@ def test_sampled_nesting_catches_a_decision_that_passes_non_nested_strata(monkey
     monkeypatch.setattr(regions._Filtration, "verdict", no_nest)
     with pytest.raises(AssertionError):
         _cells_fail_wherever_samples_fail(_filtration_corpus())
+
+
+def test_a_nudged_query_outside_every_stratum_is_skipped():
+    # without its top stratum the plan of c3 holds one sampled query, whose
+    # nudged query lies in no stratum: a change of stratum, so skipped, and
+    # coverage-cells reports the gap (the reference raises PlanError here)
+    with open(os.path.join(FIXDIR, "c3.space"), encoding="ascii") as fh:
+        g = parse_spacefile(fh.read()).main_graph()
+    report = verify_plan(_drop_top(plan_graph(g)), g, samples=1000, seed=1)
+    assert not _check(report, "coverage-cells").passed
+    assert _check(report, "continuity").detail.startswith(
+        "0 perturbed pairs within delta=1/1000 stayed within eps=1/20 (1 skipped")
 
 
 # --- negative controls --------------------------------------------------------

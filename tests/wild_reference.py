@@ -14,6 +14,10 @@ direct transcription of its definition, which makes it the oracle for
 shared their name strings: it names every edge endpoint per copy and checks
 every copy's anchor.  It is the oracle for the exact errors of
 ``wildcat.wild.truncate``, which the recursive ``truncate`` does not match.
+
+``truncation_size`` is the size count as it was before it read the
+analysis memo: its own explicit-stack walk, memoised by (node, anchor).
+It shares the package's cut count, so it is the oracle for the walk.
 """
 
 from collections import Counter, defaultdict
@@ -21,6 +25,7 @@ from fractions import Fraction
 
 from wildcat.graphs import (Edge, EdgeInterior, GraphError, Vertex, betti1,
                             build_graph, subgraph)
+from wildcat import wild
 from wildcat.wild import (INF, ExprError, UnstableExpressionError,
                           InfiniteRankError, Node, SelfWild, ZeroDimWild,
                           SeqFamily, Subcomplex, StabilityReport, TowerLevel,
@@ -584,3 +589,33 @@ def walk_truncate(e, depth):
         if eid in g.edge_by_id and any(ed[0] == eid for ed in es[e0:e1]):
             raise GraphError(f"duplicate identifier {eid!r}")
     return g
+
+
+def truncation_size(e, depth):
+    """(vertices, edges) of ``truncate(e, depth)`` from one explicit-stack
+    walk memoised by (node, anchor)."""
+    e = wild._require_truncatable(e, depth)
+    sizes = {}
+    stack = [(e, None)]
+    while stack:
+        key = stack[-1]
+        if key in sizes:
+            stack.pop()
+            continue
+        node, anchor = key
+        kids = [(att.child, att.anchor) for att in node.fin]
+        kids.extend((fam.pattern, fam.anchor) for fam in node.seq)
+        todo = [kid for kid in kids if kid not in sizes]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        cuts = wild._cut_count(node, anchor, depth)
+        n_v = len(node.base.vertices) - (anchor is not None) + cuts
+        n_e = len(node.base.edges) + cuts
+        for i, kid in enumerate(kids):
+            copies = 1 if i < len(node.fin) else depth
+            n_v += copies * sizes[kid][0]
+            n_e += copies * sizes[kid][1]
+        sizes[key] = (n_v, n_e)
+    return sizes[(e, None)]
