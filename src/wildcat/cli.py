@@ -45,19 +45,34 @@ def _load(path: str) -> SpaceFile:
         raise ParseError(f"cannot read {path}: space files are ASCII")
 
 
+def _write_all(binary, data: bytes):
+    """Write ``data`` to a binary stream and flush it.  A write cut short (a
+    pipe's reader closed) returns a short count, which the text layer
+    ignores; here the next write raises."""
+    view = memoryview(data)
+    while view:
+        view = view[binary.write(view):]
+    binary.flush()
+
+
 def _save(path: str, text: str):
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            _write_all(fh, text.encode("ascii"))
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror}")
 
 
 def _write_stdout(text: str):
     """Write and flush ``text``: a write error exits 2 here, not at exit."""
+    out = sys.stdout
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if hasattr(out, "buffer"):
+            out.flush()                       # what the text layer holds
+            _write_all(out.buffer, text.encode(out.encoding, out.errors))
+        else:                                 # a StringIO, say
+            out.write(text)
+            out.flush()
     except OSError as exc:
         # what is left in the buffer goes to the null device, so the flush at
         # exit passes; a stdout with no descriptor, such as a StringIO, has none

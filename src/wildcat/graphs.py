@@ -13,6 +13,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 __all__ = [
@@ -118,28 +119,6 @@ class EdgeInterior:
 GraphPoint = Vertex | EdgeInterior
 
 
-def _valid_names(vs, es) -> bool:
-    """True when the names need no item-by-item check: all are non-empty
-    ``str`` identifiers, none repeats, and every endpoint is a vertex.  Each
-    test runs in C over a whole column; it may answer False for input that
-    is valid (an empty graph, a ``str`` subclass), never True for input that
-    is not."""
-    ids, v0s, v1s = zip(*es) if es else ((), (), ())
-    if not {str}.issuperset(map(type, vs + ids + v0s + v1s)):
-        return False                          # before any name is hashed
-    vset, idset = set(vs), set(ids)
-    return ("" not in vset and "" not in idset
-            and len(vset) == len(vs) and len(idset) == len(ids)
-            and vset.issuperset(v0s) and vset.issuperset(v1s)
-            and _all_idents(vs) and _all_idents(ids))
-
-
-def _all_idents(names) -> bool:
-    # each name is non-empty, so the names are identifiers exactly when
-    # their concatenation is one
-    return not names or _IDENT.match("".join(names)) is not None
-
-
 def _check_each_name(vs, es):
     """Raise ``GraphError`` at the first bad name, in declaration order."""
     vset = set()
@@ -161,12 +140,37 @@ def _check_each_name(vs, es):
                 raise GraphError(f"dangling endpoint {v!r} on edge {e.id!r}")
 
 
+def _name_tables(vs, es):
+    """``(edge_by_id, degree)`` of the vertex names ``vs`` and the ``Edge``
+    records ``es``.  An endpoint that is no vertex raises ``KeyError``."""
+    edge_by_id = {e.id: e for e in es}
+    degree = dict.fromkeys(vs, 0)
+    for _, v0, v1 in es:
+        degree[v0] += 1                       # a loop counts twice
+        degree[v1] += 1
+    return edge_by_id, degree
+
+
 def _check_names(vs, es):
-    """Raise ``GraphError`` at the first bad name of the vertex names ``vs``
-    and the ``Edge`` records ``es`` (both tuples), in declaration order:
-    the whole-column test first, then, only when it fails, name by name."""
-    if not _valid_names(vs, es):
+    """``_name_tables(vs, es)``, or ``GraphError`` at the first bad name in
+    declaration order.  The tables' sizes prove the names unique, and a
+    ``KeyError`` is a dangling endpoint.  Two tests run over whole columns:
+    every name is an exact ``str`` (before any is hashed), and the names
+    joined, none empty, are an identifier.  When a test fails, maybe on
+    valid input (a ``str`` subclass), the names are checked one by one."""
+    if not {str}.issuperset(map(type, chain(vs, chain.from_iterable(es)))):
         _check_each_name(vs, es)
+    try:
+        tables = _name_tables(vs, es)
+    except KeyError:                          # a dangling endpoint
+        _check_each_name(vs, es)
+        raise
+    edge_by_id, degree = tables
+    if (len(degree) != len(vs) or len(edge_by_id) != len(es)
+            or "" in degree or "" in edge_by_id
+            or not _IDENT.match("".join(chain(degree, edge_by_id)))):
+        _check_each_name(vs, es)
+    return tables
 
 
 def _find(parent: dict, v: str) -> str:
@@ -192,17 +196,17 @@ class GraphRecords(NamedTuple):
 class MultiGraph:
     """Validated immutable multigraph.
 
-    The constructor checks the names, then ``_tables`` builds
-    ``vertices`` and ``edges`` (declaration order), ``edge_by_id`` and
-    ``degree``, which is also the vertex-membership table; ``_trusted``
-    builds the same from names its caller has proven valid, without the
-    checks.  The derived tables are built on first read and then kept:
-    ``incident`` (each vertex's incident edge ids, sorted; a loop is listed
-    once) from one pass over the edges, and ``component_of`` and
-    ``n_components`` (components numbered in the order of their smallest
-    vertex) from one union-find pass.  All deterministic tie-breaking
-    elsewhere is by smallest identifier.  No distance table is kept:
-    ``point_dist`` runs a bounded BFS per query.
+    Both constructors build through ``_tables``: ``vertices`` and ``edges``
+    (declaration order), ``edge_by_id`` and ``degree``, which is also the
+    vertex-membership table.  The constructor checks the names from the
+    last two (``_check_names``); ``_trusted`` builds them from names its
+    caller has proven valid, unchecked.  The derived tables are built on
+    first read and then kept: ``incident`` (each vertex's incident edge
+    ids, sorted; a loop is listed once) from one pass over the edges, and
+    ``component_of`` and ``n_components`` (components numbered in the
+    order of their smallest vertex) from one union-find pass.  All
+    deterministic tie-breaking elsewhere is by smallest identifier.  No
+    distance table is kept: ``point_dist`` runs a bounded BFS per query.
 
     ``edge_by_id`` and ``degree`` stay eager, since the hot paths read them
     often and building them on first read slows every read: a class-level
@@ -219,28 +223,22 @@ class MultiGraph:
                  "_incident", "_component_of", "_n_components")
 
     def __init__(self, vertices, edges):
-        vs = tuple(vertices)
-        es = tuple([e if isinstance(e, Edge) else Edge(*e) for e in edges])
-        _check_names(vs, es)
-        self._tables(vs, es)
+        self._tables(tuple(vertices),
+                     tuple([e if isinstance(e, Edge) else Edge(*e) for e in edges]),
+                     _check_names)
 
     @classmethod
     def _trusted(cls, vertices, edges) -> "MultiGraph":
         """A graph from names already proven valid and ``Edge`` records,
         unchecked."""
         g = cls.__new__(cls)
-        g._tables(tuple(vertices), tuple(edges))
+        g._tables(tuple(vertices), tuple(edges), _name_tables)
         return g
 
-    def _tables(self, vs, es):
+    def _tables(self, vs, es, name_tables):
         self.vertices = vs
         self.edges = es
-        self.edge_by_id = {e.id: e for e in es}
-        degree = dict.fromkeys(vs, 0)
-        for _, v0, v1 in es:
-            degree[v0] += 1                   # a loop counts twice
-            degree[v1] += 1
-        self.degree = degree
+        self.edge_by_id, self.degree = name_tables(vs, es)
         self._incident = None
         self._component_of = None
         self._n_components = None

@@ -18,12 +18,15 @@ Parsing, printing, and parsing again yields a structurally identical
 document (subcomplexes and point parameters are normalized at construction).
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
-from .graphs import MultiGraph, Vertex, EdgeInterior, GraphPoint, GraphError, build_graph
+from .graphs import (MultiGraph, Edge, Vertex, EdgeInterior, GraphPoint, GraphError,
+                     build_graph)
 from .wild import (Node, SelfWild, ZeroDimWild, SpaceExpr, Attachment,
-                   SeqFamily, Subcomplex, ExprError, graph_expr)
+                   SeqFamily, Subcomplex, ExprError, graph_expr, _new_tuple)
 
 __all__ = [
     "ParseError",
@@ -71,48 +74,20 @@ class SpaceFile:
             raise ParseError(f"no graph named {name!r}")
         return self.graphs[name]
 
-    def __eq__(self, other):
-        if not isinstance(other, SpaceFile):
-            return NotImplemented
-        return (self.graphs == other.graphs and self.exprs == other.exprs
-                and self.main == other.main)
-
 
 # --- s-expression tokenizer / reader -----------------------------------
 
+# a parenthesis, or an atom: a run of neither whitespace (``str.isspace``)
+# nor parentheses
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def _tokenize(text, start_line):
-    line = start_line
-    col = 1
-    tokens = []
-    atom = None
-    atom_pos = None
-    for ch in text:
-        if ch == "\n":
-            if atom is not None:
-                tokens.append((atom, atom_pos))
-                atom = None
-            line += 1
-            col = 1
-            continue
-        if ch in "()":
-            if atom is not None:
-                tokens.append((atom, atom_pos))
-                atom = None
-            tokens.append((ch, (line, col)))
-        elif ch.isspace():
-            if atom is not None:
-                tokens.append((atom, atom_pos))
-                atom = None
-        else:
-            if atom is None:
-                atom = ch
-                atom_pos = (line, col)
-            else:
-                atom += ch
-        col += 1
-    if atom is not None:
-        tokens.append((atom, atom_pos))
-    return tokens
+    """``(token, (line, col))`` for each token of ``text``, whose first line
+    is ``start_line``."""
+    return [(m[0], (line, m.start() + 1))
+            for line, row in enumerate(text.split("\n"), start_line)
+            for m in _TOKEN.finditer(row)]
 
 
 def _read_sexpr(tokens, i):
@@ -336,11 +311,10 @@ def parse_spacefile(text: str) -> SpaceFile:
     n = len(lines)
     while i < n:
         lineno = i + 1
-        line = lines[i].strip()
+        parts = lines[i].split()
         i += 1
-        if not line or line.startswith("#"):
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         key = parts[0]
         if key == "graph":
             if len(parts) != 2:
@@ -348,27 +322,25 @@ def parse_spacefile(text: str) -> SpaceFile:
             name = parts[1]
             if name in graphs:
                 raise ParseError(f"duplicate graph name {name!r}", lineno)
+            # every line read is counted in vs, es or skipped
             vs = []
             es = []
-            closed = False
-            while i < n:
-                sub_no = i + 1
-                sub = lines[i].strip()
-                i += 1
-                if not sub or sub.startswith("#"):
-                    continue
-                rec = sub.split()
-                if rec[0] == "endgraph":
-                    closed = True
-                    break
-                if rec[0] == "vertex" and len(rec) == 2:
+            skipped = 0
+            for rec in map(str.split, islice(lines, i, None)):
+                if len(rec) == 4 and rec[0] == "edge":
+                    es.append(_new_tuple(Edge, rec[1:]))
+                elif len(rec) == 2 and rec[0] == "vertex":
                     vs.append(rec[1])
-                elif rec[0] == "edge" and len(rec) == 4:
-                    es.append((rec[1], rec[2], rec[3]))
+                elif rec and rec[0] == "endgraph":
+                    break
+                elif not rec or rec[0].startswith("#"):
+                    skipped += 1
                 else:
-                    raise ParseError(f"bad graph record {sub!r}", sub_no)
-            if not closed:
+                    k = i + len(vs) + len(es) + skipped
+                    raise ParseError(f"bad graph record {lines[k].strip()!r}", k + 1)
+            else:
                 raise ParseError(f"graph {name!r} not closed by endgraph", lineno)
+            i += len(vs) + len(es) + skipped + 1
             try:
                 graphs[name] = build_graph(vs, es)
             except GraphError as exc:

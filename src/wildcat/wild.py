@@ -1125,13 +1125,12 @@ def truncation_records(e: SpaceExpr, depth: int) -> GraphRecords:
     vs, es = tuple(vs), tuple(es)
     if proven:
         return GraphRecords(vs, es)
-    _check_names(vs, es)
+    ids, names = _check_names(vs, es)
     # An anchor is renamed to its host, so the check never sees its own
     # name, nor the id of the edge it cuts; either must still be unique
     # within the anchor's subtree.  A subtree's names are its prefix plus
     # names fixed by its template, so every copy of a template gets the
     # verdict of its first copy, which the pre-order also reaches first.
-    names, ids = set(vs), {ed[0] for ed in es}
     for vname, eid, v0, e0, v1, e1 in anchors:
         if vname in names and vname in vs[v0:v1]:
             raise GraphError(f"duplicate identifier {vname!r}")
@@ -1157,17 +1156,17 @@ def truncation_size(e: SpaceExpr, depth: int):
     less the one glued to the host and all its edges, one more vertex and
     edge per distinct point cutting an edge, each finite attachment's
     subtree once and each family's ``depth`` times.  Only the cuts depend
-    on the anchor, so one pass over the analysis memo, which lists every
-    subexpression after its children, keeps one count per node without
-    its own cuts, and a parent adds each child's cuts at the anchor it
-    glues the child at.  The cuts are counted in integers, once per
-    (node, anchor), so the cost grows with the expression and the square
-    root of ``depth``, never with the output."""
+    on the anchor, so one pass over the subexpressions, each after its
+    children, keeps one count per node without its own cuts, and a parent
+    adds each child's cuts at the anchor it glues the child at.  The cuts
+    are counted in integers, once per (node, anchor), so the cost grows
+    with the expression and the square root of ``depth``, never with the
+    output."""
     a = analyze(e)
     _require_truncatable(a, depth)
     cuts = cache(lambda node, anchor: _cut_count(node, anchor, depth))
     sizes = {}                    # node -> (vertices, edges) less its cuts
-    for node in a._memo:
+    for node in _subexpressions(a):
         n_v, n_e = len(node.base.vertices), len(node.base.edges)
         kids = [(att.child, att.anchor, 1) for att in node.fin]
         kids.extend((fam.pattern, fam.anchor, depth) for fam in node.seq)
@@ -1188,18 +1187,27 @@ def truncation_betti1(e: SpaceExpr, depth: int) -> int:
     truncation is a wedge of its nodes' bases, and b1 adds over a wedge;
     cutting an edge at a point keeps b1 too.  So a node has b1 of its base,
     plus each finite attachment's child once and each family's pattern
-    ``depth`` times, whatever the anchors.  One pass over the analysis
-    memo, which lists every subexpression after its children: the cost
-    grows with the expression, never with the output.  It does not check
-    identifiers, so call it on an expression ``truncate`` accepts."""
+    ``depth`` times, whatever the anchors.  One pass over the
+    subexpressions, each after its children: the cost grows with the
+    expression, never with the output.  It does not check identifiers, so
+    call it on an expression ``truncate`` accepts."""
     a = analyze(e)
     _require_truncatable(a, depth)
     b1 = {}
-    for node in a._memo:
+    for node in _subexpressions(a):
         b1[node] = (betti1(node.base)
                     + sum(b1[att.child] for att in node.fin)
                     + depth * sum(b1[fam.pattern] for fam in node.seq))
     return b1[a.expr]
+
+
+def _subexpressions(a: Analysis):
+    """``a.expr``'s subexpressions, each after its children: the memo up to
+    ``a.expr``, which the first walk adds last, before any wild piece."""
+    for x in a._memo:
+        yield x
+        if x is a.expr:
+            return
 
 
 def _cut_count(node: Node, anchor, depth: int) -> int:

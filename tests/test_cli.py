@@ -637,14 +637,9 @@ def test_full_stdout_exits_2(argv, unbuffered):
     # a buffered write fails only at the flush, an unbuffered one at once;
     # either way the call ends with exit 2 and one error line, and the
     # interpreter's flush at exit finds nothing left to fail on
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "wildcat", *argv], stdout=full,
-                              stderr=subprocess.PIPE, text=True, env=env)
+                              stderr=subprocess.PIPE, text=True, env=_wildcat_env(unbuffered))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: cannot write standard output: ")
     assert "Traceback" not in proc.stderr
@@ -690,3 +685,68 @@ def test_benchmark_selftest_and_oracles_accept_the_reports(capsys):
             # every answer on one point is the constant path: nothing to swap
             assert oracles.check_verify(code, out, tc) is None, name
     assert graphs_seen == 11
+
+
+def _wildcat_env(unbuffered):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _assert_write_error(returncode, stderr, target):
+    assert returncode == 2, stderr
+    assert stderr.startswith(f"error: cannot write {target}: Broken pipe"), stderr
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
+
+
+@pytest.fixture(scope="module")
+def big_chain(tmp_path_factory):
+    """The benchmark's 3-level chain, whose depth-12 truncation is 2.9 MB."""
+    path = tmp_path_factory.mktemp("chain") / "chain.space"
+    path.write_text(_bench_module("gen").chain_text(random.Random(3), 3), encoding="ascii")
+    return str(path)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_closed_part_way_exits_2(big_chain, unbuffered):
+    # the reader takes 10 bytes and closes the pipe, so a write stops part-way:
+    # the written count is short, and the command must not report success
+    read, write = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "wildcat", "truncate", big_chain,
+                             "--depth", "12"], stdout=write, stderr=subprocess.PIPE,
+                            text=True, env=_wildcat_env(unbuffered))
+    os.close(write)
+    head = os.read(read, 10)
+    os.close(read)
+    _, stderr = proc.communicate()
+    assert head.startswith(b"graph")
+    _assert_write_error(proc.returncode, stderr, "standard output")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_closed_before_the_write_exits_2(unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    proc = subprocess.run([sys.executable, "-m", "wildcat", "info", fixture("earring.space")],
+                          stdout=write, stderr=subprocess.PIPE, text=True,
+                          env=_wildcat_env(unbuffered))
+    os.close(write)
+    _assert_write_error(proc.returncode, proc.stderr, "standard output")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_output_file_closed_part_way_exits_2(big_chain, tmp_path):
+    fifo = str(tmp_path / "out.fifo")
+    os.mkfifo(fifo)
+    proc = subprocess.Popen([sys.executable, "-m", "wildcat", "truncate", big_chain,
+                             "--depth", "12", "--output", fifo], stderr=subprocess.PIPE,
+                            text=True, env=_wildcat_env(False))
+    with open(fifo, "rb", buffering=0) as fh:
+        head = fh.read(10)
+    _, stderr = proc.communicate()
+    assert head.startswith(b"graph")
+    _assert_write_error(proc.returncode, stderr, fifo)

@@ -1,5 +1,4 @@
 import random
-import re
 import time
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from gen import (point_graph, path_graph, cycle_graph, loop_graph, theta_graph,
                  figure_eight, circle_with_hair, k4, random_connected_graph,
                  random_cycle_with_hairs, random_point, random_tree,
                  cycle_space_rank, bfs_vertex_distance)
+from test_lift import _mutant
 
 
 # --- build_graph ------------------------------------------------------------
@@ -115,23 +115,19 @@ def test_constructor_errors_match_the_reference_loop():
 
 def test_constructor_parity_catches_a_space_joined_identifier_check(monkeypatch):
     # joining names with a space lets the one name "a b" pass as two
-    spaced = re.compile(r"[A-Za-z0-9_]+(?: [A-Za-z0-9_]+)*\Z")
-    monkeypatch.setattr(graphs, "_all_idents",
-                        lambda names: not names or spaced.match(" ".join(names)) is not None)
+    _mutant(monkeypatch, graphs, "_check_names", (
+        '_IDENT.match("".join(',
+        're.compile(r"[A-Za-z0-9_]+(?: [A-Za-z0-9_]+)*\\Z").match(" ".join('))
     bad, _ = _constructor_mismatches()
     assert bad and any("a b" in vs or any("a b" in e for e in es) for vs, es in bad)
 
 
 def test_constructor_parity_catches_hashing_before_the_type_check(monkeypatch):
-    # a set built before the type check raises TypeError for a list vertex,
-    # where the reference raises GraphError
-    fast = graphs._valid_names
-
-    def hashing_first(vs, es):
-        set(vs)
-        return fast(vs, es)
-
-    monkeypatch.setattr(graphs, "_valid_names", hashing_first)
+    # the tables built before the type check raise TypeError for a list
+    # vertex, where the reference raises GraphError
+    _mutant(monkeypatch, graphs, "_check_names", (
+        "    if not {str}.issuperset(",
+        "    _name_tables(vs, ())\n    if not {str}.issuperset("))
     bad, _ = _constructor_mismatches()
     assert bad and all(["v"] in vs for vs, _ in bad)
 

@@ -111,12 +111,13 @@ def test_deforest_matches_reference_small_shapes(name):
 
 def _mutant(monkeypatch, owner, name, *edits):
     """Replace ``owner.name`` by a copy of its source with each ``(old,
-    new)`` edit made, run in the namespace of ``wildcat.graphs``."""
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    new)`` edit made, run in a copy of its module's namespace."""
+    fn = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(fn))
     for old, new in edits:
         assert source.count(old) == 1, old
         source = source.replace(old, new)
-    namespace = dict(vars(graphs))
+    namespace = dict(fn.__globals__)
     exec(compile(source, f"<mutant of {name}>", "exec"), namespace)
     monkeypatch.setattr(owner, name, namespace[name])
 

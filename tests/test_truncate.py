@@ -382,21 +382,24 @@ def _token_corpus():
             for place in _TOKEN_PLACES for depth in (1, 2, 4)]
 
 
-def _count_valid_names(monkeypatch):
+def _count_name_checks(monkeypatch):
+    """Count calls of the one name checker, through both modules that
+    call it."""
     count = [0]
-    original = graphs._valid_names
+    original = graphs._check_names
 
     def counting(vs, es):
         count[0] += 1
         return original(vs, es)
 
-    monkeypatch.setattr(graphs, "_valid_names", counting)
+    for module in (graphs, wild):
+        monkeypatch.setattr(module, "_check_names", counting)
     return count
 
 
 def test_token_corpus_takes_the_checked_build(monkeypatch):
     corpus = _token_corpus()
-    count = _count_valid_names(monkeypatch)
+    count = _count_name_checks(monkeypatch)
     kinds = []
     for e, depth in corpus:
         assert wild._expand(e, depth)[3] is False
@@ -415,7 +418,7 @@ def test_token_corpus_takes_the_checked_build(monkeypatch):
 
 def test_benchmark_chain_checks_no_name(monkeypatch):
     e = _benchmark_chain()
-    count = _count_valid_names(monkeypatch)
+    count = _count_name_checks(monkeypatch)
     g = wild.truncate(e, 12)
     assert count[0] == 0
     assert len(g.edges) > 30000
@@ -657,6 +660,45 @@ def test_truncation_betti1_negative_control(monkeypatch, mutant):
 
     assert any(differs(e, depth) for e in _corpora_and_fixtures()
                for depth in range(3))
+
+
+class _CountingMemo(dict):
+    """An analysis memo that counts the entries its iterators yield."""
+
+    reached = 0
+
+    def __iter__(self):
+        for x in dict.__iter__(self):
+            self.reached += 1
+            yield x
+
+
+def _counts_around_the_tower(module, depth=3):
+    """Both counts of a 20-deep rank chain at ``depth``, with the memo
+    entries the two passes read, asked of one analysis before and after
+    ``wild_tower`` adds the wild pieces to its memo; and the memo's size
+    at each point."""
+    a = module.analyze(parse_spacefile(rank_chain_text(20)).main_expr())
+    out = []
+    for ask_tower in (False, True):
+        if ask_tower:
+            module.wild_tower(a)
+        a._memo = memo = _CountingMemo(a._memo)
+        out.append((module.truncation_size(a, depth), module.truncation_betti1(a, depth),
+                    memo.reached, len(memo)))
+    return out
+
+
+def test_truncation_counts_walk_only_the_truncation():
+    before, after = _counts_around_the_tower(wild)
+    assert (before[3], after[3]) == (22, 63)
+    assert before[:3] == after[:3] and before[2] == 2 * 22
+
+
+def test_truncation_count_guard_catches_a_walk_of_the_whole_memo(monkeypatch):
+    module = _mutant(monkeypatch, "        if x is a.expr:\n", "        if False:\n")
+    before, after = _counts_around_the_tower(module)
+    assert before[:2] == after[:2] and after[2] > before[2]
 
 
 # --- the command's records against the graph the command used to print -------
