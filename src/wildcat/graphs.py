@@ -73,6 +73,10 @@ class Edge(NamedTuple):
         raise GraphError(f"vertex {v!r} is not an endpoint of edge {self.id!r}")
 
 
+# ``_new_tuple(Edge, (id, v0, v1))`` makes a record without ``Edge.__new__``
+_new_tuple = tuple.__new__
+
+
 @dataclass(frozen=True)
 class Vertex:
     v: str

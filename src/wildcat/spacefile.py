@@ -16,17 +16,21 @@ Expression grammar::
 
 Parsing, printing, and parsing again yields a structurally identical
 document (subcomplexes and point parameters are normalized at construction).
+Each ``(node ...)`` form is built by a generator that yields its clauses'
+expression forms in order; one loop keeps the waiting generators on a list,
+so nesting depth is bounded by memory, not by the recursion limit.
 """
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from types import GeneratorType
 
 from .graphs import (MultiGraph, Edge, Vertex, EdgeInterior, GraphPoint, GraphError,
-                     build_graph)
+                     build_graph, _new_tuple)
 from .wild import (Node, SelfWild, ZeroDimWild, SpaceExpr, Attachment,
-                   SeqFamily, Subcomplex, ExprError, graph_expr, _new_tuple)
+                   SeqFamily, Subcomplex, ExprError, graph_expr)
 
 __all__ = [
     "ParseError",
@@ -93,15 +97,12 @@ def _tokenize(text, start_line):
 def _read_sexpr(tokens, i):
     """One s-expression from ``tokens[i]`` on, and the index after it.
 
-    Lists are read with an explicit stack of open lists, so nesting depth is
-    bounded by memory, not by the recursion limit."""
-    if i >= len(tokens):
-        raise ParseError("unexpected end of expression")
+    ``parse_spacefile`` hands over only bodies with a token and with no
+    more "(" than ")", so a list opened here is closed before the tokens
+    run out.  Lists are read with an explicit stack of open lists, so
+    nesting depth is bounded by memory, not by the recursion limit."""
     open_lists = []  # (items, position of the '(')
     while True:
-        if i >= len(tokens):
-            pos = open_lists[-1][1]
-            raise ParseError("unbalanced '('", pos[0], pos[1])
         tok, pos = tokens[i]
         i += 1
         if tok == "(":
@@ -186,8 +187,8 @@ def _build_subcomplex(sx, base: MultiGraph) -> Subcomplex:
 
 
 def _open_expr(sx, graphs):
-    """The expression of a leaf form, or a :class:`_NodeBuild` for a
-    ``(node ...)`` form, whose clauses are read later."""
+    """The expression of a leaf form, or a :func:`_node` generator that
+    builds a ``(node ...)`` form."""
     items, pos = sx
     if not isinstance(items, list) or not items:
         raise ParseError("expected a space expression", pos[0], pos[1])
@@ -214,90 +215,62 @@ def _open_expr(sx, graphs):
     if base_name not in graphs:
         raise ParseError(f"unknown graph {base_name!r}",
                          base_items[1][1][0], base_items[1][1][1])
-    return _NodeBuild(items, pos, graphs[base_name])
+    return _node(items, pos, graphs[base_name])
 
 
-class _NodeBuild:
-    """A ``(node ...)`` form being built.  Its clauses are read in order; a
-    clause whose expression is itself a node form waits until that node is
-    built."""
-
-    __slots__ = ("items", "pos", "base", "next", "fin", "seq", "clause")
-
-    def __init__(self, items, pos, base):
-        self.items = items
-        self.pos = pos
-        self.base = base
-        self.next = 2
-        self.fin = []
-        self.seq = []
-        self.clause = None  # (kind, first argument, parts) awaiting its child
-
-    def advance(self, graphs, child=None):
-        """Continue with ``child`` as the expression of the waiting clause.
-        Returns the :class:`_NodeBuild` of a nested node form to build
-        first, or the finished :class:`Node`."""
-        try:
-            if child is not None:
-                self._close_clause(child)
-            while self.next < len(self.items):
-                item = self.items[self.next]
-                self.next += 1
-                if not _is_list(item):
-                    raise ParseError("expected (attach ...) or (seqfam ...)",
+def _node(items, pos, base):
+    """Build a ``(node ...)`` form's clauses in order: yield each clause's
+    expression form, take back its expression, and return the ``Node``.
+    An error of the node itself is reported at the node's position."""
+    fin = []
+    seq = []
+    try:
+        for item in items[2:]:
+            if not _is_list(item):
+                raise ParseError("expected (attach ...) or (seqfam ...)",
+                                 item[1][0], item[1][1])
+            kind = _head(item)
+            parts = item[0]
+            if kind == "attach":
+                if len(parts) != 4:
+                    raise ParseError("syntax: (attach POINT EXPR POINT)",
                                      item[1][0], item[1][1])
-                kind = _head(item)
-                parts = item[0]
-                if kind == "attach":
-                    if len(parts) != 4:
-                        raise ParseError("syntax: (attach POINT EXPR POINT)",
-                                         item[1][0], item[1][1])
-                    first = _build_point(parts[1])
-                elif kind == "seqfam":
-                    if len(parts) != 4:
-                        raise ParseError("syntax: (seqfam SUBCOMPLEX EXPR POINT)",
-                                         item[1][0], item[1][1])
-                    first = _build_subcomplex(parts[1], self.base)
-                else:
-                    raise ParseError(f"unknown node clause {kind!r}",
+                at = _build_point(parts[1])
+                child = yield parts[2]
+                fin.append(Attachment(at, child, _build_point(parts[3])))
+            elif kind == "seqfam":
+                if len(parts) != 4:
+                    raise ParseError("syntax: (seqfam SUBCOMPLEX EXPR POINT)",
                                      item[1][0], item[1][1])
-                self.clause = (kind, first, parts)
-                sub = _open_expr(parts[2], graphs)
-                if isinstance(sub, _NodeBuild):
-                    return sub
-                self._close_clause(sub)
-            return Node(self.base, tuple(self.fin), tuple(self.seq))
-        except (ExprError, GraphError) as exc:
-            raise ParseError(str(exc), self.pos[0], self.pos[1])
-
-    def _close_clause(self, child):
-        kind, first, parts = self.clause
-        anchor = _build_point(parts[3])
-        if kind == "attach":
-            self.fin.append(Attachment(first, child, anchor))
-        else:
-            self.seq.append(SeqFamily(first, child, anchor))
+                sc = _build_subcomplex(parts[1], base)
+                pattern = yield parts[2]
+                seq.append(SeqFamily(sc, pattern, _build_point(parts[3])))
+            else:
+                raise ParseError(f"unknown node clause {kind!r}",
+                                 item[1][0], item[1][1])
+        return Node(base, tuple(fin), tuple(seq))
+    except (ExprError, GraphError) as exc:
+        raise ParseError(str(exc), pos[0], pos[1])
 
 
 def _build_expr(sx, graphs) -> SpaceExpr:
-    """Expression of an s-expression.  Nested node forms are built with an
-    explicit stack, innermost first, so nesting depth is bounded by memory,
-    not by the recursion limit."""
-    top = _open_expr(sx, graphs)
-    if not isinstance(top, _NodeBuild):
-        return top
-    stack = [top]
-    built = None
+    """Expression of an s-expression.  Each node form being built is a
+    :func:`_node` generator waiting for the expression of its current
+    clause; they wait on one list, innermost last, so nesting depth is
+    bounded by memory, not by the recursion limit."""
+    waiting = []
+    out = _open_expr(sx, graphs)
     while True:
-        out = stack[-1].advance(graphs, built)
-        if isinstance(out, _NodeBuild):
-            stack.append(out)
-            built = None
-            continue
-        stack.pop()
-        if not stack:
+        if isinstance(out, GeneratorType):
+            waiting.append(out)
+            out = None                        # starts the generator
+        elif not waiting:
             return out
-        built = out
+        try:
+            out = _open_expr(waiting[-1].send(out), graphs)
+        except StopIteration as built:
+            waiting.pop()
+            out = built.value
 
 
 # --- file-level parsing -------------------------------------------------

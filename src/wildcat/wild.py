@@ -29,8 +29,8 @@ from functools import cache
 from itertools import groupby
 
 from .graphs import (Edge, MultiGraph, GraphRecords, Vertex, EdgeInterior,
-                     GraphPoint, GraphError, _check_names, _find, _point_key,
-                     subgraph, betti1)
+                     GraphPoint, GraphError, _check_names, _find, _new_tuple,
+                     _point_key, subgraph, betti1)
 # not called here: kept because bench/workloads.py patches ``wild.build_graph``
 from .graphs import build_graph  # noqa: F401
 
@@ -325,7 +325,7 @@ class Analysis:
     Facts are keyed by the expression itself, that is by its hash-consed
     structure (see ``Node``), so a subexpression shared by several parents
     is analysed once.  On a rank-growing chain of depth d the memo holds
-    d + 3 entries and the summaries d + 1 runs, wherever each level
+    d + 2 entries and the summaries d + 1 runs, wherever each level
     anchors its copies.  Every walk uses an explicit stack, so nesting
     depth is bounded by memory, not by the interpreter's recursion limit.
     Nothing outlives the analysis: a caller with several questions about
@@ -408,7 +408,7 @@ class Analysis:
         memo = self._memo
         paths = {self.expr: 1}
         # each entry follows its children, so backwards parents come first
-        for x in reversed(memo):
+        for x in reversed(list(_subexpressions(self))):
             m = paths.get(x)
             if m:
                 for att in x.fin:
@@ -901,8 +901,6 @@ def tc_certificate(e) -> Certificate:
             f"H_{k}: union of F_i x F_j over i + j = {k}"))
     return Certificate("tc", tuple(levels), tc(a))
 
-
-_new_tuple = tuple.__new__
 
 # what a copy's prefix is made of: ``a<i>_`` for the i-th finite attachment
 # and ``s<i>c<c>_`` for copy c of family i.  Each ends at its only ``_``, so

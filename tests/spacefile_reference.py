@@ -1,8 +1,9 @@
 """Reference copy of the file-level ``parse_spacefile``, the s-expression
-tokenizer and the ``MultiGraph`` name check as they were before the
-graph-block loop built ``Edge`` records itself, the tokenizer matched one
-regular expression and the checked constructor proved names from its own
-tables, kept for differential tests only.
+tokenizer, reader and builder and the ``MultiGraph`` name check as they
+were before the graph-block loop built ``Edge`` records itself, the
+tokenizer matched one regular expression, the checked constructor proved
+names from its own tables and node forms were built by generators, kept
+for differential tests only.
 
 ``parse_spacefile`` strips and splits each line of a graph block with a
 line counter, collects each edge as a plain triple, and builds the graph
@@ -10,13 +11,19 @@ with ``multigraph``.  That converts each triple with ``Edge(*e)`` and runs
 ``check_names``: a whole-column test with its own sets and a ``zip(*es)``
 over the edge records, then, only when it fails, the name-by-name loop.
 ``_tokenize`` reads an expression one character at a time, counting lines
-and columns as it goes.  The s-expression reader and builder are read from
-``wildcat.spacefile``, which leaves them unchanged, so the parsed file, or
-the error with its text, line and column, must equal the parser's.
+and columns as it goes.  ``_read_sexpr`` checks for running out of tokens
+itself, and ``_build_expr`` drives ``_NodeBuild``, a resumable state
+machine per ``(node ...)`` form with a clause cursor and the clause that
+waits for its child.  Only the point and subcomplex builders are read from
+``wildcat.spacefile``.  The parsed file, or the error with its text, line
+and column, must equal the parser's.
 """
 
 from wildcat.graphs import Edge, GraphError, MultiGraph, _IDENT
-from wildcat.spacefile import ParseError, SpaceFile, _build_expr, _read_sexpr
+from wildcat.spacefile import (ParseError, SpaceFile, _build_point, _build_subcomplex,
+                               _head, _is_list)
+from wildcat.wild import (Attachment, ExprError, Node, SelfWild, SeqFamily, ZeroDimWild,
+                          graph_expr)
 
 
 def _tokenize(text, start_line):
@@ -52,6 +59,133 @@ def _tokenize(text, start_line):
     if atom is not None:
         tokens.append((atom, atom_pos))
     return tokens
+
+
+def _read_sexpr(tokens, i):
+    if i >= len(tokens):
+        raise ParseError("unexpected end of expression")
+    open_lists = []  # (items, position of the '(')
+    while True:
+        if i >= len(tokens):
+            pos = open_lists[-1][1]
+            raise ParseError("unbalanced '('", pos[0], pos[1])
+        tok, pos = tokens[i]
+        i += 1
+        if tok == "(":
+            open_lists.append(([], pos))
+            continue
+        if tok == ")":
+            if not open_lists:
+                raise ParseError("unbalanced ')'", pos[0], pos[1])
+            sx = open_lists.pop()
+        else:
+            sx = (tok, pos)
+        if not open_lists:
+            return sx, i
+        open_lists[-1][0].append(sx)
+
+
+def _open_expr(sx, graphs):
+    items, pos = sx
+    if not isinstance(items, list) or not items:
+        raise ParseError("expected a space expression", pos[0], pos[1])
+    head = _head(sx)
+    if head == "selfwild":
+        return SelfWild()
+    if head == "zerodimwild":
+        return ZeroDimWild()
+    if head == "graph":
+        if len(items) != 2 or _is_list(items[1]):
+            raise ParseError("syntax: (graph NAME)", pos[0], pos[1])
+        name = items[1][0]
+        if name not in graphs:
+            raise ParseError(f"unknown graph {name!r}", items[1][1][0], items[1][1][1])
+        return graph_expr(graphs[name])
+    if head != "node":
+        raise ParseError(f"unknown expression kind {head!r}", pos[0], pos[1])
+    if len(items) < 2 or not _is_list(items[1]) or _head(items[1]) != "base":
+        raise ParseError("syntax: (node (base NAME) ...)", pos[0], pos[1])
+    base_items = items[1][0]
+    if len(base_items) != 2 or _is_list(base_items[1]):
+        raise ParseError("syntax: (base NAME)", items[1][1][0], items[1][1][1])
+    base_name = base_items[1][0]
+    if base_name not in graphs:
+        raise ParseError(f"unknown graph {base_name!r}",
+                         base_items[1][1][0], base_items[1][1][1])
+    return _NodeBuild(items, pos, graphs[base_name])
+
+
+class _NodeBuild:
+    __slots__ = ("items", "pos", "base", "next", "fin", "seq", "clause")
+
+    def __init__(self, items, pos, base):
+        self.items = items
+        self.pos = pos
+        self.base = base
+        self.next = 2
+        self.fin = []
+        self.seq = []
+        self.clause = None  # (kind, first argument, parts) awaiting its child
+
+    def advance(self, graphs, child=None):
+        try:
+            if child is not None:
+                self._close_clause(child)
+            while self.next < len(self.items):
+                item = self.items[self.next]
+                self.next += 1
+                if not _is_list(item):
+                    raise ParseError("expected (attach ...) or (seqfam ...)",
+                                     item[1][0], item[1][1])
+                kind = _head(item)
+                parts = item[0]
+                if kind == "attach":
+                    if len(parts) != 4:
+                        raise ParseError("syntax: (attach POINT EXPR POINT)",
+                                         item[1][0], item[1][1])
+                    first = _build_point(parts[1])
+                elif kind == "seqfam":
+                    if len(parts) != 4:
+                        raise ParseError("syntax: (seqfam SUBCOMPLEX EXPR POINT)",
+                                         item[1][0], item[1][1])
+                    first = _build_subcomplex(parts[1], self.base)
+                else:
+                    raise ParseError(f"unknown node clause {kind!r}",
+                                     item[1][0], item[1][1])
+                self.clause = (kind, first, parts)
+                sub = _open_expr(parts[2], graphs)
+                if isinstance(sub, _NodeBuild):
+                    return sub
+                self._close_clause(sub)
+            return Node(self.base, tuple(self.fin), tuple(self.seq))
+        except (ExprError, GraphError) as exc:
+            raise ParseError(str(exc), self.pos[0], self.pos[1])
+
+    def _close_clause(self, child):
+        kind, first, parts = self.clause
+        anchor = _build_point(parts[3])
+        if kind == "attach":
+            self.fin.append(Attachment(first, child, anchor))
+        else:
+            self.seq.append(SeqFamily(first, child, anchor))
+
+
+def _build_expr(sx, graphs):
+    top = _open_expr(sx, graphs)
+    if not isinstance(top, _NodeBuild):
+        return top
+    stack = [top]
+    built = None
+    while True:
+        out = stack[-1].advance(graphs, built)
+        if isinstance(out, _NodeBuild):
+            stack.append(out)
+            built = None
+            continue
+        stack.pop()
+        if not stack:
+            return out
+        built = out
 
 
 def _valid_names(vs, es) -> bool:

@@ -339,12 +339,12 @@ def test_random_anchor_chain_builds_only_the_parsers_graphs(tmp_path, monkeypatc
 @pytest.mark.parametrize("depth", [20, 160, 640])
 def test_rank_chain_memo_is_linear(depth):
     # the summaries build no piece, so the memo holds one entry per
-    # distinct subexpression: the d + 2 nodes and the loop
+    # distinct subexpression: the point, the d triangles and the loop
     a = analyze(parse_spacefile(rank_chain_text(depth)).main_expr())
     wild.cat_certificate(a)
     wild.tc_certificate(a)
     assert a.profile().wrk == depth + 2
-    assert len(a._memo) <= 3 * depth + 3
+    assert len(a._memo) == depth + 2
 
 
 @pytest.mark.parametrize("depth", [1, 2, 6])

@@ -12,8 +12,14 @@ same text, line and column, as the reference.  On API inputs the
 constructor must build an equal graph or raise what the reference raises.
 The tokenizer, one regular expression matched on each line, is compared
 through the parser on the same inputs and on character-level mutants of
-the fixtures' expressions.  Negative controls: mutants of the loop, the
-tokenizer and the name check that the comparison must catch.
+the fixtures' expressions.  The expression builder, one generator per
+node form, is compared on a nested-error corpus: each kind of clause
+fault, and clauses with two faults whose reading order decides the
+error, in the innermost of 1, 2, 3 and 1500 nested nodes.  The reader,
+which leaves running out of tokens to the file-level balance check, is
+compared on 3000 random bodies of parentheses and atoms.  Negative
+controls: mutants of the loop, the tokenizer, the builder and the name
+check that the comparison must catch.
 
 The cost guard counts what parsing the benchmark's 1600-vertex lifted file
 does: no ``Edge.__new__`` call (the loop builds records with
@@ -31,6 +37,7 @@ import spacefile_reference as ref
 from wildcat import graphs, spacefile
 from wildcat.graphs import Edge, GraphError, MultiGraph
 from wildcat.spacefile import ParseError, SpaceFile, parse_spacefile, print_spacefile
+from wildcat.wild import ExprError
 
 import gen
 from test_cli import _bench_module
@@ -142,6 +149,66 @@ def _error_texts():
     return texts
 
 
+_NESTED_HEAD = ["graph g", "vertex a", "vertex b", "edge e0 a b", "edge b a b", "endgraph",
+                "graph h", "vertex x", "edge l x x", "endgraph"]
+# the clauses of the innermost node: one fault each, two faults whose
+# reading order decides the error, valid clauses, and a fault after a
+# nested node form is built
+_NESTED_CLAUSES = [
+    "(attach (vertex a) (graph h) (vertex x))",
+    "(seqfam (e0) (graph h) (vertex x)) (attach (edge e0 1/3) (graph h) (edge l 2/3))",
+    # one fault
+    "(frob (vertex a) (graph h) (vertex x))", "frob", "(frob)", "((attach))",
+    "(attach (vertex a) (graph h))", "(seqfam (e0) (graph h) (vertex x) (vertex x))",
+    "(attach (vertx a) (graph h) (vertex x))", "(attach (vertex) (graph h) (vertex x))",
+    "(attach (edge e0 1/0) (graph h) (vertex x))", "(attach (edge e0 q) (graph h) (vertex x))",
+    "(attach (edge e0 0) (graph h) (vertex x))", "(attach (edge e0 3/2) (graph h) (vertex x))",
+    "(attach (vertex a) (graph h) (edge l 1))", "(attach (vertex a) (graph h) (edge l -1/2))",
+    "(attach (vertex a) (graph hh) (vertex x))", "(attach (vertex a) (graph) (vertex x))",
+    "(attach (vertex a) (node (base hh)) (vertex x))", "(attach (vertex a) (node) (vertex x))",
+    "(seqfam (a zz) (graph h) (vertex x))", "(seqfam (b) (graph h) (vertex x))",
+    "(seqfam () (graph h) (vertex x))", "(seqfam ((a)) (graph h) (vertex x))",
+    "(attach (vertex zz) (graph h) (vertex x))", "(attach (edge zz 1/2) (graph h) (vertex x))",
+    "(attach (vertex a) (graph h) (vertex zz))", "(seqfam (e0) (graph h) (edge zz 1/3))",
+    "(attach (vertex a) (node (base h) (attach (vertex x) (graph h) (vertex zz)))"
+    " (vertex x))",
+    # two faults
+    "(attach (vertx a) (graph hh) (vertex x))", "(attach (edge e0 2) (node (base hh)) (vertex x))",
+    "(attach (vertex a) (graph hh) (vertx x))", "(seqfam (e0) (graph hh) (edge l 0))",
+    "(attach (vertex a) (node (base h) (frob)) (edge l 5))",
+    "(seqfam (zz) (graph hh) (vertex x))", "(seqfam (b) (node (base h) (frob)) (vertex x))",
+    "(attach (vertex zz) (graph h) (vertx x))", "(attach (vertex zz) (graph h) (vertex zz))",
+    "(seqfam (e0) (graph h) (vertex x)) (attach (vertex zz) (graph hh) (vertex x))",
+    # a fault after a nested node form is built
+    "(attach (vertex a) (node (base h) (attach (vertex x) (graph h) (vertex x)))"
+    " (vertex x)) (frob)",
+    "(seqfam (a) (node (base h) (seqfam (l) (graph h) (vertex x))) (vertex zz))",
+]
+
+
+def _nested_text(clause, depth):
+    """``clause`` in the innermost of ``depth`` nested nodes, one node a
+    line; the outer ones alternate attachments and families."""
+    opens = ["(node (base g) (attach (vertex a)" if k % 2 else "(node (base g) (seqfam (e0)"
+             for k in range(depth - 1)]
+    closes = [" (vertex a)))"] * (depth - 1)
+    return "\n".join(_NESTED_HEAD + ["expr p"] + opens + [f"(node (base g) {clause})"]
+                     + closes + ["main p", ""]).replace("expr p\n", "expr p ", 1)
+
+
+def _nested_texts():
+    return [_nested_text(clause, depth) for depth in (1, 2, 3, 1500)
+            for clause in _NESTED_CLAUSES]
+
+
+def _reader_bodies(n=3000):
+    """Expression bodies of parentheses, atoms, spaces and newlines."""
+    rng = random.Random(2901)
+    head = "graph g\nvertex a\nendgraph\nexpr x "
+    return [head + "".join(rng.choice("(((  ))) aa\n") for _ in range(rng.randint(1, 14)))
+            + "\nmain x\n" for _ in range(n)]
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -201,6 +268,37 @@ def test_parser_matches_reference_on_the_error_corpus():
                  "invalid edge identifier", "duplicate graph name", "syntax: graph NAME"):
         assert any(part in m for m in messages), part
     assert sum(isinstance(o, SpaceFile) for o in outcomes) >= 50
+
+
+def test_builder_matches_reference_on_nested_errors():
+    texts = _nested_texts()
+    assert not _parse_mismatches(parse_spacefile, texts)
+    outcomes = [_outcome(parse_spacefile, t) for t in texts]
+    n = len(_NESTED_CLAUSES)
+    # the valid clauses parse at every depth; the others fail, each node's
+    # own errors on the innermost node's line
+    assert all(isinstance(o, SpaceFile) == (k % n < 2) for k, o in enumerate(outcomes))
+    messages = [o[1] for o in outcomes if isinstance(o, tuple)]
+    for part in ("unknown node clause", "expected (attach ...)", "syntax: (attach",
+                 "syntax: (seqfam", "unknown point kind", "bad fraction",
+                 "strictly between 0 and 1", "unknown graph 'hh'", "unknown id 'zz'",
+                 "ambiguous id 'b'", "not on the base", "not on the child's base"):
+        assert any(part in m for m in messages), part
+    deep = outcomes[-n:]
+    assert any(o[1].startswith("line 1510, col 1: attachment point") for o in deep[2:])
+
+
+def test_reader_bodies_raise_only_parse_errors_like_the_reference():
+    texts = _reader_bodies()
+    assert not _parse_mismatches(parse_spacefile, texts)
+    outcomes = [_outcome(parse_spacefile, t) for t in texts]
+    assert {type(o) for o in outcomes} == {tuple}
+    assert {o[0] for o in outcomes} == {ParseError}
+    messages = [o[1] for o in outcomes]
+    for part in ("unbalanced ')'", "unbalanced expression", "trailing tokens",
+                 "syntax: expr NAME", "unknown record", "expected a space expression",
+                 "expected a keyword"):
+        assert any(part in m for m in messages), part
 
 
 class _Name(str):
@@ -279,6 +377,42 @@ TOKENIZE_MUTANTS = {
     "lines-split-at-any-line-break": ('text.split("\\n")', "text.splitlines()"),
     "first-line-off-by-one": ("), start_line)", "), start_line + 1)"),
 }
+
+
+BUILD_MUTANTS = {
+    "anchor-read-before-the-child": (
+        ("child = yield parts[2]\n                fin.append(Attachment(at, child, "
+         "_build_point(parts[3])))",
+         "anchor = _build_point(parts[3])\n                child = yield parts[2]\n"
+         "                fin.append(Attachment(at, child, anchor))"),
+        ("pattern = yield parts[2]\n                seq.append(SeqFamily(sc, pattern, "
+         "_build_point(parts[3])))",
+         "anchor = _build_point(parts[3])\n                pattern = yield parts[2]\n"
+         "                seq.append(SeqFamily(sc, pattern, anchor))")),
+    "subcomplex-built-after-the-child": (
+        ("sc = _build_subcomplex(parts[1], base)\n                pattern = yield parts[2]",
+         "pattern = yield parts[2]\n                sc = _build_subcomplex(parts[1], base)"),),
+    # the node lets its errors through, and the whole expression reports
+    # them at its own position
+    "errors-wrapped-at-the-outermost-node": (
+        ("except (ExprError, GraphError) as exc:", "except () as exc:"),),
+}
+
+
+def _wrapped_at_the_top(build):
+    def build_expr(sx, graphs):
+        try:
+            return build(sx, graphs)
+        except (ExprError, GraphError) as exc:
+            raise ParseError(str(exc), sx[1][0], sx[1][1])
+    return build_expr
+
+
+@pytest.mark.parametrize("mutant", sorted(BUILD_MUTANTS))
+def test_builder_differential_catches_mutant(monkeypatch, mutant):
+    _mutant(monkeypatch, spacefile, "_node", *BUILD_MUTANTS[mutant])
+    monkeypatch.setattr(spacefile, "_build_expr", _wrapped_at_the_top(spacefile._build_expr))
+    assert _parse_mismatches(parse_spacefile, _nested_texts())
 
 
 @pytest.mark.parametrize("mutant", sorted(PARSE_MUTANTS))

@@ -332,7 +332,7 @@ def test_summary_runs_are_linear(chain):
         wild.tc_certificate(a)
         assert a.profile().wrk == depth + 2
         assert _runs(a) == depth + 1
-        assert len(a._memo) <= depth + 3
+        assert len(a._memo) == depth + 2
 
 
 def _staircase(n):

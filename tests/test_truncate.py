@@ -663,12 +663,18 @@ def test_truncation_betti1_negative_control(monkeypatch, mutant):
 
 
 class _CountingMemo(dict):
-    """An analysis memo that counts the entries its iterators yield."""
+    """An analysis memo that counts the entries its iterators yield, forwards
+    or backwards."""
 
     reached = 0
 
     def __iter__(self):
         for x in dict.__iter__(self):
+            self.reached += 1
+            yield x
+
+    def __reversed__(self):
+        for x in dict.__reversed__(self):
             self.reached += 1
             yield x
 
@@ -699,6 +705,33 @@ def test_truncation_count_guard_catches_a_walk_of_the_whole_memo(monkeypatch):
     module = _mutant(monkeypatch, "        if x is a.expr:\n", "        if False:\n")
     before, after = _counts_around_the_tower(module)
     assert before[:2] == after[:2] and after[2] > before[2]
+
+
+def _profile_around_the_tower(module):
+    """The profile of a 20-deep rank chain, with the memo entries its pass
+    reads, asked of a fresh analysis and of one that has answered
+    ``wild_tower``; and the memo's size at each point."""
+    out = []
+    for ask_tower in (False, True):
+        a = module.analyze(parse_spacefile(rank_chain_text(20)).main_expr())
+        if ask_tower:
+            module.wild_tower(a)
+        a._memo = memo = _CountingMemo(a._memo)
+        out.append((a.profile(), memo.reached, len(memo)))
+    return out
+
+
+def test_profile_reads_only_the_expressions_memo_entries():
+    before, after = _profile_around_the_tower(wild)
+    assert (before[2], after[2]) == (22, 63)
+    assert before[:2] == after[:2] and before[1] == 22
+
+
+def test_profile_guard_catches_a_walk_of_the_whole_memo(monkeypatch):
+    module = _mutant(monkeypatch, "for x in reversed(list(_subexpressions(self))):",
+                     "for x in reversed(memo):")
+    before, after = _profile_around_the_tower(module)
+    assert before[0] == after[0] and after[1] > before[1]
 
 
 # --- the command's records against the graph the command used to print -------
