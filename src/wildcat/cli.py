@@ -4,7 +4,9 @@ Subcommands: ``info``, ``plan``, ``verify``, ``certify``, ``truncate``,
 ``cuplength``.  Machine-readable output goes to stdout as one JSON document
 per invocation with a fixed, order-stable key set; a human-readable summary
 goes to stderr.  Exit status: 0 success, 2 parse/usage or output error, 3
-unstable expression, 4 infinite rank, 5 verification failure.
+unstable expression, 4 infinite rank, 5 verification failure.  When the
+reader of a standard output pipe closes it early, the call stops writing
+and exits 2 with no error line.
 """
 
 import argparse
@@ -19,13 +21,14 @@ from .graphs import GraphError, betti1, tc_graph
 from .cohomology import zero_divisor_cuplength
 from .planner import (PlanError, plan_graph, execute, verify_plan,
                       corrupt_plan_swap_endpoints, DEFAULT_DELTA, DEFAULT_EPS)
-from .spacefile import (ParseError, SpaceFile, parse_spacefile, print_spacefile,
-                        parse_point)
+from .spacefile import ParseError, SpaceFile, parse_spacefile, print_chunks, parse_point
 from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
                    analyze, graph_expr, profile, cat, tc, cat_certificate,
-                   tc_certificate, truncation_records, truncation_size,
+                   tc_certificate, chunk_records, truncation_chunks, truncation_size,
                    truncation_betti1)
-# not called here: kept because bench/workloads.py patches ``cli.truncate``
+# not called here: kept because bench/workloads.py patches ``cli.truncate`` and
+# ``cli.print_spacefile``
+from .spacefile import print_spacefile  # noqa: F401
 from .wild import truncate  # noqa: F401
 
 EXIT_OK = 0
@@ -63,8 +66,13 @@ def _save(path: str, text: str):
         raise ParseError(f"cannot write {path}: {exc.strerror}")
 
 
+class _ReaderGone(Exception):
+    """Standard output is a pipe whose reader has closed it."""
+
+
 def _write_stdout(text: str):
-    """Write and flush ``text``: a write error exits 2 here, not at exit."""
+    """Write and flush ``text``: a write error exits 2 here, not at exit;
+    a pipe whose reader has closed it raises ``_ReaderGone``."""
     out = sys.stdout
     try:
         if hasattr(out, "buffer"):
@@ -78,6 +86,8 @@ def _write_stdout(text: str):
         # exit passes; a stdout with no descriptor, such as a StringIO, has none
         with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise _ReaderGone from None
         raise ParseError(f"cannot write standard output: {exc.strerror}")
 
 
@@ -211,18 +221,19 @@ def cmd_truncate(args) -> int:
             raise ExprError(f"truncation at depth {args.depth} would have "
                             f"{n_vertices} vertices and {n_edges} edges, "
                             f"more than --max-edges {args.max_edges}")
-    # the printers read only the records: no graph of the output is built
-    records = truncation_records(analysis, args.depth)
-    out = SpaceFile({"truncated": records}, {}, "truncated")
-    text = print_spacefile(out)
+    # the text is written straight from the expansion's chunks: no record is
+    # built unless a name needs checking or a DOT file is asked for
+    chunks = truncation_chunks(analysis, args.depth)
+    text = print_chunks("truncated", chunks)
     if args.dot:
-        _write_dot(args.dot, records)
+        _write_dot(args.dot, chunk_records(chunks))
     if args.output:
         _save(args.output, text)
     else:
         _write_stdout(text)
     sys.stderr.write(f"truncated at depth {args.depth}: "
-                     f"{len(records.vertices)} vertices, {len(records.edges)} edges, "
+                     f"{sum(len(ch.names) for ch in chunks)} vertices, "
+                     f"{sum(len(ch.edges) for ch in chunks)} edges, "
                      f"betti1 {truncation_betti1(analysis, args.depth)}\n")
     return EXIT_OK
 
@@ -317,6 +328,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except _ReaderGone:                       # as for ``wildcat ... | head``
+        return EXIT_PARSE
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

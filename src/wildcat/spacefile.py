@@ -40,6 +40,7 @@ __all__ = [
     "parse_point",
     "format_point",
     "graph_records",
+    "print_chunks",
 ]
 
 
@@ -86,12 +87,13 @@ class SpaceFile:
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _tokenize(text, start_line):
-    """``(token, (line, col))`` for each token of ``text``, whose first line
-    is ``start_line``."""
+def _tokenize(text, start_line, start=0):
+    """``(token, (line, col))`` for each token of ``text`` from index
+    ``start`` on, whose first line is ``start_line``.  Columns count from
+    the start of each line, the first included."""
     return [(m[0], (line, m.start() + 1))
             for line, row in enumerate(text.split("\n"), start_line)
-            for m in _TOKEN.finditer(row)]
+            for m in _TOKEN.finditer(row, start if line == start_line else 0)]
 
 
 def _read_sexpr(tokens, i):
@@ -278,7 +280,7 @@ def _build_expr(sx, graphs) -> SpaceExpr:
 def parse_spacefile(text: str) -> SpaceFile:
     lines = text.split("\n")
     graphs = {}
-    raw_exprs = []  # (name, sexpr-text, start line)
+    raw_exprs = []  # (name, text from the first line on, that line, where the body starts)
     main = None
     i = 0
     n = len(lines)
@@ -323,18 +325,17 @@ def parse_spacefile(text: str) -> SpaceFile:
                 raise ParseError("syntax: expr NAME (EXPR)", lineno)
             name = parts[1]
             rest = lines[i - 1].split(None, 2)
-            body_lines = [rest[2] if len(rest) == 3 else ""]
-            depth = body_lines[0].count("(") - body_lines[0].count(")")
+            if len(rest) < 3:                 # the rest, if any, is not blank
+                raise ParseError("syntax: expr NAME (EXPR)", lineno)
+            depth = rest[2].count("(") - rest[2].count(")")
             while depth > 0:
                 if i >= n:
                     raise ParseError(f"unbalanced expression for {name!r}", lineno)
-                body_lines.append(lines[i])
                 depth += lines[i].count("(") - lines[i].count(")")
                 i += 1
-            body = "\n".join(body_lines)
-            if not body.strip():
-                raise ParseError("syntax: expr NAME (EXPR)", lineno)
-            raw_exprs.append((name, body, lineno))
+            # the body with its whole first line, tokenized from where it starts
+            start = len(lines[lineno - 1]) - len(rest[2])
+            raw_exprs.append((name, "\n".join(lines[lineno - 1:i]), lineno, start))
         elif key == "main":
             if len(parts) != 2:
                 raise ParseError("syntax: main NAME", lineno)
@@ -344,10 +345,10 @@ def parse_spacefile(text: str) -> SpaceFile:
         else:
             raise ParseError(f"unknown record {key!r}", lineno)
     exprs = {}
-    for name, body, lineno in raw_exprs:
+    for name, body, lineno, start in raw_exprs:
         if name in exprs or name in graphs:
             raise ParseError(f"duplicate definition name {name!r}", lineno)
-        tokens = _tokenize(body, lineno)
+        tokens = _tokenize(body, lineno, start)
         sx, end = _read_sexpr(tokens, 0)
         if end != len(tokens):
             extra = tokens[end]
@@ -417,6 +418,21 @@ def graph_records(g: MultiGraph):
     lines = [f"vertex {v}" for v in g.vertices]
     lines.extend(f"edge {e.id} {e.v0} {e.v1}" for e in g.edges)
     return lines
+
+
+def print_chunks(name: str, chunks) -> str:
+    """``print_spacefile`` of the file whose only definition, and main, is
+    the graph ``name`` of ``wild.chunk_records(chunks)``, written straight
+    from the chunks: the lines of ``graph_records``, with no ``Edge``
+    record built."""
+    vs = [v for ch in chunks for v in ch.names]
+    out = [f"graph {name}"]
+    if vs:
+        out.append("vertex " + "\nvertex ".join(vs))
+    out += [f"edge {prefix}{i} {look[i0]} {look[i1]}"
+            for _, look, prefix, tes in chunks for i, i0, i1 in tes]
+    out += ["endgraph", f"main {name}", ""]
+    return "\n".join(out)
 
 
 def print_spacefile(sf: SpaceFile) -> str:

@@ -12,7 +12,8 @@ One memoised post-order pass (``Analysis``) computes iterated wild sets,
 the wildness rank, the category and topological complexity formulas and
 filtration certificates; ``truncate`` builds finite graph approximations
 for cross-checks, ``truncation_records`` lists their checked names and
-records without building a graph, and ``truncation_size`` and
+records without building a graph, ``truncation_chunks`` hands them out as
+the expansion wrote them, and ``truncation_size`` and
 ``truncation_betti1`` count them without expanding them.  Copy sizes and
 attachment density are abstract: only the closure subcomplex of an
 attachment sequence matters for the wild set, so no metric data is
@@ -26,7 +27,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import groupby
+from itertools import accumulate, groupby
+from typing import NamedTuple
 
 from .graphs import (Edge, MultiGraph, GraphRecords, Vertex, EdgeInterior,
                      GraphPoint, GraphError, _check_names, _find, _new_tuple,
@@ -68,6 +70,9 @@ __all__ = [
     "cat_certificate",
     "tc_certificate",
     "truncate",
+    "Chunk",
+    "chunk_records",
+    "truncation_chunks",
     "truncation_records",
     "truncation_size",
     "truncation_betti1",
@@ -1004,8 +1009,21 @@ def _leaf_runs(kids, n_names: int, templates: dict):
     return out
 
 
+class Chunk(NamedTuple):
+    """What one stack entry of the expansion writes: the vertex names
+    ``names``, then for each template edge ``(id, i0, i1)`` of ``edges``
+    the edge ``(prefix + id, look[i0], look[i1])``.  ``look`` lists the
+    names the endpoints index: a copy's names and its host, or for a run of
+    leaf copies its parent's lookup list followed by the run's names."""
+
+    names: list
+    look: list
+    prefix: str
+    edges: list
+
+
 def _expand(root: Node, depth: int):
-    """Vertex names and ``Edge`` records of the truncation, in declaration
+    """The truncation as ``Chunk``s, one per stack entry, in declaration
     order, from one pre-order walk of the expansion tree.
 
     A node writes its base vertices, then the vertices cutting its edges
@@ -1022,10 +1040,11 @@ def _expand(root: Node, depth: int):
     copy of a ``seq`` pattern is the same ``Node``, glued at the same
     anchor.  So it is worked out once per (node, anchor) pair as a
     ``_template`` in the node's own names, and each copy only prefixes the
-    template's vertex names once and reads every edge endpoint and child
-    host from that list, so the graph holds one string per vertex.  The
-    memo keys by the node, so equal nodes share one template, and by the
-    anchor, since one node may be glued at two.
+    template's vertex names once; its chunk hands out those names, a lookup
+    list of them and the host, the prefix, and the template's edges, whose
+    endpoints index the lookup list.  The memo keys by the node, so equal
+    nodes share one template, and by the anchor, since one node may be
+    glued at two.
 
     A leaf copy (one with no children) writes only its own vertices and
     edges, so consecutive leaf children of one copy may be written together
@@ -1033,32 +1052,30 @@ def _expand(root: Node, depth: int):
     own template, which holds from its second copy on since the first
     copy's subtree builds them, its children are recompiled once by
     ``_leaf_runs``: each run of leaf copies becomes one stack entry, which
-    carries the parent copy's prefix and names and writes the whole run
-    with one prefix per name.  A child with children of its own keeps its
-    own entry, so a 1500-deep chain of single copies is walked one entry
-    per level.
+    carries the parent copy's prefix and lookup list and writes the whole
+    run as one chunk.  A child with children of its own keeps its own
+    entry, so a 1500-deep chain of single copies is walked one entry per
+    level.
 
     Also returns, for the first copy of each template with an anchor, the
-    anchor's own vertex name, the edge it cuts (or None) and the vertex and
-    edge ranges of its subtree; and whether every template proved its names.
+    anchor's own vertex name, the edge it cuts (or None) and the range of
+    chunks its subtree writes; and whether every template proved its names.
     """
-    vs, es, anchors = [], [], []
+    chunks, anchors = [], []
     templates = {}            # (node, anchor) -> [vs, es, kids, kids compiled]
     proven = True
     stack = [(root, None, "", None)]
     while stack:
         entry = stack.pop()
         if isinstance(entry, list):           # an anchored subtree ends here
-            entry.extend((len(vs), len(es)))
+            entry.append(len(chunks))
             continue
         node, anchor, prefix, host = entry
         if node is None:                      # a run of leaf copies
             run_vs, run_es = anchor
             names = [prefix + v for v in run_vs]
-            vs.extend(names)
-            names = host + names              # after the parent's names and host
-            es.extend([_new_tuple(Edge, (prefix + i, names[i0], names[i1]))
-                       for i, i0, i1 in run_es])
+            # after the parent's names and host
+            chunks.append(_new_tuple(Chunk, (names, host + names, prefix, run_es)))
             continue
         key = (node, anchor)
         tpl = templates.get(key)
@@ -1069,8 +1086,7 @@ def _expand(root: Node, depth: int):
             if record is not None:
                 vname, eid = record
                 anchors.append([prefix + vname,
-                                None if eid is None else prefix + eid,
-                                len(vs), len(es)])
+                                None if eid is None else prefix + eid, len(chunks)])
                 stack.append(anchors[-1])
         tvs, tes, kids, compiled = tpl
         if kids and not compiled:
@@ -1079,15 +1095,22 @@ def _expand(root: Node, depth: int):
                 kids = tpl[2] = runs
                 tpl[3] = True
         names = [prefix + v for v in tvs]
-        vs.extend(names)
-        names.append(host)                    # index -1
-        # what Edge(...) does, less its Python-level __new__
-        es.extend([_new_tuple(Edge, (prefix + i, names[i0], names[i1]))
-                   for i, i0, i1 in tes])
-        stack.extend([(child, child_anchor, prefix + suffix, names[at])
-                      if child is not None else (None, child_anchor, prefix, names)
+        look = names + [host]                 # the host at index -1
+        chunks.append(_new_tuple(Chunk, (names, look, prefix, tes)))
+        stack.extend([(child, child_anchor, prefix + suffix, look[at])
+                      if child is not None else (None, child_anchor, prefix, look)
                       for child, child_anchor, suffix, at in kids])
-    return vs, es, anchors, proven
+    return chunks, anchors, proven
+
+
+def chunk_records(chunks) -> GraphRecords:
+    """The vertex names and ``Edge`` records that ``chunks`` write, in
+    declaration order."""
+    vs = tuple([v for ch in chunks for v in ch.names])
+    # what Edge(...) does, less its Python-level __new__
+    es = tuple([_new_tuple(Edge, (prefix + i, look[i0], look[i1]))
+                for _, look, prefix, tes in chunks for i, i0, i1 in tes])
+    return GraphRecords(vs, es)
 
 
 def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
@@ -1100,11 +1123,28 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
     return MultiGraph._trusted(*truncation_records(e, depth))
 
 
+def truncation_chunks(e: SpaceExpr, depth: int) -> list:
+    """``truncate(e, depth)`` as the ``Chunk``s of its one expansion walk,
+    in declaration order: ``chunk_records`` of them are
+    ``truncation_records(e, depth)``.  When every template proves its names
+    no record is built; otherwise the records are built and checked first,
+    so a bad name raises the ``GraphError`` that ``truncation_records``
+    raises."""
+    return _checked_expansion(e, depth)[0]
+
+
 def truncation_records(e: SpaceExpr, depth: int) -> GraphRecords:
     """The checked vertex names and ``Edge`` records of ``truncate(e,
     depth)``, in declaration order, with no graph built: the expansion is
     iterative, and a bad name raises the ``GraphError`` the checking
-    constructor raises.
+    constructor raises."""
+    chunks, records = _checked_expansion(e, depth)
+    return chunk_records(chunks) if records is None else records
+
+
+def _checked_expansion(e, depth):
+    """The chunks of ``truncate(e, depth)``, and their records if the name
+    check built them, or None.
 
     Every output name is a copy's prefix, a string of copy tokens (``a<i>_``,
     ``s<i>c<c>_``) naming the path to the copy in the expansion tree,
@@ -1115,26 +1155,30 @@ def truncation_records(e: SpaceExpr, depth: int) -> GraphRecords:
     token-free, the output's names are unique, and they are identifiers
     with every endpoint a vertex by construction; the anchor check below
     cannot fire either, as each template proved its anchor's names against
-    its own.  The records are then returned without checking names again.
-    Otherwise they are checked as the constructor checks them, so each
-    error names the first bad identifier.
+    its own.  The names are then not checked again.  Otherwise the records
+    are checked as the constructor checks them, so each error names the
+    first bad identifier.
     """
-    vs, es, anchors, proven = _expand(_require_truncatable(e, depth), depth)
-    vs, es = tuple(vs), tuple(es)
+    chunks, anchors, proven = _expand(_require_truncatable(e, depth), depth)
     if proven:
-        return GraphRecords(vs, es)
+        return chunks, None
+    records = chunk_records(chunks)
+    vs, es = records
     ids, names = _check_names(vs, es)
     # An anchor is renamed to its host, so the check never sees its own
     # name, nor the id of the edge it cuts; either must still be unique
     # within the anchor's subtree.  A subtree's names are its prefix plus
     # names fixed by its template, so every copy of a template gets the
     # verdict of its first copy, which the pre-order also reaches first.
-    for vname, eid, v0, e0, v1, e1 in anchors:
-        if vname in names and vname in vs[v0:v1]:
+    # Its chunks' sizes give its vertex and edge ranges.
+    v_at = list(accumulate((len(ch.names) for ch in chunks), initial=0))
+    e_at = list(accumulate((len(ch.edges) for ch in chunks), initial=0))
+    for vname, eid, c0, c1 in anchors:
+        if vname in names and vname in vs[v_at[c0]:v_at[c1]]:
             raise GraphError(f"duplicate identifier {vname!r}")
-        if eid in ids and any(ed[0] == eid for ed in es[e0:e1]):
+        if eid in ids and any(ed[0] == eid for ed in es[e_at[c0]:e_at[c1]]):
             raise GraphError(f"duplicate identifier {eid!r}")
-    return GraphRecords(vs, es)
+    return chunks, records
 
 
 def _require_truncatable(e, depth):

@@ -20,6 +20,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(wildcat.__path__)
 # imported but never called: bench/workloads.py patches each by this name
 BENCH_PATCHED = {
     ("cli", "truncate"),                # p(cli, "truncate", "wild.truncate", ...)
+    ("cli", "print_spacefile"),         # p(cli, "print_spacefile", "spacefile.print", ...)
     ("wild", "build_graph"),            # p(mod, "build_graph", "graphs.build")
     ("planner", "vertex_distances"),    # p(planner, "vertex_distances", ...)
 }

@@ -12,8 +12,9 @@ counted once in ``degree``.
 
 The cost guards count the builders: truncating and printing builds no
 incidence table, ``wildcat truncate`` builds no graph of its output at all
-(it prints the checked records, and the ``betti1`` it reports comes from
-the expression), and ``plan_graph``
+(it writes its text from the expansion's chunks, and the ``betti1`` it
+reports comes from the expression), nor, on the benchmark's chain, any
+``Edge`` record or ``graph_records`` call, and ``plan_graph``
 on a graph with one cycle builds no incidence table for its input (the
 deforestation reads only the edge list).  Copies and pickles carry the
 tables whether or not they were built.
@@ -30,12 +31,14 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import graph_reference
-from wildcat import cli, planner, wild
-from wildcat.graphs import MultiGraph, build_graph
-from wildcat.spacefile import SpaceFile, parse_spacefile, print_spacefile
+from wildcat import cli, graphs, planner, spacefile, wild
+from wildcat.graphs import Edge, MultiGraph, build_graph
+from wildcat.spacefile import SpaceFile, graph_records, parse_spacefile, print_spacefile
 
 from gen import random_cycle_with_hairs, rank_chain_text
 from test_analysis import _corpus_5150, _corpus_707
+from test_cli import _bench_module
+from test_truncate import _one_chunk, _print_records
 
 FIXTURES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "fixtures",
                                          "*.space")))
@@ -179,7 +182,7 @@ def _truncate_cost_failures(monkeypatch, tmp_path):
     ``print_spacefile`` on a rank chain build no incidence table and leave
     the output's component table unbuilt, and ``wildcat truncate`` on the
     same file builds no incidence table and no graph of its output at all:
-    it prints the checked records.  (The wild analysis behind the atom
+    it writes its text from the expansion's chunks.  (The wild analysis behind the atom
     check and ``truncation_betti1`` reads the components of the parsed base
     graphs; those are not counted.)"""
     text = rank_chain_text(3)
@@ -236,10 +239,54 @@ def test_cost_guard_catches_an_eager_constructor(monkeypatch, tmp_path):
 
 
 def test_cost_guard_catches_a_command_routed_through_truncate(monkeypatch, tmp_path):
-    # the parent's command printed the graph ``truncate`` built
-    monkeypatch.setattr(cli, "truncation_records", cli.truncate)
+    # an earlier command printed the graph ``truncate`` built
+    monkeypatch.setattr(cli, "truncation_chunks",
+                        lambda e, depth: _one_chunk(cli.truncate(e, depth)))
     assert _truncate_cost_failures(monkeypatch, tmp_path) == [
         "command built a graph of its output"]
+
+
+def _command_record_cost(monkeypatch, tmp_path):
+    """``Edge`` records built, by either constructor, and ``graph_records``
+    calls made by ``wildcat truncate --depth 12`` on the benchmark's chain."""
+    path = tmp_path / "chain.space"
+    path.write_text(_bench_module("gen").chain_text(random.Random(3), 3), encoding="ascii")
+    cost = {"Edge": 0, "graph_records": 0}
+    edge_new = Edge.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        cost["Edge"] += 1
+        return edge_new(cls, *args, **kwargs)
+
+    def counting_tuple(cls, items):
+        cost["Edge"] += cls is Edge
+        return tuple.__new__(cls, items)
+
+    def counting_records(g):
+        cost["graph_records"] += 1
+        return graph_records(g)
+
+    monkeypatch.setattr(Edge, "__new__", counting_new)
+    for module in (graphs, wild, spacefile):
+        monkeypatch.setattr(module, "_new_tuple", counting_tuple)
+    monkeypatch.setattr(spacefile, "graph_records", counting_records)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert cli.main(["truncate", str(path), "--depth", "12"]) == 0
+    assert out.getvalue().count("\nedge ") == 37692
+    return cost
+
+
+def test_truncate_command_builds_no_edge_record(monkeypatch, tmp_path):
+    # the only records are the parsed input's: three triangle edges and a loop
+    assert _command_record_cost(monkeypatch, tmp_path) == {"Edge": 4, "graph_records": 0}
+
+
+def test_record_cost_guard_catches_a_command_that_prints_records(monkeypatch, tmp_path):
+    # an earlier command printed the checked records with print_spacefile
+    monkeypatch.setattr(cli, "print_chunks", _print_records)
+    assert _command_record_cost(monkeypatch, tmp_path) == {"Edge": 4 + 37692,
+                                                           "graph_records": 1}
 
 
 def _lifted_plan_builds_incidence(monkeypatch):

@@ -62,6 +62,31 @@ def test_parse_error_reports_line():
     assert err.value.line == 3
 
 
+def _error_place(text):
+    with pytest.raises(ParseError) as err:
+        parse_spacefile(text)
+    return err.value.line, err.value.col, str(err.value)
+
+
+def test_first_line_columns_count_from_the_line():
+    # columns on an expression's first line count from the start of the
+    # line, not of the body: ``(frob)`` starts at column 23
+    head = "graph g\nvertex a\nendgraph\n"
+    assert _error_place(head + "expr p (node (base g) (frob))\nmain p\n") == (
+        4, 23, "line 4, col 23: unknown node clause 'frob'")
+    # leading and repeated whitespace count as written, a tab as one column
+    assert _error_place(head + " \texpr  p   (graph g) x\nmain p\n")[:2] == (4, 23)
+
+
+def test_multiline_body_columns_count_from_each_line():
+    head = "graph g\nvertex a\nendgraph\n"
+    text = head + "expr p (node (base g)\n   (frob))\nmain p\n"
+    assert _error_place(text) == (5, 4, "line 5, col 4: unknown node clause 'frob'")
+    # a node's own errors are placed at its "(", here on the first line
+    text = head + "expr  p (node (base g) (attach (vertex b)\n (graph g) (vertex a)))\nmain p\n"
+    assert _error_place(text)[:2] == (4, 9)
+
+
 def test_parse_error_dangling_reference():
     text = "graph g\nvertex a\nendgraph\nexpr e (graph missing)\nmain e\n"
     with pytest.raises(ParseError, match="unknown graph"):

@@ -37,11 +37,15 @@ Four mutants are the negative controls: a token test that misses
 path taken for an unproven template, and a run of leaf copies written in
 reverse.
 
-``wildcat truncate`` prints the records and builds no graph of them.  On
-the fixtures, both criterion corpora, the token corpus and a 1500-deep
-chain it must write what it wrote when it printed the graph built by the
-checking constructor: the same exit code, stdout, stderr, ``-o`` file and
-``--dot`` file.
+``wildcat truncate`` writes its text straight from the expansion's chunks
+and builds no graph and, when the names are proven, no record.  On the
+fixtures, both criterion corpora, the token corpus and a 1500-deep chain it
+must write what it wrote when it printed, with ``print_spacefile``, the
+graph that the checking constructor built from ``ref.records_expand``, the
+walk that filled two lists: the same exit code, stdout, stderr, ``-o`` file
+and ``--dot`` file.  Two writer mutants are the negative controls: a run of
+leaf copies that leaves its hosts unsubstituted, and the edge lines of the
+first two chunks swapped.
 """
 
 import glob
@@ -62,6 +66,7 @@ from wildcat.wild import Node, Attachment, SeqFamily, Subcomplex, graph_expr
 from gen import (attach_chain_text, path_graph, rank_chain_text,
                  seq_chain_text)
 from test_analysis import _corpus_5150, _corpus_707, _random_corpus
+from test_lift import _mutant as _lift_mutant
 from test_tower_summary import _mutant
 
 
@@ -402,7 +407,7 @@ def test_token_corpus_takes_the_checked_build(monkeypatch):
     count = _count_name_checks(monkeypatch)
     kinds = []
     for e, depth in corpus:
-        assert wild._expand(e, depth)[3] is False
+        assert wild._expand(e, depth)[2] is False
         count[0] = 0
         try:
             wild.truncate(e, depth)
@@ -468,7 +473,7 @@ def test_truncate_builds_one_graph(monkeypatch):
             count[0] = 0
             g = wild.truncate(expr, depth)
             assert count[0] == 1, (depth, count[0])
-            assert wild._expand(expr, depth)[3] is proven
+            assert wild._expand(expr, depth)[2] is proven
         assert len(g.edges) > 500
 
 
@@ -518,7 +523,7 @@ def test_anchor_records_do_not_grow_with_depth():
     # most the chain's five; the per-copy walk keeps one per copy
     e = parse_spacefile(rank_chain_text(3)).main_expr()
     for depth in (4, 12):
-        assert len(wild._expand(e, depth)[2]) <= 5
+        assert len(wild._expand(e, depth)[1]) <= 5
     assert len(ref._walk_expand(e, 4)[2]) > 5
 
 
@@ -734,12 +739,13 @@ def test_profile_guard_catches_a_walk_of_the_whole_memo(monkeypatch):
     assert before[0] == after[0] and after[1] > before[1]
 
 
-# --- the command's records against the graph the command used to print -------
+# --- the command's text against the graph the command used to print --------
 
 def _graph_truncate(e, depth):
-    """``truncate`` before ``truncation_records``: the expansion built by the
-    checking constructor, then the two anchor checks run on the graph."""
-    vs, es, anchors, proven = wild._expand(wild._require_truncatable(e, depth), depth)
+    """``truncate`` before ``truncation_records``: the expansion that filled
+    two lists, built by the checking constructor, then the two anchor checks
+    run on the graph."""
+    vs, es, anchors, proven = ref.records_expand(wild._require_truncatable(e, depth), depth)
     if proven:
         return MultiGraph._trusted(vs, es)
     g = build_graph(vs, es)
@@ -749,6 +755,26 @@ def _graph_truncate(e, depth):
         if eid in g.edge_by_id and any(ed[0] == eid for ed in es[e0:e1]):
             raise GraphError(f"duplicate identifier {eid!r}")
     return g
+
+
+def _one_chunk(g):
+    """The chunks that write graph ``g``: one, with its names, and its edges
+    with endpoints indexing them."""
+    names = list(g.vertices)
+    index = {v: k for k, v in enumerate(names)}
+    return [wild.Chunk(names, names, "", [(i, index[v0], index[v1]) for i, v0, v1 in g.edges])]
+
+
+def _print_records(name, chunks):
+    """What the command printed before it wrote from the chunks."""
+    return print_spacefile(SpaceFile({name: wild.chunk_records(chunks)}, {}, name))
+
+
+def _route_through_the_graph(monkeypatch):
+    """Make the command print, with ``print_spacefile``, the graph that the
+    checking constructor builds from ``ref.records_expand``."""
+    monkeypatch.setattr(cli, "truncation_chunks", lambda e, depth: _one_chunk(_graph_truncate(e, depth)))
+    monkeypatch.setattr(cli, "print_chunks", _print_records)
 
 
 def _command_outputs(path, depth, out_dir):
@@ -790,11 +816,12 @@ def _command_cases(tmp_path):
 
 def test_command_prints_what_the_graph_printed(monkeypatch, tmp_path):
     # the command used to build ``truncate``'s graph and print it; it must
-    # write the same bytes and exit the same way from the records alone
+    # write the same bytes and exit the same way from the chunks alone
     cases = _command_cases(tmp_path)
     new = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
-    monkeypatch.setattr(cli, "truncation_records", _graph_truncate)
-    old = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
+    with monkeypatch.context() as m:
+        _route_through_the_graph(m)
+        old = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
     for case, got, want in zip(cases, new, old):
         assert got == want, case
     errors = [calls[0][2] for calls, _ in new if calls[0][0] == 2]
@@ -803,3 +830,27 @@ def test_command_prints_what_the_graph_printed(monkeypatch, tmp_path):
     assert sum("opaque atoms" in err for err in errors) == 10
     assert sum("duplicate identifier" in err for err in errors) >= 10
     assert new[-1][0][0][2] == "truncated at depth 1: 3001 vertices, 4501 edges, betti1 1501\n"
+
+
+WRITER_MUTANTS = {
+    # a run of leaf copies writes a placeholder where its copies' hosts,
+    # names of the parent copy, belong
+    "host-unsubstituted-in-leaf-run": (
+        wild, "_expand", "(names, host + names, prefix, run_es)",
+        "(names, [None] * len(host) + names, prefix, run_es)"),
+    "edge-lines-of-two-chunks-swapped": (
+        cli, "print_chunks", "for _, look, prefix, tes in chunks for",
+        "for _, look, prefix, tes in chunks[1::-1] + chunks[2:] for"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(WRITER_MUTANTS))
+def test_command_differential_catches_writer_mutant(monkeypatch, tmp_path, mutant):
+    owner, name, old, new = WRITER_MUTANTS[mutant]
+    cases = _command_cases(tmp_path)
+    with monkeypatch.context() as m:
+        _route_through_the_graph(m)
+        want = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
+    _lift_mutant(monkeypatch, owner, name, (old, new))
+    assert any(_command_outputs(path, depth, tmp_path) != outputs
+               for (path, depth), outputs in zip(cases, want))

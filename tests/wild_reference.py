@@ -18,6 +18,12 @@ every copy's anchor.  It is the oracle for the exact errors of
 ``truncation_size`` is the size count as it was before it read the
 analysis memo: its own explicit-stack walk, memoised by (node, anchor).
 It shares the package's cut count, so it is the oracle for the walk.
+
+``records_expand`` is the template walk as it was before it handed out
+chunks: it fills one list of vertex names and one of ``Edge`` records, and
+gives each anchor record vertex and edge ranges.  It shares the package's
+templates and runs of leaf copies, so it is the oracle for how the chunks
+are written.
 """
 
 from collections import Counter, defaultdict
@@ -619,3 +625,53 @@ def truncation_size(e, depth):
             n_e += copies * sizes[kid][1]
         sizes[key] = (n_v, n_e)
     return sizes[(e, None)]
+
+
+# --- the template walk that filled two lists --------------------------------
+
+def records_expand(root, depth):
+    """Vertex names, ``Edge`` records, anchor records ``[name, edge id, v0,
+    e0, v1, e1]`` and the proven flag of the truncation, from the package's
+    templates and runs of leaf copies."""
+    vs, es, anchors = [], [], []
+    templates = {}
+    proven = True
+    stack = [(root, None, "", None)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            entry.extend((len(vs), len(es)))
+            continue
+        node, anchor, prefix, host = entry
+        if node is None:
+            run_vs, run_es = anchor
+            names = [prefix + v for v in run_vs]
+            vs.extend(names)
+            names = host + names
+            es.extend([Edge(prefix + i, names[i0], names[i1]) for i, i0, i1 in run_es])
+            continue
+        key = (node, anchor)
+        tpl = templates.get(key)
+        if tpl is None:
+            tvs, tes, kids, record, ok = wild._template(node, anchor, depth)
+            tpl = templates[key] = [tvs, tes, kids, False]
+            proven = proven and ok
+            if record is not None:
+                vname, eid = record
+                anchors.append([prefix + vname, None if eid is None else prefix + eid,
+                                len(vs), len(es)])
+                stack.append(anchors[-1])
+        tvs, tes, kids, compiled = tpl
+        if kids and not compiled:
+            runs = wild._leaf_runs(kids, len(tvs), templates)
+            if runs is not None:
+                kids = tpl[2] = runs
+                tpl[3] = True
+        names = [prefix + v for v in tvs]
+        vs.extend(names)
+        names.append(host)
+        es.extend([Edge(prefix + i, names[i0], names[i1]) for i, i0, i1 in tes])
+        stack.extend([(child, child_anchor, prefix + suffix, names[at])
+                      if child is not None else (None, child_anchor, prefix, names)
+                      for child, child_anchor, suffix, at in kids])
+    return vs, es, anchors, proven
