@@ -556,13 +556,15 @@ def _fmt_pair(x, y) -> str:
 
 def _rises(step: PathStep) -> bool:
     """Whether a step runs towards v0 -> v1: a < b, compared in ints."""
-    a, b = step.a, step.b
-    return a.numerator * b.denominator < b.numerator * a.denominator
+    an, ad = step.a.as_integer_ratio()
+    bn, bd = step.b.as_integer_ratio()
+    return an * bd < bn * ad
 
 
 def _walk_bound(path1: PLPath, path2: PLPath, same_middle: bool = None):
     """An exact bound on the distance between ``path1.at(t)`` and
-    ``path2.at(t)`` over every t in [0,1], or None when the steps show none.
+    ``path2.at(t)`` over every t in [0,1], as an integer pair (num, den)
+    with den > 0, or None when the steps show none.
 
     Both paths must be well-formed.  ``same_middle`` is whether their middle
     steps are equal, for a caller that has compared them already; when it
@@ -585,23 +587,33 @@ def _walk_bound(path1: PLPath, path2: PLPath, same_middle: bool = None):
     if f1.edge != f2.edge:
         return None
     l1, l2 = steps1[-1], steps2[-1]
-    # a step of a multi-step path is not degenerate, so _rises is its
-    # direction; shared parameters (_ZERO, _ONE, a query's own t) are told
-    # equal by identity before any Fraction is compared
-    if n > 1 and ((f1.b is not f2.b and f1.b != f2.b)
-                  or _rises(f1) != _rises(f2)
-                  or l1.edge != l2.edge or (l1.a is not l2.a and l1.a != l2.a)
-                  or _rises(l1) != _rises(l2)
-                  or not (steps1[1:-1] == steps2[1:-1] if same_middle is None
-                          else same_middle)):
-        return None
-    # |a1 - a2| and |b1 - b2| as integer pairs; the larger becomes the bound
-    a1, a2, b1, b2 = f1.a, f2.a, l1.b, l2.b
-    an = abs(a1.numerator * a2.denominator - a2.numerator * a1.denominator)
-    ad = a1.denominator * a2.denominator
-    bn = abs(b1.numerator * b2.denominator - b2.numerator * b1.denominator)
-    bd = b1.denominator * b2.denominator
-    return Fraction(an, ad) if an * bd >= bn * ad else Fraction(bn, bd)
+    if n > 1:
+        # shared parameters (_ZERO, _ONE, a query's own t) are told equal by
+        # identity before any Fraction is compared.  A step of a multi-step
+        # path is not degenerate, so one ending at 1 or starting at 0 rises
+        # and one ending at 0 or starting at 1 falls: steps sharing an edge
+        # end share their direction, and _rises is read only at a shared
+        # interior parameter
+        end = f1.b
+        if f2.b is not end and f2.b != end:
+            return None
+        if end is not _ZERO and end is not _ONE and _rises(f1) != _rises(f2):
+            return None
+        start = l1.a
+        if (l1.edge != l2.edge or (l2.a is not start and l2.a != start)
+                or (start is not _ZERO and start is not _ONE
+                    and _rises(l1) != _rises(l2))
+                or not (steps1[1:-1] == steps2[1:-1] if same_middle is None
+                        else same_middle)):
+            return None
+    # |a1 - a2| and |b1 - b2| as integer pairs; the larger is the bound
+    p1, q1 = f1.a.as_integer_ratio()
+    p2, q2 = f2.a.as_integer_ratio()
+    an, ad = abs(p1 * q2 - p2 * q1), q1 * q2
+    p1, q1 = l1.b.as_integer_ratio()
+    p2, q2 = l2.b.as_integer_ratio()
+    bn, bd = abs(p1 * q2 - p2 * q1), q1 * q2
+    return (an, ad) if an * bd >= bn * ad else (bn, bd)
 
 
 def _sampled_sup(g: MultiGraph, path1: PLPath, path2: PLPath, eps: Fraction):
@@ -613,30 +625,57 @@ def _sampled_sup(g: MultiGraph, path1: PLPath, path2: PLPath, eps: Fraction):
     return sup if sup > eps else None
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform draw from range(n), n >= 1, by the rejection rule of
+    CPython's ``Random.randrange(n)``: draw ``n.bit_length()`` bits, again
+    while the draw is >= n.  It consumes what ``randrange(n)`` consumes and
+    returns what it returns, so ``start + _below(getrandbits, stop - start)``
+    is ``randrange(start, stop)``, drawn without its argument checks."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_point(rng, g: MultiGraph, denom=4096) -> GraphPoint:
-    n_v = len(g.vertices)
-    k = rng.randrange(n_v + len(g.edges))
+    """A seeded query point: one draw picks a vertex or an edge, uniformly
+    over the vertices and edges of g, and an edge takes a second draw, its
+    parameter k / denom for a uniform k in 1 .. denom - 1.  The draws are
+    ``_below`` over ``rng.getrandbits``."""
+    getrandbits = rng.getrandbits
+    vertices = g.vertices
+    n_v = len(vertices)
+    k = _below(getrandbits, n_v + len(g.edges))
     if k < n_v:
-        return Vertex(g.vertices[k])
+        return Vertex(vertices[k])
     e = g.edges[k - n_v]
-    return EdgeInterior._trusted(e.id, Fraction(rng.randrange(1, denom), denom))
+    return EdgeInterior._trusted(e.id, Fraction(1 + _below(getrandbits, denom - 1), denom))
 
 
 def _nudge(rng, p: GraphPoint, max_shift: Fraction) -> GraphPoint:
+    """p moved along its edge by j / grid, for one uniform draw j in
+    [-span, span], span / grid = max_shift, and clamped to
+    [1/grid, 1 - 1/grid], so a nudged point stays inside its edge.  The grid
+    is 2^22, times max_shift's denominator when that is larger.  A vertex is
+    returned as it is and consumes no draw; an edge point consumes one,
+    ``_below`` over ``rng.getrandbits``."""
     if isinstance(p, Vertex):
         return p
     grid = 1 << 22
-    if max_shift.denominator > grid:
+    shift_num, shift_den = max_shift.as_integer_ratio()
+    if shift_den > grid:
         # on the 2^-22 grid every shift below max_shift would round to 0
-        grid *= max_shift.denominator
-    span = max_shift.numerator * (grid // max_shift.denominator)
-    j = rng.randrange(-span, span + 1)
+        grid *= shift_den
+    span = shift_num * (grid // shift_den)
+    j = _below(rng.getrandbits, 2 * span + 1) - span
     # shift by j/grid and clamp to [1/grid, 1 - 1/grid] in ints over the
-    # common denominator (just grid for every sampled point)
-    t = p.t
-    den = lcm(grid, t.denominator)
+    # common denominator: grid itself for every sampled point, whose
+    # denominator divides it
+    num, tden = p.t.as_integer_ratio()
+    den = lcm(grid, tden) if grid % tden else grid
     step = den // grid
-    k = t.numerator * (den // t.denominator) + j * step
+    k = num * (den // tden) + j * step
     return EdgeInterior._trusted(p.edge, Fraction(max(step, min(den - step, k)), den))
 
 
@@ -664,7 +703,8 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         decided exactly when the two answers walk one shared walk (equal
         middle steps, first and last steps on shared edges in shared
         directions): then the distance over every t is at most the larger
-        of the gaps at t = 0 and t = 1, an exact bound compared with eps.
+        of the gaps at t = 0 and t = 1, an exact bound, held as an integer
+        pair and compared with eps in integers.
         A pair this bound does not decide is sampled at 32 times, with
         exact positions (``PLPath.at``) and exact distances
         (``point_dist``); the first failing pair is the witness, its sup
@@ -742,6 +782,7 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         section_witness))
 
     half = delta / 2
+    eps_num, eps_den = eps.numerator, eps.denominator
     cont_witness = None
     compared = 0
     skipped = 0
@@ -778,7 +819,7 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         # an exact walk bound <= eps holds at every t in [0,1], so at every
         # sampled time too: skipping the samples changes no verdict or count
         bound = _walk_bound(path1, path2, same_middle)
-        if bound is not None and bound <= eps:
+        if bound is not None and bound[0] * eps_den <= eps_num * bound[1]:
             continue
         sup = _sampled_sup(g, path1, path2, eps)
         if sup is not None:

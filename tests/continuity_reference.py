@@ -5,9 +5,12 @@ for differential tests only.
 and converts it to floats entry by entry; ``float_dist`` reads the
 all-pairs vertex distance table; ``continuity_check`` replays the seeded
 queries of ``verify_plan`` and compares every perturbed pair over all 32
-time samples on that table; ``nudge`` perturbs a query point with Fraction
-arithmetic and comparisons.  Its ``CheckResult`` and witness are what the
-verifier reports, so ``wildcat.planner`` must give the same ones.  One
+time samples on that table; ``random_point`` draws a query point and
+``nudge`` perturbs one, both through ``Random.randrange`` as the verifier
+once drew them, ``nudge`` with Fraction arithmetic and comparisons, so a
+verifier whose draws drift from that stream fails the differential tests.
+Its ``CheckResult`` and witness are what the verifier reports, so
+``wildcat.planner`` must give the same ones.  One
 change from the old code: a vertex sample is tagged None, as in
 ``wildcat.planner``, where the old tag "v" was also a valid edge id.
 """
@@ -16,7 +19,7 @@ import random
 from fractions import Fraction
 
 from wildcat.graphs import EdgeInterior, GraphError, PLPath, Vertex, vertex_distances
-from wildcat.planner import CheckResult, TIME_SAMPLES, _fmt_pair, _random_point
+from wildcat.planner import CheckResult, TIME_SAMPLES, _fmt_pair
 
 
 def _malformed(path: PLPath):
@@ -26,6 +29,15 @@ def _malformed(path: PLPath):
     except GraphError as exc:
         return str(exc)
     return None
+
+
+def random_point(rng, g, denom=4096):
+    n_v = len(g.vertices)
+    k = rng.randrange(n_v + len(g.edges))
+    if k < n_v:
+        return Vertex(g.vertices[k])
+    e = g.edges[k - n_v]
+    return EdgeInterior(e.id, Fraction(rng.randrange(1, denom), denom))
 
 
 def nudge(rng, p, max_shift):
@@ -107,7 +119,7 @@ def continuity_check(p, g, samples, delta, eps, seed=0, continuity_samples=None)
     if continuity_samples is None:
         continuity_samples = samples
     rng = random.Random(seed)
-    queries = [(_random_point(rng, g), _random_point(rng, g)) for _ in range(samples)]
+    queries = [(random_point(rng, g), random_point(rng, g)) for _ in range(samples)]
     answered = []
     for x, y in queries:
         member = [f.contains(x, y) for f in p.strata]

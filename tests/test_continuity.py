@@ -12,7 +12,7 @@ import pytest
 from wildcat import graphs, planner
 from wildcat.graphs import (EdgeInterior, PathStep, PLPath, TreeRouter, Vertex,
                             build_graph, constant_path, point_dist)
-from wildcat.planner import (MotionPlan, _nudge, _sampled_sup, _walk_bound,
+from wildcat.planner import (MotionPlan, _below, _nudge, _sampled_sup, _walk_bound,
                              plan_circle, plan_graph, verify_plan)
 
 import continuity_reference as ref
@@ -260,6 +260,17 @@ def _breakpoints(path):
     return [c / cum[-1] for c in cum] if cum[-1] else []
 
 
+def _bound(path1, path2):
+    """``_walk_bound`` as a Fraction, or None; the bound must come as an
+    integer pair (num, den) with den > 0."""
+    b = _walk_bound(path1, path2)
+    if b is None:
+        return None
+    num, den = b
+    assert type(num) is int and type(den) is int and den > 0, b
+    return Fraction(num, den)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_walk_bound_is_sound(seed):
     rng = random.Random(seed)
@@ -267,10 +278,9 @@ def test_walk_bound_is_sound(seed):
     for g, p1, p2 in _answer_pairs(rng):
         p1.check()
         p2.check()
-        b = _walk_bound(p1, p2)
+        b = _bound(p1, p2)
         if b is None:
             continue
-        assert isinstance(b, Fraction)
         bounded += 1
         ts = set(_breakpoints(p1) + _breakpoints(p2))
         ts.update(Fraction(k, 256) for k in range(257))
@@ -288,32 +298,81 @@ def test_walk_bound_needs_one_shared_walk():
 
     base = path(("a0", half, 1), ("a1", 0, 1), ("a2", 0, half))
     near = path(("a0", Fraction(1, 3), 1), ("a1", 0, 1), ("a2", 0, Fraction(2, 3)))
-    assert _walk_bound(base, near) == Fraction(1, 6)
-    assert _walk_bound(base, base) == 0
+    assert _bound(base, near) == Fraction(1, 6)
+    assert _bound(base, base) == 0
     # one step each on one edge, in either direction
-    assert _walk_bound(path(("a0", 0, half)), path(("a0", Fraction(3, 4), 0))) \
+    assert _bound(path(("a0", 0, half)), path(("a0", Fraction(3, 4), 0))) \
         == Fraction(3, 4)
-    assert _walk_bound(path(("a0", 0, half)), path(("b0", 0, half))) is None
+    assert _bound(path(("a0", 0, half)), path(("b0", 0, half))) is None
     for other in (
             path(("a0", half, 1), ("a1", 0, half)),                 # step count
             path(("b0", half, 1), ("a1", 0, 1), ("a2", 0, half)),   # first edge
             path(("a0", half, 1), ("a1", 0, 1), ("b2", 0, half)),   # last edge
             path(("a0", half, 1), ("b1", 0, 1), ("a2", 0, half))):  # middle
-        assert _walk_bound(base, other) is None
-        assert _walk_bound(other, base) is None
+        assert _bound(base, other) is None
+        assert _bound(other, base) is None
     # first steps share edge and end but not direction
     up = path(("a1", Fraction(1, 4), half), ("a1", half, 1), ("a2", 0, half))
     down = path(("a1", Fraction(3, 4), half), ("a1", half, 1), ("a2", 0, half))
-    assert _walk_bound(up, down) is None
+    assert _bound(up, down) is None
     # last steps share edge and start but not direction
     fwd = path(("a0", half, 1), ("a1", 0, half), ("a1", half, Fraction(3, 4)))
     back = path(("a0", half, 1), ("a1", 0, half), ("a1", half, Fraction(1, 4)))
-    assert _walk_bound(fwd, back) is None
+    assert _bound(fwd, back) is None
     # two constant paths at vertices have no steps
-    assert _walk_bound(constant_path(g, Vertex("v0")), constant_path(g, Vertex("v0"))) is None
+    assert _bound(constant_path(g, Vertex("v0")), constant_path(g, Vertex("v0"))) is None
 
 
-# --- nudges -------------------------------------------------------------------
+def test_walk_bound_reads_the_direction_at_a_shared_interior_end():
+    # the first steps end at one interior point of a1, held as two equal
+    # Fractions: no edge end tells their directions, so each is read from
+    # its own step; the same for last steps that start there
+    g = doubled_path(3)
+
+    def path(*steps):
+        return PLPath(g, steps).check()
+
+    mid, mid2 = Fraction(1, 2), Fraction(2, 4)
+    assert mid2 is not mid
+    up = path(("a1", Fraction(1, 4), mid), ("a1", mid, 1), ("a2", 0, mid))
+    up2 = path(("a1", Fraction(1, 3), mid2), ("a1", mid2, 1), ("a2", 0, mid2))
+    down = path(("a1", Fraction(3, 4), mid2), ("a1", mid2, 1), ("a2", 0, mid2))
+    assert _bound(up, up2) == Fraction(1, 12)
+    assert _bound(up, down) is None
+    assert _bound(down, up) is None
+    fwd = path(("a0", mid, 1), ("a1", 0, mid), ("a1", mid, Fraction(3, 4)))
+    fwd2 = path(("a0", mid2, 1), ("a1", 0, mid2), ("a1", mid2, Fraction(2, 3)))
+    back = path(("a0", mid2, 1), ("a1", 0, mid2), ("a1", mid2, Fraction(1, 4)))
+    assert _bound(fwd, fwd2) == Fraction(1, 12)
+    assert _bound(fwd, back) is None
+    assert _bound(back, fwd) is None
+
+
+# --- draws and nudges ---------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, (1 << 22) - 1, (1 << 22) + 1, (1 << 70) + 3])
+def test_below_draws_what_randrange_draws(n):
+    # one argument, and the two-argument forms of _random_point's parameter
+    # and _nudge's shift; the generators must also leave in one state
+    for seed in range(10):
+        r1, r2 = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert _below(r1.getrandbits, n) == r2.randrange(n)
+            assert r1.getstate() == r2.getstate()
+            assert 1 + _below(r1.getrandbits, n) == r2.randrange(1, n + 1)
+            assert r1.getstate() == r2.getstate()
+            assert _below(r1.getrandbits, 2 * n + 1) - n == r2.randrange(-n, n + 1)
+            assert r1.getstate() == r2.getstate()
+
+
+def test_random_point_matches_reference():
+    g = general_graph(random.Random(5), 30, 45)
+    for seed in range(5):
+        r1, r2 = random.Random(seed), random.Random(seed)
+        for _ in range(400):
+            assert planner._random_point(r1, g) == ref.random_point(r2, g)
+        assert r1.getstate() == r2.getstate()
+
 
 def test_nudge_matches_reference():
     grid = 1 << 22

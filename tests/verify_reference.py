@@ -7,7 +7,8 @@ compares a declared source with the endpoint object it builds; ``verify``
 runs it on every sampled and every nudged answer and compares endpoint
 objects (``endpoints``, built through a copy of ``MultiGraph.point``) with
 the query.  ``walk_bound`` is the continuity bound with ``!=`` alone.  The
-seeded queries and nudges, the sampler, the formatting and the exact
+seeded queries and nudges are the frozen ``randrange`` copies in
+``continuity_reference``; the sampler, the formatting and the exact
 coverage decision are read from ``wildcat``, which leaves them unchanged,
 so the report must equal the verifier's check by check.
 """
@@ -16,9 +17,10 @@ import random
 from fractions import Fraction
 
 from wildcat.graphs import EdgeInterior, GraphError, Vertex, tc_graph
-from wildcat.planner import (CheckResult, VerifyReport, _fmt_pair, _nudge,
-                             _random_point, _sampled_sup)
+from wildcat.planner import CheckResult, VerifyReport, _fmt_pair, _sampled_sup
 from wildcat.regions import filtration_witnesses
+
+from continuity_reference import nudge, random_point
 
 
 def point(g, edge_id, t):
@@ -133,7 +135,7 @@ def verify(p, g, samples=1000, delta=Fraction(1, 1000), eps=Fraction(1, 20),
     nest_sample_witness = None
     bad = None
     answers = 0
-    queries = [(_random_point(rng, g), _random_point(rng, g)) for _ in range(samples)]
+    queries = [(random_point(rng, g), random_point(rng, g)) for _ in range(samples)]
     answered = []
     for x, y in queries:
         member = [f.contains(x, y) for f in p.strata]
@@ -170,8 +172,8 @@ def verify(p, g, samples=1000, delta=Fraction(1, 1000), eps=Fraction(1, 20),
     compared = 0
     skipped = 0
     for x, y, j1, path1 in answered:
-        x2 = _nudge(rng, x, half)
-        y2 = _nudge(rng, y, half)
+        x2 = nudge(rng, x, half)
+        y2 = nudge(rng, y, half)
         if isinstance(x, Vertex) and isinstance(y, Vertex):
             skipped += 1
             continue
