@@ -215,12 +215,11 @@ def cmd_certify(args) -> int:
 def cmd_truncate(args) -> int:
     sf = _load(args.file)
     analysis = analyze(sf.main_expr())
-    if args.max_edges is not None:
-        n_vertices, n_edges = truncation_size(analysis, args.depth)
-        if n_edges > args.max_edges:
-            raise ExprError(f"truncation at depth {args.depth} would have "
-                            f"{n_vertices} vertices and {n_edges} edges, "
-                            f"more than --max-edges {args.max_edges}")
+    n_vertices, n_edges = truncation_size(analysis, args.depth)
+    if args.max_edges is not None and n_edges > args.max_edges:
+        raise ExprError(f"truncation at depth {args.depth} would have "
+                        f"{n_vertices} vertices and {n_edges} edges, "
+                        f"more than --max-edges {args.max_edges}")
     # the text is written straight from the expansion's chunks: no record is
     # built unless a name needs checking or a DOT file is asked for
     chunks = truncation_chunks(analysis, args.depth)
@@ -231,10 +230,8 @@ def cmd_truncate(args) -> int:
         _save(args.output, text)
     else:
         _write_stdout(text)
-    sys.stderr.write(f"truncated at depth {args.depth}: "
-                     f"{sum(len(ch.names) for ch in chunks)} vertices, "
-                     f"{sum(len(ch.edges) for ch in chunks)} edges, "
-                     f"betti1 {truncation_betti1(analysis, args.depth)}\n")
+    sys.stderr.write(f"truncated at depth {args.depth}: {n_vertices} vertices, "
+                     f"{n_edges} edges, betti1 {truncation_betti1(analysis, args.depth)}\n")
     return EXIT_OK
 
 

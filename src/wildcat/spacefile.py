@@ -423,16 +423,17 @@ def graph_records(g: MultiGraph):
 def print_chunks(name: str, chunks) -> str:
     """``print_spacefile`` of the file whose only definition, and main, is
     the graph ``name`` of ``wild.chunk_records(chunks)``, written straight
-    from the chunks: the lines of ``graph_records``, with no ``Edge``
-    record built."""
-    vs = [v for ch in chunks for v in ch.names]
-    out = [f"graph {name}"]
-    if vs:
-        out.append("vertex " + "\nvertex ".join(vs))
-    out += [f"edge {prefix}{i} {look[i0]} {look[i1]}"
-            for _, look, prefix, tes in chunks for i, i0, i1 in tes]
-    out += ["endgraph", f"main {name}", ""]
-    return "\n".join(out)
+    from the chunks' template texts: all the vertex lines, then all the edge
+    lines, each chunk's in a few joins of its prefix and host.  No ``Edge``
+    record is built, and ``graph_records`` is not called."""
+    out = [f"graph {name}\n"]
+    out += [prefix.join(tpl.vertex_text) for tpl, prefix, _ in chunks]
+    for tpl, prefix, host in chunks:
+        segs = tpl.edge_text
+        out.append(prefix.join(segs[0]) if len(segs) == 1
+                   else host.join([prefix.join(seg) for seg in segs]))
+    out.append(f"endgraph\nmain {name}\n")
+    return "".join(out)
 
 
 def print_spacefile(sf: SpaceFile) -> str:

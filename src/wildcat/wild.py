@@ -983,43 +983,100 @@ def _template(node: Node, anchor, depth: int):
     return vs, es, kids, record, proven
 
 
-def _leaf_runs(kids, n_names: int, templates: dict):
-    """``kids`` with each run of consecutive leaf copies (copies of a
-    template with no children) folded into one entry ``(None, (vertices,
-    edges), None, None)``, or None while some child's template is not
-    built.  The entry writes the run in copy order.  Its vertices are the
-    copies' names with their suffixes; its endpoints index the parent
-    copy's ``n_names`` names and its host, then those vertices."""
+# Where a copy's names go in the text of its records: each is the copy's
+# prefix followed by a local name of its template, or the copy's host.
+_PREFIX, _HOST = object(), object()
+
+
+def _split(tokens) -> list:
+    """``tokens``, literal strings and the slots ``_PREFIX`` and ``_HOST``,
+    split at each host slot into segments, and each segment at each prefix
+    slot into literal pieces, so that ``host.join([prefix.join(seg) for seg
+    in segments])`` fills the slots.  The text is put together by ``join``
+    alone, so no name can clash with a placeholder."""
+    segments, seg, text = [], [], []
+    for tok in tokens:
+        if isinstance(tok, str):
+            text.append(tok)
+            continue
+        seg.append("".join(text))
+        text = []
+        if tok is _HOST:
+            segments.append(seg)
+            seg = []
+    seg.append("".join(text))
+    segments.append(seg)
+    return segments
+
+
+class _Template(NamedTuple):
+    """What every copy of one (node, anchor) template, or of one run of leaf
+    copies, writes, given the copy's prefix and host.  ``names[start:]`` of
+    the local ``names`` are the vertices it writes; a run starts after its
+    parent template's names, which its edges also reach.  Each edge ``(id,
+    i0, i1)`` indexes ``names``, with -1 for the host.  ``vertex_text`` and
+    ``edge_text`` are the same records as text: the vertex lines as the
+    pieces of one segment, since the host is never among them, and the
+    edge lines as segments (see ``_split``)."""
+
+    names: list
+    start: int
+    edges: list
+    vertex_text: list
+    edge_text: list
+
+
+def _compile(names, start: int, edges) -> _Template:
+    """The ``_Template`` of vertices ``names[start:]`` and ``edges``.  Its
+    text has the line format of ``spacefile.graph_records`` (which this
+    module cannot import: ``spacefile`` imports it), ``vertex NAME`` and
+    ``edge ID V0 V1``, each line ending in a newline."""
+    vertex, edge = [], []
+    for v in names[start:]:
+        vertex += ("vertex ", _PREFIX, v, "\n")
+    for i, i0, i1 in edges:
+        edge += ("edge ", _PREFIX, i, " ", *((_HOST,) if i0 < 0 else (_PREFIX, names[i0])),
+                 " ", *((_HOST,) if i1 < 0 else (_PREFIX, names[i1])), "\n")
+    return _Template(names, start, edges, _split(vertex)[0], _split(edge))
+
+
+def _leaf_runs(kids, names, templates: dict):
+    """``kids``, the children of a template with local vertex names
+    ``names``, with each run of consecutive leaf copies (copies of a
+    template with no children) folded into one entry ``(None, template, "",
+    -1)``, or None while some child's template is not built.  The entry's
+    ``_Template`` writes the run in copy order: its vertices are the copies'
+    names with their suffixes, after ``names``, and each copy's host is the
+    parent copy's name at its attach point, or the parent copy's host."""
     tpls = [templates.get(kid[:2]) for kid in kids]
     if None in tpls:
         return None
     out = []
-    for leaf, group in groupby(zip(kids, tpls), key=lambda pair: not pair[1][2]):
+    for leaf, group in groupby(zip(kids, tpls), key=lambda pair: not pair[1][1]):
         if not leaf:
             out.extend(kid for kid, _ in group)
             continue
         run_vs, run_es = [], []
-        for (_, _, suffix, at), (tvs, tes, _, _) in reversed(list(group)):
-            host = at % (n_names + 1)
-            start = n_names + 1 + len(run_vs)
-            run_vs += [suffix + v for v in tvs]
-            run_es += [(suffix + i, host if i0 < 0 else start + i0,
-                        host if i1 < 0 else start + i1) for i, i0, i1 in tes]
-        out.append((None, (run_vs, run_es), None, None))
+        for (_, _, suffix, at), (tpl, _, _) in reversed(list(group)):
+            start = len(names) + len(run_vs)
+            run_vs += [suffix + v for v in tpl.names]
+            run_es += [(suffix + i, at if i0 < 0 else start + i0,
+                        at if i1 < 0 else start + i1) for i, i0, i1 in tpl.edges]
+        out.append((None, _compile(names + run_vs, len(names), run_es), "", -1))
     return out
 
 
 class Chunk(NamedTuple):
-    """What one stack entry of the expansion writes: the vertex names
-    ``names``, then for each template edge ``(id, i0, i1)`` of ``edges``
-    the edge ``(prefix + id, look[i0], look[i1])``.  ``look`` lists the
-    names the endpoints index: a copy's names and its host, or for a run of
-    leaf copies its parent's lookup list followed by the run's names."""
+    """What one stack entry of the expansion writes: the records of
+    ``template``, a ``_Template``, with each local name prefixed by
+    ``prefix`` and the host slot holding ``host``, the name of the vertex
+    the copy is glued to (None at the root, which has no host slot).
+    ``spacefile.print_chunks`` writes chunks as text, ``chunk_records`` as
+    records."""
 
-    names: list
-    look: list
+    template: _Template
     prefix: str
-    edges: list
+    host: str
 
 
 def _expand(root: Node, depth: int):
@@ -1039,10 +1096,11 @@ def _expand(root: Node, depth: int):
     All of that depends only on the node's structure and its anchor: every
     copy of a ``seq`` pattern is the same ``Node``, glued at the same
     anchor.  So it is worked out once per (node, anchor) pair as a
-    ``_template`` in the node's own names, and each copy only prefixes the
-    template's vertex names once; its chunk hands out those names, a lookup
-    list of them and the host, the prefix, and the template's edges, whose
-    endpoints index the lookup list.  The memo keys by the node, so equal
+    ``_template`` in the node's own names, with its text (``_compile``),
+    and a copy's chunk is the template, the copy's prefix and its host.
+    The walk builds no name list per copy: it only works out each child's
+    host, the copy's prefix followed by the local name of the attach
+    point, or the copy's own host.  The memo keys by the node, so equal
     nodes share one template, and by the anchor, since one node may be
     glued at two.
 
@@ -1052,17 +1110,16 @@ def _expand(root: Node, depth: int):
     own template, which holds from its second copy on since the first
     copy's subtree builds them, its children are recompiled once by
     ``_leaf_runs``: each run of leaf copies becomes one stack entry, which
-    carries the parent copy's prefix and lookup list and writes the whole
-    run as one chunk.  A child with children of its own keeps its own
-    entry, so a 1500-deep chain of single copies is walked one entry per
-    level.
+    carries the parent copy's prefix and host and writes the whole run as
+    one chunk.  A child with children of its own keeps its own entry, so a
+    1500-deep chain of single copies is walked one entry per level.
 
     Also returns, for the first copy of each template with an anchor, the
     anchor's own vertex name, the edge it cuts (or None) and the range of
     chunks its subtree writes; and whether every template proved its names.
     """
     chunks, anchors = [], []
-    templates = {}            # (node, anchor) -> [vs, es, kids, kids compiled]
+    templates = {}            # (node, anchor) -> [template, kids, kids compiled]
     proven = True
     stack = [(root, None, "", None)]
     while stack:
@@ -1072,45 +1129,58 @@ def _expand(root: Node, depth: int):
             continue
         node, anchor, prefix, host = entry
         if node is None:                      # a run of leaf copies
-            run_vs, run_es = anchor
-            names = [prefix + v for v in run_vs]
-            # after the parent's names and host
-            chunks.append(_new_tuple(Chunk, (names, host + names, prefix, run_es)))
+            chunks.append(_new_tuple(Chunk, (anchor, prefix, host)))
             continue
         key = (node, anchor)
-        tpl = templates.get(key)
-        if tpl is None:
+        memo = templates.get(key)
+        if memo is None:
             tvs, tes, kids, record, ok = _template(node, anchor, depth)
-            tpl = templates[key] = [tvs, tes, kids, False]
+            memo = templates[key] = [_compile(tvs, 0, tes), kids, False]
             proven = proven and ok
             if record is not None:
                 vname, eid = record
                 anchors.append([prefix + vname,
                                 None if eid is None else prefix + eid, len(chunks)])
                 stack.append(anchors[-1])
-        tvs, tes, kids, compiled = tpl
+        tpl, kids, compiled = memo
+        tvs = tpl.names
         if kids and not compiled:
-            runs = _leaf_runs(kids, len(tvs), templates)
+            runs = _leaf_runs(kids, tvs, templates)
             if runs is not None:
-                kids = tpl[2] = runs
-                tpl[3] = True
-        names = [prefix + v for v in tvs]
-        look = names + [host]                 # the host at index -1
-        chunks.append(_new_tuple(Chunk, (names, look, prefix, tes)))
-        stack.extend([(child, child_anchor, prefix + suffix, look[at])
-                      if child is not None else (None, child_anchor, prefix, look)
+                kids = memo[1] = runs
+                memo[2] = True
+        chunks.append(_new_tuple(Chunk, (tpl, prefix, host)))
+        stack.extend([(child, child_anchor, prefix + suffix,
+                       host if at < 0 else prefix + tvs[at])
                       for child, child_anchor, suffix, at in kids])
     return chunks, anchors, proven
 
 
 def chunk_records(chunks) -> GraphRecords:
     """The vertex names and ``Edge`` records that ``chunks`` write, in
-    declaration order."""
-    vs = tuple([v for ch in chunks for v in ch.names])
+    declaration order.  Each edge holds its endpoints' vertex strings, found
+    by prefix: a run of leaf copies carries its parent copy's prefix and
+    reads that copy's strings, and a copy's host is among the strings of
+    its parent copy, whose prefix is its own less the last copy token.  The
+    pre-order writes a parent copy before either."""
+    vs, rows = [], []
+    looks = {}                 # a copy's prefix -> its names, then its host
+    for (names, start, edges, _, _), prefix, host in chunks:
+        new = [prefix + v for v in names[start:]]
+        vs += new
+        parent = looks.get(prefix)
+        if parent is not None:                # a run of the copy's leaf copies
+            look = parent[:-1] + new + parent[-1:]
+        else:
+            if host is not None:
+                up = looks[prefix[:prefix.rfind("_", 0, -1) + 1]]
+                host = up[up.index(host)]
+            look = looks[prefix] = new + [host]              # the host at -1
+        rows.append((prefix, look, edges))
     # what Edge(...) does, less its Python-level __new__
     es = tuple([_new_tuple(Edge, (prefix + i, look[i0], look[i1]))
-                for _, look, prefix, tes in chunks for i, i0, i1 in tes])
-    return GraphRecords(vs, es)
+                for prefix, look, edges in rows for i, i0, i1 in edges])
+    return GraphRecords(tuple(vs), es)
 
 
 def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
@@ -1126,7 +1196,8 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
 def truncation_chunks(e: SpaceExpr, depth: int) -> list:
     """``truncate(e, depth)`` as the ``Chunk``s of its one expansion walk,
     in declaration order: ``chunk_records`` of them are
-    ``truncation_records(e, depth)``.  When every template proves its names
+    ``truncation_records(e, depth)``, and ``spacefile.print_chunks`` writes
+    them as text.  When every template proves its names
     no record is built; otherwise the records are built and checked first,
     so a bad name raises the ``GraphError`` that ``truncation_records``
     raises."""
@@ -1171,8 +1242,9 @@ def _checked_expansion(e, depth):
     # names fixed by its template, so every copy of a template gets the
     # verdict of its first copy, which the pre-order also reaches first.
     # Its chunks' sizes give its vertex and edge ranges.
-    v_at = list(accumulate((len(ch.names) for ch in chunks), initial=0))
-    e_at = list(accumulate((len(ch.edges) for ch in chunks), initial=0))
+    v_at = list(accumulate((len(ch.template.names) - ch.template.start for ch in chunks),
+                           initial=0))
+    e_at = list(accumulate((len(ch.template.edges) for ch in chunks), initial=0))
     for vname, eid, c0, c1 in anchors:
         if vname in names and vname in vs[v_at[c0]:v_at[c1]]:
             raise GraphError(f"duplicate identifier {vname!r}")

@@ -234,7 +234,8 @@ def _antipode(rule, x):
 def _answer_pairs(rng):
     """(path, path) answer pairs of one rule to a query and to its nudge,
     from tree, evacuate, lifted and bare rotate/geodesic and constant
-    rules, nudged by up to 1/2000 and by up to 1/3."""
+    rules, nudged by up to 1/2000 and by up to 1/3; then, from the first
+    40 answers of two or more steps, the pairs of ``_meeting_pairs``."""
     tree = random_tree(rng, 20)
     general = plan_graph(general_graph(rng, 20, 30))
     lifted = plan_graph(random_cycle_with_hairs(rng, 6, 10))
@@ -244,6 +245,7 @@ def _answer_pairs(rng):
     for p in (lifted, cycle):
         rotate, geodesic = p.rules
         rules += [(p.graph, rotate.path_for, rotate), (p.graph, geodesic.path_for, None)]
+    walks = []
     for g, path_for, rotate in rules:
         for shift in (Fraction(1, 2000), Fraction(1, 3)):
             for _ in range(12):
@@ -251,8 +253,58 @@ def _answer_pairs(rng):
                 x2, y2 = _nudge(rng, x, shift), _nudge(rng, y, shift)
                 if rotate is not None:
                     y, y2 = _antipode(rotate, x), _antipode(rotate, x2)
-                yield g, path_for(x, y), path_for(x2, y2)
+                answer = path_for(x, y)
+                yield g, answer, path_for(x2, y2)
                 yield g, constant_path(g, x), constant_path(g, x2)
+                if len(answer.steps) >= 2:
+                    walks.append(answer)
+    for path in walks[:40]:
+        yield from _meeting_pairs(rng, path)
+
+
+def _meeting_pairs(rng, path):
+    """Two pairs from a path of two or more steps.  First, the path with
+    its first step split at an interior point m of it, against the same
+    with the first step starting at a random point on a random side of m:
+    the two first steps meet at m, an interior parameter, in one direction
+    or in opposite ones.  Then the same for its last step, split at m and
+    ending on a random side of it."""
+    g, steps = path.graph, list(path.steps)
+
+    def part():
+        return Fraction(rng.randint(1, 16), 16)
+
+    def split(step, m):
+        return [PathStep(step.edge, step.a, m), PathStep(step.edge, m, step.b)]
+
+    first = steps[0]
+    m = first.a + (first.b - first.a) * (part() - Fraction(1, 32))
+    a = first.a + (m - first.a) * (1 - part()) if rng.random() < 0.5 \
+        else m + (first.b - m) * part()
+    rest = split(first, m)[1:] + steps[1:]
+    yield g, PLPath(g, split(first, m) + steps[1:]), PLPath(g, [(first.edge, a, m)] + rest)
+    last = steps[-1]
+    m = last.a + (last.b - last.a) * (part() - Fraction(1, 32))
+    b = m + (last.b - m) * part() if rng.random() < 0.5 \
+        else m - (m - last.a) * part()
+    head = steps[:-1] + split(last, m)[:1]
+    yield g, PLPath(g, steps[:-1] + split(last, m)), PLPath(g, head + [(last.edge, m, b)])
+
+
+def _one_walk(path1, path2):
+    """Whether the steps show one shared walk, as ``_walk_bound`` states it:
+    as many steps, first steps on one edge, and for two or more steps
+    first steps with one end and one direction, last steps on one edge
+    with one start and one direction, and equal middle steps."""
+    s1, s2 = path1.steps, path2.steps
+    if len(s1) != len(s2) or not s1 or s1[0].edge != s2[0].edge:
+        return False
+    if len(s1) == 1:
+        return True
+    (f1, l1), (f2, l2) = (s1[0], s1[-1]), (s2[0], s2[-1])
+    return (f1.b == f2.b and (f1.a < f1.b) == (f2.a < f2.b)
+            and l1.edge == l2.edge and l1.a == l2.a and (l1.a < l1.b) == (l2.a < l2.b)
+            and s1[1:-1] == s2[1:-1])
 
 
 def _breakpoints(path):
@@ -274,11 +326,17 @@ def _bound(path1, path2):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_walk_bound_is_sound(seed):
     rng = random.Random(seed)
-    bounded = 0
+    bounded = opposite = 0
     for g, p1, p2 in _answer_pairs(rng):
         p1.check()
         p2.check()
         b = _bound(p1, p2)
+        # a bound exactly when the steps show one walk
+        assert (b is not None) == _one_walk(p1, p2), (p1.steps, p2.steps)
+        if len(p1.steps) >= 2 and len(p2.steps) >= 2:
+            (f1, *_, l1), (f2, *_, l2) = p1.steps, p2.steps
+            opposite += ((f1.b == f2.b and 0 < f1.b < 1 and (f1.a < f1.b) != (f2.a < f2.b))
+                         or (l1.a == l2.a and 0 < l1.a < 1 and (l1.a < l1.b) != (l2.a < l2.b)))
         if b is None:
             continue
         bounded += 1
@@ -286,7 +344,7 @@ def test_walk_bound_is_sound(seed):
         ts.update(Fraction(k, 256) for k in range(257))
         for t in sorted(ts):
             assert point_dist(g, p1.at(t), p2.at(t)) <= b, (p1.steps, p2.steps, t)
-    assert bounded > 100
+    assert bounded > 100 and opposite > 10
 
 
 def test_walk_bound_needs_one_shared_walk():

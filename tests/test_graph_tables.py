@@ -16,8 +16,11 @@ incidence table, ``wildcat truncate`` builds no graph of its output at all
 reports comes from the expression), nor, on the benchmark's chain, any
 ``Edge`` record or ``graph_records`` call, and ``plan_graph``
 on a graph with one cycle builds no incidence table for its input (the
-deforestation reads only the edge list).  Copies and pickles carry the
-tables whether or not they were built.
+deforestation reads only the edge list).  On the benchmark's chain at
+depth 12, the command's traced Python peak is at most three times the
+length of its text; the per-line writer it replaced, a negative control,
+is not.  Copies and pickles carry the tables whether or not they were
+built.
 """
 
 import copy
@@ -26,6 +29,7 @@ import io
 import os
 import pickle
 import random
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -38,7 +42,7 @@ from wildcat.spacefile import SpaceFile, graph_records, parse_spacefile, print_s
 from gen import random_cycle_with_hairs, rank_chain_text
 from test_analysis import _corpus_5150, _corpus_707
 from test_cli import _bench_module
-from test_truncate import _one_chunk, _print_records
+from test_truncate import _one_chunk
 
 FIXTURES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "fixtures",
                                          "*.space")))
@@ -284,9 +288,53 @@ def test_truncate_command_builds_no_edge_record(monkeypatch, tmp_path):
 
 def test_record_cost_guard_catches_a_command_that_prints_records(monkeypatch, tmp_path):
     # an earlier command printed the checked records with print_spacefile
-    monkeypatch.setattr(cli, "print_chunks", _print_records)
+    monkeypatch.setattr(cli, "print_chunks", lambda name, chunks: print_spacefile(
+        SpaceFile({name: wild.chunk_records(chunks)}, {}, name)))
     assert _command_record_cost(monkeypatch, tmp_path) == {"Edge": 4 + 37692,
                                                            "graph_records": 1}
+
+
+def _command_peak_per_byte(tmp_path):
+    """The traced Python peak of ``wildcat truncate --depth 12`` on the
+    benchmark's chain, over the length of the text it writes."""
+    path = tmp_path / "chain.space"
+    path.write_text(_bench_module("gen").chain_text(random.Random(3), 3), encoding="ascii")
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert cli.main(["truncate", str(path), "--depth", "12"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak / len(out.getvalue())
+
+
+def _per_line_print_chunks(name, chunks):
+    """The command's text as it was written before template texts: each
+    chunk's names and lookup list, and an f-string per edge line."""
+    vs, es = [], []
+    for (names, start, edges, _, _), prefix, host in chunks:
+        look = [prefix + v for v in names]
+        vs += look[start:]
+        look.append(host)
+        es += [f"edge {prefix}{i} {look[i0]} {look[i1]}" for i, i0, i1 in edges]
+    out = [f"graph {name}"]
+    if vs:
+        out.append("vertex " + "\nvertex ".join(vs))
+    out += es
+    out += ["endgraph", f"main {name}", ""]
+    return "\n".join(out)
+
+
+def test_truncate_command_peak_is_within_three_times_its_output(tmp_path):
+    # the chunks hold no per-copy name, and each chunk's text is a few joins
+    assert _command_peak_per_byte(tmp_path) <= 3
+
+
+def test_peak_guard_catches_a_per_line_writer(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "print_chunks", _per_line_print_chunks)
+    assert _command_peak_per_byte(tmp_path) > 3
 
 
 def _lifted_plan_builds_incidence(monkeypatch):

@@ -37,15 +37,22 @@ Four mutants are the negative controls: a token test that misses
 path taken for an unproven template, and a run of leaf copies written in
 reverse.
 
-``wildcat truncate`` writes its text straight from the expansion's chunks
-and builds no graph and, when the names are proven, no record.  On the
-fixtures, both criterion corpora, the token corpus and a 1500-deep chain it
-must write what it wrote when it printed, with ``print_spacefile``, the
-graph that the checking constructor built from ``ref.records_expand``, the
-walk that filled two lists: the same exit code, stdout, stderr, ``-o`` file
-and ``--dot`` file.  Two writer mutants are the negative controls: a run of
-leaf copies that leaves its hosts unsubstituted, and the edge lines of the
-first two chunks swapped.
+``wildcat truncate`` writes its text straight from the expansion's chunks,
+each a template's text joined with the copy's prefix and host, and builds
+no graph and, when the names are proven, no record.  On the fixtures, both
+criterion corpora, the token corpus and a 1500-deep chain it must write
+what it wrote when it printed, with ``print_spacefile``, the graph that the
+checking constructor built from ``ref.records_expand``, the walk that
+filled two lists: the same exit code, stdout, stderr, ``-o`` file and
+``--dot`` file.  Each side must reach its own text writer.  Three writer
+mutants are the negative controls: a run of leaf copies that leaves its
+copies' hosts unsubstituted, the edge texts of the first two chunks
+swapped, and prefix and host swapped in the copies of a template whose
+anchor cuts an edge.  On the same cases the sizes on stderr, which come
+from ``truncation_size``, must be the counts of the ``vertex`` and ``edge``
+lines written; a ``truncation_size`` that drops the cut at an anchor is the
+negative control.  The template texts must have the line format of
+``graph_records``, whatever the prefix and the host.
 """
 
 import glob
@@ -58,8 +65,9 @@ from fractions import Fraction
 import pytest
 
 import wild_reference as ref
-from wildcat import cli, graphs, wild
-from wildcat.graphs import GraphError, MultiGraph, Vertex, EdgeInterior, build_graph
+from wildcat import cli, graphs, spacefile, wild
+from wildcat.graphs import (Edge, GraphError, GraphRecords, MultiGraph, Vertex, EdgeInterior,
+                            build_graph)
 from wildcat.spacefile import SpaceFile, parse_spacefile, print_spacefile
 from wildcat.wild import Node, Attachment, SeqFamily, Subcomplex, graph_expr
 
@@ -437,8 +445,8 @@ PROOF_MUTANTS = {
                                 "        pass\n"),
     "trusted-although-flagged": ("    if proven:\n", "    if True:\n"),
     "leaf-run-in-reverse": (
-        "        for (_, _, suffix, at), (tvs, tes, _, _) in reversed(list(group)):\n",
-        "        for (_, _, suffix, at), (tvs, tes, _, _) in group:\n"),
+        "        for (_, _, suffix, at), (tpl, _, _) in reversed(list(group)):\n",
+        "        for (_, _, suffix, at), (tpl, _, _) in group:\n"),
 }
 
 
@@ -758,35 +766,57 @@ def _graph_truncate(e, depth):
 
 
 def _one_chunk(g):
-    """The chunks that write graph ``g``: one, with its names, and its edges
-    with endpoints indexing them."""
+    """The chunks that write graph ``g``: one, at the root, whose template
+    has the graph's names and its edges with endpoints indexing them."""
     names = list(g.vertices)
     index = {v: k for k, v in enumerate(names)}
-    return [wild.Chunk(names, names, "", [(i, index[v0], index[v1]) for i, v0, v1 in g.edges])]
+    edges = [(i, index[v0], index[v1]) for i, v0, v1 in g.edges]
+    return [wild.Chunk(wild._compile(names, 0, edges), "", None)]
 
 
 def _print_records(name, chunks):
-    """What the command printed before it wrote from the chunks."""
-    return print_spacefile(SpaceFile({name: wild.chunk_records(chunks)}, {}, name))
+    """What the command printed before it wrote from the chunks: the
+    records of its one chunk, read from the template's names and edges,
+    printed by ``print_spacefile``."""
+    (tpl, _, _), = chunks
+    es = tuple(Edge(i, tpl.names[i0], tpl.names[i1]) for i, i0, i1 in tpl.edges)
+    return print_spacefile(SpaceFile({name: GraphRecords(tuple(tpl.names), es)}, {}, name))
 
 
 def _route_through_the_graph(monkeypatch):
     """Make the command print, with ``print_spacefile``, the graph that the
-    checking constructor builds from ``ref.records_expand``."""
+    checking constructor builds from ``ref.records_expand``; returns the
+    list its text writer appends each text to."""
+    printed = []
     monkeypatch.setattr(cli, "truncation_chunks", lambda e, depth: _one_chunk(_graph_truncate(e, depth)))
-    monkeypatch.setattr(cli, "print_chunks", _print_records)
+    monkeypatch.setattr(cli, "print_chunks", _recording(_print_records, printed))
+    return printed
+
+
+def _recording(writer, texts):
+    """``writer``, appending each text it returns to ``texts``."""
+    def write(name, chunks):
+        texts.append(writer(name, chunks))
+        return texts[-1]
+    return write
 
 
 def _command_outputs(path, depth, out_dir):
     """Exit code, stdout and stderr of ``wildcat truncate`` and of the same
-    call with ``-o`` and ``--dot``, and the two files it writes."""
+    call with ``-o`` and ``--dot``, and the two files it writes.  An
+    exception that escapes the command (a mutant's, say) stands in for its
+    exit code."""
     calls = []
     for extra in ((), ("-o", "o.space", "--dot", "o.dot")):
         argv = ["truncate", str(path), "--depth", str(depth)]
         argv += [str(out_dir / a) if a.startswith("o.") else a for a in extra]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            calls.append((cli.main(argv), out.getvalue(), err.getvalue()))
+            try:
+                code = cli.main(argv)
+            except Exception as exc:
+                code = repr(exc)
+            calls.append((code, out.getvalue(), err.getvalue()))
     files = []
     for name in ("o.space", "o.dot"):
         f = out_dir / name
@@ -818,10 +848,15 @@ def test_command_prints_what_the_graph_printed(monkeypatch, tmp_path):
     # the command used to build ``truncate``'s graph and print it; it must
     # write the same bytes and exit the same way from the chunks alone
     cases = _command_cases(tmp_path)
-    new = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
+    written = []
     with monkeypatch.context() as m:
-        _route_through_the_graph(m)
+        m.setattr(cli, "print_chunks", _recording(spacefile.print_chunks, written))
+        new = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
+    with monkeypatch.context() as m:
+        printed = _route_through_the_graph(m)
         old = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
+    # each side wrote its texts through its own writer, and the same texts
+    assert written and written == printed
     for case, got, want in zip(cases, new, old):
         assert got == want, case
     errors = [calls[0][2] for calls, _ in new if calls[0][0] == 2]
@@ -833,14 +868,20 @@ def test_command_prints_what_the_graph_printed(monkeypatch, tmp_path):
 
 
 WRITER_MUTANTS = {
-    # a run of leaf copies writes a placeholder where its copies' hosts,
-    # names of the parent copy, belong
+    # a run of leaf copies leaves its copies' hosts, names of the parent
+    # copy, unsubstituted: each copy is written at the run's own host
     "host-unsubstituted-in-leaf-run": (
-        wild, "_expand", "(names, host + names, prefix, run_es)",
-        "(names, [None] * len(host) + names, prefix, run_es)"),
+        wild, "_leaf_runs", "start = len(names) + len(run_vs)\n",
+        "start, at = len(names) + len(run_vs), -1\n"),
     "edge-lines-of-two-chunks-swapped": (
-        cli, "print_chunks", "for _, look, prefix, tes in chunks for",
-        "for _, look, prefix, tes in chunks[1::-1] + chunks[2:] for"),
+        cli, "print_chunks", "for tpl, prefix, host in chunks:",
+        "for tpl, prefix, host in chunks[1::-1] + chunks[2:]:"),
+    # a copy of a template whose anchor cuts an edge fills its prefix slots
+    # with its host, and its host slots with its prefix
+    "prefix-and-host-swapped-at-an-edge-anchor": (
+        wild, "_expand", "chunks.append(_new_tuple(Chunk, (tpl, prefix, host)))",
+        "chunks.append(_new_tuple(Chunk, (tpl, host, prefix) if isinstance(anchor, tuple)"
+        " else (tpl, prefix, host)))"),
 }
 
 
@@ -854,3 +895,57 @@ def test_command_differential_catches_writer_mutant(monkeypatch, tmp_path, mutan
     _lift_mutant(monkeypatch, owner, name, (old, new))
     assert any(_command_outputs(path, depth, tmp_path) != outputs
                for (path, depth), outputs in zip(cases, want))
+
+
+# --- the sizes on stderr ------------------------------------------------------
+
+def _stderr_count_mismatches(tmp_path):
+    """The cases of ``_command_cases`` whose stderr line gives other counts
+    than the ``vertex`` and ``edge`` lines ``wildcat truncate`` wrote."""
+    bad = []
+    for path, depth in _command_cases(tmp_path):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            if cli.main(["truncate", str(path), "--depth", str(depth)]) != 0:
+                continue
+        lines = out.getvalue().split("\n")
+        counts = (sum(line.startswith("vertex ") for line in lines),
+                  sum(line.startswith("edge ") for line in lines))
+        if f": {counts[0]} vertices, {counts[1]} edges, " not in err.getvalue():
+            bad.append((path, depth))
+    return bad
+
+
+def test_stderr_counts_are_the_lines_written(tmp_path):
+    # the counts come from ``truncation_size``, which never expands
+    assert _stderr_count_mismatches(tmp_path) == []
+
+
+def test_stderr_count_check_catches_a_dropped_cut(monkeypatch, tmp_path):
+    # the cut at the anchor of a copy glued inside an edge goes uncounted
+    _lift_mutant(monkeypatch, wild, "_cut_count",
+                 ("for p in (anchor, *(att.at for att in node.fin)):",
+                  "for p in (*(att.at for att in node.fin),):"))
+    assert _stderr_count_mismatches(tmp_path)
+
+
+# --- the line format ----------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_template_text_has_the_line_format_of_graph_records(seed):
+    # ``wild`` cannot import ``spacefile``, which imports it, so the format
+    # of the template texts is written out in ``wild._compile``; it must be
+    # the one ``graph_records`` writes, whatever the prefix and the host
+    rng = random.Random(seed)
+    names = [f"v{k}" for k in range(rng.randint(0, 6))]
+    ends = list(range(len(names))) + [-1]
+    edges = [(f"e{k}", rng.choice(ends), rng.choice(ends)) for k in range(rng.randint(0, 8))]
+    start = rng.randint(0, len(names))
+    tpl = wild._compile(names, start, edges)
+    for prefix, host in (("", "h"), ("s0c1_a0_", "s0c2_q")):
+        look = [prefix + v for v in names] + [host]
+        records = GraphRecords(tuple(look[start:-1]), tuple(
+            Edge(prefix + i, look[i0], look[i1]) for i, i0, i1 in edges))
+        text = spacefile.print_chunks("g", [wild.Chunk(tpl, prefix, host)])
+        assert text == "\n".join(["graph g", *spacefile.graph_records(records),
+                                   "endgraph", "main g", ""])

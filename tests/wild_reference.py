@@ -22,11 +22,13 @@ It shares the package's cut count, so it is the oracle for the walk.
 ``records_expand`` is the template walk as it was before it handed out
 chunks: it fills one list of vertex names and one of ``Edge`` records, and
 gives each anchor record vertex and edge ranges.  It shares the package's
-templates and runs of leaf copies, so it is the oracle for how the chunks
-are written.
+templates, and keeps its own copy of the runs of leaf copies as they were
+before chunks were written from template texts, so it is the oracle for
+how the chunks are written.
 """
 
 from collections import Counter, defaultdict
+from itertools import groupby
 from fractions import Fraction
 
 from wildcat.graphs import (Edge, EdgeInterior, GraphError, Vertex, betti1,
@@ -629,10 +631,34 @@ def truncation_size(e, depth):
 
 # --- the template walk that filled two lists --------------------------------
 
+def leaf_runs(kids, n_names, templates):
+    """``kids`` with each run of consecutive leaf copies folded into one
+    entry ``(None, (vertices, edges), None, None)``, or None while some
+    child's template is not built; its endpoints index the parent copy's
+    ``n_names`` names and its host, then the run's vertices."""
+    tpls = [templates.get(kid[:2]) for kid in kids]
+    if None in tpls:
+        return None
+    out = []
+    for leaf, group in groupby(zip(kids, tpls), key=lambda pair: not pair[1][2]):
+        if not leaf:
+            out.extend(kid for kid, _ in group)
+            continue
+        run_vs, run_es = [], []
+        for (_, _, suffix, at), (tvs, tes, _, _) in reversed(list(group)):
+            host = at % (n_names + 1)
+            start = n_names + 1 + len(run_vs)
+            run_vs += [suffix + v for v in tvs]
+            run_es += [(suffix + i, host if i0 < 0 else start + i0,
+                        host if i1 < 0 else start + i1) for i, i0, i1 in tes]
+        out.append((None, (run_vs, run_es), None, None))
+    return out
+
+
 def records_expand(root, depth):
     """Vertex names, ``Edge`` records, anchor records ``[name, edge id, v0,
     e0, v1, e1]`` and the proven flag of the truncation, from the package's
-    templates and runs of leaf copies."""
+    templates and ``leaf_runs``."""
     vs, es, anchors = [], [], []
     templates = {}
     proven = True
@@ -663,7 +689,7 @@ def records_expand(root, depth):
                 stack.append(anchors[-1])
         tvs, tes, kids, compiled = tpl
         if kids and not compiled:
-            runs = wild._leaf_runs(kids, len(tvs), templates)
+            runs = leaf_runs(kids, len(tvs), templates)
             if runs is not None:
                 kids = tpl[2] = runs
                 tpl[3] = True
