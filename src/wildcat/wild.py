@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import NamedTuple
 
 from .graphs import (Edge, MultiGraph, GraphRecords, Vertex, EdgeInterior,
@@ -1009,70 +1009,136 @@ def _split(tokens) -> list:
     return segments
 
 
-class _Template(NamedTuple):
-    """What every copy of one (node, anchor) template, or of one run of leaf
-    copies, writes, given the copy's prefix and host.  ``names[start:]`` of
-    the local ``names`` are the vertices it writes; a run starts after its
-    parent template's names, which its edges also reach.  Each edge ``(id,
-    i0, i1)`` indexes ``names``, with -1 for the host.  ``vertex_text`` and
-    ``edge_text`` are the same records as text: the vertex lines as the
-    pieces of one segment, since the host is never among them, and the
-    edge lines as segments (see ``_split``)."""
+class _Template:
+    """What every copy of one (node, anchor) pair writes, given the copy's
+    prefix and host: the node's own records (``_compile``), or from the
+    pair's second copy on the records of its whole subtree
+    (``_compile_subtree``).
 
-    names: list
-    start: int
-    edges: list
-    vertex_text: list
-    edge_text: list
+    ``vertex_text`` and ``edge_text`` are the records as text: the vertex
+    lines as the pieces of one segment, since the host is never among them,
+    and the edge lines as segments (see ``_split``).  ``n_vertices`` and
+    ``n_edges`` count them.  ``records()`` gives them as local vertex names
+    and edges ``(id, i0, i1)`` whose endpoints index the names, with -1 for
+    the host.  A node's own template holds its records from the start; a
+    subtree's are built from its ``parts`` on the first call, so the text
+    alone never builds a name per vertex."""
+
+    __slots__ = ("vertex_text", "edge_text", "n_vertices", "n_edges", "parts", "_records")
+
+    def __init__(self, vertex_text, edge_text, n_vertices, n_edges, parts, records):
+        self.vertex_text, self.edge_text = vertex_text, edge_text
+        self.n_vertices, self.n_edges = n_vertices, n_edges
+        self.parts, self._records = parts, records
+
+    def records(self):
+        """``(names, edges)``; a subtree's are its parts' records, each
+        part's names with its suffix joined on, and each endpoint at the
+        part's host the index of the vertex it names, or -1.  Parts that
+        are subtrees themselves are built first, from an explicit stack."""
+        todo = [self]
+        while todo:
+            tpl = todo[-1]
+            if tpl._records is not None:
+                todo.pop()
+                continue
+            missing = [part for part, _, _, _ in tpl.parts if part._records is None]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            names, edges = [], []
+            for part, suffix, at, _ in tpl.parts:
+                part_names, part_edges = part._records
+                start = len(names)
+                names += [suffix + v for v in part_names]
+                edges += [(suffix + i, at if i0 < 0 else start + i0, at if i1 < 0 else start + i1)
+                          for i, i0, i1 in part_edges]
+            tpl._records = names, edges
+        return self._records
 
 
-def _compile(names, start: int, edges) -> _Template:
-    """The ``_Template`` of vertices ``names[start:]`` and ``edges``.  Its
-    text has the line format of ``spacefile.graph_records`` (which this
-    module cannot import: ``spacefile`` imports it), ``vertex NAME`` and
-    ``edge ID V0 V1``, each line ending in a newline."""
+def _compile(names, edges) -> _Template:
+    """The ``_Template`` of vertices ``names`` and ``edges``.  Its text has
+    the line format of ``spacefile.graph_records`` (which this module
+    cannot import: ``spacefile`` imports it), ``vertex NAME`` and ``edge ID
+    V0 V1``, each line ending in a newline."""
     vertex, edge = [], []
-    for v in names[start:]:
+    for v in names:
         vertex += ("vertex ", _PREFIX, v, "\n")
     for i, i0, i1 in edges:
         edge += ("edge ", _PREFIX, i, " ", *((_HOST,) if i0 < 0 else (_PREFIX, names[i0])),
                  " ", *((_HOST,) if i1 < 0 else (_PREFIX, names[i1])), "\n")
-    return _Template(names, start, edges, _split(vertex)[0], _split(edge))
+    return _Template(_split(vertex)[0], _split(edge), len(names), len(edges), (),
+                     (names, edges))
 
 
-def _leaf_runs(kids, names, templates: dict):
-    """``kids``, the children of a template with local vertex names
-    ``names``, with each run of consecutive leaf copies (copies of a
-    template with no children) folded into one entry ``(None, template, "",
-    -1)``, or None while some child's template is not built.  The entry's
-    ``_Template`` writes the run in copy order: its vertices are the copies'
-    names with their suffixes, after ``names``, and each copy's host is the
-    parent copy's name at its attach point, or the parent copy's host."""
-    tpls = [templates.get(kid[:2]) for kid in kids]
-    if None in tpls:
-        return None
-    out = []
-    for leaf, group in groupby(zip(kids, tpls), key=lambda pair: not pair[1][1]):
-        if not leaf:
-            out.extend(kid for kid, _ in group)
-            continue
-        run_vs, run_es = [], []
-        for (_, _, suffix, at), (tpl, _, _) in reversed(list(group)):
-            start = len(names) + len(run_vs)
-            run_vs += [suffix + v for v in tpl.names]
-            run_es += [(suffix + i, at if i0 < 0 else start + i0,
-                        at if i1 < 0 else start + i1) for i, i0, i1 in tpl.edges]
-        out.append((None, _compile(names + run_vs, len(names), run_es), "", -1))
-    return out
+def _compile_subtree(key, templates: dict) -> _Template:
+    """The ``_Template`` of the whole subtree of a copy of ``key``, a (node,
+    anchor) pair, in pre-order.  ``templates`` maps each pair below it to
+    ``[own template, children, subtree template or None]``; the walk of the
+    pair's first copy filled it.
+
+    The parts are found by one walk with an explicit stack, so a 1500-deep
+    chain of single copies is no deeper to compile than to walk.  Each part
+    is a template with the suffix its copy adds to the subtree's prefix and
+    its host: -1 and None for the subtree's own host, or the index and the
+    suffixed name of the vertex of its parent copy that it is attached at.
+    A pair whose subtree is compiled already is one part, and so is a pair
+    with no children; any other part's children follow it."""
+    parts, n_vertices = [], 0
+    stack = [(key, "", -1, None)]
+    while stack:
+        key, suffix, at, host = stack.pop()
+        own, kids, whole = templates[key]
+        tpl = own if whole is None else whole
+        parts.append((tpl, suffix, at, host))
+        if whole is None:
+            names = own.records()[0]
+            stack += [((child, anchor), suffix + step, at if k < 0 else n_vertices + k,
+                       host if k < 0 else suffix + names[k])
+                      for child, anchor, step, k in kids]
+        n_vertices += tpl.n_vertices
+    return _joined(parts)
+
+
+def _joined(parts) -> _Template:
+    """The ``_Template`` of ``parts``, ``(template, suffix, host index, host
+    name)``, written one after another.  A part's text joins the text so
+    far: its suffix is joined onto each piece that follows a prefix slot,
+    and each host slot becomes a prefix slot followed by the host's name,
+    or, where that is None, stays a host slot."""
+    vertex, edge = [""], [[""]]
+    for tpl, suffix, _, host in parts:
+        _join_onto(vertex, tpl.vertex_text, suffix)
+        first, *rest = tpl.edge_text
+        _join_onto(edge[-1], first, suffix)
+        for seg in rest:
+            if host is None:
+                edge.append([""])
+            else:
+                edge[-1].append(host)
+            _join_onto(edge[-1], seg, suffix)
+    return _Template(vertex, edge, sum(part[0].n_vertices for part in parts),
+                     sum(part[0].n_edges for part in parts), parts, None)
+
+
+def _join_onto(pieces: list, more: list, suffix: str):
+    """Append the literal pieces ``more`` to ``pieces``, with ``suffix``
+    joined onto each piece of ``more`` that follows a prefix slot."""
+    pieces[-1] += more[0]
+    pieces += [suffix + p for p in more[1:]] if suffix else more[1:]
 
 
 class Chunk(NamedTuple):
     """What one stack entry of the expansion writes: the records of
     ``template``, a ``_Template``, with each local name prefixed by
     ``prefix`` and the host slot holding ``host``, the name of the vertex
-    the copy is glued to (None at the root, which has no host slot).
-    ``spacefile.print_chunks`` writes chunks as text, ``chunk_records`` as
-    records."""
+    the copy is glued to (None at the root, which has no host slot).  The
+    template is the copy's node's own, or, from the second copy of its
+    (node, anchor) pair on, its whole subtree's, so one chunk writes the
+    copy and everything attached below it.  ``spacefile.print_chunks``
+    writes chunks as text, ``chunk_records`` as records."""
 
     template: _Template
     prefix: str
@@ -1096,30 +1162,26 @@ def _expand(root: Node, depth: int):
     All of that depends only on the node's structure and its anchor: every
     copy of a ``seq`` pattern is the same ``Node``, glued at the same
     anchor.  So it is worked out once per (node, anchor) pair as a
-    ``_template`` in the node's own names, with its text (``_compile``),
-    and a copy's chunk is the template, the copy's prefix and its host.
-    The walk builds no name list per copy: it only works out each child's
-    host, the copy's prefix followed by the local name of the attach
-    point, or the copy's own host.  The memo keys by the node, so equal
-    nodes share one template, and by the anchor, since one node may be
-    glued at two.
-
-    A leaf copy (one with no children) writes only its own vertices and
-    edges, so consecutive leaf children of one copy may be written together
-    without leaving the pre-order.  Once every child of a template has its
-    own template, which holds from its second copy on since the first
-    copy's subtree builds them, its children are recompiled once by
-    ``_leaf_runs``: each run of leaf copies becomes one stack entry, which
-    carries the parent copy's prefix and host and writes the whole run as
-    one chunk.  A child with children of its own keeps its own entry, so a
-    1500-deep chain of single copies is walked one entry per level.
+    ``_template`` in the node's own names, with its text (``_compile``).
+    The memo keys by the node, so equal nodes share one template, and by
+    the anchor, since one node may be glued at two.  The first copy of a
+    pair is walked: its chunk is its own template, the copy's prefix and
+    its host, and its children are pushed, each with its host, the copy's
+    prefix followed by the local name of the attach point, or the copy's
+    own host.  That walk reaches every pair below it, so at the pair's
+    second copy its whole subtree is compiled once (``_compile_subtree``),
+    and that copy and every later one is one chunk of the subtree template,
+    with no entry pushed for its children.  The chunks of a subtree are
+    contiguous in pre-order, so the output order is unchanged.  Memory is
+    bounded by the distinct (node, anchor) subtrees, each compiled once,
+    and the output.
 
     Also returns, for the first copy of each template with an anchor, the
     anchor's own vertex name, the edge it cuts (or None) and the range of
     chunks its subtree writes; and whether every template proved its names.
     """
     chunks, anchors = [], []
-    templates = {}            # (node, anchor) -> [template, kids, kids compiled]
+    templates = {}        # (node, anchor) -> [template, kids, subtree template]
     proven = True
     stack = [(root, None, "", None)]
     while stack:
@@ -1128,54 +1190,46 @@ def _expand(root: Node, depth: int):
             entry.append(len(chunks))
             continue
         node, anchor, prefix, host = entry
-        if node is None:                      # a run of leaf copies
-            chunks.append(_new_tuple(Chunk, (anchor, prefix, host)))
-            continue
         key = (node, anchor)
         memo = templates.get(key)
-        if memo is None:
+        if memo is not None:                  # a later copy: its whole subtree
+            tpl = memo[2]
+            if tpl is None:
+                tpl = memo[2] = _compile_subtree(key, templates)
+        else:
             tvs, tes, kids, record, ok = _template(node, anchor, depth)
-            memo = templates[key] = [_compile(tvs, 0, tes), kids, False]
+            tpl = _compile(tvs, tes)
+            templates[key] = [tpl, kids, None if kids else tpl]
             proven = proven and ok
             if record is not None:
                 vname, eid = record
                 anchors.append([prefix + vname,
                                 None if eid is None else prefix + eid, len(chunks)])
                 stack.append(anchors[-1])
-        tpl, kids, compiled = memo
-        tvs = tpl.names
-        if kids and not compiled:
-            runs = _leaf_runs(kids, tvs, templates)
-            if runs is not None:
-                kids = memo[1] = runs
-                memo[2] = True
-        chunks.append(_new_tuple(Chunk, (tpl, prefix, host)))
-        stack.extend([(child, child_anchor, prefix + suffix,
+            stack += [(child, child_anchor, prefix + suffix,
                        host if at < 0 else prefix + tvs[at])
-                      for child, child_anchor, suffix, at in kids])
+                      for child, child_anchor, suffix, at in kids]
+        chunks.append(_new_tuple(Chunk, (tpl, prefix, host)))
     return chunks, anchors, proven
 
 
 def chunk_records(chunks) -> GraphRecords:
     """The vertex names and ``Edge`` records that ``chunks`` write, in
-    declaration order.  Each edge holds its endpoints' vertex strings, found
-    by prefix: a run of leaf copies carries its parent copy's prefix and
-    reads that copy's strings, and a copy's host is among the strings of
-    its parent copy, whose prefix is its own less the last copy token.  The
-    pre-order writes a parent copy before either."""
+    declaration order.  Each edge holds its endpoints' vertex strings: a
+    copy's host is among the strings of its parent copy, a walked copy
+    whose prefix is its own less the last copy token, which the pre-order
+    writes first."""
     vs, rows = [], []
     looks = {}                 # a copy's prefix -> its names, then its host
-    for (names, start, edges, _, _), prefix, host in chunks:
-        new = [prefix + v for v in names[start:]]
-        vs += new
-        parent = looks.get(prefix)
-        if parent is not None:                # a run of the copy's leaf copies
-            look = parent[:-1] + new + parent[-1:]
-        else:
-            if host is not None:
-                up = looks[prefix[:prefix.rfind("_", 0, -1) + 1]]
-                host = up[up.index(host)]
-            look = looks[prefix] = new + [host]              # the host at -1
+    for tpl, prefix, host in chunks:
+        names, edges = tpl.records()
+        look = [prefix + v for v in names]
+        vs += look
+        if host is not None:
+            up = looks[prefix[:prefix.rfind("_", 0, -1) + 1]]
+            host = up[up.index(host)]
+        look.append(host)                                    # the host at -1
+        looks[prefix] = look
         rows.append((prefix, look, edges))
     # what Edge(...) does, less its Python-level __new__
     es = tuple([_new_tuple(Edge, (prefix + i, look[i0], look[i1]))
@@ -1242,9 +1296,8 @@ def _checked_expansion(e, depth):
     # names fixed by its template, so every copy of a template gets the
     # verdict of its first copy, which the pre-order also reaches first.
     # Its chunks' sizes give its vertex and edge ranges.
-    v_at = list(accumulate((len(ch.template.names) - ch.template.start for ch in chunks),
-                           initial=0))
-    e_at = list(accumulate((len(ch.template.edges) for ch in chunks), initial=0))
+    v_at = list(accumulate((ch.template.n_vertices for ch in chunks), initial=0))
+    e_at = list(accumulate((ch.template.n_edges for ch in chunks), initial=0))
     for vname, eid, c0, c1 in anchors:
         if vname in names and vname in vs[v_at[c0]:v_at[c1]]:
             raise GraphError(f"duplicate identifier {vname!r}")

@@ -281,10 +281,21 @@ def attach_chain_text(depth):
     at a vertex, the innermost carrying an earring.  The wild set is the
     earring's point, deep inside finite attachments, so (wrk, cat, tc) is
     (2, 1, 2) at any depth."""
+    return chain_space_text(_attach_chain(depth))
+
+
+def _attach_chain(depth):
     earring = "(node (base pt) (seqfam (v) (graph loop) (vertex o)))"
-    body = ("(node (base tri) (attach (vertex a) " * depth + earring
+    return ("(node (base tri) (attach (vertex a) " * depth + earring
             + " (vertex v)))" + " (vertex b)))" * (depth - 1))
-    return chain_space_text(body)
+
+
+def attach_chain_family_text(depth):
+    """Space file of a point with shrinking copies of the chain of
+    ``attach_chain_text(depth)``, each glued at its outermost triangle's
+    vertex b: every copy after the first is one subtree ``depth`` levels
+    deep."""
+    return chain_space_text(f"(node (base pt) (seqfam (v) {_attach_chain(depth)} (vertex b)))")
 
 
 def seq_chain_text(depth):

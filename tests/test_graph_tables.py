@@ -314,9 +314,10 @@ def _per_line_print_chunks(name, chunks):
     """The command's text as it was written before template texts: each
     chunk's names and lookup list, and an f-string per edge line."""
     vs, es = [], []
-    for (names, start, edges, _, _), prefix, host in chunks:
+    for tpl, prefix, host in chunks:
+        names, edges = tpl.records()
         look = [prefix + v for v in names]
-        vs += look[start:]
+        vs += look
         look.append(host)
         es += [f"edge {prefix}{i} {look[i0]} {look[i1]}" for i, i0, i1 in edges]
     out = [f"graph {name}"]

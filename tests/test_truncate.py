@@ -34,8 +34,8 @@ root, in an ancestor, in a sibling and as an anchor, must take the checking
 path and still match the walk; the benchmark's chain must check no name.
 Four mutants are the negative controls: a token test that misses
 ``s<i>c<c>_``, a template check without the anchor's name, the unchecked
-path taken for an unproven template, and a run of leaf copies written in
-reverse.
+path taken for an unproven template, and a compiled subtree that lists its
+children in reverse.
 
 ``wildcat truncate`` writes its text straight from the expansion's chunks,
 each a template's text joined with the copy's prefix and host, and builds
@@ -44,15 +44,27 @@ criterion corpora, the token corpus and a 1500-deep chain it must write
 what it wrote when it printed, with ``print_spacefile``, the graph that the
 checking constructor built from ``ref.records_expand``, the walk that
 filled two lists: the same exit code, stdout, stderr, ``-o`` file and
-``--dot`` file.  Each side must reach its own text writer.  Three writer
-mutants are the negative controls: a run of leaf copies that leaves its
-copies' hosts unsubstituted, the edge texts of the first two chunks
-swapped, and prefix and host swapped in the copies of a template whose
-anchor cuts an edge.  On the same cases the sizes on stderr, which come
-from ``truncation_size``, must be the counts of the ``vertex`` and ``edge``
-lines written; a ``truncation_size`` that drops the cut at an anchor is the
-negative control.  The template texts must have the line format of
-``graph_records``, whatever the prefix and the host.
+``--dot`` file.  Each side must reach its own text writer.  Five writer
+mutants are the negative controls: a compiled subtree whose records keep
+the subtree's host where a copy is attached inside it, one whose text
+keeps the host slot there, one whose text joins a child's suffix onto only
+the first piece after a prefix slot, the edge texts of the first two
+chunks swapped, and prefix and host swapped in the copies of a template
+whose anchor cuts an edge.  On the same cases the sizes on stderr, which
+come from ``truncation_size``, must be the counts of the ``vertex`` and
+``edge`` lines written; a ``truncation_size`` that drops the cut at an
+anchor is the negative control.  The template texts must have the line
+format of ``graph_records``, whatever the prefix and the host.
+
+From the second copy of a (node, anchor) pair on, the walk writes the
+pair's whole subtree as one chunk, so the number of chunks grows with the
+distinct subtrees, not with the copies: on the benchmark's chain it at
+most 2.5-folds from depth 6 to depth 12, which the walk with one chunk per
+copy (and one per run of leaf copies) does not.  On the same chain the
+command's text matches the reference expansion at depths 0 to 20.  The
+subtree is compiled from an explicit stack: a family of two copies of a
+1500-deep chain truncates, where a recursive compile raises
+``RecursionError``.
 """
 
 import glob
@@ -71,8 +83,8 @@ from wildcat.graphs import (Edge, GraphError, GraphRecords, MultiGraph, Vertex, 
 from wildcat.spacefile import SpaceFile, parse_spacefile, print_spacefile
 from wildcat.wild import Node, Attachment, SeqFamily, Subcomplex, graph_expr
 
-from gen import (attach_chain_text, path_graph, rank_chain_text,
-                 seq_chain_text)
+from gen import (attach_chain_family_text, attach_chain_text, path_graph,
+                 rank_chain_text, seq_chain_text)
 from test_analysis import _corpus_5150, _corpus_707, _random_corpus
 from test_lift import _mutant as _lift_mutant
 from test_tower_summary import _mutant
@@ -444,9 +456,9 @@ PROOF_MUTANTS = {
     "anchor-name-not-checked": ("        names.append(record[0])\n",
                                 "        pass\n"),
     "trusted-although-flagged": ("    if proven:\n", "    if True:\n"),
-    "leaf-run-in-reverse": (
-        "        for (_, _, suffix, at), (tpl, _, _) in reversed(list(group)):\n",
-        "        for (_, _, suffix, at), (tpl, _, _) in group:\n"),
+    "subtree-children-in-reverse": (
+        "for child, anchor, step, k in kids]",
+        "for child, anchor, step, k in reversed(kids)]"),
 }
 
 
@@ -503,6 +515,110 @@ def test_templates_do_not_grow_with_depth(monkeypatch):
         wild.truncate(e, depth)
         counts.append(count[0])
     assert counts == [5, 5]
+
+
+def _per_copy_chunks(root, depth):
+    """The chunks of the walk before subtrees were compiled: one per copy,
+    and one per run of consecutive leaf copies (``ref.leaf_runs``)."""
+    chunks, templates = [], {}
+    stack = [(root, None)]
+    while stack:
+        node, anchor = stack.pop()
+        chunks.append(anchor)
+        if node is None:                      # a run of leaf copies
+            continue
+        tpl = templates.get((node, anchor))
+        if tpl is None:
+            tvs, tes, kids, _, _ = wild._template(node, anchor, depth)
+            tpl = templates[(node, anchor)] = [tvs, tes, kids, False]
+        if tpl[2] and not tpl[3]:
+            runs = ref.leaf_runs(tpl[2], len(tpl[0]), templates)
+            if runs is not None:
+                tpl[2:] = runs, True
+        stack += [kid[:2] for kid in tpl[2]]
+    return chunks
+
+
+def _chunk_growth(expand):
+    """The chunks ``expand`` writes for the benchmark's chain at depths 6
+    and 12, and whether the second is at most 2.5 times the first."""
+    e = _benchmark_chain()
+    counts = (len(expand(e, 6)), len(expand(e, 12)))
+    return counts, counts[1] <= 2.5 * counts[0]
+
+
+def test_chunks_grow_with_the_subtrees_not_the_copies():
+    # each later copy of a triangle is one chunk, however many copies its
+    # subtree holds
+    assert _chunk_growth(lambda e, depth: wild._expand(e, depth)[0]) == ((25, 49), True)
+
+
+def test_chunk_guard_catches_one_chunk_per_copy():
+    assert _chunk_growth(_per_copy_chunks) == ((480, 3624), False)
+
+
+def _recursive_compile(key, templates):
+    """``wild._compile_subtree`` with its walk done by recursion."""
+    parts = []
+
+    def visit(key, suffix, at, host):
+        own, kids, whole = templates[key]
+        tpl = own if whole is None else whole
+        start = sum(part[0].n_vertices for part in parts)
+        parts.append((tpl, suffix, at, host))
+        if whole is None:
+            names = own.records()[0]
+            for child, anchor, step, k in reversed(kids):
+                visit((child, anchor), suffix + step, at if k < 0 else start + k,
+                      host if k < 0 else suffix + names[k])
+
+    visit(key, "", -1, None)
+    return wild._joined(parts)
+
+
+def test_deep_subtree_compiles_without_recursion(tmp_path):
+    # at depth 2 the second copy of the chain compiles a subtree 1500
+    # levels deep
+    path, out = tmp_path / "family.space", tmp_path / "t.space"
+    path.write_text(attach_chain_family_text(1500), encoding="ascii")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main(["truncate", str(path), "--depth", "2", "-o", str(out)])
+    assert code == 0
+    n_vertices, n_edges = wild.truncation_size(parse_spacefile(path.read_text()).main_expr(), 2)
+    assert f": {n_vertices} vertices, {n_edges} edges, " in err.getvalue()
+    with open(out, encoding="ascii") as fh:
+        kinds = [line[:line.index(" ")] for line in fh if " " in line]
+    assert (kinds.count("vertex"), kinds.count("edge")) == (n_vertices, n_edges)
+
+
+def test_recursive_compile_fails_the_deep_subtree(monkeypatch):
+    e = parse_spacefile(attach_chain_family_text(1500)).main_expr()
+    monkeypatch.setattr(wild, "_compile_subtree", _recursive_compile)
+    with pytest.raises(RecursionError):
+        wild.truncation_chunks(e, 2)
+
+
+def test_recursive_compile_writes_what_the_walk_writes(monkeypatch):
+    # the negative control above fails for its recursion alone
+    e = _benchmark_chain()
+    want = spacefile.print_chunks("t", wild.truncation_chunks(e, 4))
+    monkeypatch.setattr(wild, "_compile_subtree", _recursive_compile)
+    assert spacefile.print_chunks("t", wild.truncation_chunks(e, 4)) == want
+
+
+def test_command_matches_the_reference_on_the_benchmark_chain(tmp_path):
+    path = tmp_path / "chain.space"
+    e = _benchmark_chain()
+    path.write_text(print_spacefile(SpaceFile({}, {"main": e}, "main")), encoding="ascii")
+    for depth in range(21):
+        vs, es, _, _ = ref.records_expand(e, depth)
+        want = print_spacefile(SpaceFile({"truncated": GraphRecords(tuple(vs), tuple(es))},
+                                         {}, "truncated"))
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.main(["truncate", str(path), "--depth", str(depth)]) == 0
+        assert out.getvalue() == want, depth
 
 
 def test_equal_patterns_share_one_template(monkeypatch):
@@ -771,7 +887,7 @@ def _one_chunk(g):
     names = list(g.vertices)
     index = {v: k for k, v in enumerate(names)}
     edges = [(i, index[v0], index[v1]) for i, v0, v1 in g.edges]
-    return [wild.Chunk(wild._compile(names, 0, edges), "", None)]
+    return [wild.Chunk(wild._compile(names, edges), "", None)]
 
 
 def _print_records(name, chunks):
@@ -779,8 +895,9 @@ def _print_records(name, chunks):
     records of its one chunk, read from the template's names and edges,
     printed by ``print_spacefile``."""
     (tpl, _, _), = chunks
-    es = tuple(Edge(i, tpl.names[i0], tpl.names[i1]) for i, i0, i1 in tpl.edges)
-    return print_spacefile(SpaceFile({name: GraphRecords(tuple(tpl.names), es)}, {}, name))
+    names, edges = tpl.records()
+    es = tuple(Edge(i, names[i0], names[i1]) for i, i0, i1 in edges)
+    return print_spacefile(SpaceFile({name: GraphRecords(tuple(names), es)}, {}, name))
 
 
 def _route_through_the_graph(monkeypatch):
@@ -868,11 +985,19 @@ def test_command_prints_what_the_graph_printed(monkeypatch, tmp_path):
 
 
 WRITER_MUTANTS = {
-    # a run of leaf copies leaves its copies' hosts, names of the parent
-    # copy, unsubstituted: each copy is written at the run's own host
-    "host-unsubstituted-in-leaf-run": (
-        wild, "_leaf_runs", "start = len(names) + len(run_vs)\n",
-        "start, at = len(names) + len(run_vs), -1\n"),
+    # a compiled subtree's records leave the hosts of the copies attached
+    # inside it unsubstituted: each is glued at the subtree's own host
+    "host-index-kept-in-subtree": (
+        wild, "_compile_subtree", "at if k < 0 else n_vertices + k", "at"),
+    # its text keeps the host slot where it should be the prefix followed
+    # by the attach point's name
+    "host-slot-kept-at-attach-point": (
+        wild, "_compile_subtree", "host if k < 0 else suffix + names[k]", "host"),
+    # a child's suffix is joined onto the first piece after a prefix slot
+    # only, so the child's later names lose it
+    "suffix-on-first-piece-only": (
+        wild, "_join_onto", "[suffix + p for p in more[1:]]",
+        "[suffix + p for p in more[1:2]] + more[2:]"),
     "edge-lines-of-two-chunks-swapped": (
         cli, "print_chunks", "for tpl, prefix, host in chunks:",
         "for tpl, prefix, host in chunks[1::-1] + chunks[2:]:"),
@@ -940,11 +1065,10 @@ def test_template_text_has_the_line_format_of_graph_records(seed):
     names = [f"v{k}" for k in range(rng.randint(0, 6))]
     ends = list(range(len(names))) + [-1]
     edges = [(f"e{k}", rng.choice(ends), rng.choice(ends)) for k in range(rng.randint(0, 8))]
-    start = rng.randint(0, len(names))
-    tpl = wild._compile(names, start, edges)
+    tpl = wild._compile(names, edges)
     for prefix, host in (("", "h"), ("s0c1_a0_", "s0c2_q")):
         look = [prefix + v for v in names] + [host]
-        records = GraphRecords(tuple(look[start:-1]), tuple(
+        records = GraphRecords(tuple(look[:-1]), tuple(
             Edge(prefix + i, look[i0], look[i1]) for i, i0, i1 in edges))
         text = spacefile.print_chunks("g", [wild.Chunk(tpl, prefix, host)])
         assert text == "\n".join(["graph g", *spacefile.graph_records(records),
