@@ -2,20 +2,21 @@
 
 A motion plan is an ordered closed filtration of G x G together with one
 computable path rule per filtration difference.  Plans built here always
-have exactly tc_graph(G) + 1 strata: one global tree rule for trees, the
-rotate/geodesic pair for a single cycle (lifted through deforestation when
-the graph has hairs), and the tree / one-coordinate-evacuated /
-two-coordinates-evacuated triple otherwise.  Rules build their answers
-from shared whole-edge steps and unchecked: a cycle answer walks integer
-slots of ``CycleCoords``, and a lifted answer joins the slide, core and
-reverse-slide step lists into one path.  ``verify_plan`` checks
+have exactly tc_graph(G) + 1 strata.  A graph with one cycle gets the
+rotate/geodesic pair on that cycle, lifted through deforestation when the
+graph has hairs.  Every other graph gets the product plan of its category
+filtration F: the strata are the levels H_k = union of F_i x F_j over
+i + j = k (Farber's product filtration, so TC <= 2 cat), the tree rule on
+H_0 and the evacuate rule on each later difference.  Rules build their
+answers from shared whole-edge steps and unchecked: a cycle answer walks
+integer slots of ``CycleCoords``, and a lifted answer joins the slide, core
+and reverse-slide step lists into one path.  ``verify_plan`` checks
 closedness, nesting, coverage, the exact section property, continuity
 (bounded exactly where two answers share one walk, sampled exactly at 32
 times otherwise) and the well-formedness of every answer path, reading
 each answer once: the section compares the end keys the path check
 returns, and a perturbed answer that keeps its partner's middle steps is
-checked at its ends.  The product filtration combinator witnesses the
-additivity of category under products.
+checked at its ends.
 """
 
 import random
@@ -192,7 +193,7 @@ class CycleCoords:
 
 
 class TreeRule:
-    """Route through the unique reduced path of a forest."""
+    """Route through the reduced path of a forest: a product plan's H_0 rule."""
 
     def __init__(self, g: MultiGraph, router: TreeRouter):
         self.graph = g
@@ -340,15 +341,12 @@ class MotionPlan:
 
 
 def plan_tree(t: MultiGraph) -> MotionPlan:
-    """Single-stratum plan on a tree: the unique reduced path rule."""
+    """Single-stratum plan on a tree: ``plan_graph``'s product plan."""
     if t.n_components != 1:
         raise PlanError("plan_tree requires a connected graph")
     if betti1(t) != 0:
         raise PlanError("plan_tree requires a tree (input has a cycle)")
-    everything = whole_graph_cells(t)
-    router = TreeRouter(t)
-    return MotionPlan(t, (Region(Box(everything, everything)),),
-                      (TreeRule(t, router),))
+    return plan_graph(t)
 
 
 def plan_circle(c: MultiGraph) -> MotionPlan:
@@ -381,30 +379,25 @@ def lift_plan(p: MotionPlan, h: CollapseHomotopy) -> MotionPlan:
 def plan_graph(g: MultiGraph) -> MotionPlan:
     """Stratified plan with exactly tc_graph(g) + 1 strata.
 
-    Dispatch on the first Betti number: trees get the global tree rule; a
-    graph with one cycle is deforested onto its unique cycle and the circle
-    plan is lifted back; otherwise the strata are T x T, then
-    G x T union T x G, then G x G for a spanning tree T.
+    A graph with one cycle is deforested onto its cycle and the circle plan
+    is lifted back.  Any other graph gets the product plan of F =
+    ``cat_filtration(g)``: the strata are ``product_cat_filtration(F,
+    F).levels`` (G x G for a tree; T x T, G x T union T x G, G x G for the
+    spanning tree T = F_0 otherwise), ``TreeRule`` on H_0 and
+    ``EdgeEvacuateRule`` on every later difference, both routing through T.
     """
     if g.n_components != 1:
         raise PlanError("plan_graph requires a connected graph")
-    b = betti1(g)
-    if b == 0:
-        return plan_tree(g)
-    if b == 1:
+    if betti1(g) == 1:
         core, h = deforest(g)
         return lift_plan(plan_circle(core), h)
-    tree_edges = spanning_forest(g)
-    tree = subgraph(g, tree_edges)
-    router = TreeRouter(tree)
-    tree_cells = CellUnion(g, [VertexCell(v) for v in g.vertices]
-                           + [ClosedEdgeCell(e) for e in tree_edges])
-    everything = whole_graph_cells(g)
-    f0 = Region(Box(tree_cells, tree_cells))
-    f1 = Region(Box(everything, tree_cells), Box(tree_cells, everything))
-    f2 = Region(Box(everything, everything))
+    f = cat_filtration(g)
+    # F_0 is the vertices and the closed edges of the tree
+    tree_edges = f.levels[0]._closed_edges
+    router = TreeRouter(g if f.length == 0 else subgraph(g, tree_edges))
     evac = EdgeEvacuateRule(g, tree_edges, router)
-    return MotionPlan(g, (f0, f1, f2), (TreeRule(g, router), evac, evac))
+    strata = product_cat_filtration(f, f).levels
+    return MotionPlan(g, strata, (TreeRule(g, router),) + (evac,) * (len(strata) - 1))
 
 
 def execute(p: MotionPlan, x: GraphPoint, x2: GraphPoint):
@@ -457,8 +450,9 @@ class GraphFiltration:
 def cat_filtration(g: MultiGraph) -> GraphFiltration:
     """Canonical category filtration of a connected graph.
 
-    A tree is a single level; otherwise the spanning tree followed by the
-    whole graph (the open non-tree edges forming the categorical difference).
+    A tree is a single level; otherwise the vertices and closed edges of
+    ``spanning_forest(g)``, then the whole graph (the open non-tree edges
+    forming the categorical difference).  ``plan_graph`` plans on its square.
     """
     if g.n_components != 1:
         raise PlanError("cat_filtration requires a connected graph")
@@ -493,8 +487,9 @@ class ProductFiltration:
 def product_cat_filtration(f: GraphFiltration, g: GraphFiltration) -> ProductFiltration:
     """Product filtration of length len(f) + len(g).
 
-    Level k is the union of boxes F_i x G_j with i + j = k; the difference at
-    level k is the separated union of the factor differences with i + j = k.
+    Level k is the union of boxes F_i x G_j with i + j = k, in increasing i;
+    the difference at level k is the separated union of the factor
+    differences with i + j = k.  ``plan_graph`` takes its strata from here.
     """
     n, m = len(f.levels) - 1, len(g.levels) - 1
     levels = []
@@ -554,13 +549,6 @@ def _fmt_pair(x, y) -> str:
     return f"({_fmt_point(x)}; {_fmt_point(y)})"
 
 
-def _rises(step: PathStep) -> bool:
-    """Whether a step runs towards v0 -> v1: a < b, compared in ints."""
-    an, ad = step.a.as_integer_ratio()
-    bn, bd = step.b.as_integer_ratio()
-    return an * bd < bn * ad
-
-
 def _walk_bound(path1: PLPath, path2: PLPath, same_middle: bool = None):
     """An exact bound on the distance between ``path1.at(t)`` and
     ``path2.at(t)`` over every t in [0,1], as an integer pair (num, den)
@@ -568,16 +556,19 @@ def _walk_bound(path1: PLPath, path2: PLPath, same_middle: bool = None):
 
     Both paths must be well-formed.  ``same_middle`` is whether their middle
     steps are equal, for a caller that has compared them already; when it
-    is None they are compared here.  One step each on one edge: the two
-    points are affine in t along that edge, so their distance is at most the
-    larger gap at t = 0 and t = 1.  n >= 2 steps each, with equal middle
-    steps, first steps sharing edge, end and direction, and last steps
-    sharing edge, start and direction: both paths are uniform-time
-    reparametrisations of sub-walks of one walk W, path i at W-position
-    o_i + t L_i.  Their walk distance |(o1 - o2) + t (L1 - L2)| is affine in
-    t, so it peaks at t = 0, where it is the gap between the first steps'
-    starts, or at t = 1, the gap between the last steps' ends; and graph
-    distance is at most walk distance.
+    is None they are compared here.  The bound is max(|a1 - a2|, |b1 - b2|)
+    for first steps starting at a_i and last steps ending at b_i.  One step
+    each on one edge: the points are affine in t along it.  n >= 2 steps
+    each, equal middle steps W, first steps ending at one point c of one
+    edge and last steps starting at one point s of one edge, in either
+    direction: path i runs d_i = |a_i - c|, then W, then e_i = |b_i - s|,
+    L_i in all at uniform speed, so it is at W-position p_i(t) = t L_i - d_i.
+    On first steps on opposite sides
+    of c the distance is at most d1 + d2 - t (L1 + L2) <= |a1 - a2|; on last
+    steps on opposite sides of s, at most their overshoots past s, which
+    sum to <= e1 + e2 = |b1 - b2|.  Otherwise it is at most the walk gap
+    |p1(t) - p2(t)|, affine in t: |d1 - d2| <= |a1 - a2| at t = 0 and
+    |e1 - e2| <= |b1 - b2| at t = 1.
     """
     steps1, steps2 = path1.steps, path2.steps
     n = len(steps1)
@@ -589,20 +580,11 @@ def _walk_bound(path1: PLPath, path2: PLPath, same_middle: bool = None):
     l1, l2 = steps1[-1], steps2[-1]
     if n > 1:
         # shared parameters (_ZERO, _ONE, a query's own t) are told equal by
-        # identity before any Fraction is compared.  A step of a multi-step
-        # path is not degenerate, so one ending at 1 or starting at 0 rises
-        # and one ending at 0 or starting at 1 falls: steps sharing an edge
-        # end share their direction, and _rises is read only at a shared
-        # interior parameter
+        # identity before any Fraction is compared
         end = f1.b
-        if f2.b is not end and f2.b != end:
-            return None
-        if end is not _ZERO and end is not _ONE and _rises(f1) != _rises(f2):
-            return None
         start = l1.a
-        if (l1.edge != l2.edge or (l2.a is not start and l2.a != start)
-                or (start is not _ZERO and start is not _ONE
-                    and _rises(l1) != _rises(l2))
+        if (f2.b is not end and f2.b != end
+                or l1.edge != l2.edge or (l2.a is not start and l2.a != start)
                 or not (steps1[1:-1] == steps2[1:-1] if same_middle is None
                         else same_middle)):
             return None
@@ -701,10 +683,14 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         and the same separated piece at path-metric distance < delta, the
         uniform distance between the two answer paths is <= eps.  A pair is
         decided exactly when the two answers walk one shared walk (equal
-        middle steps, first and last steps on shared edges in shared
-        directions): then the distance over every t is at most the larger
-        of the gaps at t = 0 and t = 1, an exact bound, held as an integer
-        pair and compared with eps in integers.
+        middle steps, first steps on one edge ending at one point c, last
+        steps on one edge starting at one point s, in either direction):
+        for starts a_i and ends b_i the distance is at most
+        max(|a1 - a2|, |b1 - b2|) at every t, since points on opposite sides
+        of c are within their two distances to c, which sum to at most
+        |a1 - a2|, likewise past s, and otherwise the gap along the walk is
+        affine in t (``_walk_bound``).  The bound is held as an integer pair
+        and compared with eps in integers.
         A pair this bound does not decide is sampled at 32 times, with
         exact positions (``PLPath.at``) and exact distances
         (``point_dist``); the first failing pair is the witness, its sup

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; every tolerance and runtime bound is pinned here.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -16,7 +17,7 @@ from wildcat.wild import INF, SelfWild, ZeroDimWild, profile, cat, tc, wrk, trun
 
 from gen import (point_graph, path_graph, cycle_graph, circle_with_hair,
                  figure_eight, theta_graph, k4, random_connected_graph,
-                 random_point, random_stable_expr)
+                 random_point, random_stable_expr, random_tree)
 
 import test_wild as golden
 
@@ -112,11 +113,16 @@ def test_criterion_5_rank_formula_shape():
 
 
 def test_criterion_6_product_filtration():
+    # on trees and on b1 >= 2, plan_graph's strata are the product levels
     rng = random.Random(606)
-    for _ in range(10):
-        g = random_connected_graph(rng)
+    graphs = (random_connected_graph(rng) for _ in range(10))
+    trees = (point_graph(), path_graph(3), random_tree(random.Random(616), 12))
+    planned = 0
+    for g in itertools.chain(graphs, trees):
         f = cat_filtration(g)
         prod = product_cat_filtration(f, f)
+        plan = plan_graph(g) if betti1(g) != 1 else None
+        planned += plan is not None
         assert prod.length <= 2 * cat_graph(g)
         assert all(level.is_closed() for level in prod.levels)
         probes = [Vertex(v) for v in g.vertices]
@@ -127,13 +133,17 @@ def test_criterion_6_product_filtration():
                 assert all(prod.levels[m].contains(x, y)
                            for m in range(k, len(prod.levels)))
                 assert k == prod.first.level_index(x) + prod.second.level_index(y)
+                assert plan is None or plan.stratum_index(x, y) == k
         for _ in range(50):
             x, y = random_point(rng, g), random_point(rng, g)
-            assert prod.level_index(x, y) == \
-                prod.first.level_index(x) + prod.second.level_index(y)
+            k = prod.level_index(x, y)
+            assert k == prod.first.level_index(x) + prod.second.level_index(y)
+            assert plan is None or plan.stratum_index(x, y) == k
+    assert planned == 12  # the ten graphs hold one with b1 = 1
     _line(6, True,
           "product of the cat filtration with itself is a valid closed "
-          "filtration of length <= 2*cat on 10 graphs (exact)")
+          "filtration of length <= 2*cat on 10 graphs and 3 trees, and "
+          f"plan_graph's strata on the {planned} without exactly one cycle (exact)")
 
 
 def test_criterion_7_truncation_cross_check():

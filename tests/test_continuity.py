@@ -294,17 +294,25 @@ def _meeting_pairs(rng, path):
 def _one_walk(path1, path2):
     """Whether the steps show one shared walk, as ``_walk_bound`` states it:
     as many steps, first steps on one edge, and for two or more steps
-    first steps with one end and one direction, last steps on one edge
-    with one start and one direction, and equal middle steps."""
+    first steps with one end, last steps on one edge with one start, and
+    equal middle steps; the steps' directions do not matter."""
     s1, s2 = path1.steps, path2.steps
     if len(s1) != len(s2) or not s1 or s1[0].edge != s2[0].edge:
         return False
     if len(s1) == 1:
         return True
     (f1, l1), (f2, l2) = (s1[0], s1[-1]), (s2[0], s2[-1])
-    return (f1.b == f2.b and (f1.a < f1.b) == (f2.a < f2.b)
-            and l1.edge == l2.edge and l1.a == l2.a and (l1.a < l1.b) == (l2.a < l2.b)
+    return (f1.b == f2.b and l1.edge == l2.edge and l1.a == l2.a
             and s1[1:-1] == s2[1:-1])
+
+
+def _opposite(path1, path2):
+    """Whether two paths of two or more steps have first steps meeting at
+    one interior parameter from opposite sides, or last steps leaving one
+    interior parameter to opposite sides."""
+    (f1, *_, l1), (f2, *_, l2) = path1.steps, path2.steps
+    return ((f1.b == f2.b and 0 < f1.b < 1 and (f1.a < f1.b) != (f2.a < f2.b))
+            or (l1.a == l2.a and 0 < l1.a < 1 and (l1.a < l1.b) != (l2.a < l2.b)))
 
 
 def _breakpoints(path):
@@ -325,6 +333,9 @@ def _bound(path1, path2):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_walk_bound_is_sound(seed):
+    # the meeting pairs put first (or last) steps at one interior parameter
+    # in one direction or in opposite ones; both kinds are bounded, and the
+    # bound must hold at every breakpoint and on a grid of times
     rng = random.Random(seed)
     bounded = opposite = 0
     for g, p1, p2 in _answer_pairs(rng):
@@ -333,13 +344,11 @@ def test_walk_bound_is_sound(seed):
         b = _bound(p1, p2)
         # a bound exactly when the steps show one walk
         assert (b is not None) == _one_walk(p1, p2), (p1.steps, p2.steps)
-        if len(p1.steps) >= 2 and len(p2.steps) >= 2:
-            (f1, *_, l1), (f2, *_, l2) = p1.steps, p2.steps
-            opposite += ((f1.b == f2.b and 0 < f1.b < 1 and (f1.a < f1.b) != (f2.a < f2.b))
-                         or (l1.a == l2.a and 0 < l1.a < 1 and (l1.a < l1.b) != (l2.a < l2.b)))
         if b is None:
             continue
         bounded += 1
+        if len(p1.steps) >= 2:
+            opposite += _opposite(p1, p2)
         ts = set(_breakpoints(p1) + _breakpoints(p2))
         ts.update(Fraction(k, 256) for k in range(257))
         for t in sorted(ts):
@@ -369,22 +378,23 @@ def test_walk_bound_needs_one_shared_walk():
             path(("a0", half, 1), ("b1", 0, 1), ("a2", 0, half))):  # middle
         assert _bound(base, other) is None
         assert _bound(other, base) is None
-    # first steps share edge and end but not direction
+    # first steps share edge and end but not direction: the two starts are
+    # 1/2 apart; last steps share edge and start but not direction
     up = path(("a1", Fraction(1, 4), half), ("a1", half, 1), ("a2", 0, half))
     down = path(("a1", Fraction(3, 4), half), ("a1", half, 1), ("a2", 0, half))
-    assert _bound(up, down) is None
-    # last steps share edge and start but not direction
+    assert _bound(up, down) == half
     fwd = path(("a0", half, 1), ("a1", 0, half), ("a1", half, Fraction(3, 4)))
     back = path(("a0", half, 1), ("a1", 0, half), ("a1", half, Fraction(1, 4)))
-    assert _bound(fwd, back) is None
+    assert _bound(fwd, back) == half
     # two constant paths at vertices have no steps
     assert _bound(constant_path(g, Vertex("v0")), constant_path(g, Vertex("v0"))) is None
 
 
-def test_walk_bound_reads_the_direction_at_a_shared_interior_end():
+def test_walk_bound_holds_across_a_shared_interior_end():
     # the first steps end at one interior point of a1, held as two equal
-    # Fractions: no edge end tells their directions, so each is read from
-    # its own step; the same for last steps that start there
+    # Fractions, from either side; the same for last steps that start
+    # there.  The bound is the larger gap at the two ends whatever the
+    # directions, and it holds at every time, the meeting time included
     g = doubled_path(3)
 
     def path(*steps):
@@ -395,15 +405,15 @@ def test_walk_bound_reads_the_direction_at_a_shared_interior_end():
     up = path(("a1", Fraction(1, 4), mid), ("a1", mid, 1), ("a2", 0, mid))
     up2 = path(("a1", Fraction(1, 3), mid2), ("a1", mid2, 1), ("a2", 0, mid2))
     down = path(("a1", Fraction(3, 4), mid2), ("a1", mid2, 1), ("a2", 0, mid2))
-    assert _bound(up, up2) == Fraction(1, 12)
-    assert _bound(up, down) is None
-    assert _bound(down, up) is None
     fwd = path(("a0", mid, 1), ("a1", 0, mid), ("a1", mid, Fraction(3, 4)))
     fwd2 = path(("a0", mid2, 1), ("a1", 0, mid2), ("a1", mid2, Fraction(2, 3)))
     back = path(("a0", mid2, 1), ("a1", 0, mid2), ("a1", mid2, Fraction(1, 4)))
-    assert _bound(fwd, fwd2) == Fraction(1, 12)
-    assert _bound(fwd, back) is None
-    assert _bound(back, fwd) is None
+    for p1, p2, bound in ((up, up2, Fraction(1, 12)), (up, down, mid),
+                          (fwd, fwd2, Fraction(1, 12)), (fwd, back, mid)):
+        assert _bound(p1, p2) == _bound(p2, p1) == bound
+        ts = set(_breakpoints(p1) + _breakpoints(p2))
+        ts.update(Fraction(k, 64) for k in range(65))
+        assert max(point_dist(g, p1.at(t), p2.at(t)) for t in ts) <= bound
 
 
 # --- draws and nudges ---------------------------------------------------------
