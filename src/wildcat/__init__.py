@@ -28,7 +28,8 @@ from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
                    is_w_stable, wild_set,
                    wild_tower, wrk, WildProfile, profile, cat, tc,
                    Certificate, cat_certificate, tc_certificate, truncate,
-                   truncation_records, truncation_size, truncation_betti1)
+                   truncation_records, truncation_text, truncation_size,
+                   truncation_betti1)
 from .spacefile import (ParseError, SpaceFile, parse_spacefile,
                         print_spacefile, parse_point, format_point)
 

@@ -21,10 +21,10 @@ from .graphs import GraphError, betti1, tc_graph
 from .cohomology import zero_divisor_cuplength
 from .planner import (PlanError, plan_graph, execute, verify_plan,
                       corrupt_plan_swap_endpoints, DEFAULT_DELTA, DEFAULT_EPS)
-from .spacefile import ParseError, SpaceFile, parse_spacefile, print_chunks, parse_point
+from .spacefile import ParseError, SpaceFile, parse_spacefile, parse_point
 from .wild import (INF, ExprError, UnstableExpressionError, InfiniteRankError,
                    analyze, graph_expr, profile, cat, tc, cat_certificate,
-                   tc_certificate, chunk_records, truncation_chunks, truncation_size,
+                   tc_certificate, truncation_records, truncation_text, truncation_size,
                    truncation_betti1)
 # not called here: kept because bench/workloads.py patches ``cli.truncate`` and
 # ``cli.print_spacefile``
@@ -220,12 +220,9 @@ def cmd_truncate(args) -> int:
         raise ExprError(f"truncation at depth {args.depth} would have "
                         f"{n_vertices} vertices and {n_edges} edges, "
                         f"more than --max-edges {args.max_edges}")
-    # the text is written straight from the expansion's chunks: no record is
-    # built unless a name needs checking or a DOT file is asked for
-    chunks = truncation_chunks(analysis, args.depth)
-    text = print_chunks("truncated", chunks)
+    text = truncation_text(analysis, args.depth)
     if args.dot:
-        _write_dot(args.dot, chunk_records(chunks))
+        _write_dot(args.dot, truncation_records(analysis, args.depth))
     if args.output:
         _save(args.output, text)
     else:

@@ -217,8 +217,9 @@ class MultiGraph:
     ``__getattr__`` keeps CPython from specialising attribute reads on the
     class, and a property adds a call to each read.  A caller that reads
     only the names and records of a graph it has proven valid, such as
-    ``wildcat truncate``'s printer, keeps them as ``GraphRecords`` and
-    builds no graph.  ``deforest`` builds its core with ``_trusted`` from
+    the DOT writer of ``wildcat truncate --dot``, keeps them as
+    ``GraphRecords`` and builds no graph; ``wild.truncate`` builds its
+    graph from the same records with ``_trusted``.  ``deforest`` builds its core with ``_trusted`` from
     its input's names and records the core's one component, so the core
     runs no union-find.
     """

@@ -393,7 +393,7 @@ def plan_graph(g: MultiGraph) -> MotionPlan:
         return lift_plan(plan_circle(core), h)
     f = cat_filtration(g)
     # F_0 is the vertices and the closed edges of the tree
-    tree_edges = f.levels[0]._closed_edges
+    tree_edges = f.levels[0]._edges
     router = TreeRouter(g if f.length == 0 else subgraph(g, tree_edges))
     evac = EdgeEvacuateRule(g, tree_edges, router)
     strata = product_cat_filtration(f, f).levels

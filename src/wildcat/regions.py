@@ -79,13 +79,11 @@ Cell = VertexCell | ClosedEdgeCell | OpenEdgeCell | SubArcCell
 class CellUnion:
     """Finite union of cells of one graph, with O(1) point membership."""
 
-    __slots__ = ("graph", "_vertices", "_closed_edges", "_open_edges",
-                 "_arcs_by_edge")
+    __slots__ = ("graph", "_vertices", "_edges", "_arcs_by_edge")
 
     def __init__(self, graph: MultiGraph, cells):
         vertices = set()
-        closed = set()
-        open_ = set()
+        edges = set()                     # the edges whose interior it holds
         arcs = {}
         for c in cells:
             if isinstance(c, VertexCell):
@@ -97,11 +95,11 @@ class CellUnion:
                 if e is None:
                     raise GraphError(f"unknown edge {c.edge!r} in cell")
                 if isinstance(c, ClosedEdgeCell):
-                    closed.add(c.edge)
+                    edges.add(c.edge)
                     vertices.add(e.v0)
                     vertices.add(e.v1)
                 elif isinstance(c, OpenEdgeCell):
-                    open_.add(c.edge)
+                    edges.add(c.edge)
                 else:
                     arcs.setdefault(c.edge, []).append((c.lo, c.hi))
                     if c.lo == 0:
@@ -112,15 +110,14 @@ class CellUnion:
                 raise GraphError(f"not a cell: {c!r}")
         self.graph = graph
         self._vertices = frozenset(vertices)
-        self._closed_edges = frozenset(closed)
-        self._open_edges = frozenset(open_)
+        self._edges = frozenset(edges)
         self._arcs_by_edge = {e: tuple(sorted(v)) for e, v in arcs.items()}
 
     def contains(self, p: GraphPoint) -> bool:
         if isinstance(p, Vertex):
             return p.v in self._vertices
         e = p.edge
-        if e in self._closed_edges or e in self._open_edges:
+        if e in self._edges:
             return True
         for lo, hi in self._arcs_by_edge.get(e, ()):
             if lo <= p.t <= hi:
@@ -134,9 +131,10 @@ class CellUnion:
                 for arc in arcs for t in arc if 0 < t < 1]
 
     def is_closed(self) -> bool:
-        """Closed iff every open-edge cell has both endpoints in the union."""
-        ends = (self.graph.edge_by_id[eid] for eid in self._open_edges)
-        return all(e.v0 in self._vertices and e.v1 in self._vertices for e in ends)
+        """Closed iff every edge whose interior it holds has both endpoints
+        in the union."""
+        vs, ends = self._vertices, map(self.graph.edge_by_id.__getitem__, self._edges)
+        return all(v0 in vs and v1 in vs for _, v0, v1 in ends)
 
 
 def whole_graph_cells(g: MultiGraph) -> CellUnion:
@@ -244,7 +242,8 @@ def cut_pieces(g: MultiGraph, cuts):
         edge_cuts[e.id] = (cs, len(rep))
         lo = _ZERO
         for t in cs + [_ONE]:
-            rep.append(EdgeInterior(e.id, (lo + t) / 2 if cs else _HALF))
+            # 0 <= lo < t <= 1, so the midpoint lies strictly inside
+            rep.append(EdgeInterior._trusted(e.id, (lo + t) / 2 if cs else _HALF))
             span.append((e.id, lo, t))
             if t != 1:
                 rep.append(EdgeInterior(e.id, t))

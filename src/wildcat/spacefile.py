@@ -40,7 +40,6 @@ __all__ = [
     "parse_point",
     "format_point",
     "graph_records",
-    "print_chunks",
 ]
 
 
@@ -418,22 +417,6 @@ def graph_records(g: MultiGraph):
     lines = [f"vertex {v}" for v in g.vertices]
     lines.extend(f"edge {e.id} {e.v0} {e.v1}" for e in g.edges)
     return lines
-
-
-def print_chunks(name: str, chunks) -> str:
-    """``print_spacefile`` of the file whose only definition, and main, is
-    the graph ``name`` of ``wild.chunk_records(chunks)``, written straight
-    from the chunks' template texts: all the vertex lines, then all the edge
-    lines, each chunk's in a few joins of its prefix and host.  No ``Edge``
-    record is built, and ``graph_records`` is not called."""
-    out = [f"graph {name}\n"]
-    out += [prefix.join(tpl.vertex_text) for tpl, prefix, _ in chunks]
-    for tpl, prefix, host in chunks:
-        segs = tpl.edge_text
-        out.append(prefix.join(segs[0]) if len(segs) == 1
-                   else host.join([prefix.join(seg) for seg in segs]))
-    out.append(f"endgraph\nmain {name}\n")
-    return "".join(out)
 
 
 def print_spacefile(sf: SpaceFile) -> str:

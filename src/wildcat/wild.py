@@ -12,8 +12,8 @@ One memoised post-order pass (``Analysis``) computes iterated wild sets,
 the wildness rank, the category and topological complexity formulas and
 filtration certificates; ``truncate`` builds finite graph approximations
 for cross-checks, ``truncation_records`` lists their checked names and
-records without building a graph, ``truncation_chunks`` hands them out as
-the expansion wrote them, and ``truncation_size`` and
+records without building a graph, ``truncation_text`` writes them as the
+text ``wildcat truncate`` prints, and ``truncation_size`` and
 ``truncation_betti1`` count them without expanding them.  Copy sizes and
 attachment density are abstract: only the closure subcomplex of an
 attachment sequence matters for the wild set, so no metric data is
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from typing import NamedTuple
 
 from .graphs import (Edge, MultiGraph, GraphRecords, Vertex, EdgeInterior,
                      GraphPoint, GraphError, _check_names, _find, _new_tuple,
@@ -70,10 +69,8 @@ __all__ = [
     "cat_certificate",
     "tc_certificate",
     "truncate",
-    "Chunk",
-    "chunk_records",
-    "truncation_chunks",
     "truncation_records",
+    "truncation_text",
     "truncation_size",
     "truncation_betti1",
 ]
@@ -1073,6 +1070,20 @@ def _compile(names, edges) -> _Template:
                      (names, edges))
 
 
+def _print_chunks(chunks) -> str:
+    """The text of ``truncation_text``, written straight from the chunks'
+    template texts: all the vertex lines, then all the edge lines, each
+    chunk's in a few joins of its prefix and host."""
+    out = ["graph truncated\n"]
+    out += [prefix.join(tpl.vertex_text) for tpl, prefix, _ in chunks]
+    for tpl, prefix, host in chunks:
+        segs = tpl.edge_text
+        out.append(prefix.join(segs[0]) if len(segs) == 1
+                   else host.join([prefix.join(seg) for seg in segs]))
+    out.append("endgraph\nmain truncated\n")
+    return "".join(out)
+
+
 def _compile_subtree(key, templates: dict) -> _Template:
     """The ``_Template`` of the whole subtree of a copy of ``key``, a (node,
     anchor) pair, in pre-order.  ``templates`` maps each pair below it to
@@ -1130,24 +1141,11 @@ def _join_onto(pieces: list, more: list, suffix: str):
     pieces += [suffix + p for p in more[1:]] if suffix else more[1:]
 
 
-class Chunk(NamedTuple):
-    """What one stack entry of the expansion writes: the records of
-    ``template``, a ``_Template``, with each local name prefixed by
-    ``prefix`` and the host slot holding ``host``, the name of the vertex
-    the copy is glued to (None at the root, which has no host slot).  The
-    template is the copy's node's own, or, from the second copy of its
-    (node, anchor) pair on, its whole subtree's, so one chunk writes the
-    copy and everything attached below it.  ``spacefile.print_chunks``
-    writes chunks as text, ``chunk_records`` as records."""
-
-    template: _Template
-    prefix: str
-    host: str
-
-
 def _expand(root: Node, depth: int):
-    """The truncation as ``Chunk``s, one per stack entry, in declaration
-    order, from one pre-order walk of the expansion tree.
+    """The truncation as chunks ``(template, prefix, host)``, one per stack
+    entry, in declaration order, from one pre-order walk of the expansion
+    tree: the records of ``template`` with each local name prefixed by
+    ``prefix`` and the host slot holding ``host`` (None at the root).
 
     A node writes its base vertices, then the vertices cutting its edges
     (edge by edge, parameters ascending), then its edges with each cut edge
@@ -1209,11 +1207,11 @@ def _expand(root: Node, depth: int):
             stack += [(child, child_anchor, prefix + suffix,
                        host if at < 0 else prefix + tvs[at])
                       for child, child_anchor, suffix, at in kids]
-        chunks.append(_new_tuple(Chunk, (tpl, prefix, host)))
+        chunks.append((tpl, prefix, host))
     return chunks, anchors, proven
 
 
-def chunk_records(chunks) -> GraphRecords:
+def _chunk_records(chunks) -> GraphRecords:
     """The vertex names and ``Edge`` records that ``chunks`` write, in
     declaration order.  Each edge holds its endpoints' vertex strings: a
     copy's host is among the strings of its parent copy, a walked copy
@@ -1247,15 +1245,12 @@ def truncate(e: SpaceExpr, depth: int) -> MultiGraph:
     return MultiGraph._trusted(*truncation_records(e, depth))
 
 
-def truncation_chunks(e: SpaceExpr, depth: int) -> list:
-    """``truncate(e, depth)`` as the ``Chunk``s of its one expansion walk,
-    in declaration order: ``chunk_records`` of them are
-    ``truncation_records(e, depth)``, and ``spacefile.print_chunks`` writes
-    them as text.  When every template proves its names
-    no record is built; otherwise the records are built and checked first,
-    so a bad name raises the ``GraphError`` that ``truncation_records``
-    raises."""
-    return _checked_expansion(e, depth)[0]
+def truncation_text(e: SpaceExpr, depth: int) -> str:
+    """The text ``wildcat truncate`` prints: ``print_spacefile`` of the file
+    whose only definition, and main, is the graph ``truncated`` of
+    ``truncation_records(e, depth)``, or the error that raises.  When every
+    template proves its names, no record is built."""
+    return _print_chunks(_checked_expansion(e, depth)[0])
 
 
 def truncation_records(e: SpaceExpr, depth: int) -> GraphRecords:
@@ -1264,7 +1259,7 @@ def truncation_records(e: SpaceExpr, depth: int) -> GraphRecords:
     iterative, and a bad name raises the ``GraphError`` the checking
     constructor raises."""
     chunks, records = _checked_expansion(e, depth)
-    return chunk_records(chunks) if records is None else records
+    return _chunk_records(chunks) if records is None else records
 
 
 def _checked_expansion(e, depth):
@@ -1287,7 +1282,7 @@ def _checked_expansion(e, depth):
     chunks, anchors, proven = _expand(_require_truncatable(e, depth), depth)
     if proven:
         return chunks, None
-    records = chunk_records(chunks)
+    records = _chunk_records(chunks)
     vs, es = records
     ids, names = _check_names(vs, es)
     # An anchor is renamed to its host, so the check never sees its own
@@ -1296,8 +1291,8 @@ def _checked_expansion(e, depth):
     # names fixed by its template, so every copy of a template gets the
     # verdict of its first copy, which the pre-order also reaches first.
     # Its chunks' sizes give its vertex and edge ranges.
-    v_at = list(accumulate((ch.template.n_vertices for ch in chunks), initial=0))
-    e_at = list(accumulate((ch.template.n_edges for ch in chunks), initial=0))
+    v_at = list(accumulate((tpl.n_vertices for tpl, _, _ in chunks), initial=0))
+    e_at = list(accumulate((tpl.n_edges for tpl, _, _ in chunks), initial=0))
     for vname, eid, c0, c1 in anchors:
         if vname in names and vname in vs[v_at[c0]:v_at[c1]]:
             raise GraphError(f"duplicate identifier {vname!r}")

@@ -421,7 +421,7 @@ def test_truncate_max_edges_refuses_without_expanding(monkeypatch, capsys):
     def expand(e, depth):
         raise AssertionError("expanded")
 
-    monkeypatch.setattr(cli, "truncation_chunks", expand)
+    monkeypatch.setattr(cli, "truncation_text", expand)
     code, out, err = run_cli(capsys, "truncate", fixture("nested3.space"),
                              "--depth", "400", "--max-edges", "240799")
     assert code == 2
@@ -588,7 +588,7 @@ def _benchmark_patch_failure():
             with tracer.span("op"), redirect_stdout(io.StringIO()):
                 assert main(["truncate", fixture("nested3.space"), "--depth", "2"]) == 0
             traced = {s[3] for s in tracer.spans}
-            # the command writes its text with ``print_chunks``, which no
+            # the command writes its text with ``truncation_text``, which no
             # patch traces: ``cli.print_spacefile`` is kept only to be patched
             assert "spacefile.parse" in traced and "spacefile.print" not in traced
             tracer.unpatch()

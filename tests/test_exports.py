@@ -97,7 +97,11 @@ def test_a_stray_import_fails_the_guard(tmp_path):
                                         ("wild.Subcomplex", "union"),
                                         ("wild.Subcomplex", "intersect"),
                                         ("wild.Subcomplex", "as_graph"),
-                                        ("wild.Subcomplex", "is_empty")])
+                                        ("wild.Subcomplex", "is_empty"),
+                                        ("wild", "Chunk"),
+                                        ("wild", "chunk_records"),
+                                        ("wild", "truncation_chunks"),
+                                        ("spacefile", "print_chunks")])
 def test_replaced_path_helpers_are_gone(owner, name):
     """Lifted answers join step lists, and cycle answers walk integer slots;
     the path concatenation, reverse slide and Fraction march they replace
@@ -107,7 +111,9 @@ def test_replaced_path_helpers_are_gone(owner, name):
     pieces come from the union-find forest of U_1, so the subcomplex
     union, intersection, graph and emptiness test are deleted too (the
     test-only reference analyses keep their own ``_union`` and
-    ``_intersect``)."""
+    ``_intersect``).  A truncation's text comes from ``truncation_text``,
+    so the chunk type, its records writer, its entry point and its text
+    writer in ``spacefile`` are gone."""
     module, _, cls = owner.partition(".")
     obj = importlib.import_module(f"wildcat.{module}")
     obj = getattr(obj, cls) if cls else obj

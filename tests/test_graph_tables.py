@@ -42,7 +42,7 @@ from wildcat.spacefile import SpaceFile, graph_records, parse_spacefile, print_s
 from gen import random_cycle_with_hairs, rank_chain_text
 from test_analysis import _corpus_5150, _corpus_707
 from test_cli import _bench_module
-from test_truncate import _one_chunk
+from test_truncate import _print_graph
 
 FIXTURES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "fixtures",
                                          "*.space")))
@@ -244,8 +244,8 @@ def test_cost_guard_catches_an_eager_constructor(monkeypatch, tmp_path):
 
 def test_cost_guard_catches_a_command_routed_through_truncate(monkeypatch, tmp_path):
     # an earlier command printed the graph ``truncate`` built
-    monkeypatch.setattr(cli, "truncation_chunks",
-                        lambda e, depth: _one_chunk(cli.truncate(e, depth)))
+    monkeypatch.setattr(cli, "truncation_text",
+                        lambda e, depth: _print_graph(cli.truncate(e, depth)))
     assert _truncate_cost_failures(monkeypatch, tmp_path) == [
         "command built a graph of its output"]
 
@@ -288,8 +288,8 @@ def test_truncate_command_builds_no_edge_record(monkeypatch, tmp_path):
 
 def test_record_cost_guard_catches_a_command_that_prints_records(monkeypatch, tmp_path):
     # an earlier command printed the checked records with print_spacefile
-    monkeypatch.setattr(cli, "print_chunks", lambda name, chunks: print_spacefile(
-        SpaceFile({name: wild.chunk_records(chunks)}, {}, name)))
+    monkeypatch.setattr(cli, "truncation_text",
+                        lambda e, depth: _print_graph(wild.truncation_records(e, depth)))
     assert _command_record_cost(monkeypatch, tmp_path) == {"Edge": 4 + 37692,
                                                            "graph_records": 1}
 
@@ -310,7 +310,7 @@ def _command_peak_per_byte(tmp_path):
     return peak / len(out.getvalue())
 
 
-def _per_line_print_chunks(name, chunks):
+def _per_line_print_chunks(chunks):
     """The command's text as it was written before template texts: each
     chunk's names and lookup list, and an f-string per edge line."""
     vs, es = [], []
@@ -320,11 +320,11 @@ def _per_line_print_chunks(name, chunks):
         vs += look
         look.append(host)
         es += [f"edge {prefix}{i} {look[i0]} {look[i1]}" for i, i0, i1 in edges]
-    out = [f"graph {name}"]
+    out = ["graph truncated"]
     if vs:
         out.append("vertex " + "\nvertex ".join(vs))
     out += es
-    out += ["endgraph", f"main {name}", ""]
+    out += ["endgraph", "main truncated", ""]
     return "\n".join(out)
 
 
@@ -334,7 +334,7 @@ def test_truncate_command_peak_is_within_three_times_its_output(tmp_path):
 
 
 def test_peak_guard_catches_a_per_line_writer(monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "print_chunks", _per_line_print_chunks)
+    monkeypatch.setattr(wild, "_print_chunks", _per_line_print_chunks)
     assert _command_peak_per_byte(tmp_path) > 3
 
 

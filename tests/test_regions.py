@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wildcat import regions
 from wildcat.graphs import Vertex, EdgeInterior, GraphError, build_graph, deforest
 from wildcat.regions import (VertexCell, ClosedEdgeCell, OpenEdgeCell,
                              SubArcCell, CellUnion, whole_graph_cells, Box,
@@ -13,7 +14,8 @@ from wildcat.planner import (CycleCoords, CycleGeodesicRule, LiftedRule,
 
 import path_reference
 from gen import (path_graph, cycle_graph, loop_graph, theta_graph,
-                 random_cycle_with_hairs)
+                 random_connected_graph, random_cycle_with_hairs)
+from test_lift import _mutant
 
 
 def test_cell_membership():
@@ -103,6 +105,40 @@ def test_filtration_nesting_needs_the_closure_of_an_open_edge():
     assert _nested(g, CellUnion(g, [SubArcCell("e0", Fraction(1, 100), Fraction(1, 2))]), u)
     assert _nested(g, CellUnion(g, [SubArcCell("e0", 0, 0)]), u)
     assert not _nested(g, CellUnion(g, [SubArcCell("e0", 0, Fraction(1, 100))]), u)
+
+
+def _rejected_midpoints():
+    """The interval points ``regions.cut_pieces`` builds, unchecked, that
+    the checking constructor rejects, over random cut sets of random graphs:
+    up to four cuts an edge, with repeats, each some k/d with 0 < k < d."""
+    rng = random.Random(2027)
+    rejected = []
+    for _ in range(300):
+        g = random_connected_graph(rng)
+        cuts = []
+        for e in g.edges:
+            for _ in range(rng.randint(0, 4)):
+                d = rng.randint(2, 12)
+                cuts.append((e.id, Fraction(rng.randint(1, d - 1), d)))
+        rep, span = regions.cut_pieces(g, cuts)[:2]
+        for p, piece in zip(rep, span):
+            if piece is None:
+                continue
+            try:
+                assert EdgeInterior(p.edge, p.t) == p
+            except GraphError:
+                rejected.append((p, piece))
+    return rejected
+
+
+def test_cut_piece_midpoints_pass_the_checking_constructor():
+    # every midpoint of 0 <= lo < t <= 1 lies strictly inside its edge
+    assert _rejected_midpoints() == []
+
+
+def test_midpoint_check_catches_an_unhalved_midpoint(monkeypatch):
+    _mutant(monkeypatch, regions, "cut_pieces", ("(lo + t) / 2", "(lo + t)"))
+    assert _rejected_midpoints()
 
 
 def test_box_region():

@@ -53,8 +53,12 @@ chunks swapped, and prefix and host swapped in the copies of a template
 whose anchor cuts an edge.  On the same cases the sizes on stderr, which
 come from ``truncation_size``, must be the counts of the ``vertex`` and
 ``edge`` lines written; a ``truncation_size`` that drops the cut at an
-anchor is the negative control.  The template texts must have the line
-format of ``graph_records``, whatever the prefix and the host.
+anchor is the negative control.  On the same cases ``truncation_text``
+must be ``print_spacefile`` of ``truncation_records``, which ``--dot``
+writes, or raise the same error; four of the writer mutants are its
+negative controls, all but the prefix and host swap, which both read.
+The template texts must have the line format of ``graph_records``,
+whatever the prefix and the host.
 
 From the second copy of a (node, anchor) pair on, the walk writes the
 pair's whole subtree as one chunk, so the number of chunks grows with the
@@ -596,15 +600,15 @@ def test_recursive_compile_fails_the_deep_subtree(monkeypatch):
     e = parse_spacefile(attach_chain_family_text(1500)).main_expr()
     monkeypatch.setattr(wild, "_compile_subtree", _recursive_compile)
     with pytest.raises(RecursionError):
-        wild.truncation_chunks(e, 2)
+        wild.truncation_text(e, 2)
 
 
 def test_recursive_compile_writes_what_the_walk_writes(monkeypatch):
     # the negative control above fails for its recursion alone
     e = _benchmark_chain()
-    want = spacefile.print_chunks("t", wild.truncation_chunks(e, 4))
+    want = wild.truncation_text(e, 4)
     monkeypatch.setattr(wild, "_compile_subtree", _recursive_compile)
-    assert spacefile.print_chunks("t", wild.truncation_chunks(e, 4)) == want
+    assert wild.truncation_text(e, 4) == want
 
 
 def test_command_matches_the_reference_on_the_benchmark_chain(tmp_path):
@@ -881,39 +885,28 @@ def _graph_truncate(e, depth):
     return g
 
 
-def _one_chunk(g):
-    """The chunks that write graph ``g``: one, at the root, whose template
-    has the graph's names and its edges with endpoints indexing them."""
-    names = list(g.vertices)
-    index = {v: k for k, v in enumerate(names)}
-    edges = [(i, index[v0], index[v1]) for i, v0, v1 in g.edges]
-    return [wild.Chunk(wild._compile(names, edges), "", None)]
-
-
-def _print_records(name, chunks):
-    """What the command printed before it wrote from the chunks: the
-    records of its one chunk, read from the template's names and edges,
-    printed by ``print_spacefile``."""
-    (tpl, _, _), = chunks
-    names, edges = tpl.records()
-    es = tuple(Edge(i, names[i0], names[i1]) for i, i0, i1 in edges)
-    return print_spacefile(SpaceFile({name: GraphRecords(tuple(names), es)}, {}, name))
+def _print_graph(g):
+    """What the command printed before it wrote from the expansion's
+    chunks: ``print_spacefile`` of the graph ``truncated``."""
+    return print_spacefile(SpaceFile({"truncated": g}, {}, "truncated"))
 
 
 def _route_through_the_graph(monkeypatch):
-    """Make the command print, with ``print_spacefile``, the graph that the
-    checking constructor builds from ``ref.records_expand``; returns the
-    list its text writer appends each text to."""
+    """Make the command print, with ``print_spacefile``, and write to its
+    DOT file the graph that the checking constructor builds from
+    ``ref.records_expand``; returns the list its text writer appends each
+    text to."""
     printed = []
-    monkeypatch.setattr(cli, "truncation_chunks", lambda e, depth: _one_chunk(_graph_truncate(e, depth)))
-    monkeypatch.setattr(cli, "print_chunks", _recording(_print_records, printed))
+    monkeypatch.setattr(cli, "truncation_text", _recording(
+        lambda e, depth: _print_graph(_graph_truncate(e, depth)), printed))
+    monkeypatch.setattr(cli, "truncation_records", _graph_truncate)
     return printed
 
 
 def _recording(writer, texts):
     """``writer``, appending each text it returns to ``texts``."""
-    def write(name, chunks):
-        texts.append(writer(name, chunks))
+    def write(*args):
+        texts.append(writer(*args))
         return texts[-1]
     return write
 
@@ -967,7 +960,7 @@ def test_command_prints_what_the_graph_printed(monkeypatch, tmp_path):
     cases = _command_cases(tmp_path)
     written = []
     with monkeypatch.context() as m:
-        m.setattr(cli, "print_chunks", _recording(spacefile.print_chunks, written))
+        m.setattr(wild, "_print_chunks", _recording(wild._print_chunks, written))
         new = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
     with monkeypatch.context() as m:
         printed = _route_through_the_graph(m)
@@ -999,14 +992,14 @@ WRITER_MUTANTS = {
         wild, "_join_onto", "[suffix + p for p in more[1:]]",
         "[suffix + p for p in more[1:2]] + more[2:]"),
     "edge-lines-of-two-chunks-swapped": (
-        cli, "print_chunks", "for tpl, prefix, host in chunks:",
+        wild, "_print_chunks", "for tpl, prefix, host in chunks:",
         "for tpl, prefix, host in chunks[1::-1] + chunks[2:]:"),
     # a copy of a template whose anchor cuts an edge fills its prefix slots
     # with its host, and its host slots with its prefix
     "prefix-and-host-swapped-at-an-edge-anchor": (
-        wild, "_expand", "chunks.append(_new_tuple(Chunk, (tpl, prefix, host)))",
-        "chunks.append(_new_tuple(Chunk, (tpl, host, prefix) if isinstance(anchor, tuple)"
-        " else (tpl, prefix, host)))"),
+        wild, "_expand", "chunks.append((tpl, prefix, host))",
+        "chunks.append((tpl, host, prefix) if isinstance(anchor, tuple)"
+        " else (tpl, prefix, host))"),
 }
 
 
@@ -1020,6 +1013,45 @@ def test_command_differential_catches_writer_mutant(monkeypatch, tmp_path, mutan
     _lift_mutant(monkeypatch, owner, name, (old, new))
     assert any(_command_outputs(path, depth, tmp_path) != outputs
                for (path, depth), outputs in zip(cases, want))
+
+
+# --- the text writer against the records writer -----------------------------
+
+def _text_record_mismatches(tmp_path):
+    """The cases of ``_command_cases`` where ``truncation_text`` is not
+    ``print_spacefile`` of the graph ``truncated`` of
+    ``truncation_records``, or the two raise different errors."""
+    def outcome(write, e, depth):
+        try:
+            return ("ok", write(e, depth))
+        except ValueError as exc:
+            return ("raises", type(exc), str(exc))
+
+    bad = []
+    for path, depth in _command_cases(tmp_path):
+        with open(path, encoding="ascii") as fh:
+            e = parse_spacefile(fh.read()).main_expr()
+        if outcome(wild.truncation_text, e, depth) != outcome(
+                lambda e, d: _print_graph(wild.truncation_records(e, d)), e, depth):
+            bad.append((path, depth))
+    return bad
+
+
+def test_text_is_the_printed_records(tmp_path):
+    # ``--dot`` writes ``truncation_records``, the text ``truncation_text``
+    assert _text_record_mismatches(tmp_path) == []
+
+
+@pytest.mark.parametrize("mutant", ["edge-lines-of-two-chunks-swapped",
+                                    "host-index-kept-in-subtree",
+                                    "host-slot-kept-at-attach-point",
+                                    "suffix-on-first-piece-only"])
+def test_text_record_check_catches_writer_mutant(monkeypatch, tmp_path, mutant):
+    # each mutant breaks the text or the records alone; the fifth, which
+    # swaps prefix and host in the chunks both writers read, breaks both
+    owner, name, old, new = WRITER_MUTANTS[mutant]
+    _lift_mutant(monkeypatch, owner, name, (old, new))
+    assert _text_record_mismatches(tmp_path)
 
 
 # --- the sizes on stderr ------------------------------------------------------
@@ -1070,6 +1102,6 @@ def test_template_text_has_the_line_format_of_graph_records(seed):
         look = [prefix + v for v in names] + [host]
         records = GraphRecords(tuple(look[:-1]), tuple(
             Edge(prefix + i, look[i0], look[i1]) for i, i0, i1 in edges))
-        text = spacefile.print_chunks("g", [wild.Chunk(tpl, prefix, host)])
-        assert text == "\n".join(["graph g", *spacefile.graph_records(records),
-                                   "endgraph", "main g", ""])
+        text = wild._print_chunks([(tpl, prefix, host)])
+        assert text == "\n".join(["graph truncated", *spacefile.graph_records(records),
+                                   "endgraph", "main truncated", ""])
