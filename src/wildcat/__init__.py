@@ -13,8 +13,7 @@ from .graphs import (GraphError, Edge, Vertex, EdgeInterior, GraphPoint,
                      point_dist, cat_graph, tc_graph)
 from .cohomology import (CocycleBasis, KunnethElement, h1_basis,
                          zero_divisor_cuplength)
-from .regions import (VertexCell, ClosedEdgeCell, OpenEdgeCell, SubArcCell,
-                      CellUnion, whole_graph_cells, Box, Shift,
+from .regions import (CellUnion, whole_graph_cells, Box, Shift,
                       RetractPreimage, Region)
 from .planner import (PlanError, CycleCoords, MotionPlan, plan_tree,
                       plan_circle, plan_graph, lift_plan, execute,

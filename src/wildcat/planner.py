@@ -31,8 +31,7 @@ from .graphs import (GraphError, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      vertex_distances, _ONE, _ZERO, _constant_path, _point_key,
                      _whole_step)
 from .regions import (Region, Box, Shift, RetractPreimage, CellUnion,
-                      whole_graph_cells, VertexCell, ClosedEdgeCell,
-                      cut_pieces, filtration_witnesses)
+                      whole_graph_cells, filtration_witnesses)
 
 __all__ = [
     "PlanError",
@@ -429,11 +428,8 @@ class GraphFiltration:
                 raise PlanError("filtration levels must be cell unions of the graph")
             if not lv.is_closed():
                 raise PlanError("filtration levels must be closed")
-        # every level holds each piece of G cut at all their sub-arc ends
-        # wholly or not at all
-        pieces = cut_pieces(self.graph, [c for lv in self.levels for c in lv.cuts()])[0]
         for a, b in zip(self.levels, self.levels[1:]):
-            if any(a.contains(p) and not b.contains(p) for p in pieces):
+            if not a.within(b):
                 raise PlanError("filtration levels must be nested")
 
     def level_index(self, p: GraphPoint) -> int:
@@ -459,8 +455,7 @@ def cat_filtration(g: MultiGraph) -> GraphFiltration:
     everything = whole_graph_cells(g)
     if betti1(g) == 0:
         return GraphFiltration(g, (everything,))
-    tree_cells = CellUnion(g, [VertexCell(v) for v in g.vertices]
-                           + [ClosedEdgeCell(e) for e in spanning_forest(g)])
+    tree_cells = CellUnion(g, g.vertices, spanning_forest(g))
     return GraphFiltration(g, (tree_cells, everything))
 
 

@@ -10,14 +10,17 @@ read off the descriptors.
 covers G x G, exactly and over every pair of points.  Cutting each edge at
 the ends of every box's sub-arcs splits G into pieces (``cut_pieces``:
 vertices, cut points and the open intervals between them) on whose pairs box
-membership is constant; ``GraphFiltration`` decides the nesting of closed
-cell unions of G on the same pieces.  A shifted diagonal is a curve; one
-walk round its cycle, cut where either coordinate crosses a piece boundary,
-decides it.
+membership is constant.  A shifted diagonal is a curve; one walk round its
+cycle, cut where either coordinate crosses a piece boundary, decides it.
+
+``GraphFiltration`` decides the nesting of two cell unions of G from their
+sets, edge by edge and without pieces (``CellUnion.within``): the vertex
+sets nest, and each edge whose interior the lower union touches is held
+whole by the higher one, or nests at the two unions' sub-arc ends strictly
+inside it and at the midpoints between them.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -25,10 +28,6 @@ from .graphs import (MultiGraph, Vertex, EdgeInterior, GraphPoint, GraphError,
                      CollapseHomotopy, _ONE, _ZERO)
 
 __all__ = [
-    "VertexCell",
-    "ClosedEdgeCell",
-    "OpenEdgeCell",
-    "SubArcCell",
     "CellUnion",
     "whole_graph_cells",
     "Box",
@@ -40,78 +39,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VertexCell:
-    v: str
-
-
-@dataclass(frozen=True)
-class ClosedEdgeCell:
-    edge: str
-
-
-@dataclass(frozen=True)
-class OpenEdgeCell:
-    edge: str
-
-
-@dataclass(frozen=True)
-class SubArcCell:
-    """Closed sub-arc [lo, hi] of an edge, 0 <= lo <= hi <= 1."""
-
-    edge: str
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        lo = Fraction(self.lo)
-        hi = Fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if not 0 <= lo <= hi <= 1:
-            raise GraphError(f"sub-arc of edge {self.edge!r} must satisfy "
-                             f"0 <= lo <= hi <= 1, got {lo}..{hi}")
-
-
-Cell = VertexCell | ClosedEdgeCell | OpenEdgeCell | SubArcCell
-
-
 class CellUnion:
-    """Finite union of cells of one graph, with O(1) point membership."""
+    """Finite union of cells of one graph, with O(1) point membership.
+
+    ``CellUnion(graph, vertices, edges, arcs)`` holds the named vertices,
+    the open interior of each named edge, and each closed sub-arc ``(edge,
+    lo, hi)`` with 0 <= lo <= hi <= 1; an arc end at 0 or 1 adds that end's
+    vertex.  A closed edge is its interior plus both ends.  A name the graph
+    lacks raises ``GraphError``, for the first such name in the order given.
+    """
 
     __slots__ = ("graph", "_vertices", "_edges", "_arcs_by_edge")
 
-    def __init__(self, graph: MultiGraph, cells):
-        vertices = set()
-        edges = set()                     # the edges whose interior it holds
-        arcs = {}
-        for c in cells:
-            if isinstance(c, VertexCell):
-                if c.v not in graph.degree:
-                    raise GraphError(f"unknown vertex {c.v!r} in cell")
-                vertices.add(c.v)
-            elif isinstance(c, (ClosedEdgeCell, OpenEdgeCell, SubArcCell)):
-                e = graph.edge_by_id.get(c.edge)
-                if e is None:
-                    raise GraphError(f"unknown edge {c.edge!r} in cell")
-                if isinstance(c, ClosedEdgeCell):
-                    edges.add(c.edge)
-                    vertices.add(e.v0)
-                    vertices.add(e.v1)
-                elif isinstance(c, OpenEdgeCell):
-                    edges.add(c.edge)
-                else:
-                    arcs.setdefault(c.edge, []).append((c.lo, c.hi))
-                    if c.lo == 0:
-                        vertices.add(e.v0)
-                    if c.hi == 1:
-                        vertices.add(e.v1)
-            else:
-                raise GraphError(f"not a cell: {c!r}")
+    def __init__(self, graph: MultiGraph, vertices=(), edges=(), arcs=()):
+        vertices = _known(vertices, graph.degree, "vertex")
+        edges = _known(edges, graph.edge_by_id, "edge")
+        arcs_by_edge = {}
+        ends = []
+        for e, lo, hi in arcs:
+            lo, hi = Fraction(lo), Fraction(hi)
+            if not 0 <= lo <= hi <= 1:
+                raise GraphError(f"sub-arc of edge {e!r} must satisfy "
+                                 f"0 <= lo <= hi <= 1, got {lo}..{hi}")
+            edge = graph.edge_by_id.get(e)
+            if edge is None:
+                raise GraphError(f"unknown edge {e!r} in cell")
+            arcs_by_edge.setdefault(e, []).append((lo, hi))
+            if lo == 0:
+                ends.append(edge.v0)
+            if hi == 1:
+                ends.append(edge.v1)
         self.graph = graph
-        self._vertices = frozenset(vertices)
-        self._edges = frozenset(edges)
-        self._arcs_by_edge = {e: tuple(sorted(v)) for e, v in arcs.items()}
+        self._vertices = vertices.union(ends)
+        self._edges = edges
+        self._arcs_by_edge = {e: tuple(sorted(v)) for e, v in arcs_by_edge.items()}
 
     def contains(self, p: GraphPoint) -> bool:
         if isinstance(p, Vertex):
@@ -136,11 +97,42 @@ class CellUnion:
         vs, ends = self._vertices, map(self.graph.edge_by_id.__getitem__, self._edges)
         return all(v0 in vs and v1 in vs for _, v0, v1 in ends)
 
+    def within(self, other: "CellUnion") -> bool:
+        """Whether every point of this union lies in ``other``, a union of
+        the same graph: the vertex sets nest, and so does each edge whose
+        interior this union touches and ``other`` does not hold whole."""
+        if not self._vertices <= other._vertices:
+            return False
+        loose = self._edges.union(self._arcs_by_edge) - other._edges
+        return all(self._edge_within(other, e) for e in loose)
+
+    def _edge_within(self, other: "CellUnion", e: str) -> bool:
+        """Whether the interior of edge e, which ``other`` does not hold
+        whole, nests: both unions' membership is constant between
+        consecutive sub-arc ends strictly inside e, so those ends and the
+        midpoints between them decide it."""
+        mine = ((_ZERO, _ONE),) if e in self._edges else self._arcs_by_edge.get(e, ())
+        theirs = other._arcs_by_edge.get(e, ())
+        ts = sorted({t for arc in mine + theirs for t in arc if 0 < t < 1})
+        bounds = [_ZERO, *ts, _ONE]
+        probes = ts + [(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])]
+        return all(any(lo <= t <= hi for lo, hi in theirs)
+                   for t in probes if any(lo <= t <= hi for lo, hi in mine))
+
+
+def _known(names, table, kind: str) -> frozenset:
+    """The names as a set, each a key of ``table``; the first one that is
+    not, in the order given, raises ``GraphError``."""
+    names = tuple(names)
+    known = frozenset(names)
+    if not known <= table.keys():
+        bad = next(n for n in names if n not in table)
+        raise GraphError(f"unknown {kind} {bad!r} in cell")
+    return known
+
 
 def whole_graph_cells(g: MultiGraph) -> CellUnion:
-    cells = [VertexCell(v) for v in g.vertices]
-    cells.extend(ClosedEdgeCell(e.id) for e in g.edges)
-    return CellUnion(g, cells)
+    return CellUnion(g, g.vertices, g.edge_by_id)
 
 
 class Box:

@@ -14,8 +14,7 @@ from wildcat.graphs import (EdgeInterior, PathStep, PLPath, TreeRouter, Vertex,
                             betti1, constant_path, deforest, spanning_forest,
                             subgraph)
 from wildcat.planner import MotionPlan, PlanError, lift_plan, plan_circle
-from wildcat.regions import (Box, CellUnion, ClosedEdgeCell, Region, VertexCell,
-                             whole_graph_cells)
+from wildcat.regions import Box, CellUnion, Region, whole_graph_cells
 
 
 class TreeRule:
@@ -87,8 +86,7 @@ def plan_graph(g):
         return lift_plan(plan_circle(core), h)
     tree_edges = spanning_forest(g)
     router = TreeRouter(subgraph(g, tree_edges))
-    tree_cells = CellUnion(g, [VertexCell(v) for v in g.vertices]
-                           + [ClosedEdgeCell(e) for e in tree_edges])
+    tree_cells = CellUnion(g, g.vertices, tree_edges)
     everything = whole_graph_cells(g)
     f0 = Region(Box(tree_cells, tree_cells))
     f1 = Region(Box(everything, tree_cells), Box(tree_cells, everything))

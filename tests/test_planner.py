@@ -16,7 +16,7 @@ from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
                              corrupt_plan_swap_endpoints, verify_plan,
                              MotionPlan, CycleRotateRule, _fmt_pair, _nudge)
 from wildcat import regions
-from wildcat.regions import (Region, Box, Shift, CellUnion, SubArcCell,
+from wildcat.regions import (Region, Box, Shift, CellUnion,
                              filtration_witnesses)
 from wildcat.spacefile import ParseError, parse_spacefile
 
@@ -241,39 +241,36 @@ def test_product_of_trivial_filtrations():
 
 def test_malformed_filtration_rejected():
     from wildcat.planner import GraphFiltration
-    from wildcat.regions import CellUnion, OpenEdgeCell, VertexCell
     g = cycle_graph(3)
-    open_only = CellUnion(g, [OpenEdgeCell("e0")])
+    open_only = CellUnion(g, edges=["e0"])
     with pytest.raises(PlanError, match="closed"):
         GraphFiltration(g, (open_only,))
-    small = CellUnion(g, [VertexCell("v0")])
-    tiny = CellUnion(g, [VertexCell("v1")])
+    small = CellUnion(g, ["v0"])
+    tiny = CellUnion(g, ["v1"])
     with pytest.raises(PlanError, match="nested"):
         GraphFiltration(g, (small, tiny))
 
 
 def _one_edge_levels(*levels):
+    """A filtration of the edge e from a to b, each level given by its
+    ``CellUnion`` arguments."""
     from wildcat.planner import GraphFiltration
-    from wildcat.regions import CellUnion
     g = build_graph(["a", "b"], [("e", "a", "b")])
-    return GraphFiltration(g, tuple(CellUnion(g, cells) for cells in levels))
+    return GraphFiltration(g, tuple(CellUnion(g, *args) for args in levels))
 
 
 def test_filtration_rejects_a_gap_between_probe_points():
-    from wildcat.regions import SubArcCell
     # lo, mid and hi of the level-0 arc all lie in level 1; (2/5, 9/20) does not
     with pytest.raises(PlanError, match="nested"):
-        _one_edge_levels([SubArcCell("e", 0, 1)],
-                         [SubArcCell("e", 0, Fraction(2, 5)),
-                          SubArcCell("e", Fraction(9, 20), 1)])
+        _one_edge_levels(((), (), [("e", 0, 1)]),
+                         ((), (), [("e", 0, Fraction(2, 5)), ("e", Fraction(9, 20), 1)]))
 
 
 def test_filtration_accepts_arcs_that_cover_the_cell():
-    from wildcat.regions import ClosedEdgeCell, SubArcCell
-    f = _one_edge_levels([ClosedEdgeCell("e")],
-                         [SubArcCell("e", Fraction(9, 20), 1),
-                          SubArcCell("e", 0, Fraction(2, 5)),
-                          SubArcCell("e", Fraction(1, 4), Fraction(9, 20))])
+    f = _one_edge_levels((["a", "b"], ["e"]),
+                         ((), (), [("e", Fraction(9, 20), 1),
+                                   ("e", 0, Fraction(2, 5)),
+                                   ("e", Fraction(1, 4), Fraction(9, 20))]))
     assert f.level_index(EdgeInterior("e", Fraction(21, 50))) == 0
 
 
@@ -644,8 +641,7 @@ def test_cell_reference_rejects_a_wrong_witness(monkeypatch):
 
 def test_gap_between_probes_fails_coverage():
     g = path_graph(2)
-    gappy = CellUnion(g, [SubArcCell("e0", 0, Fraction(3, 10)),
-                          SubArcCell("e0", Fraction(2, 5), 1)])
+    gappy = CellUnion(g, arcs=[("e0", 0, Fraction(3, 10)), ("e0", Fraction(2, 5), 1)])
     plan = MotionPlan(g, (Region(Box(gappy, gappy)),), plan_tree(g).rules)
     assert _all_pairs_cell_witnesses(plan, g) == (None, None)
     cover, nest = _cell_checks(plan, g)

@@ -1,18 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from wildcat import regions
 from wildcat.graphs import Vertex, EdgeInterior, GraphError, build_graph, deforest
-from wildcat.regions import (VertexCell, ClosedEdgeCell, OpenEdgeCell,
-                             SubArcCell, CellUnion, whole_graph_cells, Box,
-                             Shift, RetractPreimage, Region,
-                             filtration_witnesses)
+from wildcat.regions import (CellUnion, whole_graph_cells, Box, Shift,
+                             RetractPreimage, Region, filtration_witnesses)
 from wildcat.planner import (CycleCoords, CycleGeodesicRule, LiftedRule,
                              GraphFiltration, PlanError)
 
 import path_reference
+import regions_reference
 from gen import (path_graph, cycle_graph, loop_graph, theta_graph,
                  random_connected_graph, random_cycle_with_hairs)
 from test_lift import _mutant
@@ -20,7 +22,7 @@ from test_lift import _mutant
 
 def test_cell_membership():
     g = path_graph(3)
-    u = CellUnion(g, [ClosedEdgeCell("e0")])
+    u = CellUnion(g, ["v0", "v1"], ["e0"])
     assert u.contains(Vertex("v0"))
     assert u.contains(Vertex("v1"))
     assert u.contains(EdgeInterior("e0", Fraction(1, 3)))
@@ -30,49 +32,108 @@ def test_cell_membership():
 
 def test_open_edge_cell():
     g = path_graph(2)
-    u = CellUnion(g, [OpenEdgeCell("e0")])
+    u = CellUnion(g, edges=["e0"])
     assert u.contains(EdgeInterior("e0", Fraction(1, 2)))
     assert not u.contains(Vertex("v0"))
     assert not u.is_closed()
-    with_ends = CellUnion(g, [OpenEdgeCell("e0"), VertexCell("v0"), VertexCell("v1")])
+    with_ends = CellUnion(g, ["v0", "v1"], ["e0"])
     assert with_ends.is_closed()
 
 
 def test_subarc_cell():
     g = path_graph(2)
-    u = CellUnion(g, [SubArcCell("e0", Fraction(0), Fraction(1, 2))])
+    u = CellUnion(g, arcs=[("e0", Fraction(0), Fraction(1, 2))])
     assert u.contains(Vertex("v0"))  # lo = 0 includes the endpoint
     assert u.contains(EdgeInterior("e0", Fraction(1, 2)))
     assert not u.contains(EdgeInterior("e0", Fraction(3, 4)))
     assert not u.contains(Vertex("v1"))
     assert u.is_closed()
     with pytest.raises(GraphError, match=r"sub-arc of edge 'e0' .* got 3/4\.\.1/4"):
-        SubArcCell("e0", Fraction(3, 4), Fraction(1, 4))
+        CellUnion(g, arcs=[("e0", Fraction(3, 4), Fraction(1, 4))])
     with pytest.raises(GraphError, match=r"sub-arc of edge 'e1' .* got -1/2\.\.1"):
-        SubArcCell("e1", Fraction(-1, 2), 1)
+        CellUnion(g, arcs=[("e1", Fraction(-1, 2), 1)])
 
 
-def _random_cell(rng, g):
+_FIRST_UNKNOWN = """\
+from gen import path_graph
+from wildcat.regions import CellUnion
+from wildcat.graphs import GraphError
+print(next(iter(frozenset(["x", "y"]))))
+for kind, names in (("vertices", ["v0", "x", "y"]), ("edges", ["e0", "x", "y"]),
+                    ("arcs", [("e0", 0, 1), ("x", 0, 1), ("y", 0, 1)])):
+    try:
+        CellUnion(path_graph(2), **{kind: names})
+    except GraphError as exc:
+        print(exc)
+"""
+
+
+def test_unknown_names_are_reported_in_the_order_given():
+    # "x" and "y" iterate as a set in opposite orders under these two hash
+    # seeds, so an error read off the set would differ between them
+    here = os.path.dirname(os.path.abspath(__file__))
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([os.path.join(here, os.pardir, "src"), here]))
+        proc = subprocess.run([sys.executable, "-c", _FIRST_UNKNOWN], env=env,
+                              capture_output=True, text=True, check=True)
+        runs.append(proc.stdout.splitlines())
+    assert {run[0] for run in runs} == {"x", "y"}
+    for run in runs:
+        assert run[1:] == ["unknown vertex 'x' in cell", "unknown edge 'x' in cell",
+                           "unknown edge 'x' in cell"]
+
+
+def _random_cell(rng, g, d=8):
+    """``("vertex", v)``, ``("closed", e)``, ``("open", e)`` or ``("arc", e,
+    lo, hi)`` with both ends multiples of 1/d."""
     k = rng.randrange(4)
     if k == 0:
-        return VertexCell(rng.choice(g.vertices))
+        return ("vertex", rng.choice(g.vertices))
     e = rng.choice(g.edges).id
     if k == 1:
-        return ClosedEdgeCell(e)
+        return ("closed", e)
     if k == 2:
-        return OpenEdgeCell(e)
-    lo, hi = sorted(Fraction(rng.randint(0, 8), 8) for _ in range(2))
-    return SubArcCell(e, lo, hi)
+        return ("open", e)
+    lo, hi = sorted(Fraction(rng.randint(0, d), d) for _ in range(2))
+    return ("arc", e, lo, hi)
+
+
+def _union(g, cells):
+    """The cells as one ``CellUnion``: a closed edge is its interior and
+    both ends."""
+    vertices, edges, arcs = [], [], []
+    for kind, name, *arc in cells:
+        if kind == "vertex":
+            vertices.append(name)
+        elif kind == "arc":
+            arcs.append((name, *arc))
+        else:
+            edges.append(name)
+            if kind == "closed":
+                e = g.edge_by_id[name]
+                vertices += [e.v0, e.v1]
+    return CellUnion(g, vertices, edges, arcs)
+
+
+def _reference_union(g, cells):
+    """The same cells as the reference's list of cell objects."""
+    make = {"vertex": regions_reference.VertexCell, "closed": regions_reference.ClosedEdgeCell,
+            "open": regions_reference.OpenEdgeCell, "arc": regions_reference.SubArcCell}
+    return regions_reference.CellUnion(g, [make[kind](*args) for kind, *args in cells])
+
+
+def _closed_cells(g, cells):
+    """The cells and the ends of each open edge."""
+    ends = [("vertex", v) for kind, name, *_ in cells if kind == "open"
+            for v in g.edge_by_id[name][1:]]
+    return list(cells) + ends
 
 
 def _closed(g, cells):
     """A closed cell union: the cells, and the ends of each open edge."""
-    cells = list(cells)
-    for c in list(cells):
-        if isinstance(c, OpenEdgeCell):
-            e = g.edge_by_id[c.edge]
-            cells += [VertexCell(e.v0), VertexCell(e.v1)]
-    return CellUnion(g, cells)
+    return _union(g, _closed_cells(g, cells))
 
 
 def _nested(g, *levels):
@@ -100,11 +161,68 @@ def test_filtration_nesting_matches_a_fine_grid():
 
 def test_filtration_nesting_needs_the_closure_of_an_open_edge():
     g = path_graph(2)
-    u = CellUnion(g, [SubArcCell("e0", Fraction(1, 100), 1), VertexCell("v0")])
-    assert not _nested(g, _closed(g, [OpenEdgeCell("e0")]), u)
-    assert _nested(g, CellUnion(g, [SubArcCell("e0", Fraction(1, 100), Fraction(1, 2))]), u)
-    assert _nested(g, CellUnion(g, [SubArcCell("e0", 0, 0)]), u)
-    assert not _nested(g, CellUnion(g, [SubArcCell("e0", 0, Fraction(1, 100))]), u)
+    u = CellUnion(g, ["v0"], arcs=[("e0", Fraction(1, 100), 1)])
+    assert not _nested(g, _closed(g, [("open", "e0")]), u)
+    assert _nested(g, CellUnion(g, arcs=[("e0", Fraction(1, 100), Fraction(1, 2))]), u)
+    assert _nested(g, CellUnion(g, arcs=[("e0", 0, 0)]), u)
+    assert not _nested(g, CellUnion(g, arcs=[("e0", 0, Fraction(1, 100))]), u)
+
+
+def _random_levels(rng, g):
+    """Cells of two levels a and b on g, arc ends multiples of 1/d.  b often
+    takes a's cells with some edges swapped for their [0, 1] arcs, which
+    hold the same points but not the edge's interior by name; a and b get
+    [0, 0] and [1, 1] arcs too."""
+    d = rng.choice((2, 3, 4, 8))
+    a = [_random_cell(rng, g, d) for _ in range(rng.randint(1, 4))]
+    b = [_random_cell(rng, g, d) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.7:
+        b += [("arc", c[1], 0, 1) if c[0] != "vertex" and rng.random() < 0.5 else c
+              for c in a]
+    for cells in (a, b):
+        if rng.random() < 0.3:
+            t = rng.choice((0, 1))
+            cells.append(("arc", rng.choice(g.edges).id, t, t))
+    if rng.random() < 0.5:
+        a, b = _closed_cells(g, a), _closed_cells(g, b)
+    return a, b
+
+
+def _check_levels_against_reference(cases=1500):
+    """Each union and the nesting verdict agree with the reference: the same
+    membership on a 1/16 grid and at every sub-arc end, the same closedness
+    and cuts, and the same verdict from ``CellUnion.within`` and, for
+    closed levels, from ``GraphFiltration``."""
+    rng = random.Random(3601)
+    for _ in range(cases):
+        g = random_connected_graph(rng, max_vertices=5, max_edges=8)
+        if not g.edges:
+            continue
+        cells = _random_levels(rng, g)
+        new = [_union(g, c) for c in cells]
+        ref = [_reference_union(g, c) for c in cells]
+        points = _grid(g, 16) + [EdgeInterior(e, t) for u in ref for e, t in u.cuts()]
+        for u, r in zip(new, ref):
+            assert [u.contains(p) for p in points] == [r.contains(p) for p in points]
+            assert u.is_closed() == r.is_closed()
+            assert u.cuts() == r.cuts()
+        verdict = regions_reference.nested(g, *ref)
+        assert new[0].within(new[1]) == verdict, cells
+        if all(r.is_closed() for r in ref):
+            assert _nested(g, *new) == verdict, cells
+
+
+def test_cell_unions_match_the_reference():
+    _check_levels_against_reference()
+
+
+def test_reference_check_catches_an_edge_settled_by_its_name(monkeypatch):
+    # a [0, 1] arc holds the whole edge without naming it among the edges
+    _mutant(monkeypatch, CellUnion, "_edge_within",
+            ("bounds = [_ZERO, *ts, _ONE]",
+             "if not ts:\n        return e in other._edges\n    bounds = [_ZERO, *ts, _ONE]"))
+    with pytest.raises(AssertionError):
+        _check_levels_against_reference()
 
 
 def _rejected_midpoints():
@@ -144,7 +262,7 @@ def test_midpoint_check_catches_an_unhalved_midpoint(monkeypatch):
 def test_box_region():
     g = path_graph(2)
     everything = whole_graph_cells(g)
-    v0 = CellUnion(g, [VertexCell("v0")])
+    v0 = CellUnion(g, ["v0"])
     region = Region(Box(v0, everything))
     assert region.contains(Vertex("v0"), EdgeInterior("e0", Fraction(1, 2)))
     assert not region.contains(Vertex("v1"), Vertex("v0"))
@@ -282,15 +400,15 @@ def _random_strata(rng, g, core, h, cyc):
         if k == 2:
             return lift(Box(whole_graph_cells(core), whole_graph_cells(core)))
         on = rng.choice((g, core))
-        first = CellUnion(on, [_random_cell(rng, on) for _ in range(rng.randint(1, 4))])
-        second = CellUnion(on, [_random_cell(rng, on) for _ in range(rng.randint(1, 4))])
+        first = _union(on, [_random_cell(rng, on) for _ in range(rng.randint(1, 4))])
+        second = _union(on, [_random_cell(rng, on) for _ in range(rng.randint(1, 4))])
         return Box(first, second) if on is g else lift(Box(first, second))
 
     if rng.random() < 0.5:
         # a diagonal below a box it may leave, on open stretches or whole
         # pairs of collapsed pieces
         strata = [Region(lift(Shift(cyc, Fraction(rng.randrange(-4, 12), 8)))),
-                  Region(primitive() if rng.random() < 0.25 else Box(*(CellUnion(
+                  Region(primitive() if rng.random() < 0.25 else Box(*(_union(
                       g, [_random_cell(rng, g) for _ in range(rng.randint(2, 5))])
                       for _ in range(2))))]
     else:
@@ -339,9 +457,8 @@ def test_diagonal_leaves_a_stratum_on_an_open_stretch_only():
     # made of closed arcs, leaves open; no probe lies in the gap
     g = cycle_graph(3)
     everything = whole_graph_cells(g)
-    gappy = CellUnion(g, [ClosedEdgeCell("e1"), ClosedEdgeCell("e2"),
-                          SubArcCell("e0", 0, Fraction(1, 8)),
-                          SubArcCell("e0", Fraction(1, 4), 1)])
+    gappy = CellUnion(g, g.vertices, ["e1", "e2"],
+                      [("e0", 0, Fraction(1, 8)), ("e0", Fraction(1, 4), 1)])
     strata = [Region(Shift(CycleCoords(g), 0)), Region(Box(gappy, gappy)),
               Region(Box(everything, everything))]
     cover, nest = filtration_witnesses(strata, g)
@@ -354,8 +471,8 @@ def test_collapsed_pieces_meet_the_diagonal_on_whole_pieces():
     # anti-diagonal's preimage; the middle stratum holds every pair but those
     g = build_graph(["a", "t"], [("l", "a", "a"), ("h", "a", "t")])
     core, h = deforest(g)
-    loop = CellUnion(g, [ClosedEdgeCell("l")])
-    vertices = CellUnion(g, [VertexCell("a"), VertexCell("t")])
+    loop = CellUnion(g, ["a"], ["l"])
+    vertices = CellUnion(g, ["a", "t"])
     everything = whole_graph_cells(g)
     anti = Region(RetractPreimage(h, Region(Shift(CycleCoords(core), Fraction(1, 2)))))
     strata = [anti, Region(Box(loop, everything), Box(everything, vertices)),
@@ -369,7 +486,7 @@ def test_diagonal_covers_the_vertex_pairs_boxes_miss():
     # the only such pair on a loop, but not (v0, v1) on a 2-cycle
     for g, cover in ((loop_graph(), None), (cycle_graph(2), (Vertex("v0"), Vertex("v1")))):
         everything = whole_graph_cells(g)
-        edges = CellUnion(g, [OpenEdgeCell(e.id) for e in g.edges])
+        edges = CellUnion(g, edges=[e.id for e in g.edges])
         top = Region(Shift(CycleCoords(g), 0), Box(everything, edges), Box(edges, everything))
         assert filtration_witnesses([top], g) == (cover, None)
 
