@@ -220,7 +220,7 @@ class MultiGraph:
     the DOT writer of ``wildcat truncate --dot``, keeps them as
     ``GraphRecords`` and builds no graph; ``wild.truncate`` builds its
     graph from the same records with ``_trusted``.  ``deforest`` builds its core with ``_trusted`` from
-    its input's names and records the core's one component, so the core
+    its input's names and reads connectivity from the core, so the input
     runs no union-find.
     """
 
@@ -415,12 +415,13 @@ class CollapseHomotopy:
     tables hold it: ``_down`` maps each freed vertex to (its collapsed
     edge, whether a slide crosses that edge from v0 to v1, the vertex it
     was collapsed onto), and ``_kept_of`` maps each collapsed edge to its
-    kept end, in collapse order.
+    kept end.  Neither table keeps an order.
 
     The public constructor checks the ``Collapse`` records it is given and
     builds both tables from them.  ``deforest`` builds them while it peels
     and hands them to ``_trusted``, unchecked, so ``collapses`` makes its
-    records from ``_kept_of`` on first read.  ``retract`` gives the induced
+    records on first read, replaying the smallest-free-vertex-first order
+    from ``_down`` (``_collapse_order``).  ``retract`` gives the induced
     retraction r: the first time a vertex is retracted, ``_down`` is
     followed from it to the core and the image kept, one shared ``Vertex``
     per image vertex.  ``slide`` gives the path D(x, .) from a point to
@@ -477,7 +478,7 @@ class CollapseHomotopy:
     def collapses(self) -> tuple:
         """The ``Collapse`` records in collapse order."""
         if self._collapses is None:
-            self._collapses = tuple([Collapse(e, v) for e, v in self._kept_of.items()])
+            self._collapses = _collapse_order(self._down)
         return self._collapses
 
     def _image(self, v: str) -> Vertex:
@@ -546,15 +547,41 @@ class CollapseHomotopy:
         return PLPath._trusted(self.graph, self._walk(p, False)[0], p)
 
 
+def _collapse_order(down: dict) -> tuple:
+    """The ``Collapse`` records of a peel's ``_down`` table, smallest free
+    vertex first: a freed vertex is free once every vertex collapsed onto
+    it has been, and the free ones wait in a min-heap."""
+    waiting = dict.fromkeys(down, 0)
+    for _, _, kept in down.values():
+        if kept in waiting:
+            waiting[kept] += 1
+    free = [v for v, n in waiting.items() if n == 0]
+    heapq.heapify(free)
+    collapses = []
+    while free:
+        v = heapq.heappop(free)
+        eid, _, kept = down[v]
+        collapses.append(Collapse(eid, kept))
+        if kept in waiting:
+            waiting[kept] -= 1
+            if waiting[kept] == 0:
+                heapq.heappush(free, kept)
+    return tuple(collapses)
+
+
 def deforest(g: MultiGraph):
     """Collapse free edges until no vertex has degree <= 1.
 
     Returns ``(core, homotopy)`` where the core is the unique subgraph with
     no free edges (a single vertex when g is a tree) and the homotopy
     witnesses the strong deformation retraction; betti1 is preserved.
-    Deterministic: the smallest-id degree-1 vertex is collapsed first.  The
-    degree-1 vertices wait in a min-heap, so the whole collapse sequence
-    costs O(V log V + E).
+    Deterministic: the result is that of collapsing the smallest-id
+    degree-1 vertex first, the order ``collapses`` gives.  The peel itself
+    keeps no order.  When g has a cycle, the core and the homotopy's tables
+    do not depend on the order: each freed vertex is collapsed toward the
+    core.  Smallest-first never frees a tree's largest vertex, so when
+    E < V that vertex is held back and the tree peels onto it.  The
+    degree-1 vertices wait on a plain stack, so the peel costs O(V + E).
 
     Only the edge list is read, never the incidence lists: each vertex
     keeps the XOR of the indices of its live edge ends.  A loop's two ends
@@ -565,22 +592,25 @@ def deforest(g: MultiGraph):
     the freed vertex, ``_kept_of`` for the edge), so the homotopy is built
     by ``CollapseHomotopy._trusted`` and makes no ``Collapse`` record until
     ``collapses`` is read.  The core is built by ``MultiGraph._trusted``
-    from g's checked names, with its one component recorded: g is
-    connected, and collapsing a free edge keeps a graph connected.
+    from g's checked names.  Collapsing a free edge keeps the number of
+    components, so the connectivity check runs on the core, not on g: on a
+    graph with one cycle, a union-find over that cycle alone.
     """
-    _require_connected(g, "deforest")
     edges = g.edges
     degree = dict(g.degree)
     ends = dict.fromkeys(degree, 0)
     for i, (_, v0, v1) in enumerate(edges):
         ends[v0] ^= i
         ends[v1] ^= i
+    if len(edges) < len(degree):
+        # g is a tree if it is connected: its largest vertex is held back,
+        # as a degree raised by 2 never falls to 1
+        degree[max(degree)] += 2
     down = {}
     kept_of = {}
     leaves = [v for v, d in degree.items() if d == 1]
-    heapq.heapify(leaves)
     while leaves:
-        v = heapq.heappop(leaves)
+        v = leaves.pop()
         # a vertex is pushed once, when its degree reaches 1; it may have
         # lost that last edge since (it was the kept end of its neighbour)
         if degree[v] != 1:
@@ -597,11 +627,10 @@ def deforest(g: MultiGraph):
         degree[v] = 0
         degree[kept] -= 1
         if degree[kept] == 1:
-            heapq.heappush(leaves, kept)
+            leaves.append(kept)
     core = MultiGraph._trusted([v for v in g.vertices if v not in down],
                                [e for e in edges if e.id not in kept_of])
-    core._component_of = dict.fromkeys(core.vertices, 0)
-    core._n_components = 1
+    _require_connected(core, "deforest")
     return core, CollapseHomotopy._trusted(g, core, kept_of, down)
 
 

@@ -379,17 +379,23 @@ def plan_graph(g: MultiGraph) -> MotionPlan:
     """Stratified plan with exactly tc_graph(g) + 1 strata.
 
     A graph with one cycle is deforested onto its cycle and the circle plan
-    is lifted back.  Any other graph gets the product plan of F =
-    ``cat_filtration(g)``: the strata are ``product_cat_filtration(F,
+    is lifted back.  Such a graph is sent to ``deforest`` when E = V, with
+    no union-find over g: there b1 equals the number of components, so g
+    has one cycle exactly when it is connected, and ``deforest`` decides
+    that on its core.  Any other connected graph gets the product plan of
+    F = ``cat_filtration(g)``: the strata are ``product_cat_filtration(F,
     F).levels`` (G x G for a tree; T x T, G x T union T x G, G x G for the
     spanning tree T = F_0 otherwise), ``TreeRule`` on H_0 and
     ``EdgeEvacuateRule`` on every later difference, both routing through T.
     """
+    if len(g.edges) == len(g.vertices):
+        try:
+            core, h = deforest(g)
+        except GraphError:
+            raise PlanError("plan_graph requires a connected graph") from None
+        return lift_plan(plan_circle(core), h)
     if g.n_components != 1:
         raise PlanError("plan_graph requires a connected graph")
-    if betti1(g) == 1:
-        core, h = deforest(g)
-        return lift_plan(plan_circle(core), h)
     f = cat_filtration(g)
     # F_0 is the vertices and the closed edges of the tree
     tree_edges = f.levels[0]._edges

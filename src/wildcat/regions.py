@@ -93,8 +93,11 @@ class CellUnion:
 
     def is_closed(self) -> bool:
         """Closed iff every edge whose interior it holds has both endpoints
-        in the union."""
-        vs, ends = self._vertices, map(self.graph.edge_by_id.__getitem__, self._edges)
+        in the union: at once when it holds every vertex of its graph."""
+        vs = self._vertices
+        if len(vs) == len(self.graph.degree):
+            return True
+        ends = map(self.graph.edge_by_id.__getitem__, self._edges)
         return all(v0 in vs and v1 in vs for _, v0, v1 in ends)
 
     def within(self, other: "CellUnion") -> bool:

@@ -1,13 +1,15 @@
 """Differential tests of deforestation and lifted plans against the
 ordered-scan reference in ``graph_reference``.
 
-The heap-driven ``deforest`` must collapse the same edges in the same order,
-and the pointer-walk ``slide`` and ``retract`` must take the same steps and
-reach the same point, as the reference that re-sorts the leaves before every
-collapse and scans every collapse on every slide.  ``deforest`` builds its
-homotopy and core unchecked, from the tables its peel fills; both must
-equal what the checking constructors build from the same records, and two
-source mutants (a flipped direction bit in the peel, a retraction one hop
+The stack-driven ``deforest`` must reach the same core, its homotopy's
+``collapses`` must replay the same edges in the same order, and the
+pointer-walk ``slide`` and ``retract`` must take the same steps and reach the
+same point, as the reference that re-sorts the leaves before every collapse
+and scans every collapse on every slide.  ``deforest`` builds its homotopy
+and core unchecked, from the tables its peel fills; both must equal what the
+checking constructors build from the same records, and four source mutants
+(a flipped direction bit in the peel, a tree peel that holds no vertex back,
+a replay that takes the largest free vertex first, a retraction one hop
 short) are the negative controls.  The lifted plan's answers are compared
 with answers assembled from the reference slides and the circle plan on the
 core, and a cost guard counts what ``wildcat plan``'s path builds.
@@ -23,7 +25,7 @@ import graph_reference as ref
 import path_reference
 from gen import (GRAPH_FIXTURES, random_connected_graph, random_cycle_with_hairs,
                  random_point, random_tree)
-from wildcat import graphs, planner
+from wildcat import cli, graphs, planner
 from wildcat.graphs import (Collapse, CollapseHomotopy, EdgeInterior, MultiGraph,
                             PLPath, Vertex, build_graph)
 from wildcat.planner import execute, plan_circle, plan_graph
@@ -48,7 +50,7 @@ def _assert_deforest_matches(rng, g, n_edge_points=20):
     # the unchecked tables equal those the checking constructors build
     checked = CollapseHomotopy(g, core, h.collapses)
     assert h._down == checked._down
-    assert list(h._kept_of.items()) == list(checked._kept_of.items())
+    assert h._kept_of == checked._kept_of
     built = MultiGraph(core.vertices, core.edges)
     assert core.n_components == built.n_components == 1
     assert core.component_of == built.component_of
@@ -122,26 +124,44 @@ def _mutant(monkeypatch, owner, name, *edits):
     monkeypatch.setattr(owner, name, namespace[name])
 
 
+def _hairy(rng):
+    return random_cycle_with_hairs(rng, 3, 12)
+
+
+def _tree(rng):
+    return random_tree(rng, rng.randint(1, 40))
+
+
+# mutant -> (the graphs it is run on, owner, name, *edits)
 _HOMOTOPY_MUTANTS = {
     "flipped-direction-bit": (
-        graphs, "deforest",
+        _hairy, graphs, "deforest",
         ("down[v] = (eid, forward, kept)", "down[v] = (eid, not forward, kept)")),
     # without its check that the image is a core vertex, so that only the
     # comparison with the reference can see the wrong image
     "retract-one-hop-short": (
-        CollapseHomotopy, "_image",
+        _hairy, CollapseHomotopy, "_image",
         ("while w in down:", "while w in down and down[w][2] in down:"),
         ("if w not in self.core.degree:", "if False:")),
+    # still a valid collapse order, so only the reference order can see it
+    "collapses-largest-free-first": (
+        _hairy, graphs, "_collapse_order",
+        ("v = heapq.heappop(free)", "v = max(free)\n        free.remove(v)")),
+    # a tree then peels onto whichever vertex the stack leaves last
+    "tree-peel-holds-nothing-back": (
+        _tree, graphs, "deforest",
+        ("degree[max(degree)] += 2", "pass")),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(_HOMOTOPY_MUTANTS))
 def test_deforest_differential_catches_mutant(monkeypatch, mutant):
-    _mutant(monkeypatch, *_HOMOTOPY_MUTANTS[mutant])
+    make, *patch = _HOMOTOPY_MUTANTS[mutant]
+    _mutant(monkeypatch, *patch)
     rng = random.Random(5108)
     with pytest.raises(AssertionError):
         for _ in range(50):
-            _assert_deforest_matches(rng, random_cycle_with_hairs(rng, 3, 12))
+            _assert_deforest_matches(rng, make(rng))
 
 
 def test_deforest_matches_reference_random_connected():
@@ -234,3 +254,61 @@ def test_plan_cost_guard_catches_a_lift_that_reads_the_records(monkeypatch):
     built, collapses, want = _plan_cost(monkeypatch)
     assert built["Collapse"] == 1440
     assert collapses == want
+
+
+def test_lifted_plan_runs_no_union_find_over_its_graph():
+    # E = V: the plan reads connectivity from the peeled core, the cycle
+    g = random_cycle_with_hairs(random.Random(5110), 160, 1440)
+    plan_graph(g)
+    assert g._component_of is None and g._n_components is None
+
+
+# --- disconnected inputs keep their errors ------------------------------------
+
+def _two_triangles():
+    return build_graph(["a", "b", "c", "x", "y", "z"],
+                       [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a"),
+                        ("f0", "x", "y"), ("f1", "y", "z"), ("f2", "z", "x")])
+
+
+# E = V with two components (two triangles; a tree and a figure eight),
+# E < V with a hair tip as the largest vertex (held back though it lies on
+# no tree), and a forest of three trees
+_DISCONNECTED = {
+    "two_triangles": _two_triangles(),
+    "tree_and_figure_eight": build_graph(
+        ["a", "b", "c", "p", "q"],
+        [("l0", "a", "a"), ("l1", "a", "a"), ("t0", "p", "b"), ("t1", "b", "c"),
+         ("t2", "c", "q")]),
+    "hairy_triangle_and_point": build_graph(
+        ["a", "b", "c", "z", "m"],
+        [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a"), ("h", "a", "z")]),
+    "three_trees": build_graph(["a", "b", "c", "d", "e"],
+                               [("e0", "a", "b"), ("e1", "d", "c")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DISCONNECTED))
+def test_disconnected_graph_errors(name):
+    g = _DISCONNECTED[name]
+    with pytest.raises(graphs.GraphError) as exc:
+        graphs.deforest(g)
+    assert str(exc.value) == (f"deforest requires a connected graph "
+                              f"({g.n_components} components)")
+    with pytest.raises(planner.PlanError) as exc:
+        plan_graph(g)
+    assert str(exc.value) == "plan_graph requires a connected graph"
+
+
+def test_disconnected_one_cycle_per_component_plan_cli(tmp_path, capsys):
+    g = _two_triangles()
+    assert g.n_components == 2
+    path = tmp_path / "two.space"
+    path.write_text(
+        "graph two\n" + "".join(f"vertex {v}\n" for v in g.vertices)
+        + "".join(f"edge {e.id} {e.v0} {e.v1}\n" for e in g.edges)
+        + "endgraph\nmain two\n")
+    code = cli.main(["plan", str(path), "--from", "vertex a", "--to", "vertex x"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: plan_graph requires a connected graph\n"

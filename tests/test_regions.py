@@ -225,6 +225,42 @@ def test_reference_check_catches_an_edge_settled_by_its_name(monkeypatch):
         _check_levels_against_reference()
 
 
+def _check_is_closed_against_the_edge_scan(cases=1500):
+    """``is_closed`` equals the reference's scan of every edge whose
+    interior the union holds, on random unions with and without sub-arcs
+    that often hold every vertex of the graph; returns how many did."""
+    rng = random.Random(3701)
+    holding_all = 0
+    for _ in range(cases):
+        g = random_connected_graph(rng, max_vertices=5, max_edges=8)
+        if not g.edges:
+            continue
+        cells = [_random_cell(rng, g, rng.choice((2, 3, 4, 8)))
+                 for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5:
+            cells = [c for c in cells if c[0] != "arc"]
+        if rng.random() < 0.7:
+            # every vertex, or all but one
+            skip = rng.choice((None, rng.choice(g.vertices)))
+            cells += [("vertex", v) for v in g.vertices if v != skip]
+        u = _union(g, cells)
+        holding_all += all(u.contains(Vertex(v)) for v in g.vertices)
+        assert u.is_closed() == _reference_union(g, cells).is_closed(), cells
+    return holding_all
+
+
+def test_is_closed_matches_the_edge_scan():
+    assert _check_is_closed_against_the_edge_scan() > 300
+
+
+def test_edge_scan_check_catches_a_closed_answer_one_vertex_short(monkeypatch):
+    _mutant(monkeypatch, CellUnion, "is_closed",
+            ("if len(vs) == len(self.graph.degree):",
+             "if len(vs) + 1 >= len(self.graph.degree):"))
+    with pytest.raises(AssertionError):
+        _check_is_closed_against_the_edge_scan()
+
+
 def _rejected_midpoints():
     """The interval points ``regions.cut_pieces`` builds, unchecked, that
     the checking constructor rejects, over random cut sets of random graphs:
