@@ -883,46 +883,51 @@ def _constant_path(g: MultiGraph, p: GraphPoint) -> PLPath:
 
 
 class TreeRouter:
-    """Reduced-path router for a forest, with cached vertex-to-vertex walks.
+    """Reduced-path router along the forest ``tree_edges`` of ``graph``.
 
-    Paths between vertices of a forest are unique once backtracks are
-    cancelled; this precomputes BFS parent tables (root = smallest vertex id
-    per component, adjacency scanned in edge-id order) and serves exact
-    reduced paths between arbitrary points.  The cached walks share their
-    steps: each vertex but a root has two hops, the whole-edge steps up to
-    its parent and back down, made the first time a walk passes that
-    vertex, and a walk reads them per vertex it climbs from.
+    Routes are paths of ``graph`` itself, whose vertices all lie on the
+    forest; a point of an edge outside ``tree_edges`` does not.  BFS parent
+    tables (root = smallest vertex id per component, incident edges in id
+    order, non-tree edges skipped) give the unique reduced path between two
+    points.  The BFS takes V - roots edges, so ``tree_edges`` is a forest
+    exactly when it has that many; otherwise ``GraphError`` names an id
+    ``graph`` lacks, or says it is no forest.  A walk that climbs to two
+    roots raises ``points lie in different components``.  Vertex-to-vertex
+    walks are cached and share each vertex's whole-edge hops up to its
+    parent and back, made the first time a walk climbs from it.
     """
 
-    __slots__ = ("forest", "_component_of", "_parent", "_depth", "_walks",
-                 "_hops")
+    __slots__ = ("graph", "tree_edges", "_parent", "_depth", "_walks", "_hops")
 
-    def __init__(self, forest: MultiGraph):
-        if betti1(forest) != 0:
-            raise GraphError("router requires a forest (betti1 = 0)")
-        incident = forest.incident
-        edge_by_id = forest.edge_by_id
+    def __init__(self, graph: MultiGraph, tree_edges):
+        tree_edges = frozenset(tree_edges)
+        incident = graph.incident
+        edge_by_id = graph.edge_by_id
         parent = {}
         depth = {}
-        seen = set()
-        for root in sorted(forest.vertices):
-            if root in seen:
+        roots = 0
+        for root in sorted(graph.vertices):
+            if root in parent:
                 continue
-            seen.add(root)
+            roots += 1
             parent[root] = None
             depth[root] = 0
             queue = deque([root])
             while queue:
                 u = queue.popleft()
                 for eid in incident[u]:
-                    w = edge_by_id[eid].other(u)
-                    if w not in seen:
-                        seen.add(w)
-                        parent[w] = (eid, u)
-                        depth[w] = depth[u] + 1
-                        queue.append(w)
-        self.forest = forest
-        self._component_of = forest.component_of
+                    if eid in tree_edges:
+                        w = edge_by_id[eid].other(u)
+                        if w not in parent:
+                            parent[w] = (eid, u)
+                            depth[w] = depth[u] + 1
+                            queue.append(w)
+        if len(tree_edges) != len(parent) - roots:
+            unknown = sorted(tree_edges - edge_by_id.keys())
+            raise GraphError(f"unknown edge {unknown[0]!r}" if unknown
+                             else "router requires a forest (betti1 = 0)")
+        self.graph = graph
+        self.tree_edges = tree_edges
         self._parent = parent
         self._depth = depth
         self._walks = {}
@@ -935,7 +940,7 @@ class TreeRouter:
         up = PathStep._trusted(eid, _ZERO, _ONE)
         down = PathStep._trusted(eid, _ONE, _ZERO)
         # a forest edge is no loop, so v is exactly one of its ends
-        hop = self._hops[v] = ((up, down) if v == self.forest.edge_by_id[eid].v0
+        hop = self._hops[v] = ((up, down) if v == self.graph.edge_by_id[eid].v0
                                else (down, up))
         return hop
 
@@ -945,22 +950,20 @@ class TreeRouter:
         cached = self._walks.get(key)
         if cached is not None:
             return cached
-        component_of = self._component_of
-        if component_of.get(a) != component_of.get(b):
-            raise GraphError("points lie in different components")
-        up_a = []
-        up_b = []
-        x, y = a, b
+        up_a, up_b = [], []
         depth = self._depth
         parent = self._parent
         hops = self._hops
-        while x != y:
-            if depth[x] >= depth[y]:
-                up_a.append((hops.get(x) or self._hop(x))[0])
-                x = parent[x][1]
+        while a != b:
+            if depth[a] >= depth[b]:
+                up = parent[a]
+                if up is None:  # b is a root too
+                    raise GraphError("points lie in different components")
+                up_a.append((hops.get(a) or self._hop(a))[0])
+                a = up[1]
             else:
-                up_b.append((hops.get(y) or self._hop(y))[1])
-                y = parent[y][1]
+                up_b.append((hops.get(b) or self._hop(b))[1])
+                b = parent[b][1]
         up_b.reverse()
         walk = self._walks[key] = tuple(up_a + up_b)
         return walk
@@ -968,13 +971,11 @@ class TreeRouter:
     def _anchor(self, p: GraphPoint) -> str:
         """The vertex a route through p leaves from: p itself, or v0 of
         p's edge."""
-        forest = self.forest
         if isinstance(p, EdgeInterior):
-            e = forest.edge_by_id.get(p.edge)
-            if e is None:
+            if p.edge not in self.tree_edges:
                 raise GraphError(f"point not on the forest: edge {p.edge!r}")
-            return e.v0
-        if p.v not in forest.degree:
+            return self.graph.edge_by_id[p.edge].v0
+        if p.v not in self.graph.degree:
             raise GraphError(f"point not on the forest: vertex {p.v!r}")
         return p.v
 
@@ -1012,12 +1013,11 @@ class TreeRouter:
             out.append(tail)
         return out
 
-    def route(self, p: GraphPoint, q: GraphPoint, into: MultiGraph = None) -> PLPath:
-        g = into if into is not None else self.forest
+    def route(self, p: GraphPoint, q: GraphPoint) -> PLPath:
         steps = self.route_steps(p, q)
         if not steps:
-            return _constant_path(g, p)
-        return PLPath._trusted(g, steps, p)
+            return _constant_path(self.graph, p)
+        return PLPath._trusted(self.graph, steps, p)
 
 
 def vertex_distances(g: MultiGraph) -> dict:

@@ -27,7 +27,7 @@ from math import lcm
 # vertex_distances is not called here; the benchmark's tracer patches it by this name
 from .graphs import (GraphError, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      PLPath, PathStep, CollapseHomotopy, TreeRouter, betti1,
-                     spanning_forest, subgraph, deforest, tc_graph, point_dist,
+                     spanning_forest, deforest, tc_graph, point_dist,
                      vertex_distances, _ONE, _ZERO, _constant_path, _point_key,
                      _whole_step)
 from .regions import (Region, Box, Shift, RetractPreimage, CellUnion,
@@ -194,12 +194,11 @@ class CycleCoords:
 class TreeRule:
     """Route through the reduced path of a forest: a product plan's H_0 rule."""
 
-    def __init__(self, g: MultiGraph, router: TreeRouter):
-        self.graph = g
+    def __init__(self, router: TreeRouter):
         self.router = router
 
     def path_for(self, x: GraphPoint, y: GraphPoint) -> PLPath:
-        return self.router.route(x, y, into=self.graph)
+        return self.router.route(x, y)
 
     def piece_id(self, x, y):
         return 0
@@ -257,13 +256,13 @@ class EdgeEvacuateRule:
     The evacuation endpoint of a non-tree edge is the endpoint with the
     smaller vertex id (the unique endpoint for a loop); within each open
     edge the slide is affine, so the rule is continuous on every separated
-    piece of its stratum difference.
+    piece of its stratum difference.  Graph and tree edges are the router's.
     """
 
-    def __init__(self, g: MultiGraph, tree_edges, router: TreeRouter):
-        self.graph = g
-        self.tree_edges = frozenset(tree_edges)
+    def __init__(self, router: TreeRouter):
         self.router = router
+        self.graph = router.graph
+        self.tree_edges = router.tree_edges
 
     def _evacuate(self, p: GraphPoint):
         """(parameter of the evacuation endpoint on p's edge, that endpoint),
@@ -386,7 +385,9 @@ def plan_graph(g: MultiGraph) -> MotionPlan:
     F = ``cat_filtration(g)``: the strata are ``product_cat_filtration(F,
     F).levels`` (G x G for a tree; T x T, G x T union T x G, G x G for the
     spanning tree T = F_0 otherwise), ``TreeRule`` on H_0 and
-    ``EdgeEvacuateRule`` on every later difference, both routing through T.
+    ``EdgeEvacuateRule`` on every later difference, both routing along
+    T's edges on g by one ``TreeRouter(g, T's edges)``, which copies
+    nothing and decides by counting T's edges that T is a forest.
     """
     if len(g.edges) == len(g.vertices):
         try:
@@ -398,11 +399,10 @@ def plan_graph(g: MultiGraph) -> MotionPlan:
         raise PlanError("plan_graph requires a connected graph")
     f = cat_filtration(g)
     # F_0 is the vertices and the closed edges of the tree
-    tree_edges = f.levels[0]._edges
-    router = TreeRouter(g if f.length == 0 else subgraph(g, tree_edges))
-    evac = EdgeEvacuateRule(g, tree_edges, router)
+    router = TreeRouter(g, f.levels[0]._edges)
+    evac = EdgeEvacuateRule(router)
     strata = product_cat_filtration(f, f).levels
-    return MotionPlan(g, strata, (TreeRule(g, router),) + (evac,) * (len(strata) - 1))
+    return MotionPlan(g, strata, (TreeRule(router),) + (evac,) * (len(strata) - 1))
 
 
 def execute(p: MotionPlan, x: GraphPoint, x2: GraphPoint):

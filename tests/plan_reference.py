@@ -4,15 +4,18 @@ written out by hand, kept for differential tests only.
 A tree gets the one stratum G x G and the reduced tree path.  A graph with
 b1 >= 2 gets T x T, then G x T union T x G, then G x G for the spanning
 tree T of ``spanning_forest``, with the tree rule on the first and the
-evacuate rule on the other two.  Both rules are copied here, built with the
-checking ``PathStep`` and ``PLPath`` constructors, so a change to the rules
-of ``wildcat.planner`` shows as a difference.  A graph with one cycle gets
-``wildcat.planner``'s lifted circle plan, which this copy does not repeat.
+evacuate rule on the other two.  Both rules are copied here.  They route
+with ``path_reference.Router`` over their own ``subgraph`` copy of the
+forest and build every answer with ``path_reference.validated``, so the
+copy shares no router code with ``wildcat.graphs.TreeRouter``, and a change
+to the rules of ``wildcat.planner`` shows as a difference.  A graph with
+one cycle gets ``wildcat.planner``'s lifted circle plan, which this copy
+does not repeat.
 """
 
-from wildcat.graphs import (EdgeInterior, PathStep, PLPath, TreeRouter, Vertex,
-                            betti1, constant_path, deforest, spanning_forest,
-                            subgraph)
+from path_reference import Router, constant, validated
+from wildcat.graphs import (EdgeInterior, PathStep, Vertex, betti1, deforest,
+                            spanning_forest, subgraph)
 from wildcat.planner import MotionPlan, PlanError, lift_plan, plan_circle
 from wildcat.regions import Box, CellUnion, Region, whole_graph_cells
 
@@ -23,7 +26,10 @@ class TreeRule:
         self.router = router
 
     def path_for(self, x, y):
-        return self.router.route(x, y, into=self.graph)
+        steps = self.router.route_steps(x, y)
+        if not steps:
+            return constant(self.graph, x)
+        return validated(self.graph, steps, x)
 
     def piece_id(self, x, y):
         return 0
@@ -57,8 +63,8 @@ class EdgeEvacuateRule:
             tail.append(PathStep(y.edge, end, y.t))
         steps = head + list(self.router.route_steps(x2, y2)) + tail
         if not steps:
-            return constant_path(self.graph, x)
-        return PLPath(self.graph, steps, x)
+            return constant(self.graph, x)
+        return validated(self.graph, steps, x)
 
     def piece_id(self, x, y):
         return (x.edge if self._off_tree(x) else "T",
@@ -72,7 +78,7 @@ def plan_tree(t):
         raise PlanError("plan_tree requires a tree (input has a cycle)")
     everything = whole_graph_cells(t)
     return MotionPlan(t, (Region(Box(everything, everything)),),
-                      (TreeRule(t, TreeRouter(t)),))
+                      (TreeRule(t, Router(t)),))
 
 
 def plan_graph(g):
@@ -85,7 +91,7 @@ def plan_graph(g):
         core, h = deforest(g)
         return lift_plan(plan_circle(core), h)
     tree_edges = spanning_forest(g)
-    router = TreeRouter(subgraph(g, tree_edges))
+    router = Router(subgraph(g, tree_edges))
     tree_cells = CellUnion(g, g.vertices, tree_edges)
     everything = whole_graph_cells(g)
     f0 = Region(Box(tree_cells, tree_cells))

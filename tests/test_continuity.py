@@ -240,7 +240,7 @@ def _answer_pairs(rng):
     general = plan_graph(general_graph(rng, 20, 30))
     lifted = plan_graph(random_cycle_with_hairs(rng, 6, 10))
     cycle = plan_circle(cycle_graph(rng.randint(3, 7)))
-    rules = [(tree, TreeRouter(tree).route, None),
+    rules = [(tree, TreeRouter(tree, tree.edge_by_id).route, None),
              (general.graph, general.rules[1].path_for, None)]
     for p in (lifted, cycle):
         rotate, geodesic = p.rules

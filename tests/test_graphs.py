@@ -327,14 +327,14 @@ def test_deforest_and_slides_scale_linearly():
 def test_tree_path_constant():
     g = path_graph(3)
     p = Vertex("v1")
-    path = TreeRouter(g).route(p, p)
+    path = TreeRouter(g, g.edge_by_id).route(p, p)
     assert path.length == 0
     assert path.at(0) == p and path.at(1) == p
 
 
 def test_tree_path_through_middle():
     g = path_graph(3)
-    path = TreeRouter(g).route(Vertex("v0"), Vertex("v2"))
+    path = TreeRouter(g, g.edge_by_id).route(Vertex("v0"), Vertex("v2"))
     assert path.length == 2
     assert [s.edge for s in path.steps] == ["e0", "e1"]
     assert path.at(Fraction(1, 2)) == Vertex("v1")
@@ -343,7 +343,7 @@ def test_tree_path_through_middle():
 def test_tree_path_from_midpoint():
     g = path_graph(3)
     p = EdgeInterior("e0", Fraction(1, 2))
-    path = TreeRouter(g).route(p, Vertex("v2"))
+    path = TreeRouter(g, g.edge_by_id).route(p, Vertex("v2"))
     assert path.length == Fraction(3, 2)
     assert path.at(0) == p
     assert path.at(1) == Vertex("v2")
@@ -353,7 +353,7 @@ def test_tree_path_same_edge_midpoints():
     g = path_graph(2)
     p = EdgeInterior("e0", Fraction(1, 4))
     q = EdgeInterior("e0", Fraction(3, 4))
-    path = TreeRouter(g).route(p, q)
+    path = TreeRouter(g, g.edge_by_id).route(p, q)
     assert path.length == Fraction(1, 2)
     assert len(path.steps) == 1
 
@@ -363,7 +363,7 @@ def test_tree_path_reversal_and_reduced_random():
     for _ in range(60):
         g = random_connected_graph(rng)
         forest = subgraph(g, spanning_forest(g))
-        router = TreeRouter(forest)
+        router = TreeRouter(forest, forest.edge_by_id)
         p = random_point(rng, forest)
         q = random_point(rng, forest)
         path = router.route(p, q)
@@ -382,7 +382,7 @@ def _anchor(g, p):
 def test_tree_path_different_components():
     g = build_graph(["a", "b"], [])
     with pytest.raises(GraphError, match="different components"):
-        TreeRouter(g).route(Vertex("a"), Vertex("b"))
+        TreeRouter(g, g.edge_by_id).route(Vertex("a"), Vertex("b"))
 
 
 # --- PLPath ------------------------------------------------------------------
@@ -427,7 +427,7 @@ def test_plpath_check_accepts_shared_and_coerced_steps():
     whole = PLPath(g, [("e0", 0, 1), ("e1", 0, Fraction(1, 2))])
     assert whole.check() is whole
     assert whole.source == Vertex("v0") and whole.length == Fraction(3, 2)
-    router = TreeRouter(g)
+    router = TreeRouter(g, g.edge_by_id)
     path = router.route(EdgeInterior("e1", Fraction(1, 2)), Vertex("v0"))
     assert path.check() is path
     assert [(s.edge, s.a, s.b) for s in path.steps] == [("e1", Fraction(1, 2), 0),
@@ -445,7 +445,7 @@ def test_plpath_constant_midedge_single_degenerate_step():
 
 def test_plpath_exact_arclength_eval():
     g = path_graph(3)
-    path = TreeRouter(g).route(EdgeInterior("e0", Fraction(1, 2)), Vertex("v2"))
+    path = TreeRouter(g, g.edge_by_id).route(EdgeInterior("e0", Fraction(1, 2)), Vertex("v2"))
     # length 3/2: time 1/3 is arclength 1/2, exactly at vertex v1
     assert path.at(Fraction(1, 3)) == Vertex("v1")
     assert path.at(Fraction(2, 3)) == EdgeInterior("e1", Fraction(1, 2))
@@ -456,7 +456,7 @@ def test_plpath_at_matches_linear_scan_reference():
     breakpoints = 0
     for _ in range(30):
         tree = random_tree(rng, rng.randint(1, 25))
-        router = TreeRouter(tree)
+        router = TreeRouter(tree, tree.edge_by_id)
         for _ in range(10):
             path = router.route(random_point(rng, tree), random_point(rng, tree))
             times = {Fraction(k, 31) for k in range(32)}

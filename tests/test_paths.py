@@ -10,6 +10,7 @@ afresh and validates every intermediate path.
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 import path_reference as ref
 from gen import (random_connected_graph, random_cycle_with_hairs, random_point,
                  random_tree)
+from test_lift import _mutant
 from wildcat.graphs import (EdgeInterior, GraphError, PathStep, PLPath, TreeRouter,
                             Vertex, build_graph, point_dist, subgraph,
                             spanning_forest, _ONE, _ZERO)
@@ -205,7 +207,7 @@ def test_route_steps_matches_reference_random_trees():
     merged = 0
     for _ in range(50):
         g = random_tree(rng, rng.randint(1, 25))
-        router = TreeRouter(g)
+        router = TreeRouter(g, g.edge_by_id)
         oracle = ref.Router(g)
         pts = _tree_points(rng, g, 8)
         for p in pts:
@@ -226,15 +228,113 @@ def test_route_steps_matches_reference_forests():
     for _ in range(40):
         g = random_connected_graph(rng)
         forest = subgraph(g, spanning_forest(g))
-        router, oracle = TreeRouter(forest), ref.Router(forest)
+        router, oracle = TreeRouter(forest, forest.edge_by_id), ref.Router(forest)
         pts = _tree_points(rng, forest, 6)
         for p in pts:
             for q in pts:
                 assert router.route_steps(p, q) == oracle.route_steps(p, q)
     split = build_graph(["a", "b"], [])
-    for r in (TreeRouter(split), ref.Router(split)):
+    for r in (TreeRouter(split, split.edge_by_id), ref.Router(split)):
         with pytest.raises(GraphError, match="different components"):
             r.route_steps(Vertex("a"), Vertex("b"))
+
+
+def _graph_and_sub_forest(rng):
+    """A random multigraph with loops, parallel edges and often several
+    components, and a random sub-forest of it: its edges in random order,
+    each kept with probability 2/3 when it joins two trees, so the forest
+    often has isolated vertices.  Declaration order is shuffled, so the
+    router's roots and edge order come from the names."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 12))]
+    rng.shuffle(vs)
+    es = [(f"e{i}", rng.choice(vs), rng.choice(vs))
+          for i in range(rng.randint(0, 2 * len(vs)))]
+    tree_of = {v: v for v in vs}
+
+    def tree(v):
+        while tree_of[v] != v:
+            v = tree_of[v]
+        return v
+
+    tree_edges = []
+    for eid, a, b in rng.sample(es, len(es)):
+        a, b = tree(a), tree(b)
+        if a != b and rng.random() < 2 / 3:
+            tree_of[a] = b
+            tree_edges.append(eid)
+    return build_graph(vs, es), tree_edges
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the text of the ``GraphError`` it raises."""
+    try:
+        return fn(*args)
+    except GraphError as exc:
+        return str(exc)
+
+
+_CYCLIC = build_graph(["a", "b", "c", "d"],
+                      [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a"),
+                       ("e3", "c", "d"), ("e4", "d", "d"), ("e5", "d", "c")])
+# tree-edge sets of _CYCLIC that no router may accept: (edges, error)
+_NOT_FORESTS = [
+    (["e0", "e3", "e4"], "router requires a forest (betti1 = 0)"),  # a loop
+    (["e0", "e1", "e3", "e5"], "router requires a forest (betti1 = 0)"),  # a parallel pair
+    (["e0", "e1", "e2"], "router requires a forest (betti1 = 0)"),  # a 3-cycle
+    (["e0", "zz"], "unknown edge 'zz'"),
+    (["e0", "e1", "e3", "zz"], "unknown edge 'zz'"),
+]
+
+
+def _check_router_on_sub_forests(seed, n_graphs):
+    """``TreeRouter(g, tree_edges)`` against ``ref.Router`` on a ``subgraph``
+    copy of the forest: the same steps, paths and errors on random graphs
+    and sub-forests, at every vertex, at points on and off the forest, and
+    at points g lacks; then the same rejections of ``_NOT_FORESTS``.
+    Counts the pairs that ended in each error, and the forests with an
+    isolated vertex."""
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(n_graphs):
+        g, tree_edges = _graph_and_sub_forest(rng)
+        ends = {v for eid in tree_edges for v in g.edge_by_id[eid][1:]}
+        seen["isolated vertex"] += len(g.vertices) > 1 and len(ends) < len(g.vertices)
+        router = TreeRouter(g, tree_edges)
+        oracle = ref.Router(subgraph(g, tree_edges))
+        pts = [Vertex(v) for v in g.vertices] + [Vertex("nowhere"),
+                                                 EdgeInterior("zz", Fraction(1, 2))]
+        for e in rng.sample(g.edges, min(len(g.edges), 6)):
+            pts += [EdgeInterior(e.id, Fraction(1, 3)), random_point(rng, g)]
+        for p in pts:
+            for q in pts:
+                got = _outcome(router.route_steps, p, q)
+                assert got == _outcome(oracle.route_steps, p, q), (p, q)
+                if isinstance(got, str):
+                    seen[got.split(":")[0]] += 1
+                    continue
+                path = router.route(p, q)
+                assert path.graph is g
+                _assert_same_path(path, oracle.route(p, q))
+    for edges, error in _NOT_FORESTS:
+        assert _outcome(TreeRouter, _CYCLIC, edges) == error, edges
+        assert _outcome(lambda: ref.Router(subgraph(_CYCLIC, edges))) == error, edges
+    return seen
+
+
+def test_router_on_a_graph_matches_reference_on_sub_forests():
+    seen = _check_router_on_sub_forests(7107, 60)
+    assert seen.keys() == {"points lie in different components",
+                           "point not on the forest", "isolated vertex"}
+    assert seen["isolated vertex"] > 10
+    assert seen["points lie in different components"] > 100
+    assert seen["point not on the forest"] > 100
+
+
+def test_router_differential_catches_a_skipped_forest_count(monkeypatch):
+    _mutant(monkeypatch, TreeRouter, "__init__",
+            ("if len(tree_edges) != len(parent) - roots:", "if False:"))
+    with pytest.raises(AssertionError):
+        _check_router_on_sub_forests(7107, 1)
 
 
 @pytest.mark.parametrize("cycle_len,n_hairs,n_graphs,n_queries",
@@ -263,7 +363,7 @@ def test_evacuation_answers_match_validated_reference():
         plan = plan_graph(g)
         evac = plan.rules[1]
         assert isinstance(evac, EdgeEvacuateRule)
-        oracle = ref.Router(evac.router.forest)
+        oracle = ref.Router(subgraph(g, evac.router.tree_edges))
         for _ in range(30):
             x, y = random_point(rng, g), random_point(rng, g)
             j, path = execute(plan, x, y)

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from wildcat.graphs import (CollapseHomotopy, GraphError, Vertex, EdgeInterior,
-                            PathStep, PLPath, betti1, build_graph, deforest,
-                            spanning_forest, tc_graph)
+from wildcat.graphs import (CollapseHomotopy, GraphError, MultiGraph, Vertex,
+                            EdgeInterior, PathStep, PLPath, betti1, build_graph,
+                            deforest, spanning_forest, tc_graph)
 from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
                              plan_graph, lift_plan, execute, cat_filtration,
                              product_cat_filtration,
@@ -21,6 +21,7 @@ from wildcat.regions import (Region, Box, Shift, CellUnion,
 from wildcat.spacefile import ParseError, parse_spacefile
 
 from path_reference import coord, point_at
+from test_cli import _bench_module
 from gen import (point_graph, path_graph, cycle_graph, loop_graph,
                  figure_eight, circle_with_hair, theta_graph, k4,
                  random_connected_graph, random_point, random_tree,
@@ -161,6 +162,39 @@ def test_plan_graph_single_coordinate_off_tree():
     j, path = execute(plan, x, Vertex("a"))
     assert j == 1
     assert path.at(1) == Vertex("a")
+
+
+def test_plan_graph_builds_no_graph_besides_its_input(monkeypatch):
+    # the product plan routes along its spanning tree on g itself: no graph
+    # is built, by either constructor, and the one union-find runs on g
+    bench_gen = _bench_module("gen")
+    built, components = [], []
+    init, trusted, find = MultiGraph.__init__, MultiGraph._trusted.__func__, \
+        MultiGraph._components
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_trusted(cls, *args):
+        built.append(cls)
+        return trusted(cls, *args)
+
+    def counting_components(self):
+        components.append(self)
+        find(self)
+
+    for vs, es in (bench_gen.general_graph(random.Random(3), 400, 600),
+                   bench_gen.tree_graph(random.Random(3), 300)):
+        g = build_graph(vs, es)
+        monkeypatch.setattr(MultiGraph, "__init__", counting_init)
+        monkeypatch.setattr(MultiGraph, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(MultiGraph, "_components", counting_components)
+        plan = plan_graph(g)
+        monkeypatch.undo()
+        assert len(plan.strata) == (3 if len(es) == 600 else 1)
+        assert built == []
+        assert len(components) == 1 and components.pop() is g
 
 
 def test_plan_graph_exact_endpoints_random():
