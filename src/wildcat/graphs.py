@@ -523,9 +523,11 @@ class CollapseHomotopy:
                 kp = _ZERO if v == self.graph.edge_by_id[p.edge].v0 else _ONE
                 steps.append(PathStep._trusted(p.edge, kp, p.t) if back
                              else PathStep._trusted(p.edge, p.t, kp))
-        while v in down:
-            edge, forward, v = down[v]
+        hop = down.get(v)
+        while hop is not None:
+            edge, forward, v = hop
             steps.append(_whole_step(whole, edge, forward != back))
+            hop = down.get(v)
         if not steps:
             if not self.graph.contains_point(p):
                 raise GraphError("source point not on the graph")

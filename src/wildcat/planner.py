@@ -28,8 +28,7 @@ from math import lcm
 from .graphs import (GraphError, MultiGraph, Vertex, EdgeInterior, GraphPoint,
                      PLPath, PathStep, CollapseHomotopy, TreeRouter, betti1,
                      spanning_forest, deforest, tc_graph, point_dist,
-                     vertex_distances, _ONE, _ZERO, _constant_path, _point_key,
-                     _whole_step)
+                     vertex_distances, _ONE, _ZERO, _constant_path, _point_key)
 from .regions import (Region, Box, Shift, RetractPreimage, CellUnion,
                       whole_graph_cells, filtration_witnesses)
 
@@ -111,7 +110,8 @@ class CycleCoords:
         self._edge_slot = {e.id: (i, fwd) for i, (e, fwd) in enumerate(steps)}
         self._vertex_at = vertex_at
         self._vertex_slot = {v: (i, 1) for i, v in vertex_at.items()}
-        self._whole = {}
+        # the whole-edge step tables against and along the cycle
+        self._whole = [None, None]
 
     def int_coord(self, p: GraphPoint):
         """Arclength of a point as integers ``(numerator, denominator)``, the
@@ -152,12 +152,11 @@ class CycleCoords:
 
         Only the first and the last step can cover part of an edge: each
         runs between its point's own parameter and an edge end.  The
-        whole-edge steps between them are shared, one per cycle edge and
-        direction, made on first use.  The slots are integers and no
-        Fraction is built.
+        whole-edge steps between them are one slice of the walk
+        direction's table (``_whole_steps``).  The slots are integers and
+        no Fraction is built.
         """
-        ring = self.steps
-        n = len(ring)
+        n = len(self.steps)
         steps = []
         if isinstance(x, Vertex):
             p = self._vertex_slot[x.v][0]
@@ -178,17 +177,26 @@ class CycleCoords:
             m, fwd = self._edge_slot[y.edge]
             last = PathStep._trusted(y.edge, _ZERO if fwd == forward else _ONE, y.t)
             q = m if forward else m + 1
-        memo = self._whole
-        if forward:
-            slots = range(p, p + (q - p) % n)
-        else:
-            slots = range(p - 1, p - 1 - (p - q) % n, -1)
-        for i in slots:
-            e, fwd = ring[i % n]
-            steps.append(_whole_step(memo, e.id, fwd == forward))
+        table = self._whole[forward] or self._whole_steps(forward)
+        # against the cycle, table slot i is cycle slot n - 1 - i, so the
+        # walk leaving vertex position p starts at table slot -p mod n
+        start = p % n if forward else -p % n
+        steps += table[start:start + ((q - p) if forward else (p - q)) % n]
         if last is not None:
             steps.append(last)
         return steps
+
+    def _whole_steps(self, forward: bool) -> list:
+        """The steps across each whole cycle edge in a walk's order, along
+        the cycle when ``forward`` and against it otherwise, from vertex
+        position 0 and twice round, so that every walk takes its whole
+        steps as one slice.  Made on first use and then shared."""
+        ring = self.steps if forward else self.steps[::-1]
+        table = [PathStep._trusted(e.id, _ZERO, _ONE) if fwd == forward
+                 else PathStep._trusted(e.id, _ONE, _ZERO) for e, fwd in ring]
+        table += table
+        self._whole[forward] = table
+        return table
 
 
 class TreeRule:
@@ -613,7 +621,9 @@ def _below(getrandbits, n: int) -> int:
     CPython's ``Random.randrange(n)``: draw ``n.bit_length()`` bits, again
     while the draw is >= n.  It consumes what ``randrange(n)`` consumes and
     returns what it returns, so ``start + _below(getrandbits, stop - start)``
-    is ``randrange(start, stop)``, drawn without its argument checks."""
+    is ``randrange(start, stop)``, drawn without its argument checks.  The
+    point sampler and the nudger inline it, with their bit widths computed
+    once."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
@@ -621,45 +631,80 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _random_point(rng, g: MultiGraph, denom=4096) -> GraphPoint:
-    """A seeded query point: one draw picks a vertex or an edge, uniformly
-    over the vertices and edges of g, and an edge takes a second draw, its
-    parameter k / denom for a uniform k in 1 .. denom - 1.  The draws are
-    ``_below`` over ``rng.getrandbits``."""
+def _point_sampler(rng, g: MultiGraph, denom=4096):
+    """A seeded query-point sampler on g: one draw picks a vertex or an
+    edge, uniformly over the vertices and edges of g, and an edge takes a
+    second, its parameter k / denom for a uniform k in 1 .. denom - 1.  The
+    draws are ``_below``'s over ``rng.getrandbits``, with both bit widths
+    computed once.  One ``Vertex`` per vertex and one parameter per k are
+    shared, each made on first draw."""
     getrandbits = rng.getrandbits
     vertices = g.vertices
+    edge_ids = [e.id for e in g.edges]
     n_v = len(vertices)
-    k = _below(getrandbits, n_v + len(g.edges))
-    if k < n_v:
-        return Vertex(vertices[k])
-    e = g.edges[k - n_v]
-    return EdgeInterior._trusted(e.id, Fraction(1 + _below(getrandbits, denom - 1), denom))
+    n = n_v + len(edge_ids)
+    n_bits = n.bit_length()
+    m = denom - 1
+    m_bits = m.bit_length()
+    points = [None] * n_v
+    params = [None] * m
+
+    def sample() -> GraphPoint:
+        k = getrandbits(n_bits)
+        while k >= n:
+            k = getrandbits(n_bits)
+        if k < n_v:
+            p = points[k]
+            if p is None:
+                p = points[k] = Vertex(vertices[k])
+            return p
+        r = getrandbits(m_bits)
+        while r >= m:
+            r = getrandbits(m_bits)
+        t = params[r]
+        if t is None:
+            t = params[r] = Fraction(1 + r, denom)
+        return EdgeInterior._trusted(edge_ids[k - n_v], t)
+
+    return sample
 
 
-def _nudge(rng, p: GraphPoint, max_shift: Fraction) -> GraphPoint:
-    """p moved along its edge by j / grid, for one uniform draw j in
-    [-span, span], span / grid = max_shift, and clamped to
-    [1/grid, 1 - 1/grid], so a nudged point stays inside its edge.  The grid
-    is 2^22, times max_shift's denominator when that is larger.  A vertex is
-    returned as it is and consumes no draw; an edge point consumes one,
-    ``_below`` over ``rng.getrandbits``."""
-    if isinstance(p, Vertex):
-        return p
+def _nudger(rng, max_shift: Fraction):
+    """A nudger: it moves a point along its edge by j / grid, for one
+    uniform draw j in [-span, span], span / grid = max_shift, and clamps it
+    to [1/grid, 1 - 1/grid], so a nudged point stays inside its edge.  The
+    grid is 2^22, times max_shift's denominator when that is larger; grid,
+    span and the draw's bit width are computed once.  A vertex is returned
+    as it is and consumes no draw; an edge point consumes one, ``_below``'s
+    over ``rng.getrandbits``."""
+    getrandbits = rng.getrandbits
     grid = 1 << 22
     shift_num, shift_den = max_shift.as_integer_ratio()
     if shift_den > grid:
         # on the 2^-22 grid every shift below max_shift would round to 0
         grid *= shift_den
     span = shift_num * (grid // shift_den)
-    j = _below(rng.getrandbits, 2 * span + 1) - span
-    # shift by j/grid and clamp to [1/grid, 1 - 1/grid] in ints over the
-    # common denominator: grid itself for every sampled point, whose
-    # denominator divides it
-    num, tden = p.t.as_integer_ratio()
-    den = lcm(grid, tden) if grid % tden else grid
-    step = den // grid
-    k = num * (den // tden) + j * step
-    return EdgeInterior._trusted(p.edge, Fraction(max(step, min(den - step, k)), den))
+    n = 2 * span + 1
+    n_bits = n.bit_length()
+
+    def nudge(p: GraphPoint) -> GraphPoint:
+        if isinstance(p, Vertex):
+            return p
+        j = getrandbits(n_bits)
+        while j >= n:
+            j = getrandbits(n_bits)
+        j -= span
+        # shift by j/grid and clamp to [1/grid, 1 - 1/grid] in ints over the
+        # common denominator: grid itself for every sampled point, whose
+        # denominator divides it
+        num, tden = p.t.as_integer_ratio()
+        den = lcm(grid, tden) if grid % tden else grid
+        step = den // grid
+        k = num * (den // tden) + j * step
+        return EdgeInterior._trusted(p.edge,
+                                     Fraction(max(step, min(den - step, k)), den))
+
+    return nudge
 
 
 def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
@@ -675,16 +720,19 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         decision's own witness: a failing pair of pieces wholly on a
         shifted diagonal, else a point of the first failing pair of box
         classes off every diagonal, else the first failing stretch of the
-        diagonal walk.  Later checks skip queries outside the top stratum;
+        diagonal walk.  Later checks skip queries outside the top stratum,
+        which, once coverage has passed, holds every pair;
     (c) the section property holds exactly on ``samples`` seeded random
         queries: the keys of an answer's two ends, which its path check
         reads anyway (a vertex's name, or an edge and an exact rational
-        parameter), equal those of the query's points;
+        parameter), equal those of the query's points.  The queries come
+        from one point sampler per call, with the draws of ``randrange``;
     (d) continuity: for perturbed query pairs in the same stratum difference
         and the same separated piece at path-metric distance < delta, the
-        uniform distance between the two answer paths is <= eps.  A pair is
-        decided exactly when the two answers walk one shared walk (equal
-        middle steps, first steps on one edge ending at one point c, last
+        uniform distance between the two answer paths is <= eps; one nudger
+        per call perturbs the queries, with the draws of ``randrange``.  A
+        pair is decided exactly when the two answers walk one shared walk
+        (equal middle steps, first steps on one edge ending at one point c, last
         steps on one edge starting at one point s, in either direction):
         for starts a_i and ends b_i the distance is at most
         max(|a1 - a2|, |b1 - b2|) at every t, since points on opposite sides
@@ -736,19 +784,18 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
     section_witness = None
     malformed = None  # (query pair, reason) of the first malformed answer
     answers = 0
-    queries = []
-    for _ in range(samples):
-        x = _random_point(rng, g)
-        y = _random_point(rng, g)
-        queries.append((x, y))
+    sample = _point_sampler(rng, g)
+    queries = [(sample(), sample()) for _ in range(samples)]
     answered = []
     top = len(p.strata) - 1
+    # once coverage-cells has passed, the top stratum holds every pair
+    recheck = p.strata[top] if cover_witness is not None else None
     for x, y in queries:
         try:
             j = p.stratum_index(x, y)
         except PlanError:
             continue  # outside every stratum: coverage-cells fails
-        if j < top and not p.strata[top].contains(x, y):
+        if j < top and recheck is not None and not recheck.contains(x, y):
             continue  # outside the top stratum too: coverage-cells fails
         path = p.rules[j].path_for(x, y)
         answers += 1
@@ -768,14 +815,14 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         if section_witness is None else "path endpoints differ from the query",
         section_witness))
 
-    half = delta / 2
+    nudge = _nudger(rng, delta / 2)
     eps_num, eps_den = eps.numerator, eps.denominator
     cont_witness = None
     compared = 0
     skipped = 0
     for x, y, j1, path1 in answered:
-        x2 = _nudge(rng, x, half)
-        y2 = _nudge(rng, y, half)
+        x2 = nudge(x)
+        y2 = nudge(y)
         if isinstance(x, Vertex) and isinstance(y, Vertex):
             skipped += 1
             continue

@@ -3,6 +3,7 @@ float-sampled check it replaces (``continuity_reference``), the exact walk
 bound that decides most pairs before any sampling, and plans whose only
 fault is a discontinuous rule."""
 
+import os
 import random
 import re
 from fractions import Fraction
@@ -12,14 +13,16 @@ import pytest
 from wildcat import graphs, planner
 from wildcat.graphs import (EdgeInterior, PathStep, PLPath, TreeRouter, Vertex,
                             build_graph, constant_path, point_dist)
-from wildcat.planner import (MotionPlan, _below, _nudge, _sampled_sup, _walk_bound,
-                             plan_circle, plan_graph, verify_plan)
+from wildcat.planner import (MotionPlan, _below, _nudger, _point_sampler, _sampled_sup,
+                             _walk_bound, plan_circle, plan_graph, verify_plan)
+from wildcat.spacefile import parse_spacefile
 
 import continuity_reference as ref
 from path_reference import coord, point_at
 from gen import (circle_with_hair, cycle_graph, k4, random_cycle_with_hairs,
                  random_tree, theta_graph)
 
+FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 EPSILONS = (Fraction(1, 20), Fraction(1), Fraction(3, 2), Fraction(7, 2))
 
 
@@ -217,9 +220,9 @@ def test_real_plans_are_decided_without_sampling(monkeypatch):
 
 def _random_point(rng, g):
     """A vertex, or an edge point on the sampling grid or nudged off it."""
-    p = planner._random_point(rng, g)
+    p = _point_sampler(rng, g)()
     if isinstance(p, EdgeInterior) and rng.random() < 0.5:
-        p = _nudge(rng, p, Fraction(1, 2000))
+        p = _nudger(rng, Fraction(1, 2000))(p)
     return p
 
 
@@ -248,9 +251,10 @@ def _answer_pairs(rng):
     walks = []
     for g, path_for, rotate in rules:
         for shift in (Fraction(1, 2000), Fraction(1, 3)):
+            nudge = _nudger(rng, shift)
             for _ in range(12):
                 x, y = _random_point(rng, g), _random_point(rng, g)
-                x2, y2 = _nudge(rng, x, shift), _nudge(rng, y, shift)
+                x2, y2 = nudge(x), nudge(y)
                 if rotate is not None:
                     y, y2 = _antipode(rotate, x), _antipode(rotate, x2)
                 answer = path_for(x, y)
@@ -420,8 +424,8 @@ def test_walk_bound_holds_across_a_shared_interior_end():
 
 @pytest.mark.parametrize("n", [1, 2, 4095, 4096, (1 << 22) - 1, (1 << 22) + 1, (1 << 70) + 3])
 def test_below_draws_what_randrange_draws(n):
-    # one argument, and the two-argument forms of _random_point's parameter
-    # and _nudge's shift; the generators must also leave in one state
+    # one argument, and the two-argument forms of the sampled parameter and
+    # the nudge's shift; the generators must also leave in one state
     for seed in range(10):
         r1, r2 = random.Random(seed), random.Random(seed)
         for _ in range(20):
@@ -434,12 +438,23 @@ def test_below_draws_what_randrange_draws(n):
 
 
 def test_random_point_matches_reference():
-    g = general_graph(random.Random(5), 30, 45)
-    for seed in range(5):
-        r1, r2 = random.Random(seed), random.Random(seed)
-        for _ in range(400):
-            assert planner._random_point(r1, g) == ref.random_point(r2, g)
-        assert r1.getstate() == r2.getstate()
+    # one sampler per seed, as verify_plan draws; on point.space, one vertex
+    # and no edge, every draw is 1 bit, drawn again while it is 1
+    with open(os.path.join(FIXDIR, "point.space"), encoding="ascii") as fh:
+        point = parse_spacefile(fh.read()).main_graph()
+    assert len(point.vertices) == 1 and not point.edges
+    for g in (general_graph(random.Random(5), 30, 45), point):
+        for seed in range(5):
+            r1, r2 = random.Random(seed), random.Random(seed)
+            sample = _point_sampler(r1, g)
+            drawn = [sample() for _ in range(400)]
+            assert drawn == [ref.random_point(r2, g) for _ in range(400)]
+            assert r1.getstate() == r2.getstate()
+            # one shared Vertex per vertex, one shared parameter per k
+            assert len({id(p) for p in drawn if isinstance(p, Vertex)}) \
+                == len({p for p in drawn if isinstance(p, Vertex)})
+            assert len({id(p.t) for p in drawn if isinstance(p, EdgeInterior)}) \
+                == len({p.t for p in drawn if isinstance(p, EdgeInterior)})
 
 
 def test_nudge_matches_reference():
@@ -456,13 +471,20 @@ def test_nudge_matches_reference():
             for seed in range(25):
                 r1, r2 = random.Random(seed), random.Random(seed)
                 p = EdgeInterior("e", t)
-                q = _nudge(r1, p, max_shift)
+                q = _nudger(r1, max_shift)(p)
                 assert q == ref.nudge(r2, p, max_shift), (t, max_shift, seed)
                 assert r1.getstate() == r2.getstate()
                 if q.t in ends:
                     clamped.add((q.t == ends[0], t in on_grid))
+        # one nudger for a whole stream, as verify_plan nudges; a vertex
+        # consumes no draw
+        r1, r2 = random.Random(7), random.Random(7)
+        nudge = _nudger(r1, max_shift)
+        points = [Vertex("v")] + [EdgeInterior("e", t) for t in on_grid + off_grid] * 3
+        assert [nudge(p) for p in points] == [ref.nudge(r2, p, max_shift) for p in points]
+        assert r1.getstate() == r2.getstate()
         r1 = random.Random(0)
-        assert _nudge(r1, Vertex("v"), max_shift) == Vertex("v")
+        assert _nudger(r1, max_shift)(Vertex("v")) == Vertex("v")
         assert r1.getstate() == random.Random(0).getstate()
     assert clamped == {(True, True), (False, True), (True, False), (False, False)}
 

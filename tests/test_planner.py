@@ -14,7 +14,7 @@ from wildcat.planner import (PlanError, CycleCoords, plan_tree, plan_circle,
                              plan_graph, lift_plan, execute, cat_filtration,
                              product_cat_filtration,
                              corrupt_plan_swap_endpoints, verify_plan,
-                             MotionPlan, CycleRotateRule, _fmt_pair, _nudge)
+                             MotionPlan, CycleRotateRule, _fmt_pair, _nudger)
 from wildcat import regions
 from wildcat.regions import (Region, Box, Shift, CellUnion,
                              filtration_witnesses)
@@ -356,8 +356,9 @@ def test_nudge_moves_below_the_default_grid():
     p = EdgeInterior("e0", Fraction(1, 3))
     shift = Fraction(1, 2 * 10 ** 7)
     moved = 0
+    nudge = _nudger(rng, shift)
     for _ in range(1000):
-        q = _nudge(rng, p, shift)
+        q = nudge(p)
         assert isinstance(q, EdgeInterior) and q.edge == "e0"
         assert abs(q.t - p.t) <= shift
         moved += q != p
@@ -493,6 +494,56 @@ def test_step_count_guard_catches_slides_built_fresh(monkeypatch):
     first, n_steps, again, same = _lifted_step_counts(monkeypatch)
     assert first >= n_steps and same
     assert again > 4
+
+
+def _cycle_whole_steps(monkeypatch):
+    """Whole-edge steps built by two rounds of the same ``plan_circle``
+    answers on one plan, rotate and geodesic, from vertices and from edge
+    points, in either direction: ``(built in round one, built in round
+    two, whether the rounds' answers are equal)``."""
+    rng = random.Random(4161)
+    g = cycle_graph(40)
+    plan = plan_circle(g)
+    antipodes = [(Vertex(f"v{i}"), Vertex(f"v{(i + 20) % 40}")) for i in range(40)]
+    queries = antipodes + [(random_point(rng, g), random_point(rng, g)) for _ in range(200)]
+    built = [0]
+    trusted = PathStep._trusted
+
+    def counting_trusted(cls, edge, a, b):
+        built[0] += a != b and {a, b} == {0, 1}
+        return trusted(edge, a, b)
+
+    monkeypatch.setattr(PathStep, "_trusted", classmethod(counting_trusted))
+    counts, answers = [], []
+    for _ in range(2):
+        built[0] = 0
+        answers.append([(j, path.steps) for j, path in
+                        (execute(plan, x, y) for x, y in queries)])
+        counts.append(built[0])
+    # both rules answer
+    assert {j for j, _ in answers[0]} == {0, 1}
+    return counts[0], counts[1], answers[0] == answers[1]
+
+
+def test_repeated_cycle_answers_make_no_whole_step(monkeypatch):
+    first, again, same = _cycle_whole_steps(monkeypatch)
+    assert first == 2 * 40                # one table per direction
+    assert again == 0
+    assert same
+
+
+def test_cycle_step_guard_catches_tables_built_fresh(monkeypatch):
+    # a walk that builds its step tables anew on every call
+    walk = CycleCoords.walk
+
+    def fresh_walk(self, x, y, forward):
+        self._whole = [None, None]
+        return walk(self, x, y, forward)
+
+    monkeypatch.setattr(CycleCoords, "walk", fresh_walk)
+    first, again, same = _cycle_whole_steps(monkeypatch)
+    assert same
+    assert again > 0
 
 
 def _benchmark_patch_targets():

@@ -15,19 +15,20 @@ from fractions import Fraction
 
 import pytest
 
-from wildcat import graphs, regions
+from wildcat import graphs, planner, regions
 from wildcat.graphs import (EdgeInterior, MultiGraph, PathStep, PLPath, Vertex,
-                            betti1, build_graph, deforest)
+                            betti1, build_graph, deforest, spanning_forest)
 from wildcat.planner import (CycleCoords, CycleRotateRule, MotionPlan,
                              corrupt_plan_swap_endpoints, lift_plan, plan_graph,
                              verify_plan)
-from wildcat.regions import Region, Shift
+from wildcat.regions import Box, CellUnion, Region, Shift, whole_graph_cells
 from wildcat.spacefile import ParseError, parse_spacefile
 
 import verify_reference as ref
-from gen import random_connected_graph, random_cycle_with_hairs, random_tree
+from gen import k4, random_connected_graph, random_cycle_with_hairs, random_tree
 from test_cli import _bench_module
 from test_continuity import _perturbed, doubled_path, parallel_plan, whisker_plan
+from test_lift import _mutant
 from test_planner import _drop_top, _swap_first_two
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -173,6 +174,47 @@ def test_a_nudged_query_outside_every_stratum_is_skipped():
     assert not _check(report, "coverage-cells").passed
     assert _check(report, "continuity").detail.startswith(
         "0 perturbed pairs within delta=1/1000 stayed within eps=1/20 (1 skipped")
+
+
+def _whole_under_tree(g):
+    """The plan of ``g`` with its strata swapped for G x G under T x T, T the
+    closed edges of the spanning forest: the evacuate rule on G x G, the
+    tree rule on T x T.  Every pair off T x T lies in the lower stratum
+    alone."""
+    plan = plan_graph(g)
+    whole = whole_graph_cells(g)
+    tree = CellUnion(g, g.vertices, spanning_forest(g))
+    return MotionPlan(g, (Region(Box(whole, whole)), Region(Box(tree, tree))),
+                      (plan.rules[-1], plan.rules[0]))
+
+
+def test_the_top_stratum_is_rechecked_until_coverage_passes(monkeypatch):
+    # once coverage-cells passes, the top stratum holds every pair of G x G,
+    # and the section loop no longer tests it for pairs of a lower stratum;
+    # with two strata swapped nesting fails while coverage passes, and the
+    # report is still the reference's
+    g = k4()
+    swapped = _same_report(_swap_first_two(plan_graph(g)), g, samples=300)
+    assert _check(swapped, "coverage-cells").passed
+    assert not _check(swapped, "nesting-cells").passed
+    # under T x T a pair of the lower stratum can miss the top one, which
+    # the exact decision counts as a coverage failure, not a nesting one:
+    # the recheck stays, and the report is the reference's
+    rng = random.Random(39)
+    cases = [(g, _whole_under_tree(g))
+             for g in (k4(), random_connected_graph(rng, max_vertices=12, max_edges=20))]
+    reports = []
+    for g, plan in cases:
+        report = _same_report(plan, g, samples=300)
+        assert not _check(report, "coverage-cells").passed
+        assert _check(report, "nesting-cells").passed
+        reports.append(report)
+    # negative control: a verifier that never rechecks answers those pairs
+    _mutant(monkeypatch, planner, "verify_plan", (
+        "recheck = p.strata[top] if cover_witness is not None else None",
+        "recheck = None"))
+    for (g, plan), report in zip(cases, reports):
+        assert planner.verify_plan(plan, g, samples=300) != report
 
 
 # --- negative controls --------------------------------------------------------
