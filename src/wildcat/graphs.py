@@ -775,18 +775,17 @@ class PLPath:
         self._end_keys()
         return self
 
-    def _end_keys(self, partner: "PLPath" = None, same_middle: bool = None) -> tuple:
+    def _end_keys(self, partner: "PLPath" = None, same_middle: bool = False) -> tuple:
         """Check the path as ``check`` does and return ``_point_key`` of its
         start and of its end.
 
-        ``partner`` is a path already found well-formed.  When it is on the
-        same graph and its middle steps (all but the first and the last)
-        equal this path's, those steps and the junctions between them are
-        known good, so only the first two steps, the last two and the
-        source are read, in the full check's order: a fault gives the error
-        the full check gives.  ``same_middle`` is whether the middle steps
-        are equal, for a caller that has compared them already; when it is
-        None they are compared here.
+        ``partner`` is a path already found well-formed, and
+        ``same_middle`` whether its middle steps (all but the first and the
+        last) equal this path's, as the caller has compared them.  When they
+        do and it is on the same graph, those steps and the junctions
+        between them are known good, so only the first two steps, the last
+        two and the source are read, in the full check's order: a fault
+        gives the error the full check gives.
         """
         steps = self.steps
         graph = self.graph
@@ -800,9 +799,7 @@ class PLPath:
             return key, key
         n = len(steps)
         edge_by_id = graph.edge_by_id
-        if partner is not None and n > 2 and partner.graph is graph and (
-                steps[1:-1] == partner.steps[1:-1] if same_middle is None
-                else same_middle):
+        if same_middle and n > 2 and partner.graph is graph:
             first = _step_keys(edge_by_id, steps[:2], True)[0]
             last = _step_keys(edge_by_id, steps[-2:], True)[1]
         else:

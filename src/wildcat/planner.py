@@ -62,6 +62,8 @@ __all__ = [
 DEFAULT_DELTA = Fraction(1, 1000)
 DEFAULT_EPS = Fraction(1, 20)
 TIME_SAMPLES = 32
+# a sampled edge point's parameter is k / _SAMPLE_DENOM, 0 < k < _SAMPLE_DENOM
+_SAMPLE_DENOM = 4096
 
 
 class PlanError(ValueError):
@@ -558,15 +560,14 @@ def _fmt_pair(x, y) -> str:
     return f"({_fmt_point(x)}; {_fmt_point(y)})"
 
 
-def _walk_bound(path1: PLPath, path2: PLPath, same_middle: bool = None):
+def _walk_bound(path1: PLPath, path2: PLPath, same_middle: bool):
     """An exact bound on the distance between ``path1.at(t)`` and
     ``path2.at(t)`` over every t in [0,1], as an integer pair (num, den)
     with den > 0, or None when the steps show none.
 
-    Both paths must be well-formed.  ``same_middle`` is whether their middle
-    steps are equal, for a caller that has compared them already; when it
-    is None they are compared here.  The bound is max(|a1 - a2|, |b1 - b2|)
-    for first steps starting at a_i and last steps ending at b_i.  One step
+    Both paths must be well-formed, and ``same_middle`` is whether their
+    middle steps are equal.  The bound is max(|a1 - a2|, |b1 - b2|) for
+    first steps starting at a_i and last steps ending at b_i.  One step
     each on one edge: the points are affine in t along it.  n >= 2 steps
     each, equal middle steps W, first steps ending at one point c of one
     edge and last steps starting at one point s of one edge, in either
@@ -594,8 +595,7 @@ def _walk_bound(path1: PLPath, path2: PLPath, same_middle: bool = None):
         start = l1.a
         if (f2.b is not end and f2.b != end
                 or l1.edge != l2.edge or (l2.a is not start and l2.a != start)
-                or not (steps1[1:-1] == steps2[1:-1] if same_middle is None
-                        else same_middle)):
+                or not same_middle):
             return None
     # |a1 - a2| and |b1 - b2| as integer pairs; the larger is the bound
     p1, q1 = f1.a.as_integer_ratio()
@@ -616,26 +616,14 @@ def _sampled_sup(g: MultiGraph, path1: PLPath, path2: PLPath, eps: Fraction):
     return sup if sup > eps else None
 
 
-def _below(getrandbits, n: int) -> int:
-    """A uniform draw from range(n), n >= 1, by the rejection rule of
-    CPython's ``Random.randrange(n)``: draw ``n.bit_length()`` bits, again
-    while the draw is >= n.  It consumes what ``randrange(n)`` consumes and
-    returns what it returns, so ``start + _below(getrandbits, stop - start)``
-    is ``randrange(start, stop)``, drawn without its argument checks.  The
-    point sampler and the nudger inline it, with their bit widths computed
-    once."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _point_sampler(rng, g: MultiGraph, denom=4096):
+def _point_sampler(rng, g: MultiGraph):
     """A seeded query-point sampler on g: one draw picks a vertex or an
     edge, uniformly over the vertices and edges of g, and an edge takes a
-    second, its parameter k / denom for a uniform k in 1 .. denom - 1.  The
-    draws are ``_below``'s over ``rng.getrandbits``, with both bit widths
+    second, its parameter k / _SAMPLE_DENOM for a uniform k in 1 ..
+    _SAMPLE_DENOM - 1.  Each draw from range(n) follows the rejection rule
+    of ``Random.randrange(n)``: draw ``n.bit_length()`` bits from
+    ``rng.getrandbits``, again while the draw is >= n, so the sampler
+    consumes and returns what ``randrange`` would; both bit widths are
     computed once.  One ``Vertex`` per vertex and one parameter per k are
     shared, each made on first draw."""
     getrandbits = rng.getrandbits
@@ -644,7 +632,7 @@ def _point_sampler(rng, g: MultiGraph, denom=4096):
     n_v = len(vertices)
     n = n_v + len(edge_ids)
     n_bits = n.bit_length()
-    m = denom - 1
+    m = _SAMPLE_DENOM - 1
     m_bits = m.bit_length()
     points = [None] * n_v
     params = [None] * m
@@ -663,7 +651,7 @@ def _point_sampler(rng, g: MultiGraph, denom=4096):
             r = getrandbits(m_bits)
         t = params[r]
         if t is None:
-            t = params[r] = Fraction(1 + r, denom)
+            t = params[r] = Fraction(1 + r, _SAMPLE_DENOM)
         return EdgeInterior._trusted(edge_ids[k - n_v], t)
 
     return sample
@@ -675,8 +663,10 @@ def _nudger(rng, max_shift: Fraction):
     to [1/grid, 1 - 1/grid], so a nudged point stays inside its edge.  The
     grid is 2^22, times max_shift's denominator when that is larger; grid,
     span and the draw's bit width are computed once.  A vertex is returned
-    as it is and consumes no draw; an edge point consumes one, ``_below``'s
-    over ``rng.getrandbits``."""
+    as it is and consumes no draw; an edge point consumes one, by the
+    rejection rule of ``Random.randrange(-span, span + 1)``: draw the bit
+    width of 2 * span + 1 from ``rng.getrandbits``, again while the draw is
+    >= 2 * span + 1, and subtract span."""
     getrandbits = rng.getrandbits
     grid = 1 << 22
     shift_num, shift_den = max_shift.as_integer_ratio()

@@ -980,46 +980,23 @@ def _template(node: Node, anchor, depth: int):
     return vs, es, kids, record, proven
 
 
-# Where a copy's names go in the text of its records: each is the copy's
-# prefix followed by a local name of its template, or the copy's host.
-_PREFIX, _HOST = object(), object()
-
-
-def _split(tokens) -> list:
-    """``tokens``, literal strings and the slots ``_PREFIX`` and ``_HOST``,
-    split at each host slot into segments, and each segment at each prefix
-    slot into literal pieces, so that ``host.join([prefix.join(seg) for seg
-    in segments])`` fills the slots.  The text is put together by ``join``
-    alone, so no name can clash with a placeholder."""
-    segments, seg, text = [], [], []
-    for tok in tokens:
-        if isinstance(tok, str):
-            text.append(tok)
-            continue
-        seg.append("".join(text))
-        text = []
-        if tok is _HOST:
-            segments.append(seg)
-            seg = []
-    seg.append("".join(text))
-    segments.append(seg)
-    return segments
-
-
 class _Template:
     """What every copy of one (node, anchor) pair writes, given the copy's
     prefix and host: the node's own records (``_compile``), or from the
     pair's second copy on the records of its whole subtree
     (``_compile_subtree``).
 
-    ``vertex_text`` and ``edge_text`` are the records as text: the vertex
-    lines as the pieces of one segment, since the host is never among them,
-    and the edge lines as segments (see ``_split``).  ``n_vertices`` and
-    ``n_edges`` count them.  ``records()`` gives them as local vertex names
-    and edges ``(id, i0, i1)`` whose endpoints index the names, with -1 for
-    the host.  A node's own template holds its records from the start; a
-    subtree's are built from its ``parts`` on the first call, so the text
-    alone never builds a name per vertex."""
+    ``vertex_text`` and ``edge_text`` are the records as text, cut at the
+    slot characters ``_PREFIX`` and ``_HOST``, which no name holds, since
+    every name is an identifier: the vertex lines as the pieces between
+    prefix slots, one segment, since the host is never among them, and the
+    edge lines as the segments between host slots, each cut into pieces
+    the same way.  ``n_vertices`` and ``n_edges`` count the records.
+    ``records()`` gives them as local vertex names and edges ``(id, i0,
+    i1)`` whose endpoints index the names, with -1 for the host.  A node's
+    own template holds its records from the start; a subtree's are built
+    from its ``parts`` on the first call, so the text alone never builds a
+    name per vertex."""
 
     __slots__ = ("vertex_text", "edge_text", "n_vertices", "n_edges", "parts", "_records")
 
@@ -1055,19 +1032,28 @@ class _Template:
         return self._records
 
 
+# The slots of a template's text: a copy's prefix goes at ``_PREFIX``, before
+# each local name, and its host at ``_HOST`` (see ``_compile``).
+_PREFIX, _HOST = "\0", "\1"
+
+
 def _compile(names, edges) -> _Template:
     """The ``_Template`` of vertices ``names`` and ``edges``.  Its text has
     the line format of ``spacefile.graph_records`` (which this module
     cannot import: ``spacefile`` imports it), ``vertex NAME`` and ``edge ID
-    V0 V1``, each line ending in a newline."""
-    vertex, edge = [], []
-    for v in names:
-        vertex += ("vertex ", _PREFIX, v, "\n")
-    for i, i0, i1 in edges:
-        edge += ("edge ", _PREFIX, i, " ", *((_HOST,) if i0 < 0 else (_PREFIX, names[i0])),
-                 " ", *((_HOST,) if i1 < 0 else (_PREFIX, names[i1])), "\n")
-    return _Template(_split(vertex)[0], _split(edge), len(names), len(edges), (),
-                     (names, edges))
+    V0 V1``, each line ending in a newline.  The lines are written with the
+    slot characters in place and cut there: the vertex text at each prefix
+    slot, the edge text at each host slot and each segment at each prefix
+    slot.  No name holds a slot character: each is an identifier
+    (``graphs._IDENT``) or built from identifier characters."""
+    prefix, host = _PREFIX, _HOST
+    at = [prefix + v for v in names]
+    vertex = "".join([f"vertex {v}\n" for v in at])
+    at.append(host)                                          # the host at -1
+    edge = "".join([f"edge {prefix}{i} {at[i0]} {at[i1]}\n" for i, i0, i1 in edges])
+    # [:] drops the room for 12 items that str.split keeps in a shorter list
+    return _Template(vertex.split(prefix)[:], [seg.split(prefix)[:] for seg in edge.split(host)],
+                     len(names), len(edges), (), (names, edges))
 
 
 def _print_chunks(chunks) -> str:

@@ -101,7 +101,9 @@ def test_a_stray_import_fails_the_guard(tmp_path):
                                         ("wild", "Chunk"),
                                         ("wild", "chunk_records"),
                                         ("wild", "truncation_chunks"),
-                                        ("spacefile", "print_chunks")])
+                                        ("spacefile", "print_chunks"),
+                                        ("wild", "_split"),
+                                        ("planner", "_below")])
 def test_replaced_path_helpers_are_gone(owner, name):
     """Lifted answers join step lists, and cycle answers walk integer slots;
     the path concatenation, reverse slide and Fraction march they replace
@@ -113,7 +115,10 @@ def test_replaced_path_helpers_are_gone(owner, name):
     test-only reference analyses keep their own ``_union`` and
     ``_intersect``).  A truncation's text comes from ``truncation_text``,
     so the chunk type, its records writer, its entry point and its text
-    writer in ``spacefile`` are gone."""
+    writer in ``spacefile`` are gone.  A template's text is cut at its slot
+    characters by ``str.split``, so the token splitter ``_split`` is gone,
+    and the query draws inline ``randrange``'s rule, so ``_below`` is
+    gone."""
     module, _, cls = owner.partition(".")
     obj = importlib.import_module(f"wildcat.{module}")
     obj = getattr(obj, cls) if cls else obj

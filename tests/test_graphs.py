@@ -53,7 +53,8 @@ def test_build_bad_identifier():
 
 # --- constructor errors against the item-by-item reference -------------------
 
-_BAD_NAMES = ["a b", "", "a\n", "\u00e9", 7, ["v"]]
+# "a\0" and "\1b" hold the slot characters of a truncation's text (``wild._compile``)
+_BAD_NAMES = ["a b", "", "a\n", "\u00e9", 7, ["v"], "a\0", "\1b"]
 
 
 def _faulty_input(rng):

@@ -1020,12 +1020,15 @@ def test_command_differential_catches_writer_mutant(monkeypatch, tmp_path, mutan
 def _text_record_mismatches(tmp_path):
     """The cases of ``_command_cases`` where ``truncation_text`` is not
     ``print_spacefile`` of the graph ``truncated`` of
-    ``truncation_records``, or the two raise different errors."""
+    ``truncation_records``, or the two raise different errors, or either
+    fails with another exception."""
     def outcome(write, e, depth):
         try:
             return ("ok", write(e, depth))
         except ValueError as exc:
             return ("raises", type(exc), str(exc))
+        except Exception as exc:          # tagged with its writer: never equal
+            return ("fails", write, repr(exc))
 
     bad = []
     for path, depth in _command_cases(tmp_path):
@@ -1052,6 +1055,21 @@ def test_text_record_check_catches_writer_mutant(monkeypatch, tmp_path, mutant):
     owner, name, old, new = WRITER_MUTANTS[mutant]
     _lift_mutant(monkeypatch, owner, name, (old, new))
     assert _text_record_mismatches(tmp_path)
+
+
+@pytest.mark.parametrize("slot", ["_PREFIX", "_HOST"])
+def test_checks_catch_a_slot_character_that_names_hold(monkeypatch, tmp_path, slot):
+    # the text is cut at the slot characters, sound only while no name
+    # holds one; a slot at "_", which cut and copy names hold, must show in
+    # the text against the records and in the command against its reference
+    cases = _command_cases(tmp_path)
+    with monkeypatch.context() as m:
+        _route_through_the_graph(m)
+        want = [_command_outputs(path, depth, tmp_path) for path, depth in cases]
+    monkeypatch.setattr(wild, slot, "_")
+    assert _text_record_mismatches(tmp_path)
+    assert any(_command_outputs(path, depth, tmp_path) != outputs
+               for (path, depth), outputs in zip(cases, want))
 
 
 # --- the sizes on stderr ------------------------------------------------------
