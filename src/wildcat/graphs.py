@@ -891,12 +891,12 @@ class TreeRouter:
     points.  The BFS takes V - roots edges, so ``tree_edges`` is a forest
     exactly when it has that many; otherwise ``GraphError`` names an id
     ``graph`` lacks, or says it is no forest.  A walk that climbs to two
-    roots raises ``points lie in different components``.  Vertex-to-vertex
-    walks are cached and share each vertex's whole-edge hops up to its
-    parent and back, made the first time a walk climbs from it.
+    roots raises ``points lie in different components``.  A vertex-to-vertex
+    walk shares each vertex's whole-edge hops up to its parent and back,
+    made the first time a walk climbs from it; only the last walk is kept.
     """
 
-    __slots__ = ("graph", "tree_edges", "_parent", "_depth", "_walks", "_hops")
+    __slots__ = ("graph", "tree_edges", "_parent", "_depth", "_last", "_hops")
 
     def __init__(self, graph: MultiGraph, tree_edges):
         tree_edges = frozenset(tree_edges)
@@ -929,7 +929,7 @@ class TreeRouter:
         self.tree_edges = tree_edges
         self._parent = parent
         self._depth = depth
-        self._walks = {}
+        self._last = (None, None, ())
         self._hops = {}
 
     def _hop(self, v: str) -> tuple:
@@ -944,11 +944,12 @@ class TreeRouter:
         return hop
 
     def _vertex_walk(self, a: str, b: str) -> tuple:
-        """Whole-edge steps of the reduced walk from vertex a to vertex b."""
-        key = (a, b)
-        cached = self._walks.get(key)
-        if cached is not None:
-            return cached
+        """Whole-edge steps of the reduced walk from vertex a to vertex b,
+        kept until the next walk: a nudged query has its partner's anchors."""
+        last = self._last
+        if last[0] == a and last[1] == b:
+            return last[2]
+        key = a, b
         up_a, up_b = [], []
         depth = self._depth
         parent = self._parent
@@ -964,7 +965,8 @@ class TreeRouter:
                 up_b.append((hops.get(b) or self._hop(b))[1])
                 b = parent[b][1]
         up_b.reverse()
-        walk = self._walks[key] = tuple(up_a + up_b)
+        walk = tuple(up_a + up_b)
+        self._last = key + (walk,)
         return walk
 
     def _anchor(self, p: GraphPoint) -> str:

@@ -745,6 +745,11 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         first two steps, its last two and its source, in the full check's
         order, so a fault gives the same witness and detail.
 
+    One pass over the drawn queries runs (c)-(e): each of the first
+    ``continuity_samples`` well-formed answers is nudged and bounded at once,
+    then both answers are dropped, so memory beyond the queries is one pair.
+    A malformed sampled answer is the witness ahead of a perturbed one.
+
     The report is deterministic for fixed inputs and seed.
     """
     if continuity_samples is None:
@@ -771,12 +776,13 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         if nest_witness is None else "nesting violated",
         nest_witness))
 
-    section_witness = None
-    malformed = None  # (query pair, reason) of the first malformed answer
-    answers = 0
+    # malformed and nudged_malformed: (query pair, reason) of the first of each
+    section_witness = cont_witness = malformed = nudged_malformed = None
+    answers = nudged = compared = skipped = 0
     sample = _point_sampler(rng, g)
     queries = [(sample(), sample()) for _ in range(samples)]
-    answered = []
+    nudge = _nudger(rng, delta / 2)
+    eps_num, eps_den = eps.numerator, eps.denominator
     top = len(p.strata) - 1
     # once coverage-cells has passed, the top stratum holds every pair
     recheck = p.strata[top] if cover_witness is not None else None
@@ -787,30 +793,20 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
             continue  # outside every stratum: coverage-cells fails
         if j < top and recheck is not None and not recheck.contains(x, y):
             continue  # outside the top stratum too: coverage-cells fails
-        path = p.rules[j].path_for(x, y)
+        rule = p.rules[j]
+        path1 = rule.path_for(x, y)
         answers += 1
         try:
-            start, end = path._end_keys()
+            start, end = path1._end_keys()
         except GraphError as exc:
             malformed = malformed or (_fmt_pair(x, y), str(exc))
             continue
-        if len(answered) < continuity_samples:
-            answered.append((x, y, j, path))
-        if start != _point_key(x) or end != _point_key(y):
-            if section_witness is None:
-                section_witness = _fmt_pair(x, y)
-    checks.append(CheckResult(
-        "section", section_witness is None,
-        f"exact endpoints on {samples} sampled queries"
-        if section_witness is None else "path endpoints differ from the query",
-        section_witness))
-
-    nudge = _nudger(rng, delta / 2)
-    eps_num, eps_den = eps.numerator, eps.denominator
-    cont_witness = None
-    compared = 0
-    skipped = 0
-    for x, y, j1, path1 in answered:
+        if section_witness is None and (start != _point_key(x)
+                                        or end != _point_key(y)):
+            section_witness = _fmt_pair(x, y)
+        if nudged >= continuity_samples:
+            continue
+        nudged += 1
         x2 = nudge(x)
         y2 = nudge(y)
         if isinstance(x, Vertex) and isinstance(y, Vertex):
@@ -820,11 +816,7 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
             j2 = p.stratum_index(x2, y2)
         except PlanError:
             j2 = None  # outside every stratum: a change of stratum
-        if j1 != j2:
-            skipped += 1
-            continue
-        rule = p.rules[j1]
-        if rule.piece_id(x, y) != rule.piece_id(x2, y2):
+        if j != j2 or rule.piece_id(x, y) != rule.piece_id(x2, y2):
             skipped += 1
             continue
         path2 = rule.path_for(x2, y2)
@@ -835,7 +827,7 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
         try:
             path2._end_keys(path1, same_middle)
         except GraphError as exc:
-            malformed = malformed or (_fmt_pair(x2, y2), str(exc))
+            nudged_malformed = nudged_malformed or (_fmt_pair(x2, y2), str(exc))
             continue
         compared += 1
         if cont_witness is not None:
@@ -850,12 +842,18 @@ def verify_plan(p: MotionPlan, g: MultiGraph, samples: int = 1000,
             # a Fraction takes no ".4f" before Python 3.12: the float only prints
             cont_witness = f"{_fmt_pair(x, y)} vs {_fmt_pair(x2, y2)}: sup {float(sup):.4f}"
     checks.append(CheckResult(
+        "section", section_witness is None,
+        f"exact endpoints on {samples} sampled queries"
+        if section_witness is None else "path endpoints differ from the query",
+        section_witness))
+    checks.append(CheckResult(
         "continuity", cont_witness is None,
         f"{compared} perturbed pairs within delta={delta} stayed within "
         f"eps={eps} ({skipped} skipped: different difference/piece or "
         "vertex-vertex)" if cont_witness is None
         else "paths of nearby queries diverge",
         cont_witness))
+    malformed = malformed or nudged_malformed
     checks.append(CheckResult(
         "path-wellformed", malformed is None,
         f"all {answers} answer paths well-formed" if malformed is None

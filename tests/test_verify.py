@@ -5,12 +5,15 @@ rechecked coverage and nesting on its sampled queries
 decision, negative controls for the two ways the verifier reads less of
 an answer (end keys from the path check, and only the ends of a nudged
 answer that keeps its partner's middle steps), a guard on what its
-sampled loops build and read, and a plan whose nudged query lies outside
-every stratum, which the reference fails on."""
+sampled loops build and read, a plan whose nudged query lies outside
+every stratum, which the reference fails on, and guards that the verifier
+holds one answer at a time: the order of its malformed witnesses, its
+traced peak on a long path and the one walk its router keeps."""
 
 import dataclasses
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,13 +22,14 @@ from wildcat import graphs, planner, regions
 from wildcat.graphs import (EdgeInterior, MultiGraph, PathStep, PLPath, Vertex,
                             betti1, build_graph, deforest, spanning_forest)
 from wildcat.planner import (CycleCoords, CycleRotateRule, MotionPlan,
-                             corrupt_plan_swap_endpoints, lift_plan, plan_graph,
-                             verify_plan)
+                             corrupt_plan_swap_endpoints, execute, lift_plan,
+                             plan_graph, verify_plan)
 from wildcat.regions import Box, CellUnion, Region, Shift, whole_graph_cells
 from wildcat.spacefile import ParseError, parse_spacefile
 
 import verify_reference as ref
-from gen import k4, random_connected_graph, random_cycle_with_hairs, random_tree
+from gen import (k4, path_graph, random_connected_graph, random_cycle_with_hairs,
+                 random_tree)
 from test_cli import _bench_module
 from test_continuity import _perturbed, doubled_path, parallel_plan, whisker_plan
 from test_lift import _mutant
@@ -389,3 +393,139 @@ def test_sampled_loops_build_no_endpoints_and_read_each_answer_once(monkeypatch)
     for path in shared:
         assert not any(steps is path.steps for steps in loops)
     assert len(whole) == sum(len(path.steps) > 2 for path, _ in checked) - len(shared)
+
+
+# --- one answer at a time -------------------------------------------------------
+
+class _Recorded:
+    """A rule that records every query pair it answers, in order, and
+    answers the pairs in ``bad`` with a path of no steps and no source."""
+
+    def __init__(self, inner, calls, bad=()):
+        self.inner = inner
+        self.calls = calls
+        self.bad = bad
+
+    def path_for(self, x, y):
+        self.calls.append((x, y))
+        path = self.inner.path_for(x, y)
+        return PLPath._trusted(path.graph, (), None) if (x, y) in self.bad else path
+
+    def piece_id(self, x, y):
+        return self.inner.piece_id(x, y)
+
+
+def test_a_malformed_sampled_answer_is_the_witness_ahead_of_an_earlier_nudged_one(monkeypatch):
+    # the stream answers a query's nudged copy before the next sampled
+    # query; a rule malformed on the first nudged query and on a sampled
+    # query after it still has the sampled query as its witness, as the
+    # reference's section pass, run before its continuity pass, gives it
+    rng = random.Random(41)
+    g = random_connected_graph(rng, max_vertices=12, max_edges=18)
+    p = plan_graph(g)
+    calls = []
+    verify_plan(MotionPlan(g, p.strata, tuple(_Recorded(r, calls) for r in p.rules)),
+                g, samples=80)
+    sample = planner._point_sampler(random.Random(0), g)
+    sampled = {(sample(), sample()) for _ in range(80)}
+    first_nudged = next(i for i, q in enumerate(calls) if q not in sampled)
+    later = next(q for q in calls[first_nudged:] if q in sampled)
+    bad = {calls[first_nudged], later}
+    asked = []
+    plan = MotionPlan(g, p.strata, tuple(_Recorded(r, asked, bad) for r in p.rules))
+    wellformed = _check(_same_report(plan, g, samples=80), "path-wellformed")
+    assert bad <= set(asked)
+    assert wellformed.detail == "malformed answer path: a path with no steps needs a source point"
+    assert wellformed.witness == planner._fmt_pair(*later)
+    # negative control: one slot keeps the malformed answer met first
+    _mutant(monkeypatch, planner, "verify_plan", (
+        "nudged_malformed = nudged_malformed or (_fmt_pair(x2, y2), str(exc))",
+        "malformed = malformed or (_fmt_pair(x2, y2), str(exc))"))
+    report = planner.verify_plan(plan, g, samples=80)
+    assert _check(report, "path-wellformed").witness == planner._fmt_pair(*calls[first_nudged])
+
+
+def _verify_peak_over_build():
+    """The traced peak of ``verify_plan`` at 2000 samples on a 4000-vertex
+    path, over the traced size of building the path and its plan."""
+    tracemalloc.start()
+    try:
+        g = path_graph(4000)
+        plan = plan_graph(g)
+        built = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert planner.verify_plan(plan, g, samples=2000).passed
+        return (tracemalloc.get_traced_memory()[1] - built) / built
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_peak_is_within_three_times_the_plan():
+    assert _verify_peak_over_build() <= 3
+
+
+@pytest.mark.parametrize("keeps", ["answers", "walks"])
+def test_peak_guard_catches_a_verifier_that_keeps_every_answer(monkeypatch, keeps):
+    if keeps == "answers":
+        _mutant(monkeypatch, planner, "verify_plan", (
+            "queries = [(sample(), sample()) for _ in range(samples)]",
+            "queries = [(sample(), sample()) for _ in range(samples)]; kept = []"),
+            ("path1 = rule.path_for(x, y)", "path1 = rule.path_for(x, y); kept.append(path1)"))
+    else:
+        # the walk cache as a dict of every walk, for the router's life
+        _mutant(monkeypatch, graphs.TreeRouter, "_vertex_walk", (
+            "def _vertex_walk(self, a: str, b: str)", "def _vertex_walk(self, a, b, walks={})"),
+            ("last = self._last", "last = walks.get((a, b), self._last)"),
+            ("self._last = key + (walk,)", "self._last = walks[key] = key + (walk,)"))
+    assert _verify_peak_over_build() > 3
+
+
+def _climbs(monkeypatch):
+    """Record, for each ``_vertex_walk`` call, whether it climbed the tree
+    rather than return the walk it kept."""
+    climbs = []
+    vertex_walk = graphs.TreeRouter._vertex_walk
+
+    def counting(self, a, b):
+        kept = self._last
+        walk = vertex_walk(self, a, b)
+        climbs.append(self._last is not kept)
+        return walk
+
+    monkeypatch.setattr(graphs.TreeRouter, "_vertex_walk", counting)
+    return climbs
+
+
+def _tree_verify_climbs(monkeypatch):
+    g = random_tree(random.Random(41), 200)
+    climbs = _climbs(monkeypatch)
+    assert verify_plan(plan_graph(g), g, samples=300).passed
+    return climbs
+
+
+def test_a_nudged_answer_takes_the_walk_its_sampled_answer_kept(monkeypatch):
+    climbs = _tree_verify_climbs(monkeypatch)
+    # nudged answers walk too, but climb no more than once per sampled query
+    assert sum(climbs) <= 300 < len(climbs)
+
+
+def test_climb_count_catches_a_router_that_keeps_no_walk(monkeypatch):
+    _mutant(monkeypatch, graphs.TreeRouter, "_vertex_walk", (
+        "if last[0] == a and last[1] == b:", "if False:"))
+    assert sum(_tree_verify_climbs(monkeypatch)) > 300
+
+
+def test_a_query_stream_leaves_the_router_one_walk():
+    rng = random.Random(41)
+    g = random_tree(rng, 200)
+    plan = plan_graph(g)
+    router = plan.rules[0].router
+    sample = planner._point_sampler(rng, g)
+    for _ in range(1000):
+        execute(plan, sample(), sample())
+    # beyond its O(V) tables the router holds the last walk, and only it
+    assert graphs.TreeRouter.__slots__ == (
+        "graph", "tree_edges", "_parent", "_depth", "_last", "_hops")
+    assert len(router._hops) < len(g.vertices)
+    a, b, walk = router._last
+    assert walk == graphs.TreeRouter(g, router.tree_edges)._vertex_walk(a, b)
